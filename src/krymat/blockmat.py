@@ -1,23 +1,20 @@
 """Block-matrix algebra over the Frobenius inner product.
 
 A block row stacks m matrices of common shape n x s side by side into one
-n x (m*s) array.  All higher-level algorithms in this package reduce to four
-kernels on this layout: the Frobenius inner product, the blockwise inner
-product matrix (diamond), application of a small coefficient matrix through
-the Kronecker pattern V (S kron I_s), and a global QR factorization.
+n x (m*s) array.  Stored column-major, each block is one contiguous n*s chunk
+and vec(V_j) is column j of the (n*s, m) view ``flat()``.  The kernels are
+dense products on that view: diamond is flat(Z)^T flat(W), V (S kron I_s) is
+flat(V) S, and ``cgs2``, the one Gram-Schmidt kernel, runs classical
+Gram-Schmidt twice on its columns.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, NumericError
 
 DEFAULT_RANK_TOL = 1e-12
-
-# Reorthogonalize when one Gram-Schmidt pass eats more than this fraction
-# of a block's norm (the usual twice-is-enough drop test).
-REORTH_DROP = 1.0 / np.sqrt(2.0)
 
 
 def frob_inner(y, z):
@@ -31,13 +28,19 @@ def frob_inner(y, z):
 
 @dataclass(frozen=True)
 class BlockRow:
-    """m blocks of shape n x width stored contiguously as one n x (m*width) array."""
+    """m blocks of shape n x width side by side in one n x (m*width) array.
+
+    Block j is columns j*width:(j+1)*width of ``data``.  The entries are
+    checked for finiteness on construction unless ``checked`` says they were
+    checked already, as for views of a BlockStore or of another block row.
+    """
 
     data: np.ndarray
     width: int
+    checked: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=float))
+        data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
         if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
             raise DimensionError(f"block row needs a 2-d array, got shape {data.shape}")
@@ -45,7 +48,7 @@ class BlockRow:
             raise DimensionError(
                 f"{data.shape[1]} columns do not split into blocks of width {self.width}"
             )
-        if not np.isfinite(data).all():
+        if not self.checked and not np.isfinite(data).all():
             raise NumericError("block row contains non-finite entries")
 
     @property
@@ -61,18 +64,20 @@ class BlockRow:
         s = self.width
         return self.data[:, j * s : (j + 1) * s]
 
+    def flat(self):
+        """(n*width, m) array whose column j is vec(block j); a view of
+        column-major data, a copy otherwise."""
+        return self.data.reshape(self.n * self.width, self.m, order="F")
+
     def narrow(self, m):
         """Block row made of the first m blocks (shares storage)."""
         if not 1 <= m <= self.m:
             raise DimensionError(f"cannot narrow {self.m} blocks to {m}")
-        return BlockRow(self.data[:, : m * self.width], self.width)
+        return replace(self, data=self.data[:, : m * self.width], checked=True)
 
     def with_width(self, width):
         """Reinterpret the same columns with a different block width."""
-        return BlockRow(self.data, width)
-
-    def _cube(self):
-        return self.data.reshape(self.n, self.m, self.width)
+        return replace(self, width=width, checked=True)
 
 
 @dataclass(frozen=True)
@@ -86,26 +91,72 @@ class BlockBasis(BlockRow):
         g = diamond(self, self)
         return float(np.linalg.norm(g - np.eye(self.m)))
 
-    def narrow(self, m):
-        if not 1 <= m <= self.m:
-            raise DimensionError(f"cannot narrow {self.m} blocks to {m}")
-        return BlockBasis(self.data[:, : m * self.width], self.width, self.tol)
 
-    def with_width(self, width):
-        return BlockBasis(self.data, width, self.tol)
+class BlockStore:
+    """Growable column-major stack of n x width blocks, the storage of a basis.
+
+    The blocks live in one Fortran-ordered buffer, so the first k of them are a
+    view and ``view(k).flat()`` needs no copy.  The buffer starts with room for
+    16 blocks and doubles on demand with ``np.empty``, which leaves the pages
+    past the written blocks untouched.  A block is checked for finiteness once, when
+    it is appended; written blocks never change, so views stay valid after
+    the buffer has grown.
+    """
+
+    def __init__(self, n, width):
+        self.width = width
+        self.m = 0
+        self._buf = np.empty((n, 16 * width), order="F")
+
+    def append(self, block):
+        """Copy in the next block, given as an n x width array or its vec."""
+        n, s = self._buf.shape[0], self.width
+        block = np.reshape(block, (n, s), order="F")
+        if not np.isfinite(block).all():
+            raise NumericError("basis block contains non-finite entries")
+        used = self.m * s
+        if used + s > self._buf.shape[1]:
+            grown = np.empty((n, 2 * self._buf.shape[1]), order="F")
+            grown[:, :used] = self._buf[:, :used]
+            self._buf = grown
+        self._buf[:, used : used + s] = block
+        self.m += 1
+
+    def view(self, k=None):
+        """BlockBasis of the first k blocks (all by default), sharing the buffer."""
+        k = self.m if k is None else k
+        if not 1 <= k <= self.m:
+            raise DimensionError(f"only {self.m} blocks available, asked for {k}")
+        return BlockBasis(self._buf[:, : k * self.width], self.width, checked=True)
+
+
+def cgs2(q, w, passes=2):
+    """Orthogonalize the columns of ``w`` against the orthonormal columns of
+    ``q`` in place, by classical Gram-Schmidt: c = q^T w, w -= q c.
+
+    Two passes keep w orthogonal to q at working precision ("twice is
+    enough", Giraud, Langou and Rozloznik 2005).  Returns the summed
+    coefficients, so that w on entry equals q c + w on return.
+    """
+    c = q.T @ w
+    w -= q @ c
+    for _ in range(passes - 1):
+        d = q.T @ w
+        w -= q @ d
+        c += d
+    return c
 
 
 def diamond(zb, wb):
     """Blockwise inner-product matrix [<Z_i, W_j>_F] of two block rows.
 
-    Accepts BlockRow operands or plain arrays paired as (array, width) via
-    BlockRow construction by the caller.  The result is an m x l dense array.
+    The result is an m x l dense array, one GEMM on the flat views.
     """
     if zb.n != wb.n or zb.width != wb.width:
         raise DimensionError(
             f"diamond: incompatible operands n={zb.n}/{wb.n}, width={zb.width}/{wb.width}"
         )
-    return np.einsum("xis,xjs->ij", zb._cube(), wb._cube(), optimize=True)
+    return zb.flat().T @ wb.flat()
 
 
 def kron_apply(vb, s_mat):
@@ -121,51 +172,39 @@ def kron_apply(vb, s_mat):
         raise DimensionError(
             f"kron_apply: S has {s_mat.shape[0]} rows but V has {vb.m} blocks"
         )
-    out = np.einsum("xis,iq->xqs", vb._cube(), s_mat, optimize=True)
-    return BlockRow(out.reshape(vb.n, s_mat.shape[1] * vb.width), vb.width)
+    # (S^T flat(V)^T)^T is flat(V) S laid out column-major, so the reshape
+    # back to n x (q*width) is a view
+    out = (s_mat.T @ vb.flat().T).T
+    return BlockRow(out.reshape(vb.n, -1, order="F"), vb.width)
 
 
 def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
-    """Global QR factorization Z = Q (R kron I_width) by modified Gram-Schmidt.
+    """Global QR factorization Z = Q (R kron I_width) by block CGS2.
 
     Returns ``(q, r, deficient)`` where ``q`` is a BlockBasis, ``r`` the m x m
     upper triangular coefficient matrix and ``deficient`` the tuple of block
     indices whose remainder fell below ``tol`` times the reference scale
     (``||Z||_F`` unless a caller supplies ``scale``, a scalar or one value per
     block, as the Arnoldi processes do for already-orthogonalized remainders).
-    Deficient blocks are zeroed in ``q`` and skipped in later
-    orthogonalizations; the caller decides how to treat the rank drop.  One
-    reorthogonalization pass is run whenever a block loses more than 1/sqrt(2)
-    of its norm.
+    Deficient blocks are zero in ``q``, so later blocks get no component
+    along them; the caller decides how to treat the rank drop.
     """
     n, m, s = zb.n, zb.m, zb.width
     if scale is None:
         scales = np.full(m, float(np.linalg.norm(zb.data)))
     else:
         scales = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
-    q = np.zeros((n, m * s))
+    z = zb.flat()
+    q = np.zeros((n * s, m), order="F")
     r = np.zeros((m, m))
-    kept = []
     deficient = []
     for j in range(m):
-        w = zb.block(j).copy()
-        norm0 = np.linalg.norm(w)
-        for i in kept:
-            qi = q[:, i * s : (i + 1) * s]
-            rij = float(np.sum(qi * w))
-            r[i, j] += rij
-            w -= rij * qi
-        if np.linalg.norm(w) < REORTH_DROP * norm0:
-            for i in kept:
-                qi = q[:, i * s : (i + 1) * s]
-                rij = float(np.sum(qi * w))
-                r[i, j] += rij
-                w -= rij * qi
+        w = z[:, j].copy()
+        r[:j, j] = cgs2(q[:, :j], w)
         rjj = float(np.linalg.norm(w))
         r[j, j] = rjj
         if rjj <= tol * scales[j]:
             deficient.append(j)
         else:
-            q[:, j * s : (j + 1) * s] = w / rjj
-            kept.append(j)
-    return BlockBasis(q, s, tol), r, tuple(deficient)
+            q[:, j] = w / rjj
+    return BlockBasis(q.reshape(n, m * s, order="F"), s, tol), r, tuple(deficient)

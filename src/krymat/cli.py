@@ -90,8 +90,13 @@ def _dispatch(method, cfg, problem, grid):
     if not isinstance(problem, probio.DLEProblem):
         raise ConfigError(f"method {method} needs a Lyapunov problem")
     if method == "egadl":
+        l = iget("l", 2)
+        try:
+            dlebdf.bdf_coefficients(l)
+        except ValueError as exc:
+            raise ConfigError(f"[solver] l = {l}: {exc}") from None
         return dlebdf.egadl_solve(problem, grid, m_max, tol,
-                                  l=iget("l", 2), probe_stride=stride,
+                                  l=l, probe_stride=stride,
                                   factor_tol=fget("factor_tol", 1e-10))
     if method == "expo":
         return dleexp.expo_dle_solve(problem, grid, m_max, tol,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import REORTH_DROP, BlockBasis, diamond, global_qr, BlockRow
+from .blockmat import BlockRow, BlockStore, cgs2, global_qr
 from .errors import DimensionError
 
 # Truncation threshold for remainder blocks, relative to the pre-
@@ -64,25 +64,22 @@ class ExtendedGlobalArnoldi:
             BlockRow(np.hstack([seed, solver.solve(seed)]), self.width), tol)
         self.r_init = r0
         self._ccols = []          # per step: (2j+4) x 2 coefficient columns
-        self._hsubs = []          # per step: 2 x 2 QR coefficient block
         self._proj_cols = []      # per step: projections of A v_{2j+1}
-        self.breakdown = False
-        if deficient:
-            # seed block and its A^{-1} image are dependent: nothing to iterate on
-            self.breakdown = True
-            kept = [j for j in range(2) if j not in deficient]
-            self._subs = [q0.block(j).copy() for j in kept]
-        else:
-            self._subs = [q0.block(0).copy(), q0.block(1).copy()]
+        # a dependent seed block and A^{-1} image leave nothing to iterate on
+        self.breakdown = bool(deficient)
+        self._store = BlockStore(seed.shape[0], self.width)
+        for j in range(2):
+            if j not in deficient:
+                self._store.append(q0.block(j))
 
     @property
     def m(self):
         """Completed steps (appended sub-block pairs)."""
-        return (len(self._subs) - 2) // 2 if len(self._subs) >= 2 else 0
+        return (self.nsub - 2) // 2 if self.nsub >= 2 else 0
 
     @property
     def nsub(self):
-        return len(self._subs)
+        return self._store.m
 
     def step(self):
         """One extended Arnoldi step; False on breakdown."""
@@ -90,25 +87,17 @@ class ExtendedGlobalArnoldi:
             return False
         j = self.m
         p = self.width
-        v_a = self._subs[2 * j]
-        v_inv = self._subs[2 * j + 1]
-        u = np.hstack([self.a @ v_a, self.solver.solve(v_inv)])
+        basis = self._store.view(2 * j + 2)
+        v_a, v_inv = basis.block(2 * j), basis.block(2 * j + 1)
+        u = np.empty((basis.n, 2 * p), order="F")
+        u[:, :p] = self.a @ v_a
+        u[:, p:] = self.solver.solve(v_inv)
+        halves = u.reshape(-1, 2, order="F")
         # the two halves can differ in scale by orders of magnitude (||A v||
-        # vs ||A^{-1} v||), so drop tests and rank tests are per half
-        half_norm0 = [np.linalg.norm(u[:, :p]), np.linalg.norm(u[:, p:])]
+        # vs ||A^{-1} v||), so the rank test is per half
+        half_norm0 = np.linalg.norm(halves, axis=0)
         coeffs = np.zeros((2 * j + 4, 2))
-
-        def orthogonalize_pass(cols, slot):
-            for i in range(2 * j + 2):
-                h = np.sum(self._subs[i] * cols)
-                coeffs[i, slot] += h
-                cols -= h * self._subs[i]
-
-        for slot, sl in enumerate((slice(0, p), slice(p, 2 * p))):
-            half = u[:, sl]
-            orthogonalize_pass(half, slot)
-            if np.linalg.norm(half) < REORTH_DROP * half_norm0[slot]:
-                orthogonalize_pass(half, slot)
+        coeffs[: 2 * j + 2] = cgs2(basis.flat(), halves)
         # rank test against the pre-orthogonalization scale of each half: a
         # remainder tiny relative to its own direction signals an invariant
         # subspace; keeping it would admit a noise direction that spoils both
@@ -117,31 +106,23 @@ class ExtendedGlobalArnoldi:
                                       scale=half_norm0)
         coeffs[2 * j + 2 :, :] = rn
         self._ccols.append(coeffs)
-        self._hsubs.append(rn)
-
-        def cleanup(block):
-            # the inner QR can cancel heavily; one more sweep against the
-            # outer basis keeps the new directions orthonormal to roundoff
-            for s in self._subs:
-                block -= np.sum(s * block) * s
-            return block / np.linalg.norm(block)
-
+        # keep any independent new direction, so that on breakdown the
+        # retained prefix spans the full invariant subspace; the inner QR can
+        # cancel heavily, so one more sweep against the outer basis keeps the
+        # new directions orthonormal to roundoff
+        for i in range(2):
+            if i not in deficient:
+                w = qn.flat()[:, i]
+                cgs2(self._store.view().flat(), w, passes=1)
+                self._store.append(w / np.linalg.norm(w))
         if deficient:
-            # keep any independent new direction so the retained prefix spans
-            # the full invariant subspace, then stop
-            for i in range(2):
-                if i not in deficient:
-                    self._subs.append(cleanup(qn.block(i).copy()))
             self.breakdown = True
             return False
-        self._subs.append(cleanup(qn.block(0).copy()))
-        self._subs.append(cleanup(qn.block(1).copy()))
         # direct projection column for A v_{2j+1}; the inverse-direction
         # coefficients would recover it only through divisions by the (often
         # tiny) subdiagonal entries, which is numerically fragile
-        w = self.a @ v_inv
-        proj = np.array([np.sum(s * w) for s in self._subs])
-        self._proj_cols.append(proj)
+        w = (self.a @ v_inv).ravel(order="F")
+        self._proj_cols.append(self._store.view().flat().T @ w)
         return True
 
     def advance_to(self, m):
@@ -150,18 +131,12 @@ class ExtendedGlobalArnoldi:
         return self.m
 
     def sub_basis(self, nsub=None):
-        """BlockBasis of the first ``nsub`` width-p sub-blocks."""
-        k = self.nsub if nsub is None else nsub
-        if not 1 <= k <= self.nsub:
-            raise DimensionError(f"only {self.nsub} sub-blocks available, asked for {k}")
-        return BlockBasis(np.hstack(self._subs[:k]), self.width)
+        """BlockBasis of the first ``nsub`` width-p sub-blocks (all by default), a view."""
+        return self._store.view(nsub)
 
     def basis(self, m=None):
         """BlockBasis of the first m width-2p blocks of the extended process."""
-        blocks = self.nsub // 2
-        m = blocks if m is None else m
-        if not 1 <= m <= blocks:
-            raise DimensionError(f"only {blocks} extended blocks available, asked for {m}")
+        m = self.nsub // 2 if m is None else m
         return self.sub_basis(2 * m).with_width(2 * self.width)
 
     def hessenberg(self, m=None):
@@ -171,8 +146,7 @@ class ExtendedGlobalArnoldi:
         orthogonalization coefficients; columns for the A^{-1}-direction
         sub-blocks are the direct projections cached during the iteration
         (recovering them from the coefficients alone divides by subdiagonal
-        entries that vanish near an invariant subspace).  The audit against
-        the full direct projection lives in ``hessenberg_audit``.
+        entries that vanish near an invariant subspace).
         """
         m = self.m if m is None else m
         if not 1 <= m <= self.m:
@@ -204,15 +178,3 @@ def ext_global_arnoldi(a, solver, b, m, tol=DEFAULT_BREAKDOWN_TOL):
                                  proc.r_init.copy(), True)
         return proc.sub_basis(), hess
     return proc.basis(), proc.hessenberg(done)
-
-
-def hessenberg_audit(a, sub_basis, ttilde):
-    """Max entrywise gap between ttilde and the directly projected operator.
-
-    Test-and-debug helper: evaluates the full diamond product against A times
-    the basis, which costs O(n m^2 p^2) and is avoided in production runs.
-    """
-    cols = ttilde.shape[1]
-    av = a @ sub_basis.data[:, : cols * sub_basis.width]
-    direct = diamond(sub_basis, BlockRow(av, sub_basis.width))
-    return float(np.abs(ttilde - direct[: ttilde.shape[0], :]).max())

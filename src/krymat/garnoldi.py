@@ -1,17 +1,18 @@
-"""Modified global Arnoldi process for a general linear matrix operator.
+"""Global Arnoldi process for a general linear matrix operator.
 
 Builds an F-orthonormal basis V_1, V_2, ... of the matrix Krylov subspace
 spanned by {V, op(V), op^2(V), ...} together with the rectangular upper
-Hessenberg matrix of orthogonalization coefficients.  The process object is
-incremental so solvers can grow the basis one step at a time and reuse all
-previous work.
+Hessenberg matrix of orthogonalization coefficients.  Each new block is
+orthogonalized by the block CGS2 kernel against the column-major store.  The
+process object is incremental so solvers can grow the basis one step at a time
+and reuse all previous work.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import REORTH_DROP, BlockBasis, frob_inner
+from .blockmat import BlockStore, cgs2
 from .errors import DimensionError
 
 DEFAULT_BREAKDOWN_FACTOR = 1e-14
@@ -33,7 +34,7 @@ class HessenbergData:
 
 
 class GlobalArnoldi:
-    """Incremental modified global Arnoldi for an operator on n x p matrices.
+    """Incremental global Arnoldi for an operator on n x p matrices.
 
     ``op`` maps an n x p array to an n x p array and must be linear.  After
     ``advance_to(m)`` the object holds m+1 basis blocks (or fewer on
@@ -51,7 +52,8 @@ class GlobalArnoldi:
         self.op = op
         self.beta = beta
         self.tol = tol
-        self._blocks = [seed / beta]
+        self._store = BlockStore(*seed.shape)
+        self._store.append(seed / beta)
         self._hcols = []
         self.breakdown = False
 
@@ -62,35 +64,29 @@ class GlobalArnoldi:
 
     @property
     def nblocks(self):
-        return len(self._blocks)
+        return self._store.m
 
     def step(self):
         """Run one Arnoldi step.  Returns False on (lucky) breakdown."""
         if self.breakdown:
             return False
         j = self.m
-        w = np.asarray(self.op(self._blocks[j]), dtype=float)
-        if w.shape != self._blocks[0].shape:
+        v_j = self._store.view(j + 1)
+        w = np.asarray(self.op(v_j.block(j)), dtype=float)
+        if w.shape != (v_j.n, v_j.width):
             raise DimensionError("operator changed the block shape")
+        w = w.flatten(order="F")         # a copy: op may return a view of V_j
         wnorm0 = float(np.linalg.norm(w))
         col = np.zeros(j + 2)
-        for i in range(j + 1):
-            hij = frob_inner(self._blocks[i], w)
-            col[i] += hij
-            w -= hij * self._blocks[i]
-        if np.linalg.norm(w) < REORTH_DROP * wnorm0:
-            for i in range(j + 1):
-                hij = frob_inner(self._blocks[i], w)
-                col[i] += hij
-                w -= hij * self._blocks[i]
+        col[: j + 1] = cgs2(v_j.flat(), w)
         hnext = float(np.linalg.norm(w))
         col[j + 1] = hnext
         self._hcols.append(col)
         if hnext <= self.tol * wnorm0:
-            self._hcols[-1][j + 1] = 0.0
+            col[j + 1] = 0.0
             self.breakdown = True
             return False
-        self._blocks.append(w / hnext)
+        self._store.append(w / hnext)
         return True
 
     def advance_to(self, m):
@@ -100,12 +96,8 @@ class GlobalArnoldi:
         return self.m
 
     def basis(self, nblocks=None):
-        """BlockBasis of the first ``nblocks`` basis blocks (all by default)."""
-        k = self.nblocks if nblocks is None else nblocks
-        if not 1 <= k <= self.nblocks:
-            raise DimensionError(f"only {self.nblocks} blocks available, asked for {k}")
-        width = self._blocks[0].shape[1]
-        return BlockBasis(np.hstack(self._blocks[:k]), width)
+        """BlockBasis of the first ``nblocks`` basis blocks (all by default), a view."""
+        return self._store.view(nblocks)
 
     def hessenberg(self, m=None):
         m = self.m if m is None else m
@@ -121,7 +113,7 @@ class GlobalArnoldi:
 
 
 def global_arnoldi(op, seed, m, tol=DEFAULT_BREAKDOWN_FACTOR):
-    """Run m steps of the modified global Arnoldi algorithm.
+    """Run m steps of the global Arnoldi algorithm.
 
     Returns ``(basis, hess)`` where ``basis`` holds every generated block
     (m+1 of them, or fewer if the process broke down at an invariant

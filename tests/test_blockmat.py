@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from krymat.blockmat import (BlockBasis, BlockRow, diamond, frob_inner, global_qr,
-                             kron_apply)
-from krymat.errors import DimensionError
+from krymat.blockmat import (BlockBasis, BlockRow, BlockStore, cgs2, diamond, frob_inner,
+                             global_qr, kron_apply)
+from krymat.errors import DimensionError, NumericError
 
 from conftest import explicit_kron_apply, random_block_row
 
@@ -54,6 +54,13 @@ class TestDiamond:
         with pytest.raises(DimensionError):
             diamond(random_block_row(rng, 4, 2, 2), random_block_row(rng, 4, 4, 1))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_column_block_gram(self, rng, order):
+        # block j is columns j*w:(j+1)*w of .data, whatever the memory order
+        v = BlockRow(np.asarray(rng.standard_normal((7, 4 * 3)), order=order), 3)
+        gram = sum(v.data[:, s::3].T @ v.data[:, s::3] for s in range(3))
+        np.testing.assert_allclose(diamond(v, v), gram, atol=1e-13)
+
 
 class TestKronApply:
     def test_identity(self, rng):
@@ -83,7 +90,51 @@ class TestKronApply:
             kron_apply(random_block_row(rng, 5, 3, 2), np.eye(4))
 
 
+def graded_block_row(rng, n, m, width, cond):
+    """Blocks whose vecs have singular values spread evenly from 1 to 1/cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((n * width, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    flat = u @ np.diag(np.logspace(0, -np.log10(cond), m)) @ v.T
+    return BlockRow(flat.reshape(n, m * width, order="F"), width)
+
+
+class TestCGS2:
+    def test_coefficients_reconstruct(self, rng):
+        q, _, _ = global_qr(random_block_row(rng, 10, 4, 2))
+        w = rng.standard_normal((20, 3))
+        w0 = w.copy()
+        c = cgs2(q.flat(), w)
+        np.testing.assert_allclose(q.flat() @ c + w, w0, atol=1e-13)
+        assert np.abs(q.flat().T @ w).max() <= 1e-14 * np.linalg.norm(w0)
+
+    def test_second_pass_restores_orthogonality(self, rng):
+        zb = graded_block_row(rng, 40, 8, 2, 1e8)
+        q, r, deficient = global_qr(zb)
+        assert deficient == ()
+        assert q.orth_defect() <= 1e-13
+        np.testing.assert_allclose(q.flat() @ r, zb.flat(), atol=1e-14)
+        # one classical pass on the same sequence loses orthogonality
+        z = zb.flat()
+        one = np.zeros_like(z)
+        for j in range(zb.m):
+            w = z[:, j].copy()
+            cgs2(one[:, :j], w, passes=1)
+            one[:, j] = w / np.linalg.norm(w)
+        assert np.linalg.norm(one.T @ one - np.eye(zb.m)) > 1e-6
+
+
 class TestGlobalQR:
+    def test_zero_and_dependent_blocks_are_deficient(self, rng):
+        z = random_block_row(rng, 9, 5, 2).data.copy()
+        z[:, 2:4] = 0.0                            # block 1 is zero
+        z[:, 6:8] = 2.0 * z[:, :2] - z[:, 4:6]     # block 3 depends on blocks 0, 2
+        q, r, deficient = global_qr(BlockRow(z, 2))
+        assert deficient == (1, 3)
+        assert not q.block(1).any() and not q.block(3).any()
+        kept = q.flat()[:, [0, 2, 4]]
+        np.testing.assert_allclose(kept.T @ kept, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(q.flat() @ r, BlockRow(z, 2).flat(), atol=1e-13)
+
     def test_scaled_identity_block(self):
         q, r, deficient = global_qr(BlockRow(3.0 * np.eye(2), 2))
         np.testing.assert_allclose(q.data, np.eye(2) / np.sqrt(2.0))
@@ -186,8 +237,38 @@ class TestBlockBasis:
         q, _, _ = global_qr(random_block_row(rng, 12, 4, 2))
         assert q.orth_defect() <= 4 * 1e-12
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(NumericError):
+            BlockRow(np.array([[1.0, np.nan]]), 1)
+
     def test_narrow_and_rewidth(self, rng):
         q, _, _ = global_qr(random_block_row(rng, 12, 4, 2))
         assert q.narrow(2).m == 2
         assert q.with_width(4).m == 2
         assert isinstance(q.narrow(2), BlockBasis)
+
+
+class TestBlockStore:
+    def test_views_share_storage_across_growth(self, rng):
+        blocks = [rng.standard_normal((6, 2)) for _ in range(40)]
+        store = BlockStore(6, 2)
+        store.append(blocks[0])
+        store.append(blocks[1].flatten(order="F"))        # a vec is accepted too
+        early = store.view()
+        assert early.data.flags.f_contiguous
+        assert np.shares_memory(early.flat(), early.data)
+        for b in blocks[2:]:
+            store.append(b)                               # grows twice
+        late = store.view()
+        assert late.m == 40
+        np.testing.assert_array_equal(late.data, np.hstack(blocks))
+        np.testing.assert_array_equal(early.data, np.hstack(blocks[:2]))
+        assert np.shares_memory(store.view(3).data, late.data)
+
+    def test_rejects_non_finite_block(self):
+        store = BlockStore(3, 1)
+        with pytest.raises(NumericError):
+            store.append(np.array([1.0, np.inf, 0.0]))
+        assert store.m == 0
+        with pytest.raises(DimensionError):
+            store.view()

@@ -71,6 +71,13 @@ class TestRun:
         assert main(["run", "--config", str(cfg2)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
+    def test_unsupported_bdf_steps_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("l = 2", "l = 7"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "l = 7" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")
         cfg = write_cfg(tmp_path, bad)

@@ -203,6 +203,16 @@ class TestExpoSolve:
         assert rep.columns == ("m", "t", "residual_bound", "apriori_bound")
         assert "mu2" in rep.settings
 
+    def test_reruns_are_identical(self):
+        # n = 625 is above the dense log-norm threshold, so mu2 and the
+        # apriori_bound column come from the ARPACK eigensolve
+        prob = gen_dle_problem(n0=25, p=2, seed=1)
+        grid = TimeGrid(0.0, 1.0, 10)
+        _, rep1 = expo_dle_solve(prob, grid, 30, 1e-8)
+        _, rep2 = expo_dle_solve(prob, grid, 30, 1e-8)
+        assert rep1.settings["mu2"] == rep2.settings["mu2"]
+        assert rep1.rows == rep2.rows
+
 
 class TestPerturbedEquation:
     def _setup(self, rng, n=20, m=4):

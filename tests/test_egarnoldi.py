@@ -5,8 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.egarnoldi import (ExtendedGlobalArnoldi, ext_global_arnoldi,
-                              hessenberg_audit)
+from krymat.egarnoldi import ExtendedGlobalArnoldi, ext_global_arnoldi
 from krymat.probio import LinearSolver, gen_laplacian2d, random_full_rank
 
 from conftest import stable_sparse
@@ -14,6 +13,18 @@ from conftest import stable_sparse
 
 def _setup(a, b):
     return ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+
+
+def hessenberg_audit(a, sub_basis, ttilde):
+    """Max entrywise gap between ttilde and the directly projected operator.
+
+    Evaluates the full diamond product against A times the basis, which
+    costs O(n m^2 p^2).
+    """
+    cols = ttilde.shape[1]
+    av = a @ sub_basis.data[:, : cols * sub_basis.width]
+    direct = diamond(sub_basis, BlockRow(av, sub_basis.width))
+    return float(np.abs(ttilde - direct[: ttilde.shape[0], :]).max())
 
 
 class TestSeed:
@@ -121,3 +132,27 @@ class TestRelations:
         assert proc.breakdown
         assert done < 5
         assert proc.sub_basis().orth_defect() <= 1e-12 * proc.nsub
+
+
+class TestLayout:
+    def test_bases_are_views_of_the_store(self, rng):
+        a = stable_sparse(30, rng)
+        proc = _setup(a, random_full_rank(30, 2, seed=5))
+        proc.advance_to(3)
+        store = proc._store.view().data
+        for v in (proc.sub_basis(), proc.sub_basis(4), proc.basis(), proc.basis(2)):
+            assert np.shares_memory(v.data, store)
+
+    def test_diamond_is_the_column_block_gram(self):
+        # the layout the benchmark's independent checks read: block j of a
+        # width-w basis is columns j*w:(j+1)*w of .data
+        a = gen_laplacian2d(6)
+        basis, _ = ext_global_arnoldi(a, LinearSolver(a), random_full_rank(36, 2, seed=9), 4)
+        sub = basis.with_width(2)
+        for v in (basis, sub):
+            w = v.width
+            gram = sum(v.data[:, s::w].T @ v.data[:, s::w] for s in range(w))
+            np.testing.assert_allclose(diamond(v, v), gram, atol=1e-14)
+        # the width-2p blocks pair two F-orthonormal sub-blocks each
+        np.testing.assert_allclose(diamond(sub, sub), np.eye(sub.m), atol=1e-13)
+        np.testing.assert_allclose(diamond(basis, basis), 2.0 * np.eye(basis.m), atol=1e-13)

@@ -95,3 +95,10 @@ class TestGlobalArnoldi:
         basis_once, hess_once = global_arnoldi(lambda x: a @ x, seed, 5)
         np.testing.assert_array_equal(basis_inc.data, basis_once.data)
         np.testing.assert_array_equal(proc.hessenberg(5).htilde, hess_once.htilde)
+
+    def test_basis_is_a_view_of_the_store(self, rng):
+        a = stable_dense(10, rng)
+        proc = GlobalArnoldi(lambda x: a @ x, rng.standard_normal((10, 2)))
+        proc.advance_to(4)
+        assert np.shares_memory(proc.basis().data, proc._store.view().data)
+        assert np.shares_memory(proc.basis(2).data, proc.basis(5).data)
