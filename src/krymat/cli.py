@@ -8,22 +8,25 @@ Subcommands:
   sweep     run several configs in parallel workers, one output dir each
 
 Configs are INI files; see the README for the documented keys.  Exit codes:
-0 success, 2 bad configuration, 3 solver did not converge, 4 I/O failure.
+0 success, 1 unexpected error (reported per config by sweep), 2 bad
+configuration, 3 solver did not converge, 4 I/O failure.
 """
 
 import argparse
 import configparser
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import dlebdf, dleexp, dsylv, oracle, probio
-from .errors import ConfigError, KrymatError, ParseError
+from .errors import ConfigError, KrymatError
 from .solution import TimeGrid
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
@@ -31,7 +34,11 @@ EXIT_IO = 4
 
 def _load_config(path):
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        # some parser messages span lines; the CLI reports one
+        raise ConfigError(f"malformed config file: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section("run"):
@@ -71,47 +78,68 @@ def _grid(cfg, problem):
     return TimeGrid(problem.t0, problem.tf, steps)
 
 
-def _dispatch(method, cfg, problem, grid):
+def _configure(method, cfg, problem, grid):
+    """Check every solver setting; return the solve as a call without arguments.
+
+    Raises ConfigError for a bad setting, so nothing is solved on a config
+    that cannot run to the end.
+    """
     sol = cfg["solver"] if cfg.has_section("solver") else {}
 
-    def fget(key, default):
-        return float(sol.get(key, default))
+    def get(key, default, kind):
+        raw = sol.get(key, default)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ConfigError(f"[solver] {key} = {raw}: not {kind.__name__}") from None
 
-    def iget(key, default):
-        return int(sol.get(key, default))
+    def positive(key, default):
+        value = get(key, default, int)
+        if value < 1:
+            raise ConfigError(f"[solver] {key} = {value}: need {key} >= 1")
+        return value
 
-    m_max = iget("m_max", 30)
-    tol = fget("tol", 1e-8)
-    stride = iget("probe_stride", 1)
+    m_max = positive("m_max", 30)
+    tol = get("tol", 1e-8, float)
+    stride = positive("probe_stride", 1)
     if method == "galerkin":
         if not isinstance(problem, probio.GenSylvesterProblem):
             raise ConfigError("method galerkin needs a generalized Sylvester problem")
-        return dsylv.galerkin_solve(problem, grid, m_max, tol, report_stride=stride)
+        return partial(dsylv.galerkin_solve, problem, grid, m_max, tol,
+                       report_stride=stride)
     if not isinstance(problem, probio.DLEProblem):
         raise ConfigError(f"method {method} needs a Lyapunov problem")
+    factor_tol = get("factor_tol", 1e-10, float)
     if method == "egadl":
-        l = iget("l", 2)
+        l = get("l", 2, int)
         try:
             dlebdf.bdf_coefficients(l)
         except ValueError as exc:
             raise ConfigError(f"[solver] l = {l}: {exc}") from None
-        return dlebdf.egadl_solve(problem, grid, m_max, tol,
-                                  l=l, probe_stride=stride,
-                                  factor_tol=fget("factor_tol", 1e-10))
+        return partial(dlebdf.egadl_solve, problem, grid, m_max, tol,
+                       l=l, probe_stride=stride, factor_tol=factor_tol)
     if method == "expo":
-        return dleexp.expo_dle_solve(problem, grid, m_max, tol,
-                                     variant=sol.get("variant", "extended"),
-                                     probe_stride=stride,
-                                     factor_tol=fget("factor_tol", 1e-10))
+        variant = sol.get("variant", "extended")
+        if variant not in dleexp.VARIANTS:
+            raise ConfigError(f"[solver] variant = {variant}: need one of "
+                              f"{', '.join(dleexp.VARIANTS)}")
+        if problem.z0 is not None and np.linalg.norm(problem.z0) > 0:
+            raise ConfigError("method expo assumes X0 = 0; use egadl")
+        return partial(dleexp.expo_dle_solve, problem, grid, m_max, tol,
+                       variant=variant, probe_stride=stride, factor_tol=factor_tol)
     raise ConfigError(f"unknown method {method!r}")
 
 
-def _oracle_deviation(method, problem, grid, solution):
+def _oracle_reference(method, problem, grid):
     if method == "galerkin":
-        ref = oracle.dense_dme_solve(problem, grid)
+        return oracle.dense_dme_solve(problem, grid)
+    return oracle.dense_dle_exact(problem, grid)
+
+
+def _oracle_deviation(method, ref, grid, solution):
+    if method == "galerkin":
         traj = solution.trajectory()
     else:
-        ref = oracle.dense_dle_exact(problem, grid)
         traj = np.stack([solution.snapshot(k) for k in range(grid.nnodes)])
     return float(max(np.linalg.norm(traj[k] - ref[k]) for k in range(grid.nnodes)))
 
@@ -141,7 +169,15 @@ def cmd_run(args):
             method = check_method
         problem = _build_problem(cfg, args.seed)
         grid = _grid(cfg, problem)
-    except (ConfigError, ParseError, ValueError) as exc:
+        solve = _configure(method, cfg, problem, grid)
+        try:
+            write_factors = cfg.getboolean("output", "factors", fallback=False)
+        except ValueError:
+            raise ConfigError(f"[output] factors = {cfg['output']['factors']}: "
+                              "not a boolean") from None
+        # the dense reference first: above the dense cap it fails before the solve
+        ref = None if check_method is None else _oracle_reference(method, problem, grid)
+    except (KrymatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
@@ -150,17 +186,14 @@ def cmd_run(args):
 
     out_dir = Path(args.out if args.out else cfg.get("run", "out", fallback="krymat-out"))
     try:
-        solution, report = _dispatch(method, cfg, problem, grid)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        solution, report = solve()
     except KrymatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     summary_extra = []
-    if check_method is not None:
-        deviation = _oracle_deviation(method, problem, grid, solution)
+    if ref is not None:
+        deviation = _oracle_deviation(method, ref, grid, solution)
         summary_extra.append(f"oracle_max_deviation = {deviation:.17g}")
 
     try:
@@ -169,7 +202,7 @@ def cmd_run(args):
         lines = report.summary_lines() + summary_extra
         with open(out_dir / "summary.txt", "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        if cfg.getboolean("output", "factors", fallback=False):
+        if write_factors:
             _write_factors(solution, out_dir)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -234,7 +267,11 @@ def cmd_sweep(args):
     def one(cfg_path):
         ns = argparse.Namespace(config=str(cfg_path), seed=args.seed,
                                 out=str(out_root / cfg_path.stem))
-        return cmd_run(ns)
+        try:
+            return cmd_run(ns)
+        except Exception as exc:      # one failing config must not sink the others
+            print(f"error: {cfg_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
     try:
         out_root.mkdir(parents=True, exist_ok=True)

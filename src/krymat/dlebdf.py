@@ -2,7 +2,8 @@
 with BDF time stepping (EgAdl).
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
-equation with shifted coefficient h beta T - I/2, solved by Bartels-Stewart.
+equation with shifted coefficient h beta T - I/2, solved by Bartels-Stewart
+from one real Schur form of T per basis size.
 The right-hand side of that step mixes the previous kernels with weights that
 may be negative, so it is assembled as a dense symmetric matrix; low-rank
 factors with a +/-1 signature are produced only for output.
@@ -48,20 +49,24 @@ def bdf_step(tm, bm, prev, h, scheme):
 
     ``prev`` lists the most recent kernels, newest first.  The step solves
     (h beta T - I/2) Y + Y (h beta T - I/2)^T + Q = 0 with
-    Q = h beta b b^T + sum_i alpha_i prev[i].
+    Q = h beta b b^T + sum_i alpha_i prev[i].  ``tm`` is T as a matrix, or the
+    RealSchur form of the step operator h beta T - I/2 for this h and scheme,
+    which the step reuses without a new reduction.
     """
-    tm = np.atleast_2d(np.asarray(tm, dtype=float))
+    if isinstance(tm, smallmat.RealSchur):
+        t_cal = tm
+    else:
+        tm = np.atleast_2d(np.asarray(tm, dtype=float))
+        t_cal = h * scheme.beta * tm - 0.5 * np.eye(tm.shape[0])
     bm = np.asarray(bm, dtype=float).ravel()
     if len(prev) < scheme.l:
         raise StepFailureError(
             f"BDF{scheme.l} needs {scheme.l} previous kernels, got {len(prev)}")
-    k = tm.shape[0]
-    t_cal = h * scheme.beta * tm - 0.5 * np.eye(k)
     q = h * scheme.beta * np.outer(bm, bm)
     for a_i, y_i in zip(scheme.alpha, prev):
         q = q + a_i * y_i
     try:
-        y = smallmat.lyap_solve(t_cal, smallmat.symmetrize(q))
+        y = smallmat.lyap_solve(t_cal, q)
     except IllPosedError as exc:
         raise StepFailureError(
             f"implicit BDF step is ill posed ({exc}); reduce the step size") from exc
@@ -72,17 +77,22 @@ def bdf_integrate(tm, bm, y0, grid, l):
     """March the projected Lyapunov ODE over the grid with l-step BDF.
 
     Startup uses the 1-step then 2-step schemes until l previous kernels are
-    available.  Returns a KernelTrajectorySym.
+    available.  T is reduced to real Schur form once; each scheme's step
+    operator h beta T - I/2 is a shift of that form.  Returns a
+    KernelTrajectorySym.
     """
     bdf_coefficients(l)            # validate l early
     tm = np.atleast_2d(np.asarray(tm, dtype=float))
     k = tm.shape[0]
     y = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
+    schemes = [bdf_coefficients(j) for j in range(1, l + 1)]
+    schur = smallmat.real_schur(tm)
+    ops = [schur.shifted(grid.h * s.beta, -0.5) for s in schemes]
     samples = [y]
     prev = [y]
     for _ in range(grid.steps):
-        scheme = bdf_coefficients(min(l, len(prev)))
-        y = bdf_step(tm, bm, prev, grid.h, scheme)
+        j = min(l, len(prev)) - 1
+        y = bdf_step(ops[j], bm, prev, grid.h, schemes[j])
         samples.append(y)
         prev = [y] + prev[: l - 1]
     return KernelTrajectorySym(grid, samples)

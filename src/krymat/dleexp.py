@@ -29,6 +29,9 @@ from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver
 from .solution import KernelTrajectorySym, LowRankSolution, SolveReport
 
+# the subspaces expo_dle_solve can project onto
+VARIANTS = ("global", "extended")
+
 
 @dataclass
 class GramTrajectory:
@@ -112,7 +115,7 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
 
     Returns (LowRankSolution, SolveReport).
     """
-    if variant not in ("global", "extended"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if problem.z0 is not None and np.linalg.norm(problem.z0) > 0:
         raise ValueError("the exponential method assumes X0 = 0; use egadl_solve")

@@ -1,9 +1,10 @@
 """Dense small-scale kernels.
 
 Matrix exponential and the first exponential-integrator function, algebraic
-Lyapunov solves through the real Schur form, Gramian integrals by the Van Loan
-block-exponential construction, the 2-logarithmic norm and truncated symmetric
-factorizations.  Everything here is dense and guarded by the configured cap.
+Lyapunov solves through a real Schur form that shifted operators c T + d I
+reuse, Gramian integrals by the Van Loan block-exponential construction, the
+2-logarithmic norm and truncated symmetric factorizations.  Everything here
+is dense and guarded by the configured cap.
 """
 
 from dataclasses import dataclass
@@ -82,29 +83,54 @@ def _quasi_tri_eigvals(ts):
     return np.array(eigs)
 
 
+@dataclass(frozen=True)
+class RealSchur:
+    """Real Schur form T = U S U^T, with the eigenvalues of the quasi-triangular S."""
+
+    s: np.ndarray
+    u: np.ndarray
+    lam: np.ndarray
+
+    def shifted(self, c, d):
+        """The form of c T + d I: the same U and block structure, eigenvalues
+        c lambda + d.  No new reduction."""
+        s = c * self.s
+        s.flat[:: s.shape[0] + 1] += d
+        return RealSchur(s, self.u, c * self.lam + d)
+
+
+def real_schur(t):
+    """One real Schur reduction of T."""
+    t = _square(t, "real_schur")
+    check_dense_cap(t.shape[0], "real_schur")
+    s, u = sla.schur(t, output="real")
+    return RealSchur(s, u, _quasi_tri_eigvals(s))
+
+
 def lyap_solve(t_mat, q_mat):
     """Solve T Y + Y T^T + Q = 0 for symmetric Q (Bartels-Stewart).
 
-    One real Schur reduction of T, then a quasi-triangular Sylvester solve
-    (LAPACK trsyl); no complex arithmetic.  Raises IllPosedError when some
-    eigenvalue pair satisfies lambda_i + lambda_j ~ 0.
+    ``t_mat`` is T itself, reduced here to real Schur form, or a RealSchur
+    of T that is reused as it is; then a quasi-triangular Sylvester solve
+    (LAPACK trsyl), with no complex arithmetic.  Raises IllPosedError when
+    some eigenvalue pair satisfies lambda_i + lambda_j ~ 0.
     """
-    t_mat = _square(t_mat, "lyap_solve")
+    form = t_mat if isinstance(t_mat, RealSchur) else real_schur(t_mat)
     q_mat = symmetrize(q_mat)
-    k = t_mat.shape[0]
+    k = form.s.shape[0]
     if q_mat.shape[0] != k:
         raise DimensionError("lyap_solve: T and Q orders differ")
     check_dense_cap(k, "lyap_solve")
-    ts, u = sla.schur(t_mat, output="real")
-    lam = _quasi_tri_eigvals(ts)
+    lam = form.lam
     pair_min = np.abs(lam[:, None] + lam[None, :]).min()
     scale = max(1.0, float(np.abs(lam).max()))
     if pair_min <= 1e-12 * scale:
         raise IllPosedError(
             f"Lyapunov operator is singular: min |lambda_i + lambda_j| = {pair_min:.3e}"
         )
+    u = form.u
     qs = u.T @ (-q_mat) @ u
-    x, sc, info = lapack.dtrsyl(ts, ts, qs, tranb="T")
+    x, sc, info = lapack.dtrsyl(form.s, form.s, qs, tranb="T")
     if info < 0:
         raise IllPosedError(f"trsyl failed with info={info}")
     y = u @ (x / sc) @ u.T

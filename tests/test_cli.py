@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from krymat import cli
 from krymat.cli import main
-from krymat.probio import read_matrix_market
+from krymat.probio import DLEProblem, gen_dle_problem, read_matrix_market, save_problem
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -78,6 +79,46 @@ class TestRun:
         assert len(err) == 1 and err[0].startswith("error:") and "l = 7" in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("method,setting", [
+        ("egadl", "m_max = 0"),
+        ("egadl", "m_max = abc"),
+        ("egadl", "tol = x"),
+        ("expo", "variant = bogus"),
+        ("egadl", "[output]\nfactors = maybe"),
+    ])
+    def test_bad_solver_setting_exits_2(self, tmp_path, capsys, method, setting):
+        key = setting.split(" = ")[0].split("\n")[-1]
+        lines = SMALL_EGADL.replace("method = egadl", f"method = {method}").splitlines()
+        text = "\n".join([ln for ln in lines if not ln.startswith(f"{key} =")] + [setting])
+        cfg = write_cfg(tmp_path, text + "\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_EGADL + "m_max = 5\n")     # duplicate key
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        cfg = write_cfg(tmp_path, "method = egadl\n" + SMALL_EGADL)  # no header
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(ln.startswith("error:") for ln in err)
+
+    def test_expo_with_initial_value_exits_2(self, tmp_path, capsys):
+        problem = gen_dle_problem(n0=5, p=1, seed=1)
+        problem = DLEProblem(problem.a, problem.b, z0=np.ones((25, 1)))
+        save_problem(problem, tmp_path / "bundle")
+        cfg = write_cfg(tmp_path, f"""\
+[run]
+method = expo
+
+[problem]
+bundle = {tmp_path / 'bundle'}
+""")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "X0" in err[0]
+
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")
         cfg = write_cfg(tmp_path, bad)
@@ -94,6 +135,16 @@ class TestRun:
                     if ln.startswith("oracle_max_deviation")]
         assert len(dev_line) == 1
         assert float(dev_line[0].split("=")[1]) < 1e-2
+
+    def test_oracle_check_above_dense_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("KRYMAT_DENSE_CAP", "20")      # n = 36 is above it
+        cfg_text = SMALL_EGADL.replace("method = egadl",
+                                       "method = oracle-check\ncheck = egadl")
+        cfg = write_cfg(tmp_path, cfg_text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "dense cap" in err[0]
+        assert not (tmp_path / "o").exists()
 
     def test_factor_output(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_EGADL + "\n[output]\nfactors = true\n")
@@ -174,6 +225,38 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "sweep" / "one" / "report.csv").exists()
         assert (tmp_path / "sweep" / "two" / "report.csv").exists()
+
+
+    def test_bad_config_does_not_sink_the_others(self, tmp_path, capsys):
+        bad = write_cfg(tmp_path, SMALL_EGADL.replace("m_max = 20", "m_max = 0"),
+                        "bad.cfg")
+        good = write_cfg(tmp_path, SMALL_EGADL, "good.cfg")
+        code = main(["sweep", "--configs", str(bad), str(good),
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        out = capsys.readouterr().out.splitlines()
+        assert f"{bad}: exit 2" in out and f"{good}: exit 0" in out
+        assert (tmp_path / "sweep" / "good" / "report.csv").exists()
+
+    def test_unexpected_error_is_reported_per_config(self, tmp_path, capsys,
+                                                     monkeypatch):
+        run = cli.cmd_run
+
+        def flaky(args):
+            if args.config.endswith("bad.cfg"):
+                raise RuntimeError("boom")
+            return run(args)
+
+        monkeypatch.setattr(cli, "cmd_run", flaky)
+        bad = write_cfg(tmp_path, SMALL_EGADL, "bad.cfg")
+        good = write_cfg(tmp_path, SMALL_EGADL, "good.cfg")
+        code = main(["sweep", "--configs", str(bad), str(good),
+                     "--out", str(tmp_path / "sweep"), "--threads", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{bad}: exit 1" in captured.out.splitlines()
+        assert f"{good}: exit 0" in captured.out.splitlines()
+        assert "RuntimeError: boom" in captured.err
 
 
 class TestShippedConfigs:

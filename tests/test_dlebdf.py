@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
@@ -14,7 +15,7 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, random_full_rank)
 from krymat.solution import TimeGrid
 
-from conftest import stable_sparse
+from conftest import stable_dense, stable_sparse
 
 
 def scalar_exact(t):
@@ -99,6 +100,41 @@ class TestBdfIntegrate:
         traj = bdf_integrate(tm, rng.standard_normal(2), None, grid, 3)
         for y in traj.samples:
             np.testing.assert_array_equal(y, y.T)
+
+
+class TestSchurReuse:
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_one_reduction_per_march(self, monkeypatch, rng, l):
+        calls = []
+        schur = sla.schur
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(sla, "schur", counted)
+        bdf_integrate(stable_dense(6, rng), rng.standard_normal(6), None,
+                      TimeGrid(0.0, 1.0, 12), l)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_matches_stepwise_reference(self, rng, l):
+        # nonsymmetric T and Y0 != 0: the reference reduces every step's
+        # operator h beta T - I/2 afresh through bdf_step on the plain matrix
+        k = 10
+        tm = stable_dense(k, rng)
+        bm = rng.standard_normal(k)
+        z = rng.standard_normal((k, 3))
+        y0 = z @ z.T
+        grid = TimeGrid(0.0, 1.0, 15)
+        traj = bdf_integrate(tm, bm, y0, grid, l)
+        ref = [y0]
+        for _ in range(grid.steps):
+            scheme = bdf_coefficients(min(l, len(ref)))
+            ref.append(bdf_step(tm, bm, ref[::-1][:scheme.l], grid.h, scheme))
+        assert len(traj.samples) == len(ref)
+        for y, y_ref in zip(traj.samples, ref):
+            assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
 
 class TestResidualBound:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from krymat.errors import CapExceededError, DimensionError, IllPosedError
-from krymat.smallmat import (expm, lognorm2, lyap_solve, phi1, symmetrize,
-                             trunc_sym_factor, vanloan_gram, vanloan_gram_nodes)
+from krymat.smallmat import (RealSchur, expm, lognorm2, lyap_solve, phi1, real_schur,
+                             symmetrize, trunc_sym_factor, vanloan_gram,
+                             vanloan_gram_nodes)
 
 from conftest import stable_dense, stable_sym
 
@@ -88,6 +89,48 @@ class TestLyapSolve:
         t = np.diag([-1.0, 1.0])  # lambda_1 + lambda_2 = 0
         with pytest.raises(IllPosedError):
             lyap_solve(t, np.eye(2))
+
+
+class TestRealSchur:
+    def test_reconstruction_and_eigenvalues(self, rng):
+        t = rng.standard_normal((30, 30))
+        form = real_schur(t)
+        np.testing.assert_allclose(form.u @ form.s @ form.u.T, t,
+                                   atol=1e-13 * np.linalg.norm(t))
+        np.testing.assert_allclose(np.sort_complex(form.lam),
+                                   np.sort_complex(np.linalg.eigvals(t)), atol=1e-12)
+
+    @pytest.mark.parametrize("c,d", [(0.01, -0.5), (1.0, -8.0), (-0.3, -2.0)])
+    def test_shifted_solve_matches_explicit_operator(self, rng, c, d):
+        t = rng.standard_normal((30, 30))            # nonsymmetric
+        q = rng.standard_normal((30, 30))
+        q = q @ q.T
+        shifted = real_schur(t).shifted(c, d)
+        assert isinstance(shifted, RealSchur)
+        y = lyap_solve(shifted, q)
+        y_ref = lyap_solve(c * t + d * np.eye(30), q)
+        assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
+    def test_shift_keeps_the_form_and_the_original(self, rng):
+        t = rng.standard_normal((7, 7))
+        form = real_schur(t)
+        s0 = form.s.copy()
+        shifted = form.shifted(2.0, 0.5)
+        assert shifted.u is form.u
+        np.testing.assert_array_equal(shifted.s, 2.0 * s0 + 0.5 * np.eye(7))
+        np.testing.assert_array_equal(form.s, s0)
+        np.testing.assert_allclose(shifted.lam, 2.0 * form.lam + 0.5, rtol=1e-15)
+
+    def test_singular_shifted_operator_rejected(self):
+        t = np.array([[1.0, 2.0], [0.0, 3.0]])      # eigenvalues 1 and 3
+        with pytest.raises(IllPosedError):
+            lyap_solve(real_schur(t).shifted(1.0, -1.0), np.eye(2))
+        with pytest.raises(IllPosedError):
+            lyap_solve(t - np.eye(2), np.eye(2))
+
+    def test_order_mismatch(self, rng):
+        with pytest.raises(DimensionError):
+            lyap_solve(real_schur(stable_dense(3, rng)), np.eye(4))
 
 
 def simpson_gram(h, q, t, panels=10_000):
@@ -212,6 +255,8 @@ class TestDenseCap:
             expm(np.zeros((5, 5)))
         with pytest.raises(CapExceededError):
             lognorm2(np.zeros((5, 5)))
+        with pytest.raises(CapExceededError):
+            real_schur(-np.eye(5))
         np.testing.assert_array_equal(expm(np.zeros((4, 4))), np.eye(4))
 
 
