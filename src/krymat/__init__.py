@@ -11,7 +11,7 @@ from .garnoldi import GlobalArnoldi, HessenbergData, global_arnoldi
 from .oracle import dense_dle_exact, dense_dme_solve
 from .probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_laplacian2d,
                      gsylv_apply, load_problem, read_matrix_market, save_problem,
-                     solve_with, write_matrix_market)
+                     write_matrix_market)
 from .smallmat import (expm, lognorm2, lyap_solve, phi1, trunc_sym_factor,
                        vanloan_gram)
 from .solution import (KernelTrajectorySym, KernelTrajectoryVec, LowRankSolution,

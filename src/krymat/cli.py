@@ -46,31 +46,40 @@ def _load_config(path):
     return parser
 
 
+# problem kind -> (generator, type of each parameter); the defaults are the
+# generator's own
+GENERATORS = {
+    "laplacian2d": (probio.gen_dle_problem, {"n0": int, "p": int}),
+    "random-stable": (probio.gen_random_dle_problem,
+                      {"n": int, "p": int, "density": float}),
+    "sylvester-q2": (probio.gen_sylvester_q2, {"n": int, "p": int}),
+}
+
+
+def _generate(kind, params, seed, t0, tf):
+    """The problem of a GENERATORS kind, from parameters given as text."""
+    if kind not in GENERATORS:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    gen, types = GENERATORS[kind]
+    unknown = sorted(set(params) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown {kind} parameters: {unknown}")
+    return gen(**{key: types[key](value) for key, value in params.items()},
+               seed=seed, t0=t0, tf=tf)
+
+
 def _build_problem(cfg, seed_override=None):
     if not cfg.has_section("problem"):
         raise ConfigError("config needs a [problem] section")
-    sec = cfg["problem"]
+    params = dict(cfg["problem"])
     t0 = cfg.getfloat("grid", "t0", fallback=0.0)
     tf = cfg.getfloat("grid", "tf", fallback=1.0)
-    if "bundle" in sec:
-        return probio.load_problem(sec["bundle"])
-    kind = sec.get("kind")
-    seed = seed_override if seed_override is not None else sec.getint("seed", fallback=0)
-    if kind == "laplacian2d":
-        return probio.gen_dle_problem(
-            n0=sec.getint("n0", fallback=10), p=sec.getint("p", fallback=2),
-            seed=seed, t0=t0, tf=tf)
-    if kind == "random-stable":
-        n = sec.getint("n", fallback=50)
-        a = probio.gen_random_stable(n, density=sec.getfloat("density", fallback=0.1),
-                                     seed=seed)
-        b = probio.random_full_rank(n, sec.getint("p", fallback=1), seed=seed)
-        return probio.DLEProblem(a, b, t0=t0, tf=tf)
-    if kind == "sylvester-q2":
-        return probio.gen_sylvester_q2(
-            sec.getint("n", fallback=40), sec.getint("p", fallback=3),
-            seed=seed, t0=t0, tf=tf)
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    if "bundle" in params:
+        return probio.load_problem(params["bundle"])
+    kind = params.pop("kind", None)
+    seed = params.pop("seed", 0)
+    seed = int(seed) if seed_override is None else seed_override
+    return _generate(kind, params, seed, t0, tf)
 
 
 def _grid(cfg, problem):
@@ -107,8 +116,12 @@ def _configure(method, cfg, problem, grid):
             raise ConfigError("method galerkin needs a generalized Sylvester problem")
         return partial(dsylv.galerkin_solve, problem, grid, m_max, tol,
                        report_stride=stride)
+    if method not in ("egadl", "expo"):
+        raise ConfigError(f"unknown method {method!r}")
     if not isinstance(problem, probio.DLEProblem):
         raise ConfigError(f"method {method} needs a Lyapunov problem")
+    if problem.has_initial_value:
+        raise ConfigError(f"method {method} assumes X0 = 0")
     factor_tol = get("factor_tol", 1e-10, float)
     if method == "egadl":
         l = get("l", 2, int)
@@ -118,16 +131,12 @@ def _configure(method, cfg, problem, grid):
             raise ConfigError(f"[solver] l = {l}: {exc}") from None
         return partial(dlebdf.egadl_solve, problem, grid, m_max, tol,
                        l=l, probe_stride=stride, factor_tol=factor_tol)
-    if method == "expo":
-        variant = sol.get("variant", "extended")
-        if variant not in dleexp.VARIANTS:
-            raise ConfigError(f"[solver] variant = {variant}: need one of "
-                              f"{', '.join(dleexp.VARIANTS)}")
-        if problem.z0 is not None and np.linalg.norm(problem.z0) > 0:
-            raise ConfigError("method expo assumes X0 = 0; use egadl")
-        return partial(dleexp.expo_dle_solve, problem, grid, m_max, tol,
-                       variant=variant, probe_stride=stride, factor_tol=factor_tol)
-    raise ConfigError(f"unknown method {method!r}")
+    variant = sol.get("variant", "extended")
+    if variant not in dleexp.VARIANTS:
+        raise ConfigError(f"[solver] variant = {variant}: need one of "
+                          f"{', '.join(dleexp.VARIANTS)}")
+    return partial(dleexp.expo_dle_solve, problem, grid, m_max, tol,
+                   variant=variant, probe_stride=stride, factor_tol=factor_tol)
 
 
 def _oracle_reference(method, problem, grid):
@@ -229,25 +238,7 @@ def cmd_generate(args):
         seed = args.seed if args.seed is not None else int(params.pop("seed", 0))
         t0 = float(params.pop("t0", 0.0))
         tf = float(params.pop("tf", 1.0))
-        kind = args.kind
-        if kind == "laplacian2d":
-            problem = probio.gen_dle_problem(
-                n0=int(params.pop("n0", 10)), p=int(params.pop("p", 2)),
-                seed=seed, t0=t0, tf=tf)
-        elif kind == "random-stable":
-            n = int(params.pop("n", 50))
-            a = probio.gen_random_stable(n, density=float(params.pop("density", 0.1)),
-                                         seed=seed)
-            b = probio.random_full_rank(n, int(params.pop("p", 1)), seed=seed)
-            problem = probio.DLEProblem(a, b, t0=t0, tf=tf)
-        elif kind == "sylvester-q2":
-            problem = probio.gen_sylvester_q2(
-                int(params.pop("n", 40)), int(params.pop("p", 3)),
-                seed=seed, t0=t0, tf=tf)
-        else:
-            raise ConfigError(f"unknown problem kind {kind!r}")
-        if params:
-            raise ConfigError(f"unused parameters: {sorted(params)}")
+        problem = _generate(args.kind, params, seed, t0, tf)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -297,7 +288,7 @@ def main(argv=None):
     p_run.set_defaults(func=cmd_run)
 
     p_gen = sub.add_parser("generate", help="write a problem bundle")
-    p_gen.add_argument("kind", choices=["laplacian2d", "random-stable", "sylvester-q2"])
+    p_gen.add_argument("kind", choices=list(GENERATORS))
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--param", action="append",

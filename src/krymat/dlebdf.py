@@ -19,7 +19,7 @@ from .blockmat import BlockRow, diamond
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import IllPosedError, StepFailureError
 from .probio import LinearSolver
-from .solution import KernelTrajectorySym, LowRankSolution, SolveReport
+from .solution import KernelTrajectorySym, LowRankSolution, SolveReport, grow_until
 
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
@@ -98,26 +98,6 @@ def bdf_integrate(tm, bm, y0, grid, l):
     return KernelTrajectorySym(grid, samples)
 
 
-def bdf_derivatives(samples, h, l):
-    """BDF divided differences (Y_{k+1} - sum alpha_i Y_{k-i}) / (h beta).
-
-    For kernels produced by ``bdf_integrate`` these equal the projected
-    right-hand side at each step exactly, which is what the dense residual
-    checks need for a discretization-consistent time derivative.  Returns one
-    derivative per step (nodes 1..N).
-    """
-    out = []
-    prev = [samples[0]]
-    for k in range(len(samples) - 1):
-        scheme = bdf_coefficients(min(l, len(prev)))
-        d = samples[k + 1].copy()
-        for a_i, y_i in zip(scheme.alpha, prev):
-            d = d - a_i * y_i
-        out.append(d / (h * scheme.beta))
-        prev = [samples[k + 1]] + prev[: l - 1]
-    return out
-
-
 def residual_bound_bdf(t_sub, y):
     """Residual bound sqrt(2) ||T_{m+1,m} E_m^T Y||_F from the coupling block
     and the last two rows of the kernel."""
@@ -127,25 +107,22 @@ def residual_bound_bdf(t_sub, y):
     return float(np.sqrt(2.0) * np.linalg.norm(t_sub @ y[-nr:, :]))
 
 
-def _project_block(sub_basis, mat, width):
-    """V^T diamond M with M zero padded on the right to the sub-block width."""
-    return diamond(sub_basis, BlockRow(_pad_to(mat, width), width)).ravel()
-
-
 def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10):
-    """Extended global Arnoldi for differential Lyapunov equations.
+    """Extended global Arnoldi for differential Lyapunov equations with X0 = 0.
 
     Grows the extended Krylov basis one block at a time, integrates the
     projected equation with l-step BDF, and stops once the residual bound is
-    below tol at every probed node.  A nonzero X0 = Z0 Z0^T joins the Arnoldi
-    seed as [B, Z0] and enters the projected equation through its projected
-    initial kernel.
+    below tol at every node; ``probe_stride`` thins the report (and its rank
+    column) only.
 
     Returns (LowRankSolution, SolveReport).
     """
+    if problem.has_initial_value:
+        raise ValueError("EgAdl assumes X0 = 0")
+    if m_max < 1:
+        raise ValueError("egadl_solve needs m_max >= 1")
     t_start = time.perf_counter()
     b = problem.b
-    z0 = problem.z0
     report = SolveReport(
         method="egadl",
         columns=("m", "t", "residual_bound", "rank"),
@@ -153,81 +130,27 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
         settings={"m_max": m_max, "tol": tol, "l": l, "grid_steps": grid.steps,
                   "probe_stride": probe_stride, "factor_tol": factor_tol},
     )
-    trivial = np.linalg.norm(b) == 0.0 and (z0 is None or np.linalg.norm(z0) == 0.0)
-    if trivial:
-        kernel = KernelTrajectorySym(grid, [np.zeros((1, 1))] * grid.nnodes)
-        basis = BlockRow(np.zeros((problem.n, 1)), 1)
+    if np.linalg.norm(b) == 0.0:
         report.converged = True
         report.wall_time = time.perf_counter() - t_start
-        factors = [smallmat.trunc_sym_factor(s, factor_tol) for s in kernel.samples]
-        return LowRankSolution(grid, basis, kernel, factors), report
+        return LowRankSolution.zero(grid, problem.n, factor_tol), report
 
-    if m_max < 1:
-        raise ValueError("egadl_solve needs m_max >= 1")
-    seed = b if z0 is None else np.hstack([b, z0])
-    width = seed.shape[1]
-    solver = LinearSolver(problem.a)
-    proc = ExtendedGlobalArnoldi(problem.a, solver, seed)
+    proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), b)
 
-    kernel = None
-    sub_basis = None
-    converged = False
-    m = 0
-    while True:
-        m = proc.advance_to(m + 1)
-        if proc.breakdown:
-            # the retained sub-blocks span an A-invariant subspace: project
-            # directly onto all of them and the residual bound vanishes
-            sub_basis = proc.sub_basis()
-            tm = _projected_operator(problem.a, sub_basis)
-            t_sub = np.zeros((2, sub_basis.m))
-        else:
-            sub_basis = proc.sub_basis(2 * m)
-            hess = proc.hessenberg(m)
-            tm, t_sub = hess.tm, hess.t_sub
-        bm = _project_block(sub_basis, b, width)
-        if z0 is None:
-            y0 = None
-        else:
-            c0 = diamond(sub_basis, BlockRow(_pad_to(z0, width), width))
-            y0 = c0 @ c0.T
-        kernel = bdf_integrate(tm, bm, y0, grid, l)
-        bounds = np.array([residual_bound_bdf(t_sub, y) for y in kernel.samples])
-        for k in range(0, grid.nnodes, probe_stride):
-            report.add(m, grid.nodes[k], bounds[k],
-                       _sym_rank(kernel.samples[k], factor_tol))
-        if bounds[::probe_stride].max() < tol:
-            converged = True
-            break
-        if proc.breakdown or m >= m_max:
-            break
+    def fit(m):
+        basis, tm, t_sub = proc.projection(m)
+        bm = diamond(basis, BlockRow(b, basis.width)).ravel()
+        ys = bdf_integrate(tm, bm, None, grid, l).samples
+        bounds = np.array([residual_bound_bdf(t_sub, y) for y in ys])
+        return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), basis, ys
 
-    report.converged = converged
-    report.m_final = m
-    report.breakdown = proc.breakdown
-    report.dims["basis_blocks"] = sub_basis.m
-    report.dims["basis_cols"] = sub_basis.m * width
-    factors = [smallmat.trunc_sym_factor(y, factor_tol) for y in kernel.samples]
+    basis, ys = grow_until(proc, fit, grid, report, m_max, tol, probe_stride)
+    solution = LowRankSolution.from_kernel(grid, basis, ys, factor_tol)
     report.wall_time = time.perf_counter() - t_start
-    return LowRankSolution(grid, sub_basis, kernel, factors), report
-
-
-def _pad_to(mat, width):
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape[1] == width:
-        return mat
-    padded = np.zeros((mat.shape[0], width))
-    padded[:, : mat.shape[1]] = mat
-    return padded
+    return solution, report
 
 
 def _sym_rank(y, tol):
     lam = np.abs(np.linalg.eigvalsh(y))
     amax = lam.max() if lam.size else 0.0
     return int(np.count_nonzero(lam > tol * amax))
-
-
-def _projected_operator(a, sub_basis):
-    """Direct projection V^T diamond (A V); used only on breakdown prefixes."""
-    av = a @ sub_basis.data
-    return diamond(sub_basis, BlockRow(av, sub_basis.width))

@@ -21,13 +21,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .blockmat import BlockRow, kron_apply
-from .config import check_dense_cap
-from .dlebdf import residual_bound_bdf, _projected_operator
+from .blockmat import kron_apply
+from .dlebdf import residual_bound_bdf
 from .egarnoldi import ExtendedGlobalArnoldi
 from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver
-from .solution import KernelTrajectorySym, LowRankSolution, SolveReport
+from .solution import LowRankSolution, SolveReport, grow_until
 
 # the subspaces expo_dle_solve can project onto
 VARIANTS = ("global", "extended")
@@ -110,15 +109,15 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
     ``variant`` selects the subspace: "global" uses the polynomial Krylov
     space of (A, B); "extended" also uses A^{-1} directions, replacing beta by
     the seed QR entry r_{1,1} and H_m by the extended block Hessenberg matrix.
-    Stops once the residual bound is below tol at every probed node; reports
-    carry the a-priori error bound alongside.
+    Stops once the residual bound is below tol at every node; reports carry
+    the a-priori error bound alongside, at every ``probe_stride``-th node.
 
     Returns (LowRankSolution, SolveReport).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if problem.z0 is not None and np.linalg.norm(problem.z0) > 0:
-        raise ValueError("the exponential method assumes X0 = 0; use egadl_solve")
+    if problem.has_initial_value:
+        raise ValueError("the exponential method assumes X0 = 0")
     if m_max < 1:
         raise ValueError("expo_dle_solve needs m_max >= 1")
     t_start = time.perf_counter()
@@ -132,96 +131,34 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
                   "factor_tol": factor_tol},
     )
     if np.linalg.norm(b) == 0.0:
-        kernel = KernelTrajectorySym(grid, [np.zeros((1, 1))] * grid.nnodes)
-        basis = BlockRow(np.zeros((problem.n, 1)), 1)
         report.converged = True
         report.wall_time = time.perf_counter() - t_start
-        factors = [smallmat.trunc_sym_factor(s, factor_tol) for s in kernel.samples]
-        return LowRankSolution(grid, basis, kernel, factors), report
+        return LowRankSolution.zero(grid, problem.n, factor_tol), report
 
     mu2 = lognorm2_operator(problem.a)
     report.settings["mu2"] = mu2
     nodes = grid.nodes
-
     if variant == "global":
         proc = GlobalArnoldi(lambda x: problem.a @ x, b)
     else:
         proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), b)
 
-    converged = False
-    m = 0
-    while True:
-        m = proc.advance_to(m + 1)
+    def fit(m):
         if variant == "global":
             hess = proc.hessenberg(m)
-            sub_basis = proc.basis(m)
-            hm, beta = hess.hm, proc.beta
-            h_sub = hess.h_sub
-            bound_of = lambda g: residual_bound_exp(h_sub, g)
+            basis, hm, beta = proc.basis(m), hess.hm, proc.beta
+            bound_of = lambda g: residual_bound_exp(hess.h_sub, g)
         else:
-            if proc.breakdown:
-                sub_basis = proc.sub_basis()
-                hm = _projected_operator(problem.a, sub_basis)
-                t_sub = np.zeros((2, sub_basis.m))
-            else:
-                sub_basis = proc.sub_basis(2 * m)
-                hess = proc.hessenberg(m)
-                hm, t_sub = hess.tm, hess.t_sub
+            basis, hm, t_sub = proc.projection(m)
             beta = proc.r_init[0, 0]
-            coupling = t_sub
-            bound_of = lambda g: residual_bound_bdf(coupling, g)
-        gram = gram_trajectory(hm, beta, grid)
-        bounds = np.array([bound_of(g) for g in gram.samples])
+            bound_of = lambda g: residual_bound_bdf(t_sub, g)
+        grams = gram_trajectory(hm, beta, grid).samples
+        bounds = np.array([bound_of(g) for g in grams])
         res_max = float(bounds.max())
-        for k in range(0, grid.nnodes, probe_stride):
-            apriori = _scaled_apriori(res_max, mu2, nodes[k], grid.t0)
-            report.add(m, nodes[k], bounds[k], apriori)
-        if bounds[::probe_stride].max() < tol:
-            converged = True
-            break
-        if proc.breakdown or m >= m_max:
-            break
+        return (bounds, lambda k: (_scaled_apriori(res_max, mu2, nodes[k], grid.t0),),
+                basis, grams)
 
-    report.converged = converged
-    report.m_final = m
-    report.breakdown = proc.breakdown
-    report.dims["basis_blocks"] = sub_basis.m
-    report.dims["basis_cols"] = sub_basis.m * sub_basis.width
-    kernel = KernelTrajectorySym(grid, gram.samples)
-    factors = [smallmat.trunc_sym_factor(g, factor_tol) for g in gram.samples]
+    basis, grams = grow_until(proc, fit, grid, report, m_max, tol, probe_stride)
+    solution = LowRankSolution.from_kernel(grid, basis, grams, factor_tol)
     report.wall_time = time.perf_counter() - t_start
-    return LowRankSolution(grid, sub_basis, kernel, factors), report
-
-
-def perturbed_equation_check(problem, basis, hm, coupling, gram):
-    """Max Frobenius defect of the perturbed equation over the grid nodes.
-
-    The approximation X_m(t) = V (G_m(t) kron I_p) V^T satisfies
-    dX_m/dt = A X_m + X_m A^T + (B B^T - L_m - L_m^T) identically, with
-    L_m(t) = V_tail (coupling G_m(t) kron I_p) V_m^T built from the
-    subdiagonal coupling into the tail blocks of the basis.  The time
-    derivative uses the exact Gramian identity dG/dt = H G + G H^T +
-    beta^2 e_1 e_1^T, not finite differences.  Dense and test-only.
-    """
-    check_dense_cap(problem.n, "perturbed_equation_check")
-    hm = np.atleast_2d(np.asarray(hm, dtype=float))
-    coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
-    k = hm.shape[0]
-    if basis.m < k + coupling.shape[0]:
-        raise ValueError("basis must include the tail block(s) past the projection")
-    vm = basis.narrow(k)
-    vtail = BlockRow(basis.data[:, k * basis.width:(k + coupling.shape[0]) * basis.width],
-                     basis.width)
-    a_dense = problem.a.toarray() if sp.issparse(problem.a) else np.asarray(problem.a)
-    bbt = problem.b @ problem.b.T
-    e11 = np.zeros((k, k))
-    e11[0, 0] = gram.beta ** 2
-    worst = 0.0
-    for g in gram.samples:
-        gdot = hm @ g + g @ hm.T + e11
-        xm = kron_apply(vm, g).data @ vm.data.T
-        xdot = kron_apply(vm, gdot).data @ vm.data.T
-        lm = kron_apply(vtail, coupling @ g).data @ vm.data.T
-        defect = xdot - a_dense @ xm - xm @ a_dense.T - (bbt - lm - lm.T)
-        worst = max(worst, float(np.linalg.norm(defect)))
-    return worst
+    return solution, report

@@ -11,10 +11,10 @@ import time
 import numpy as np
 
 from . import smallmat
-from .blockmat import BlockRow, diamond, kron_apply
+from .blockmat import BlockRow, diamond
 from .garnoldi import GlobalArnoldi
 from .probio import gsylv_apply
-from .solution import KernelTrajectoryVec, SolveReport, SylvesterSolution
+from .solution import KernelTrajectoryVec, SolveReport, SylvesterSolution, grow_until
 
 
 def project_rhs(basis, r0):
@@ -56,7 +56,8 @@ def residual_norm(hess, y):
 
 def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
     """Algorithm: grow the Krylov basis until the residual maximum over the
-    grid nodes falls below eps, then reconstruct the trajectory.
+    grid nodes falls below eps, then reconstruct the trajectory.  The report
+    holds every ``report_stride``-th node.
 
     Returns (SylvesterSolution, SolveReport).  Non-convergence at m_max is a
     report status, not an exception.
@@ -84,32 +85,14 @@ def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
         return SylvesterSolution(grid, None, kernel, shape, x0=problem.x0), report
 
     proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0)
-    kernel = None
-    converged = False
-    m = 0
-    while m < m_max:
-        done = proc.advance_to(m + 1)
-        if done == m:        # breakdown before reaching a new block
-            break
-        m = done
-        hess = proc.hessenberg(m)
-        cm = project_rhs(proc.basis(m), r0)
-        kernel = integrate_projected(hess.hm, cm, None, grid)
-        bounds = abs(hess.h_sub) * np.abs(kernel.samples[:, -1])
-        for k in range(0, grid.nnodes, report_stride):
-            report.add(m, grid.nodes[k], bounds[k])
-        if bounds.max() < eps:
-            converged = True
-            break
-        if proc.breakdown:
-            break
 
-    report.converged = converged
-    report.m_final = m
-    report.breakdown = proc.breakdown
-    report.dims["basis_blocks"] = m
-    report.dims["basis_cols"] = m * problem.p
+    def fit(m):
+        hess = proc.hessenberg(m)
+        basis = proc.basis(m)
+        kernel = integrate_projected(hess.hm, project_rhs(basis, r0), None, grid)
+        bounds = abs(hess.h_sub) * np.abs(kernel.samples[:, -1])
+        return bounds, lambda k: (), basis, kernel
+
+    basis, kernel = grow_until(proc, fit, grid, report, m_max, eps, report_stride)
     report.wall_time = time.perf_counter() - t_start
-    solution = SylvesterSolution(grid, proc.basis(m), kernel, shape,
-                                 x0=problem.x0)
-    return solution, report
+    return SylvesterSolution(grid, basis, kernel, shape, x0=problem.x0), report

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockRow, BlockStore, cgs2, global_qr
+from .blockmat import BlockRow, BlockStore, cgs2, diamond, global_qr
 from .errors import DimensionError
 
 # Truncation threshold for remainder blocks, relative to the pre-
@@ -46,8 +46,7 @@ class ExtendedGlobalArnoldi:
     """Incremental extended global Arnoldi for a sparse A with prefactored solver.
 
     ``solver`` must provide ``solve(w)`` computing A^{-1} w (probio.LinearSolver).
-    The seed may be wider than the problem's p when an initial-value block is
-    appended; the sub-block width follows the seed.
+    The sub-block width is the seed's column count.
     """
 
     def __init__(self, a, solver, seed, tol=DEFAULT_BREAKDOWN_TOL):
@@ -160,6 +159,20 @@ class ExtendedGlobalArnoldi:
         t_sub = t[2 * m :, 2 * m - 2 :].copy()
         broke = self.breakdown and m == self.m
         return ExtHessenbergData(m, t, t_sub, self.r_init.copy(), broke)
+
+    def projection(self, m):
+        """(sub-block basis, T_m, T_{m+1,m}) after m steps.
+
+        After a breakdown the retained sub-blocks span an A-invariant
+        subspace: the projection is then V^T diamond (A V) onto all of them,
+        with zero coupling, so the residual bound vanishes.
+        """
+        if self.breakdown and m >= self.m:
+            basis = self.sub_basis()
+            tm = diamond(basis, BlockRow(self.a @ basis.data, basis.width))
+            return basis, tm, np.zeros((2, basis.m))
+        hess = self.hessenberg(m)
+        return self.sub_basis(2 * m), hess.tm, hess.t_sub
 
 
 def ext_global_arnoldi(a, solver, b, m, tol=DEFAULT_BREAKDOWN_TOL):

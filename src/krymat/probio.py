@@ -131,6 +131,11 @@ class DLEProblem:
     def p(self):
         return self.b.shape[1]
 
+    @property
+    def has_initial_value(self):
+        """True when X0 = Z0 Z0^T is nonzero."""
+        return self.z0 is not None and bool(np.linalg.norm(self.z0) > 0)
+
 
 class LinearSolver:
     """Reusable sparse LU of A for the repeated A^{-1} applications."""
@@ -150,11 +155,6 @@ class LinearSolver:
         return self._lu.solve(w)
 
 
-def solve_with(solver, w):
-    """Columns x with A x = w through a prefactored LinearSolver."""
-    return solver.solve(w)
-
-
 def gsylv_apply(problem, x):
     """Apply the generalized Sylvester operator X -> sum_i A_i X B_i."""
     x = np.asarray(x, dtype=float)
@@ -163,15 +163,6 @@ def gsylv_apply(problem, x):
     out = np.zeros_like(x)
     for a_i, b_i in zip(problem.a_list, problem.b_list):
         out += (b_i.T @ (a_i @ x).T).T
-    return out
-
-
-def gsylv_apply_t(problem, x):
-    """Transpose operator X -> sum_i A_i^T X B_i^T (unused by the Galerkin method)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for a_i, b_i in zip(problem.a_list, problem.b_list):
-        out += (b_i @ (a_i.T @ x).T).T
     return out
 
 
@@ -359,7 +350,13 @@ def gen_dle_problem(n0=10, p=2, seed=0, t0=0.0, tf=1.0):
     return DLEProblem(a, b, t0=t0, tf=tf)
 
 
-def gen_sylvester_q2(n, p, seed=0, t0=0.0, tf=1.0):
+def gen_random_dle_problem(n=50, p=1, density=0.1, seed=0, t0=0.0, tf=1.0):
+    """Random DLE fixture: A = gen_random_stable(n), random unit-norm B."""
+    a = gen_random_stable(n, density=density, seed=seed)
+    return DLEProblem(a, random_full_rank(n, p, seed=seed), t0=t0, tf=tf)
+
+
+def gen_sylvester_q2(n=40, p=3, seed=0, t0=0.0, tf=1.0):
     """Two-term fixture A1 X B1 + A2 X B2 with the Lyapunov-like pattern
     B1 = I_p and A2 = I_n, both A1 and B2 stable."""
     rng = np.random.default_rng(seed)

@@ -4,7 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmat import kron_apply
+from . import smallmat
+from .blockmat import BlockRow, kron_apply
 from .config import check_dense_cap
 from .errors import DimensionError
 
@@ -87,6 +88,32 @@ class SolveReport:
         return lines
 
 
+def grow_until(proc, fit, grid, report, m_max, tol, stride):
+    """The outer loop of the three solvers: grow the basis one step, fit the
+    projected equation at that size, report every ``stride``-th node, and stop
+    once the bound is below ``tol`` at every node, on breakdown, or at m_max.
+
+    ``fit(m)`` returns the bound at every node, a function giving the report
+    columns past the bound at node k, the basis and the kernel.  Sets the
+    report's status and basis size; returns the last (basis, kernel).
+    """
+    nodes = grid.nodes
+    m = 0
+    while True:
+        m = proc.advance_to(m + 1)
+        bounds, extra, basis, kernel = fit(m)
+        for k in range(0, grid.nnodes, stride):
+            report.add(m, nodes[k], bounds[k], *extra(k))
+        report.converged = bool(bounds.max() < tol)
+        if report.converged or proc.breakdown or m >= m_max:
+            break
+    report.m_final = m
+    report.breakdown = proc.breakdown
+    report.dims["basis_blocks"] = basis.m
+    report.dims["basis_cols"] = basis.m * basis.width
+    return basis, kernel
+
+
 @dataclass
 class KernelTrajectoryVec:
     """Small projected solution y_m(t_k), one length-m vector per node."""
@@ -154,6 +181,18 @@ class LowRankSolution:
     basis: object                  # BlockBasis at sub-block width (p or seed width)
     kernel: KernelTrajectorySym
     factors: list = None           # of smallmat.LowRankFactor, one per node
+
+    @classmethod
+    def from_kernel(cls, grid, basis, samples, factor_tol):
+        """Solution with kernel samples Y_k on ``basis``, each Y_k factored."""
+        factors = [smallmat.trunc_sym_factor(y, factor_tol) for y in samples]
+        return cls(grid, basis, KernelTrajectorySym(grid, samples), factors)
+
+    @classmethod
+    def zero(cls, grid, n, factor_tol):
+        """X(t) = 0 on one zero basis column."""
+        return cls.from_kernel(grid, BlockRow(np.zeros((n, 1)), 1),
+                               [np.zeros((1, 1))] * grid.nnodes, factor_tol)
 
     def factor(self, k):
         """Thin factor (Z, signs) with X_m(t_k) ~ Z diag(signs) Z^T + signature."""

@@ -5,7 +5,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_continuous_lyapunov
 
-from krymat.blockmat import BlockRow
+from krymat.blockmat import BlockRow, kron_apply
+from krymat.config import check_dense_cap
+from krymat.dlebdf import bdf_coefficients
 
 
 @pytest.fixture
@@ -82,3 +84,57 @@ def dense_dle_bdf(problem, grid, l):
         out[k + 1] = x
         prev = [x] + prev[: l - 1]
     return out
+
+
+def bdf_derivatives(samples, h, l):
+    """BDF divided differences (Y_{k+1} - sum alpha_i Y_{k-i}) / (h beta).
+
+    For kernels produced by ``bdf_integrate`` these equal the projected
+    right-hand side at each step exactly, which is what the dense residual
+    checks need for a discretization-consistent time derivative.  Returns one
+    derivative per step (nodes 1..N).
+    """
+    out = []
+    prev = [samples[0]]
+    for k in range(len(samples) - 1):
+        scheme = bdf_coefficients(min(l, len(prev)))
+        d = samples[k + 1].copy()
+        for a_i, y_i in zip(scheme.alpha, prev):
+            d = d - a_i * y_i
+        out.append(d / (h * scheme.beta))
+        prev = [samples[k + 1]] + prev[: l - 1]
+    return out
+
+
+def perturbed_equation_check(problem, basis, hm, coupling, gram):
+    """Max Frobenius defect of the perturbed equation over the grid nodes.
+
+    The approximation X_m(t) = V (G_m(t) kron I_p) V^T satisfies
+    dX_m/dt = A X_m + X_m A^T + (B B^T - L_m - L_m^T) identically, with
+    L_m(t) = V_tail (coupling G_m(t) kron I_p) V_m^T built from the
+    subdiagonal coupling into the tail blocks of the basis.  The time
+    derivative uses the exact Gramian identity dG/dt = H G + G H^T +
+    beta^2 e_1 e_1^T, not finite differences.  Dense and test-only.
+    """
+    check_dense_cap(problem.n, "perturbed_equation_check")
+    hm = np.atleast_2d(np.asarray(hm, dtype=float))
+    coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
+    k = hm.shape[0]
+    if basis.m < k + coupling.shape[0]:
+        raise ValueError("basis must include the tail block(s) past the projection")
+    vm = basis.narrow(k)
+    vtail = BlockRow(basis.data[:, k * basis.width:(k + coupling.shape[0]) * basis.width],
+                     basis.width)
+    a_dense = problem.a.toarray() if sp.issparse(problem.a) else np.asarray(problem.a)
+    bbt = problem.b @ problem.b.T
+    e11 = np.zeros((k, k))
+    e11[0, 0] = gram.beta ** 2
+    worst = 0.0
+    for g in gram.samples:
+        gdot = hm @ g + g @ hm.T + e11
+        xm = kron_apply(vm, g).data @ vm.data.T
+        xdot = kron_apply(vm, gdot).data @ vm.data.T
+        lm = kron_apply(vtail, coupling @ g).data @ vm.data.T
+        defect = xdot - a_dense @ xm - xm @ a_dense.T - (bbt - lm - lm.T)
+        worst = max(worst, float(np.linalg.norm(defect)))
+    return worst

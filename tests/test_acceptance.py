@@ -15,8 +15,8 @@ import pytest
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, global_qr, kron_apply
-from krymat.dlebdf import (bdf_coefficients, bdf_derivatives, bdf_integrate,
-                           bdf_step, egadl_solve, residual_bound_bdf)
+from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
+                           residual_bound_bdf)
 from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
                            lognorm2_operator, residual_bound_exp)
 from krymat.dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
@@ -28,8 +28,8 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
 from krymat.smallmat import vanloan_gram
 from krymat.solution import TimeGrid
 
-from conftest import (dense_dle_bdf, explicit_kron_apply, random_block_row,
-                      stable_sparse, stable_sym)
+from conftest import (bdf_derivatives, dense_dle_bdf, explicit_kron_apply,
+                      random_block_row, stable_sparse, stable_sym)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

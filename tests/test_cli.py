@@ -105,19 +105,30 @@ class TestRun:
         assert len(err) == 2 and all(ln.startswith("error:") for ln in err)
 
     def test_expo_with_initial_value_exits_2(self, tmp_path, capsys):
+        # EgAdl refuses X0 as well: its Galerkin ansatz on the B-seeded basis
+        # cannot carry Z0 Z0^T apart from B B^T
         problem = gen_dle_problem(n0=5, p=1, seed=1)
         problem = DLEProblem(problem.a, problem.b, z0=np.ones((25, 1)))
         save_problem(problem, tmp_path / "bundle")
-        cfg = write_cfg(tmp_path, f"""\
+        for method in ("expo", "egadl"):
+            cfg = write_cfg(tmp_path, f"""\
 [run]
-method = expo
+method = {method}
 
 [problem]
 bundle = {tmp_path / 'bundle'}
 """)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "X0" in err[0]
+            assert not (tmp_path / "o").exists()
+
+    def test_misspelt_problem_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("n0 = 6", "n_0 = 6"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "X0" in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and "n_0" in err[0]
+        assert not (tmp_path / "o").exists()
 
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")

@@ -6,8 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.dlebdf import (bdf_coefficients, bdf_derivatives, bdf_integrate,
-                           bdf_step, egadl_solve, residual_bound_bdf)
+from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
+                           residual_bound_bdf)
 from krymat.egarnoldi import ext_global_arnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
@@ -15,7 +15,7 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, random_full_rank)
 from krymat.solution import TimeGrid
 
-from conftest import stable_dense, stable_sparse
+from conftest import bdf_derivatives, stable_dense, stable_sparse
 
 
 def scalar_exact(t):
@@ -231,26 +231,6 @@ class TestEgadlSolve:
         expected = np.zeros(2 * hess.m)
         expected[0] = hess.r_init[0, 0]
         np.testing.assert_allclose(bm, expected, atol=1e-12)
-
-    def test_nonzero_x0_joint_seed(self, rng):
-        a = gen_laplacian2d(5)
-        b = random_full_rank(25, 1, seed=8)
-        z0 = 0.3 * random_full_rank(25, 2, seed=9)
-        prob = DLEProblem(a, b, z0=z0)
-        grid = TimeGrid(0.0, 0.5, 10)
-        sol, rep = egadl_solve(prob, grid, 8, 1e-8, l=2)
-        # initial kernel reproduces the projected X0 = (V . Z0)(V . Z0)^T
-        width = sol.basis.width
-        assert width == 3                  # seed [B, Z0]
-        padded = np.zeros((25, width))
-        padded[:, :2] = z0
-        c0 = diamond(sol.basis, BlockRow(padded, width))
-        np.testing.assert_allclose(sol.kernel.samples[0], c0 @ c0.T, atol=1e-12)
-        x0_proj = sol.snapshot(0)
-        # the seed block contains [B, Z0], so the projected X0 keeps the
-        # component of Z0 inside the span; sanity: nonzero and symmetric
-        assert np.linalg.norm(x0_proj) > 0
-        np.testing.assert_allclose(x0_proj, x0_proj.T, atol=1e-13)
 
     def test_breakdown_invariant_subspace_exact(self):
         # b supported on a small invariant subspace of a diagonal operator

@@ -7,16 +7,16 @@ import scipy.sparse as sp
 from scipy.linalg import expm as sexpm
 
 from krymat.blockmat import BlockRow, kron_apply
+from krymat.dlebdf import egadl_solve
 from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
-                           krylov_expm_action, lognorm2_operator,
-                           perturbed_equation_check, residual_bound_exp)
+                           krylov_expm_action, lognorm2_operator, residual_bound_exp)
 from krymat.garnoldi import global_arnoldi
 from krymat.oracle import dense_dle_exact
-from krymat.probio import DLEProblem, gen_dle_problem, random_full_rank
+from krymat.probio import DLEProblem, gen_dle_problem
 from krymat.smallmat import vanloan_gram
 from krymat.solution import TimeGrid
 
-from conftest import stable_dense, stable_sym
+from conftest import perturbed_equation_check, stable_dense, stable_sym
 
 
 def _arnoldi_on(a, b, m):
@@ -150,9 +150,11 @@ class TestExpoSolve:
             warnings.simplefilter("ignore")
             prob = DLEProblem(gen_laplacian2d(3), np.zeros((9, 1)))
         grid = TimeGrid(0.0, 1.0, 4)
-        sol, rep = expo_dle_solve(prob, grid, 5, 1e-8)
-        assert rep.converged
-        np.testing.assert_array_equal(sol.snapshot(2), np.zeros((9, 9)))
+        for solve in (expo_dle_solve, egadl_solve):
+            sol, rep = solve(prob, grid, 5, 1e-8)
+            assert rep.converged
+            np.testing.assert_array_equal(sol.snapshot(2), np.zeros((9, 9)))
+            assert sol.factor(2)[0].shape == (9, 0)
 
     def test_global_variant_matches_oracle(self):
         prob = gen_dle_problem(n0=10, p=2, seed=1)
@@ -194,8 +196,9 @@ class TestExpoSolve:
     def test_nonzero_x0_rejected(self):
         prob = gen_dle_problem(n0=4, p=1, seed=1)
         prob = DLEProblem(prob.a, prob.b, z0=np.ones((16, 1)))
-        with pytest.raises(ValueError, match="X0"):
-            expo_dle_solve(prob, TimeGrid(0.0, 1.0, 4), 5, 1e-8)
+        for solve in (expo_dle_solve, egadl_solve):
+            with pytest.raises(ValueError, match="X0"):
+                solve(prob, TimeGrid(0.0, 1.0, 4), 5, 1e-8)
 
     def test_report_schema(self):
         prob = gen_dle_problem(n0=4, p=1, seed=2)
