@@ -82,9 +82,7 @@ class BlockRow:
 
 @dataclass(frozen=True)
 class BlockBasis(BlockRow):
-    """Block row whose blocks are F-orthonormal to within ``tol``."""
-
-    tol: float = DEFAULT_RANK_TOL
+    """Block row whose blocks are F-orthonormal."""
 
     def orth_defect(self):
         """|| V^T diamond V - I ||_F, the F-orthonormality defect."""
@@ -207,4 +205,4 @@ def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
             deficient.append(j)
         else:
             q[:, j] = w / rjj
-    return BlockBasis(q.reshape(n, m * s, order="F"), s, tol), r, tuple(deficient)
+    return BlockBasis(q.reshape(n, m * s, order="F"), s), r, tuple(deficient)

@@ -9,7 +9,8 @@ Subcommands:
 
 Configs are INI files; see the README for the documented keys.  Exit codes:
 0 success, 1 unexpected error (reported per config by sweep), 2 bad
-configuration, 3 solver did not converge, 4 I/O failure.
+configuration, 3 solver did not converge, 4 I/O failure, 5 the solver failed
+(a numeric, step, factorization or dense-cap error inside the solve).
 """
 
 import argparse
@@ -18,6 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
+EXIT_SOLVER = 5
 
 
 def _load_config(path):
@@ -43,6 +46,15 @@ def _load_config(path):
         raise ConfigError(f"cannot read config file {path}")
     if not parser.has_section("run"):
         raise ConfigError("config needs a [run] section")
+    for section in parser.sections():
+        if section == "problem":          # its keys are the generator's
+            continue
+        if section not in SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = sorted(set(parser[section]) - SECTIONS[section])
+        if unknown:
+            reason = ": no method reads it" if section == "solver" else ""
+            raise ConfigError(f"unknown [{section}] key {', '.join(unknown)}{reason}")
     return parser
 
 
@@ -53,6 +65,40 @@ GENERATORS = {
     "random-stable": (probio.gen_random_dle_problem,
                       {"n": int, "p": int, "density": float}),
     "sylvester-q2": (probio.gen_sylvester_q2, {"n": int, "p": int}),
+}
+
+
+class Method(NamedTuple):
+    module: object
+    solver: str            # looked up on the module at run time, so that a wrapper
+                           # installed there is the function called
+    problem: type
+    reference: object      # dense reference, (problem, grid) -> one X per node
+    keys: dict             # [solver] key -> (solver keyword, type, default)
+
+
+_COMMON = {"m_max": ("m_max", int, 30), "tol": ("tol", float, 1e-8)}
+_LOWRANK = {"probe_stride": ("probe_stride", int, 1),
+            "factor_tol": ("factor_tol", float, 1e-10)}
+
+# method -> solver, problem type, dense reference and [solver] keys past
+# m_max and tol, which every method reads
+SOLVERS = {
+    "galerkin": Method(dsylv, "galerkin_solve", probio.GenSylvesterProblem,
+                       oracle.dense_dme_solve,
+                       {"probe_stride": ("report_stride", int, 1)}),
+    "egadl": Method(dlebdf, "egadl_solve", probio.DLEProblem, oracle.dense_dle_exact,
+                    {"l": ("l", int, 2), **_LOWRANK}),
+    "expo": Method(dleexp, "expo_dle_solve", probio.DLEProblem, oracle.dense_dle_exact,
+                   {"variant": ("variant", str, "extended"), **_LOWRANK}),
+}
+
+# the keys each section past [problem] may hold
+SECTIONS = {
+    "run": {"method", "check", "out"},
+    "grid": {"t0", "tf", "steps"},
+    "solver": set(_COMMON).union(*(entry.keys for entry in SOLVERS.values())),
+    "output": {"factors"},
 }
 
 
@@ -88,69 +134,26 @@ def _grid(cfg, problem):
 
 
 def _configure(method, cfg, problem, grid):
-    """Check every solver setting; return the solve as a call without arguments.
+    """The method's solve as a call without arguments, every [solver] setting
+    parsed to its type (defaults included) and passed as a keyword.
 
-    Raises ConfigError for a bad setting, so nothing is solved on a config
-    that cannot run to the end.
+    The values themselves are checked by the solver, before any work.
     """
+    if method not in SOLVERS:
+        raise ConfigError(f"unknown method {method!r}")
+    entry = SOLVERS[method]
+    if not isinstance(problem, entry.problem):
+        raise ConfigError(f"method {method} needs a {entry.problem.__name__}")
     sol = cfg["solver"] if cfg.has_section("solver") else {}
-
-    def get(key, default, kind):
+    kwargs = {}
+    for key, (keyword, kind, default) in (_COMMON | entry.keys).items():
         raw = sol.get(key, default)
         try:
-            return kind(raw)
+            kwargs[keyword] = kind(raw)
         except ValueError:
             raise ConfigError(f"[solver] {key} = {raw}: not {kind.__name__}") from None
-
-    def positive(key, default):
-        value = get(key, default, int)
-        if value < 1:
-            raise ConfigError(f"[solver] {key} = {value}: need {key} >= 1")
-        return value
-
-    m_max = positive("m_max", 30)
-    tol = get("tol", 1e-8, float)
-    stride = positive("probe_stride", 1)
-    if method == "galerkin":
-        if not isinstance(problem, probio.GenSylvesterProblem):
-            raise ConfigError("method galerkin needs a generalized Sylvester problem")
-        return partial(dsylv.galerkin_solve, problem, grid, m_max, tol,
-                       report_stride=stride)
-    if method not in ("egadl", "expo"):
-        raise ConfigError(f"unknown method {method!r}")
-    if not isinstance(problem, probio.DLEProblem):
-        raise ConfigError(f"method {method} needs a Lyapunov problem")
-    if problem.has_initial_value:
-        raise ConfigError(f"method {method} assumes X0 = 0")
-    factor_tol = get("factor_tol", 1e-10, float)
-    if method == "egadl":
-        l = get("l", 2, int)
-        try:
-            dlebdf.bdf_coefficients(l)
-        except ValueError as exc:
-            raise ConfigError(f"[solver] l = {l}: {exc}") from None
-        return partial(dlebdf.egadl_solve, problem, grid, m_max, tol,
-                       l=l, probe_stride=stride, factor_tol=factor_tol)
-    variant = sol.get("variant", "extended")
-    if variant not in dleexp.VARIANTS:
-        raise ConfigError(f"[solver] variant = {variant}: need one of "
-                          f"{', '.join(dleexp.VARIANTS)}")
-    return partial(dleexp.expo_dle_solve, problem, grid, m_max, tol,
-                   variant=variant, probe_stride=stride, factor_tol=factor_tol)
-
-
-def _oracle_reference(method, problem, grid):
-    if method == "galerkin":
-        return oracle.dense_dme_solve(problem, grid)
-    return oracle.dense_dle_exact(problem, grid)
-
-
-def _oracle_deviation(method, ref, grid, solution):
-    if method == "galerkin":
-        traj = solution.trajectory()
-    else:
-        traj = np.stack([solution.snapshot(k) for k in range(grid.nnodes)])
-    return float(max(np.linalg.norm(traj[k] - ref[k]) for k in range(grid.nnodes)))
+    solver = getattr(entry.module, entry.solver)
+    return partial(solver, problem, grid, kwargs.pop("m_max"), kwargs.pop("tol"), **kwargs)
 
 
 def _write_factors(solution, out_dir):
@@ -185,7 +188,7 @@ def cmd_run(args):
             raise ConfigError(f"[output] factors = {cfg['output']['factors']}: "
                               "not a boolean") from None
         # the dense reference first: above the dense cap it fails before the solve
-        ref = None if check_method is None else _oracle_reference(method, problem, grid)
+        ref = None if check_method is None else SOLVERS[method].reference(problem, grid)
     except (KrymatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -197,12 +200,15 @@ def cmd_run(args):
     try:
         solution, report = solve()
     except KrymatError as exc:
+        # the solver checks its settings before any work: a ConfigError is a
+        # bad config, anything else a failure inside the solve
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER
 
     summary_extra = []
     if ref is not None:
-        deviation = _oracle_deviation(method, ref, grid, solution)
+        deviation = max(np.linalg.norm(solution.snapshot(k) - ref[k])
+                        for k in range(grid.nnodes))
         summary_extra.append(f"oracle_max_deviation = {deviation:.17g}")
 
     try:

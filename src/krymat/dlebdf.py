@@ -1,5 +1,5 @@
-"""Low-rank differential Lyapunov solver: extended global Arnoldi projection
-with BDF time stepping (EgAdl).
+"""Low-rank differential Lyapunov solvers: the Krylov solve that EgAdl and
+the exponential method share, and EgAdl's BDF time stepping.
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
 equation with shifted coefficient h beta T - I/2, solved by Bartels-Stewart
@@ -17,9 +17,10 @@ import numpy as np
 from . import smallmat
 from .blockmat import BlockRow, diamond
 from .egarnoldi import ExtendedGlobalArnoldi
-from .errors import IllPosedError, StepFailureError
+from .errors import ConfigError, IllPosedError, StepFailureError
 from .probio import LinearSolver
-from .solution import KernelTrajectorySym, LowRankSolution, SolveReport, grow_until
+from .solution import (KernelTrajectorySym, LowRankSolution, SolveReport, grow_until,
+                       require_positive)
 
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
@@ -39,7 +40,7 @@ class BDFScheme:
 
 def bdf_coefficients(l):
     if l not in _BDF_TABLE:
-        raise ValueError(f"BDF with {l} steps is unsupported (need 1 <= l <= 3)")
+        raise ConfigError(f"l = {l}: BDF with {l} steps is unsupported (need 1 <= l <= 3)")
     beta, alpha = _BDF_TABLE[l]
     return BDFScheme(l, beta, alpha)
 
@@ -107,6 +108,40 @@ def residual_bound_bdf(t_sub, y):
     return float(np.sqrt(2.0) * np.linalg.norm(t_sub @ y[-nr:, :]))
 
 
+def lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
+                      method, column, settings, start):
+    """The solve both low-rank DLE methods share: the Galerkin projection onto
+    an extended (or polynomial) global Krylov space, grown until the bound is
+    below tol at every node.  The methods differ only in the process and in
+    how the projected equation is integrated.
+
+    Every argument is checked before any work.  ``method`` and ``column``
+    name the report and its last column, ``settings`` holds the method's own
+    settings, and ``start(report)`` builds (process, fit) once B is known to
+    be nonzero.  Returns (LowRankSolution, SolveReport).
+    """
+    if problem.has_initial_value:
+        raise ConfigError(f"{method} assumes X0 = 0")
+    require_positive(m_max=m_max, probe_stride=probe_stride)
+    t_start = time.perf_counter()
+    report = SolveReport(
+        method=method,
+        columns=("m", "t", "residual_bound", column),
+        dims={"n": problem.n, "p": problem.p},
+        settings={"m_max": m_max, "tol": tol, "grid_steps": grid.steps,
+                  "probe_stride": probe_stride, "factor_tol": factor_tol, **settings},
+    )
+    if np.linalg.norm(problem.b) == 0.0:
+        report.converged = True
+        solution = LowRankSolution.zero(grid, problem.n, factor_tol)
+    else:
+        proc, fit = start(report)
+        basis, kernel = grow_until(proc, fit, grid, report, m_max, tol, probe_stride)
+        solution = LowRankSolution.from_kernel(grid, basis, kernel, factor_tol)
+    report.wall_time = time.perf_counter() - t_start
+    return solution, report
+
+
 def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10):
     """Extended global Arnoldi for differential Lyapunov equations with X0 = 0.
 
@@ -117,37 +152,23 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
 
     Returns (LowRankSolution, SolveReport).
     """
-    if problem.has_initial_value:
-        raise ValueError("EgAdl assumes X0 = 0")
-    if m_max < 1:
-        raise ValueError("egadl_solve needs m_max >= 1")
-    t_start = time.perf_counter()
-    b = problem.b
-    report = SolveReport(
-        method="egadl",
-        columns=("m", "t", "residual_bound", "rank"),
-        dims={"n": problem.n, "p": problem.p},
-        settings={"m_max": m_max, "tol": tol, "l": l, "grid_steps": grid.steps,
-                  "probe_stride": probe_stride, "factor_tol": factor_tol},
-    )
-    if np.linalg.norm(b) == 0.0:
-        report.converged = True
-        report.wall_time = time.perf_counter() - t_start
-        return LowRankSolution.zero(grid, problem.n, factor_tol), report
+    bdf_coefficients(l)            # checks l before any work
 
-    proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), b)
+    def start(report):
+        b = problem.b
+        proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), b)
 
-    def fit(m):
-        basis, tm, t_sub = proc.projection(m)
-        bm = diamond(basis, BlockRow(b, basis.width)).ravel()
-        ys = bdf_integrate(tm, bm, None, grid, l).samples
-        bounds = np.array([residual_bound_bdf(t_sub, y) for y in ys])
-        return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), basis, ys
+        def fit(m):
+            basis, tm, t_sub = proc.projection(m)
+            bm = diamond(basis, BlockRow(b, basis.width)).ravel()
+            ys = bdf_integrate(tm, bm, None, grid, l).samples
+            bounds = np.array([residual_bound_bdf(t_sub, y) for y in ys])
+            return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), basis, ys
 
-    basis, ys = grow_until(proc, fit, grid, report, m_max, tol, probe_stride)
-    solution = LowRankSolution.from_kernel(grid, basis, ys, factor_tol)
-    report.wall_time = time.perf_counter() - t_start
-    return solution, report
+        return proc, fit
+
+    return lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
+                             "egadl", "rank", {"l": l}, start)
 
 
 def _sym_rank(y, tol):

@@ -13,7 +13,6 @@ spectral norm of the residual (numerically it is an equality); the Frobenius
 norm can exceed it by sqrt(2).
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,11 @@ import scipy.sparse.linalg as spla
 
 from . import smallmat
 from .blockmat import kron_apply
-from .dlebdf import residual_bound_bdf
+from .dlebdf import lowrank_dle_solve, residual_bound_bdf
 from .egarnoldi import ExtendedGlobalArnoldi
+from .errors import ConfigError
 from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver
-from .solution import LowRankSolution, SolveReport, grow_until
 
 # the subspaces expo_dle_solve can project onto
 VARIANTS = ("global", "extended")
@@ -39,10 +38,6 @@ class GramTrajectory:
     grid: object
     samples: list
     beta: float
-
-    @property
-    def order(self):
-        return self.samples[0].shape[0]
 
 
 def krylov_expm_action(basis, hm, beta, s):
@@ -115,50 +110,33 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
     Returns (LowRankSolution, SolveReport).
     """
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if problem.has_initial_value:
-        raise ValueError("the exponential method assumes X0 = 0")
-    if m_max < 1:
-        raise ValueError("expo_dle_solve needs m_max >= 1")
-    t_start = time.perf_counter()
-    b = problem.b
-    report = SolveReport(
-        method=f"expo-{variant}",
-        columns=("m", "t", "residual_bound", "apriori_bound"),
-        dims={"n": problem.n, "p": problem.p},
-        settings={"m_max": m_max, "tol": tol, "variant": variant,
-                  "grid_steps": grid.steps, "probe_stride": probe_stride,
-                  "factor_tol": factor_tol},
-    )
-    if np.linalg.norm(b) == 0.0:
-        report.converged = True
-        report.wall_time = time.perf_counter() - t_start
-        return LowRankSolution.zero(grid, problem.n, factor_tol), report
+        raise ConfigError(f"variant = {variant}: need one of {', '.join(VARIANTS)}")
 
-    mu2 = lognorm2_operator(problem.a)
-    report.settings["mu2"] = mu2
-    nodes = grid.nodes
-    if variant == "global":
-        proc = GlobalArnoldi(lambda x: problem.a @ x, b)
-    else:
-        proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), b)
-
-    def fit(m):
+    def start(report):
+        mu2 = lognorm2_operator(problem.a)
+        report.settings["mu2"] = mu2
+        nodes = grid.nodes
         if variant == "global":
-            hess = proc.hessenberg(m)
-            basis, hm, beta = proc.basis(m), hess.hm, proc.beta
-            bound_of = lambda g: residual_bound_exp(hess.h_sub, g)
+            proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b)
         else:
-            basis, hm, t_sub = proc.projection(m)
-            beta = proc.r_init[0, 0]
-            bound_of = lambda g: residual_bound_bdf(t_sub, g)
-        grams = gram_trajectory(hm, beta, grid).samples
-        bounds = np.array([bound_of(g) for g in grams])
-        res_max = float(bounds.max())
-        return (bounds, lambda k: (_scaled_apriori(res_max, mu2, nodes[k], grid.t0),),
-                basis, grams)
+            proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
 
-    basis, grams = grow_until(proc, fit, grid, report, m_max, tol, probe_stride)
-    solution = LowRankSolution.from_kernel(grid, basis, grams, factor_tol)
-    report.wall_time = time.perf_counter() - t_start
-    return solution, report
+        def fit(m):
+            if variant == "global":
+                hess = proc.hessenberg(m)
+                basis, hm, beta = proc.basis(m), hess.hm, proc.beta
+                bound_of = lambda g: residual_bound_exp(hess.h_sub, g)
+            else:
+                basis, hm, t_sub = proc.projection(m)
+                beta = proc.r_init[0, 0]
+                bound_of = lambda g: residual_bound_bdf(t_sub, g)
+            grams = gram_trajectory(hm, beta, grid).samples
+            bounds = np.array([bound_of(g) for g in grams])
+            res_max = float(bounds.max())
+            return (bounds, lambda k: (_scaled_apriori(res_max, mu2, nodes[k], grid.t0),),
+                    basis, grams)
+
+        return proc, fit
+
+    return lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
+                             f"expo-{variant}", "apriori_bound", {"variant": variant}, start)

@@ -14,7 +14,8 @@ from . import smallmat
 from .blockmat import BlockRow, diamond
 from .garnoldi import GlobalArnoldi
 from .probio import gsylv_apply
-from .solution import KernelTrajectoryVec, SolveReport, SylvesterSolution, grow_until
+from .solution import (KernelTrajectoryVec, SolveReport, SylvesterSolution, grow_until,
+                       require_positive)
 
 
 def project_rhs(basis, r0):
@@ -62,8 +63,7 @@ def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
     Returns (SylvesterSolution, SolveReport).  Non-convergence at m_max is a
     report status, not an exception.
     """
-    if m_max < 1:
-        raise ValueError("galerkin_solve needs m_max >= 1")
+    require_positive(m_max=m_max, report_stride=report_stride)
     t_start = time.perf_counter()
     x0 = problem.initial_value()
     # constant initial guess: residual R0 = -A(X0) - C is time independent

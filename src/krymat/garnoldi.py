@@ -62,10 +62,6 @@ class GlobalArnoldi:
         """Steps completed."""
         return len(self._hcols)
 
-    @property
-    def nblocks(self):
-        return self._store.m
-
     def step(self):
         """Run one Arnoldi step.  Returns False on (lucky) breakdown."""
         if self.breakdown:

@@ -63,26 +63,6 @@ def phi1(m):
     return expm(aug)[:k, k:]
 
 
-def _quasi_tri_eigvals(ts):
-    """Eigenvalues read off the diagonal 1x1/2x2 blocks of a real Schur form."""
-    k = ts.shape[0]
-    eigs = []
-    i = 0
-    while i < k:
-        if i + 1 < k and ts[i + 1, i] != 0.0:
-            tr = ts[i, i] + ts[i + 1, i + 1]
-            det = ts[i, i] * ts[i + 1, i + 1] - ts[i, i + 1] * ts[i + 1, i]
-            disc = 0.25 * tr * tr - det
-            im = np.sqrt(max(-disc, 0.0))
-            eigs.append(complex(0.5 * tr, im))
-            eigs.append(complex(0.5 * tr, -im))
-            i += 2
-        else:
-            eigs.append(complex(ts[i, i], 0.0))
-            i += 1
-    return np.array(eigs)
-
-
 @dataclass(frozen=True)
 class RealSchur:
     """Real Schur form T = U S U^T, with the eigenvalues of the quasi-triangular S."""
@@ -104,7 +84,7 @@ def real_schur(t):
     t = _square(t, "real_schur")
     check_dense_cap(t.shape[0], "real_schur")
     s, u = sla.schur(t, output="real")
-    return RealSchur(s, u, _quasi_tri_eigvals(s))
+    return RealSchur(s, u, np.linalg.eigvals(s))
 
 
 def lyap_solve(t_mat, q_mat):

@@ -7,7 +7,7 @@ import numpy as np
 from . import smallmat
 from .blockmat import BlockRow, kron_apply
 from .config import check_dense_cap
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,13 @@ class SolveReport:
         return lines
 
 
+def require_positive(**settings):
+    """Raise ConfigError naming the first of the settings below 1."""
+    for key, value in settings.items():
+        if value < 1:
+            raise ConfigError(f"{key} = {value}: need {key} >= 1")
+
+
 def grow_until(proc, fit, grid, report, m_max, tol, stride):
     """The outer loop of the three solvers: grow the basis one step, fit the
     projected equation at that size, report every ``stride``-th node, and stop
@@ -138,10 +145,6 @@ class KernelTrajectorySym:
         if len(self.samples) != self.grid.nnodes:
             raise DimensionError("one kernel sample per grid node required")
 
-    @property
-    def order(self):
-        return self.samples[0].shape[0]
-
 
 @dataclass
 class SylvesterSolution:
@@ -164,9 +167,6 @@ class SylvesterSolution:
             y = self.kernel.samples[k]
             base = kron_apply(self.basis, y[:, None]).data
         return base if self.x0 is None else base + self.x0
-
-    def trajectory(self):
-        return np.stack([self.snapshot(k) for k in range(self.grid.nnodes)])
 
 
 @dataclass

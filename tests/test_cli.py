@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krymat import cli
+from krymat import cli, dlebdf, dleexp, dsylv
 from krymat.cli import main
+from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
+                           NumericError, StepFailureError)
 from krymat.probio import DLEProblem, gen_dle_problem, read_matrix_market, save_problem
+from krymat.solution import TimeGrid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -130,6 +133,42 @@ bundle = {tmp_path / 'bundle'}
         assert len(err) == 1 and err[0].startswith("error:") and "n_0" in err[0]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section,line", [
+        ("solver", "tolerance = 1e-3"),
+        ("run", "outdir = elsewhere"),
+        ("grid", "step = 5"),
+        ("output", "factor = true"),
+    ])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section, line):
+        text = SMALL_EGADL + "\n[output]\n"
+        cfg = write_cfg(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        key = line.split(" = ")[0]
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"[{section}]" in err[0] and key in err[0]
+        assert ("no method reads it" in err[0]) == (section == "solver")
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_section_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("[solver]", "[solvr]"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "[solvr]" in err[0]
+
+    @pytest.mark.parametrize("error", [NumericError, StepFailureError, IllPosedError,
+                                       FactorizationError, CapExceededError])
+    def test_solver_failure_exits_5(self, tmp_path, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("the step at t = 0.1 failed")
+
+        monkeypatch.setattr(dlebdf, "egadl_solve", failing)
+        cfg = write_cfg(tmp_path, SMALL_EGADL)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the step at t = 0.1 failed"]
+        assert not (tmp_path / "o").exists()
+
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")
         cfg = write_cfg(tmp_path, bad)
@@ -249,6 +288,20 @@ class TestSweep:
         assert f"{bad}: exit 2" in out and f"{good}: exit 0" in out
         assert (tmp_path / "sweep" / "good" / "report.csv").exists()
 
+    def test_solver_failure_is_exit_5_per_config(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise StepFailureError("implicit BDF step is ill posed")
+
+        monkeypatch.setattr(dlebdf, "egadl_solve", failing)
+        bad = write_cfg(tmp_path, SMALL_EGADL, "bad.cfg")
+        good = write_cfg(tmp_path, SMALL_EGADL.replace("method = egadl", "method = expo"),
+                         "good.cfg")
+        code = main(["sweep", "--configs", str(bad), str(good),
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 5
+        out = capsys.readouterr().out.splitlines()
+        assert f"{bad}: exit 5" in out and f"{good}: exit 0" in out
+
     def test_unexpected_error_is_reported_per_config(self, tmp_path, capsys,
                                                      monkeypatch):
         run = cli.cmd_run
@@ -268,6 +321,38 @@ class TestSweep:
         assert f"{bad}: exit 1" in captured.out.splitlines()
         assert f"{good}: exit 0" in captured.out.splitlines()
         assert "RuntimeError: boom" in captured.err
+
+
+class TestSolverCallContract:
+    """A run calls the method's solver as a module attribute, looked up when
+    the run starts, with (problem, grid, m_max, tol) positional and every
+    other setting as a keyword, defaults included.  The benchmark times the
+    solve and checks the solution through a wrapper installed there."""
+
+    @pytest.mark.parametrize("method,module,name,keyword", [
+        ("egadl", dlebdf, "egadl_solve", "l"),
+        ("expo", dleexp, "expo_dle_solve", "factor_tol"),
+        ("galerkin", dsylv, "galerkin_solve", "report_stride"),
+    ], ids=["egadl", "expo", "galerkin"])
+    def test_wrapper_on_the_module_is_called(self, tmp_path, monkeypatch,
+                                             method, module, name, keyword):
+        calls = []
+        solver = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        text = SMALL_EGADL.replace("method = egadl", f"method = {method}")
+        if method == "galerkin":
+            text = text.replace("kind = laplacian2d\nn0 = 6", "kind = sylvester-q2\nn = 20")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+        args, kwargs = calls[0]
+        assert len(args) == 4 and keyword in kwargs
+        assert isinstance(args[1], TimeGrid) and args[2:] == (20, 1e-8)
 
 
 class TestShippedConfigs:

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from krymat import dlebdf, dleexp, dsylv
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import expo_dle_solve
 from krymat.dsylv import galerkin_solve
+from krymat.errors import ConfigError
 from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import DLEProblem, GenSylvesterProblem, gen_dle_problem, gen_sylvester_q2
 from krymat.solution import TimeGrid
@@ -76,3 +78,41 @@ def test_galerkin_breakdown_is_exact():
     ref = dense_dme_solve(prob, grid)
     err = max(np.linalg.norm(sol.snapshot(k) - ref[k]) for k in range(grid.nnodes))
     assert err <= 1e-13
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the solver started work on a bad argument")
+
+
+BAD_ARGUMENTS = [
+    ("egadl", {"m_max": 0}, "m_max"),
+    ("egadl", {"probe_stride": 0}, "probe_stride"),
+    ("egadl", {"l": 7}, "l = 7"),
+    ("egadl", {"z0": True}, "X0"),
+    ("expo", {"m_max": 0}, "m_max"),
+    ("expo", {"probe_stride": 0}, "probe_stride"),
+    ("expo", {"variant": "bogus"}, "variant"),
+    ("expo", {"z0": True}, "X0"),
+    ("galerkin", {"m_max": 0}, "m_max"),
+    ("galerkin", {"report_stride": 0}, "report_stride"),
+]
+
+
+@pytest.mark.parametrize("method,bad,key", BAD_ARGUMENTS,
+                         ids=[f"{m}-{next(iter(bad))}" for m, bad, _ in BAD_ARGUMENTS])
+def test_bad_argument_is_refused_before_any_work(monkeypatch, method, bad, key):
+    # an LU factorization, a norm estimate or an operator application is work
+    for module, name in ((dlebdf, "LinearSolver"), (dleexp, "LinearSolver"),
+                         (dleexp, "lognorm2_operator"), (dsylv, "gsylv_apply")):
+        monkeypatch.setattr(module, name, _no_work)
+    kwargs = dict(bad)
+    m_max = kwargs.pop("m_max", 20)
+    if method == "galerkin":
+        prob, solve = gen_sylvester_q2(20, 2, seed=3), galerkin_solve
+    else:
+        prob = gen_dle_problem(n0=5, p=2, seed=1)
+        if kwargs.pop("z0", False):
+            prob = DLEProblem(prob.a, prob.b, z0=np.ones((25, 1)))
+        solve = egadl_solve if method == "egadl" else expo_dle_solve
+    with pytest.raises(ConfigError, match=key):
+        solve(prob, TimeGrid(0.0, 1.0, 10), m_max, 1e-8, **kwargs)
