@@ -118,10 +118,16 @@ def _build_problem(cfg, seed_override=None):
     if not cfg.has_section("problem"):
         raise ConfigError("config needs a [problem] section")
     params = dict(cfg["problem"])
+    if "bundle" in params:
+        # the bundle fixes the problem and its horizon: a key that would
+        # change either is refused rather than dropped
+        dropped = sorted(set(params) - {"bundle"})
+        dropped += [f"[grid] {key}" for key in ("t0", "tf") if cfg.has_option("grid", key)]
+        if dropped:
+            raise ConfigError(f"[problem] bundle takes no {', '.join(dropped)}")
+        return probio.load_problem(params["bundle"])
     t0 = cfg.getfloat("grid", "t0", fallback=0.0)
     tf = cfg.getfloat("grid", "tf", fallback=1.0)
-    if "bundle" in params:
-        return probio.load_problem(params["bundle"])
     kind = params.pop("kind", None)
     seed = params.pop("seed", 0)
     seed = int(seed) if seed_override is None else seed_override

@@ -67,19 +67,15 @@ def residual_bound_exp(h_sub, g):
     return abs(float(h_sub)) * float(np.linalg.norm(g[-1, :]))
 
 
-def _scaled_apriori(lead, mu2, t, t0):
-    dt = t - t0
-    if abs(mu2) < 1e-14:
-        return lead * dt
-    return lead * (np.exp(2.0 * dt * mu2) - 1.0) / (2.0 * mu2)
-
-
 def apriori_error_bound(h_sub, gbar_max, mu2, t, t0):
     """Error bound |h_{m+1,m}| ||Gbar||_inf (e^{2(t-t0) mu2} - 1) / (2 mu2).
 
     For |mu2| below 1e-14 the limit value (t - t0) |h| ||Gbar|| is used.
     """
-    return _scaled_apriori(abs(float(h_sub)) * float(gbar_max), mu2, t, t0)
+    lead, dt = abs(float(h_sub)) * float(gbar_max), t - t0
+    if abs(mu2) < 1e-14:
+        return lead * dt
+    return lead * (np.exp(2.0 * dt * mu2) - 1.0) / (2.0 * mu2)
 
 
 def lognorm2_operator(a):
@@ -133,8 +129,8 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
             grams = gram_trajectory(hm, beta, grid).samples
             bounds = np.array([bound_of(g) for g in grams])
             res_max = float(bounds.max())
-            return (bounds, lambda k: (_scaled_apriori(res_max, mu2, nodes[k], grid.t0),),
-                    basis, grams)
+            apriori = lambda k: (apriori_error_bound(1.0, res_max, mu2, nodes[k], grid.t0),)
+            return bounds, apriori, basis, grams
 
         return proc, fit
 

@@ -28,16 +28,19 @@ def integrate_projected(hm, cm, y0, grid):
     """March dy/dt = H y + c on the grid by exponential Euler steps.
 
     For constant c each step y_{k+1} = e^{hH} y_k + h psi_1(hH) c reproduces
-    the exact solution at the nodes up to roundoff.
+    the exact solution at the nodes up to roundoff.  One exponential of
+    [[hH, h c], [0, 0]] gives both terms: e^{hH} top left, h psi_1(hH) c in
+    the last column (Saad 1992).
     """
     hm = np.atleast_2d(np.asarray(hm, dtype=float))
     cm = np.asarray(cm, dtype=float).ravel()
-    y = np.zeros(hm.shape[0]) if y0 is None else np.asarray(y0, dtype=float).ravel()
-    h = grid.h
-    e_h = smallmat.expm(h * hm)
-    p_h = h * smallmat.phi1(h * hm)
-    forcing = p_h @ cm
-    samples = np.empty((grid.nnodes, hm.shape[0]))
+    m = hm.shape[0]
+    y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).ravel()
+    aug = np.zeros((m + 1, m + 1))
+    aug[:m, :m], aug[:m, m] = grid.h * hm, grid.h * cm
+    e_aug = smallmat.expm(aug)
+    e_h, forcing = e_aug[:m, :m], e_aug[:m, m]
+    samples = np.empty((grid.nnodes, m))
     samples[0] = y
     for k in range(grid.steps):
         y = e_h @ y + forcing
@@ -46,13 +49,12 @@ def integrate_projected(hm, cm, y0, grid):
 
 
 def residual_norm(hess, y):
-    """Frobenius norm of the Galerkin residual at one time.
+    """Frobenius norm of the Galerkin residual at one node, or one per row of y.
 
     When y solves the projected ODE the residual collapses to
     -h_{m+1,m} y^{(m)}(t) V_{m+1}, so its norm is |h_{m+1,m} y^{(m)}(t)|.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    return abs(hess.h_sub) * abs(float(y[-1]))
+    return abs(hess.h_sub) * np.abs(np.asarray(y, dtype=float)[..., -1])
 
 
 def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
@@ -88,10 +90,10 @@ def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
 
     def fit(m):
         hess = proc.hessenberg(m)
-        basis = proc.basis(m)
-        kernel = integrate_projected(hess.hm, project_rhs(basis, r0), None, grid)
-        bounds = abs(hess.h_sub) * np.abs(kernel.samples[:, -1])
-        return bounds, lambda k: (), basis, kernel
+        # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
+        cm = np.r_[-proc.beta, np.zeros(hess.m - 1)]
+        kernel = integrate_projected(hess.hm, cm, None, grid)
+        return residual_norm(hess, kernel.samples), lambda k: (), proc.basis(m), kernel
 
     basis, kernel = grow_until(proc, fit, grid, report, m_max, eps, report_stride)
     report.wall_time = time.perf_counter() - t_start

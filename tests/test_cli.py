@@ -134,6 +134,30 @@ bundle = {tmp_path / 'bundle'}
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("section,line", [
+        ("problem", "n0 = 50"),
+        ("problem", "seed = 4"),
+        ("problem", "kind = laplacian2d"),
+        ("grid", "t0 = 0.5"),
+        ("grid", "tf = 3.0"),
+    ])
+    def test_bundle_with_other_problem_keys_exits_2(self, tmp_path, capsys, section, line):
+        # a bundle carries its own problem and horizon
+        bundle = tmp_path / "bundle"
+        save_problem(gen_dle_problem(n0=4, p=1, seed=3, tf=0.5), bundle)
+        text = SMALL_EGADL.replace("kind = laplacian2d\nn0 = 6\np = 2\nseed = 1\n",
+                                   f"bundle = {bundle}\n")
+        text = text.replace("t0 = 0.0\ntf = 1.0\n", "")
+        assert main(["run", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(tmp_path / "ok")]) == 0
+        cfg = write_cfg(tmp_path, text.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        key = line.split(" = ")[0]
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,line", [
         ("solver", "tolerance = 1e-3"),
         ("run", "outdir = elsewhere"),
         ("grid", "step = 5"),
@@ -357,8 +381,12 @@ class TestSolverCallContract:
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["egadl_laplacian.cfg", "expo_laplacian.cfg",
-                                      "galerkin_sylvester.cfg"])
+                                      "galerkin_sylvester.cfg", "README.md"])
     def test_documented_configs_run(self, tmp_path, name):
-        code = main(["run", "--config", str(CONFIG_DIR / name),
-                     "--out", str(tmp_path / "out")])
+        path = CONFIG_DIR / name
+        if name == "README.md":
+            # the README's annotated example, so that it cannot go stale
+            text = (CONFIG_DIR.parent / name).read_text()
+            path = write_cfg(tmp_path, text.split("```ini\n", 1)[1].split("```", 1)[0])
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0

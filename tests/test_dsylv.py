@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.sparse.linalg import expm_multiply
 
+from krymat import blockmat, dsylv, smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dsylv import (galerkin_solve, integrate_projected, project_rhs,
                           residual_norm)
@@ -13,7 +16,41 @@ from krymat.oracle import dense_dme_solve
 from krymat.probio import GenSylvesterProblem, gen_sylvester_q2, gsylv_apply
 from krymat.solution import TimeGrid
 
-from conftest import stable_dense
+from conftest import stable_dense, stable_sym
+
+
+def _two_exponential_march(hm, cm, y0, grid):
+    """The march from e^{hH} and the top-right block of exp([[hH, I], [0, 0]])."""
+    h, k = grid.h, hm.shape[0]
+    aug = np.zeros((2 * k, 2 * k))
+    aug[:k, :k] = h * hm
+    aug[:k, k:] = np.eye(k)
+    e_h = sla.expm(h * hm)
+    forcing = h * sla.expm(aug)[:k, k:] @ cm
+    samples = [y0]
+    for _ in range(grid.steps):
+        samples.append(e_h @ samples[-1] + forcing)
+    return np.array(samples)
+
+
+def _projected_case(name, rng):
+    """(H, c, y0) of one projected equation."""
+    if name == "zero":
+        return np.zeros((3, 3)), rng.standard_normal(3), np.zeros(3)
+    if name == "scalar":
+        return np.array([[-1.5]]), np.array([0.7]), np.array([0.2])
+    if name == "stable":
+        return stable_dense(5, rng), rng.standard_normal(5), rng.standard_normal(5)
+    if name == "breakdown":
+        # b on the first three coordinates of a diagonal operator: the
+        # process breaks down after three steps
+        b = np.zeros((12, 1))
+        b[:3, 0] = [1.0, -0.5, 0.25]
+        _, hess = global_arnoldi(lambda x: -np.arange(1.0, 13.0)[:, None] * x, b, 6)
+        assert hess.breakdown and hess.m == 3
+        return hess.hm, np.r_[-np.linalg.norm(b), 0.0, 0.0], np.zeros(3)
+    # stiff: eigenvalues down to -2000, so h ||H||_1 >= 100 at h = 0.1
+    return stable_sym(5, rng, lo=1.0, hi=2000.0), rng.standard_normal(5), np.zeros(5)
 
 
 class TestProjectRhs:
@@ -66,6 +103,16 @@ class TestIntegrateProjected:
         sol = solve_ivp(lambda t, y: hm @ y + cm, (0.0, 1.0), np.zeros(5),
                         t_eval=grid.nodes, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(traj.samples.T, sol.y, atol=1e-10)
+
+    @pytest.mark.parametrize("name", ["zero", "scalar", "stable", "breakdown", "stiff"])
+    def test_matches_two_exponential_path(self, rng, name):
+        hm, cm, y0 = _projected_case(name, rng)
+        grid = TimeGrid(0.0, 1.0, 10)
+        if name == "stiff":
+            assert grid.h * np.linalg.norm(hm, 1) >= 100.0
+        new = integrate_projected(hm, cm, y0, grid).samples
+        old = _two_exponential_march(hm, cm, y0, grid)
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
 
 class TestResidualNorm:
@@ -150,6 +197,51 @@ class TestGalerkinSolve:
             x = sol.snapshot(k)
             y = sol.kernel.samples[k]
             assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(y), abs=1e-12)
+
+    def test_one_exponential_per_basis_size(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Galerkin fit needs no phi1, projection or diamond")
+
+        for module, name in ((smallmat, "phi1"), (dsylv, "project_rhs"),
+                             (blockmat, "diamond"), (dsylv, "diamond")):
+            monkeypatch.setattr(module, name, refuse)
+        orders = []
+        expm = smallmat.expm
+
+        def recording(m):
+            orders.append(m.shape[0])
+            return expm(m)
+
+        monkeypatch.setattr(smallmat, "expm", recording)
+        prob = gen_sylvester_q2(40, 2, seed=3)
+        _, rep = galerkin_solve(prob, TimeGrid(0.0, 1.0, 20), 60, 1e-8)
+        assert rep.converged
+        assert orders == [m + 1 for m in range(1, rep.m_final + 1)]
+
+    def test_nonzero_x0_nonsymmetric_matches_expm_multiply(self):
+        # R0 = -A(X0) - C, so the seed and c_m = -beta e_1 both carry X0
+        base = gen_sylvester_q2(n=30, p=2, seed=4)
+        a1 = base.a_list[0]
+        assert abs(a1 - a1.T).max() > 0.0
+        x0 = np.random.default_rng(9).standard_normal((30, 2))
+        prob = GenSylvesterProblem(base.a_list, base.b_list, base.c, x0=x0)
+        grid = TimeGrid(0.0, 1.0, 10)
+        # d/dt [vec X; 1] = [[M, vec C], [0, 0]] [vec X; 1], M = sum B_i^T kron A_i
+        npv = 30 * 2
+        aug = np.zeros((npv + 1, npv + 1))
+        for a_i, b_i in zip(prob.a_list, prob.b_list):
+            aug[:npv, :npv] += sp.kron(b_i.T, a_i).toarray()
+        aug[:npv, npv] = prob.c.flatten(order="F")
+        start = np.r_[x0.flatten(order="F"), 1.0]
+        ref = expm_multiply(aug, start, start=grid.t0, stop=grid.tf,
+                            num=grid.nnodes, endpoint=True)[:, :npv]
+        ref = ref.reshape((grid.nnodes, 30, 2), order="F")
+        sol, rep = galerkin_solve(prob, grid, m_max=60, eps=1e-12)
+        assert rep.converged
+        err = max(np.linalg.norm(sol.snapshot(k) - ref[k]) for k in range(grid.nnodes))
+        assert err <= 1e-10
+        dense = dense_dme_solve(prob, grid)
+        assert max(np.linalg.norm(dense[k] - ref[k]) for k in range(grid.nnodes)) <= 1e-12
 
     def test_report_rows_schema(self):
         prob = gen_sylvester_q2(10, 2, seed=3)
