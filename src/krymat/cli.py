@@ -119,10 +119,11 @@ def _build_problem(cfg, seed_override=None):
         raise ConfigError("config needs a [problem] section")
     params = dict(cfg["problem"])
     if "bundle" in params:
-        # the bundle fixes the problem and its horizon: a key that would
-        # change either is refused rather than dropped
+        # the bundle fixes the problem and its horizon: a key or a --seed that
+        # would change either is refused rather than dropped
         dropped = sorted(set(params) - {"bundle"})
         dropped += [f"[grid] {key}" for key in ("t0", "tf") if cfg.has_option("grid", key)]
+        dropped += ["--seed"] if seed_override is not None else []
         if dropped:
             raise ConfigError(f"[problem] bundle takes no {', '.join(dropped)}")
         return probio.load_problem(params["bundle"])
@@ -160,19 +161,6 @@ def _configure(method, cfg, problem, grid):
             raise ConfigError(f"[solver] {key} = {raw}: not {kind.__name__}") from None
     solver = getattr(entry.module, entry.solver)
     return partial(solver, problem, grid, kwargs.pop("m_max"), kwargs.pop("tol"), **kwargs)
-
-
-def _write_factors(solution, out_dir):
-    fac_dir = Path(out_dir) / "factors"
-    fac_dir.mkdir(parents=True, exist_ok=True)
-    for k in range(solution.grid.nnodes):
-        if hasattr(solution, "factor"):
-            z, signs = solution.factor(k)
-            probio.write_matrix_market(fac_dir / f"node_{k:04d}_Z.mtx", z)
-            probio.write_matrix_market(fac_dir / f"node_{k:04d}_signs.mtx", signs)
-        else:
-            probio.write_matrix_market(fac_dir / f"node_{k:04d}_X.mtx",
-                                       solution.snapshot(k))
 
 
 def cmd_run(args):
@@ -224,7 +212,7 @@ def cmd_run(args):
         with open(out_dir / "summary.txt", "w") as fh:
             fh.write("\n".join(lines) + "\n")
         if write_factors:
-            _write_factors(solution, out_dir)
+            solution.save(out_dir / "factors")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

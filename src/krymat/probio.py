@@ -169,6 +169,10 @@ def gsylv_apply(problem, x):
 # ---------------------------------------------------------------------------
 # Matrix Market I/O (coordinate and array, real entries only)
 
+_LINES_PER_WRITE = 1 << 15
+_COORDINATE_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
 def _mm_tokens(header_line):
     toks = header_line.strip().split()
     if len(toks) != 5 or toks[0] != "%%MatrixMarket":
@@ -176,126 +180,181 @@ def _mm_tokens(header_line):
     return [t.lower() for t in toks[1:]]
 
 
+def _is_data(line):
+    """Neither blank nor a comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("%")
+
+
+def _parse_fast(fh, fmt, count, nrows, ncols):
+    """The entries read by numpy from ``fh`` to its end, or None where numpy
+    refuses a line (a comment among them) or the entries do not match the
+    size line.
+
+    numpy's int and float parsers accept a subset of what Python's do, so
+    what this returns is what ``_parse_lines`` would return.
+    """
+    if count < 1:                 # numpy warns on a body without data
+        return None
+    coordinate = fmt == "coordinate"
+    try:
+        parsed = np.loadtxt(fh, dtype=_COORDINATE_ENTRY if coordinate else np.float64,
+                            comments=None, ndmin=1 if coordinate else 2)
+    except ValueError:
+        return None
+    if not coordinate:
+        return parsed[:, 0] if parsed.shape == (count, 1) else None
+    i, j = parsed["i"], parsed["j"]
+    if (len(parsed) != count or i.min() < 1 or i.max() > nrows
+            or j.min() < 1 or j.max() > ncols):
+        return None
+    return i, j, parsed["v"]
+
+
+def _parse_lines(path, size_lineno, fmt, count, nrows, ncols):
+    """The entries read line by line with Python's int and float, raising the
+    ParseError of the first bad line."""
+    with open(path, "r") as fh:
+        entries = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
+                   if no > size_lineno and _is_data(ln)]
+    if len(entries) != count:
+        what = "entries" if fmt == "coordinate" else "values"
+        raise ParseError(f"expected {count} {what}, found {len(entries)}", size_lineno)
+    if fmt == "array":
+        vals = []
+        for lineno, ln in entries:
+            toks = ln.split()
+            if len(toks) != 1:
+                raise ParseError(f"bad array value {ln!r}", lineno)
+            try:
+                vals.append(float(toks[0]))
+            except ValueError:
+                raise ParseError(f"bad array value {ln!r}", lineno) from None
+        return np.array(vals, dtype=np.float64)
+    rows, cols, vals = [], [], []
+    for lineno, ln in entries:
+        toks = ln.split()
+        if len(toks) != 3:
+            raise ParseError(f"bad coordinate entry {ln!r}", lineno)
+        try:
+            i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
+        except ValueError:
+            raise ParseError(f"bad coordinate entry {ln!r}", lineno) from None
+        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            raise ParseError(f"index ({i}, {j}) out of bounds", lineno)
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=np.float64))
+
+
+def _coordinate_matrix(i, j, v, shape, symmetric):
+    rows, cols = i - 1, j - 1
+    if symmetric:
+        # each off-diagonal entry followed by its mirror, the order in which
+        # coo sums duplicates
+        keep = np.column_stack([np.ones(len(v), dtype=bool), rows != cols]).ravel()
+        rows, cols = (np.column_stack([rows, cols]).ravel()[keep],
+                      np.column_stack([cols, rows]).ravel()[keep])
+        v = np.repeat(v, 2)[keep]
+    mat = sp.coo_matrix((v, (rows, cols)), shape=shape).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def _array_matrix(vals, nrows, ncols, symmetric):
+    if not symmetric:
+        return vals.reshape((nrows, ncols), order="F")
+    # the lower triangle, column by column: (j, i) with i >= j
+    j, i = np.triu_indices(nrows)
+    dense = np.zeros((nrows, ncols))
+    dense[i, j] = vals
+    dense[j, i] = vals
+    return dense
+
+
 def read_matrix_market(path):
     """Read a real Matrix Market file into a CSR matrix (coordinate) or ndarray (array).
 
     Symmetric storage is expanded to full.  Complex, pattern and hermitian
     files are rejected; malformed content raises ParseError with the line
-    number.
+    number.  numpy reads the entries; only a body it refuses is read again
+    line by line, which accepts it or names the bad line.
     """
-    path = Path(path)
     with open(path, "r") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise ParseError("empty file", 1)
-    obj, fmt, field_kind, symmetry = _mm_tokens(lines[0])
-    if obj != "matrix":
-        raise ParseError(f"unsupported object {obj!r}", 1)
-    if fmt not in ("coordinate", "array"):
-        raise ParseError(f"unsupported format {fmt!r}", 1)
-    if field_kind not in ("real", "integer"):
-        raise ParseError(f"unsupported field {field_kind!r} (real only)", 1)
-    if symmetry not in ("general", "symmetric"):
-        raise ParseError(f"unsupported symmetry {symmetry!r}", 1)
+        header = fh.readline()
+        if not header:
+            raise ParseError("empty file", 1)
+        obj, fmt, field_kind, symmetry = _mm_tokens(header)
+        if obj != "matrix":
+            raise ParseError(f"unsupported object {obj!r}", 1)
+        if fmt not in ("coordinate", "array"):
+            raise ParseError(f"unsupported format {fmt!r}", 1)
+        if field_kind not in ("real", "integer"):
+            raise ParseError(f"unsupported field {field_kind!r} (real only)", 1)
+        if symmetry not in ("general", "symmetric"):
+            raise ParseError(f"unsupported symmetry {symmetry!r}", 1)
 
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.lstrip().startswith("%")]
-    if not body:
-        raise ParseError("missing size line", len(lines))
-    size_lineno, size_line = body[0]
-    entries = body[1:]
-    sizes = size_line.split()
-
-    if fmt == "coordinate":
-        if len(sizes) != 3:
+        size_lineno, size_line = 1, ""
+        while not _is_data(size_line):
+            size_line = fh.readline()
+            if not size_line:
+                raise ParseError("missing size line", size_lineno)
+            size_lineno += 1
+        size_line = size_line.strip()
+        sizes = size_line.split()
+        if fmt == "coordinate" and len(sizes) != 3:
             raise ParseError("coordinate size line needs 'rows cols nnz'", size_lineno)
+        if fmt == "array" and len(sizes) != 2:
+            raise ParseError("array size line needs 'rows cols'", size_lineno)
         try:
-            nrows, ncols, nnz = (int(s) for s in sizes)
+            nrows, ncols, *nnz = (int(s) for s in sizes)
         except ValueError:
             raise ParseError(f"bad size line {size_line!r}", size_lineno) from None
-        if len(entries) != nnz:
-            raise ParseError(f"expected {nnz} entries, found {len(entries)}",
-                             size_lineno)
-        rows, cols, vals = [], [], []
-        for lineno, ln in entries:
-            toks = ln.split()
-            if len(toks) != 3:
-                raise ParseError(f"bad coordinate entry {ln!r}", lineno)
-            try:
-                i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
-            except ValueError:
-                raise ParseError(f"bad coordinate entry {ln!r}", lineno) from None
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise ParseError(f"index ({i}, {j}) out of bounds", lineno)
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            if symmetry == "symmetric" and i != j:
-                rows.append(j - 1)
-                cols.append(i - 1)
-                vals.append(v)
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return mat
-
-    if len(sizes) != 2:
-        raise ParseError("array size line needs 'rows cols'", size_lineno)
-    try:
-        nrows, ncols = (int(s) for s in sizes)
-    except ValueError:
-        raise ParseError(f"bad size line {size_line!r}", size_lineno) from None
-    if symmetry == "symmetric":
-        expected = nrows * (nrows + 1) // 2
-    else:
-        expected = nrows * ncols
-    if len(entries) != expected:
-        raise ParseError(f"expected {expected} values, found {len(entries)}", size_lineno)
-    vals = []
-    for lineno, ln in entries:
-        toks = ln.split()
-        if len(toks) != 1:
-            raise ParseError(f"bad array value {ln!r}", lineno)
-        try:
-            vals.append(float(toks[0]))
-        except ValueError:
-            raise ParseError(f"bad array value {ln!r}", lineno) from None
-    dense = np.zeros((nrows, ncols))
-    if symmetry == "symmetric":
-        k = 0
-        for j in range(ncols):
-            for i in range(j, nrows):
-                dense[i, j] = vals[k]
-                dense[j, i] = vals[k]
-                k += 1
-    else:
-        dense = np.asarray(vals).reshape((nrows, ncols), order="F")
-    return dense
+        symmetric = symmetry == "symmetric"
+        if symmetric and nrows != ncols:
+            raise ParseError("symmetric storage needs a square matrix", size_lineno)
+        if fmt == "coordinate":
+            count = nnz[0]
+        else:
+            count = nrows * (nrows + 1) // 2 if symmetric else nrows * ncols
+        parsed = _parse_fast(fh, fmt, count, nrows, ncols)
+    if parsed is None:
+        parsed = _parse_lines(path, size_lineno, fmt, count, nrows, ncols)
+    if fmt == "coordinate":
+        return _coordinate_matrix(*parsed, (nrows, ncols), symmetric)
+    return _array_matrix(parsed, nrows, ncols, symmetric)
 
 
 def write_matrix_market(path, mat, comment=None):
-    """Write a sparse matrix (coordinate) or ndarray (array), 17 significant digits."""
-    path = Path(path)
+    """Write a sparse matrix (coordinate) or ndarray (array), 17 significant
+    digits, formatting a bounded chunk of entries per write."""
+    if sp.issparse(mat):
+        coo = mat.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        layout, size = "coordinate", f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"
+        columns = (coo.row[order] + 1, coo.col[order] + 1, coo.data[order])
+        line = "%d %d %.17g\n"
+    else:
+        arr = np.asarray(mat, dtype=float)
+        if arr.ndim == 1:
+            arr = arr[:, None]
+        layout, size = "array", f"{arr.shape[0]} {arr.shape[1]}"
+        columns = (arr.ravel(order="F"),)
+        line = "%.17g\n"
+    width, total = len(columns), len(columns[0])
     with open(path, "w") as fh:
-        if sp.issparse(mat):
-            coo = mat.tocoo()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            order = np.lexsort((coo.col, coo.row))
-            for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            arr = np.asarray(mat, dtype=float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-            for v in arr.flatten(order="F"):
-                fh.write(f"{v:.17g}\n")
+        fh.write(f"%%MatrixMarket matrix {layout} real general\n")
+        if comment:
+            fh.write(f"% {comment}\n")
+        fh.write(f"{size}\n")
+        for start in range(0, total, _LINES_PER_WRITE):
+            stop = min(start + _LINES_PER_WRITE, total)
+            fields = [None] * (width * (stop - start))
+            for c, col in enumerate(columns):
+                fields[c::width] = col[start:stop].tolist()
+            fh.write(line * (stop - start) % tuple(fields))
 
 
 # ---------------------------------------------------------------------------

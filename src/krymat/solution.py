@@ -1,13 +1,15 @@
 """Time grids, solver reports, and solution containers shared by the solvers."""
 
+import configparser
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from . import smallmat
+from . import probio, smallmat
 from .blockmat import BlockRow, kron_apply
 from .config import check_dense_cap
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, ParseError
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,17 @@ class SylvesterSolution:
             base = kron_apply(self.basis, y[:, None]).data
         return base if self.x0 is None else base + self.x0
 
+    def save(self, out_dir):
+        """Write the dense X_m(t_k) of every node as node_kkkk_X.mtx: here the
+        basis has more columns than a snapshot."""
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for k in range(self.grid.nnodes):
+            probio.write_matrix_market(out_dir / f"node_{k:04d}_X.mtx", self.snapshot(k))
+
+
+SOLUTION_MANIFEST = "solution.cfg"
+
 
 @dataclass
 class LowRankSolution:
@@ -179,7 +192,7 @@ class LowRankSolution:
 
     grid: TimeGrid
     basis: object                  # BlockBasis at sub-block width (p or seed width)
-    kernel: KernelTrajectorySym
+    kernel: KernelTrajectorySym    # None for a solution loaded from its factors
     factors: list = None           # of smallmat.LowRankFactor, one per node
 
     @classmethod
@@ -194,11 +207,54 @@ class LowRankSolution:
         return cls.from_kernel(grid, BlockRow(np.zeros((n, 1)), 1),
                                [np.zeros((1, 1))] * grid.nnodes, factor_tol)
 
-    def factor(self, k):
-        """Thin factor (Z, signs) with X_m(t_k) ~ Z diag(signs) Z^T + signature."""
+    def save(self, out_dir):
+        """Write the solution in factored form: the basis once (basis.mtx,
+        n x m*width), each node's small factor Z_k (node_kkkk_z.mtx, m x r) and
+        its signs (node_kkkk_signs.mtx), and a manifest (solution.cfg) with the
+        block width and the grid.  ``load`` reads the directory back."""
+        factors = self._factors()
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probio.write_matrix_market(out_dir / "basis.mtx", self.basis.data)
+        for k, f in enumerate(factors):
+            probio.write_matrix_market(out_dir / f"node_{k:04d}_z.mtx", f.z)
+            probio.write_matrix_market(out_dir / f"node_{k:04d}_signs.mtx", f.signs)
+        manifest = configparser.ConfigParser()
+        manifest["solution"] = {"width": str(self.basis.width),
+                                "t0": f"{self.grid.t0:.17g}", "tf": f"{self.grid.tf:.17g}",
+                                "steps": str(self.grid.steps)}
+        with open(out_dir / SOLUTION_MANIFEST, "w") as fh:
+            manifest.write(fh)
+
+    @classmethod
+    def load(cls, fac_dir):
+        """The solution ``save`` wrote to ``fac_dir``, with its factors and no
+        kernel: ``factor(k)`` gives the saved solution's factor bit for bit."""
+        fac_dir = Path(fac_dir)
+        manifest = configparser.ConfigParser()
+        if not manifest.read(fac_dir / SOLUTION_MANIFEST):
+            raise ParseError(f"no {SOLUTION_MANIFEST} in {fac_dir}")
+        try:
+            sec = manifest["solution"]
+            width = int(sec["width"])
+            grid = TimeGrid(float(sec["t0"]), float(sec["tf"]), int(sec["steps"]))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"bad {SOLUTION_MANIFEST} in {fac_dir}: {exc}") from None
+        basis = BlockRow(probio.read_matrix_market(fac_dir / "basis.mtx"), width)
+        factors = [smallmat.LowRankFactor(
+            probio.read_matrix_market(fac_dir / f"node_{k:04d}_z.mtx"),
+            probio.read_matrix_market(fac_dir / f"node_{k:04d}_signs.mtx").ravel())
+            for k in range(grid.nnodes)]
+        return cls(grid, basis, None, factors)
+
+    def _factors(self):
         if self.factors is None:
             raise ValueError("solution was built without output factors")
-        f = self.factors[k]
+        return self.factors
+
+    def factor(self, k):
+        """Thin factor (Z, signs) with X_m(t_k) ~ Z diag(signs) Z^T + signature."""
+        f = self._factors()[k]
         if f.rank == 0:
             return np.zeros((self.basis.n, 0)), f.signs
         z_big = kron_apply(self.basis, f.z).data
@@ -207,6 +263,8 @@ class LowRankSolution:
 
     def snapshot(self, k):
         """Dense X_m(t_k); guarded by the dense cap."""
+        if self.kernel is None:
+            raise ValueError("solution was loaded from factors and has no kernel")
         check_dense_cap(self.basis.n, "LowRankSolution.snapshot")
         y = self.kernel.samples[k]
         vy = kron_apply(self.basis, y).data

@@ -10,8 +10,9 @@ from krymat import cli, dlebdf, dleexp, dsylv
 from krymat.cli import main
 from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
                            NumericError, StepFailureError)
+from krymat.oracle import dense_dle_exact
 from krymat.probio import DLEProblem, gen_dle_problem, read_matrix_market, save_problem
-from krymat.solution import TimeGrid
+from krymat.solution import LowRankSolution, TimeGrid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -41,6 +42,36 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+BUNDLE_EGADL = """\
+[run]
+method = egadl
+
+[problem]
+bundle = {bundle}
+
+[grid]
+steps = 8
+
+[solver]
+m_max = 15
+tol = 1e-8
+l = 2
+"""
+
+
+def _record_solution(monkeypatch, module, name):
+    """The solutions the run's solver returns, in a list that fills as it runs."""
+    solver, solved = getattr(module, name), []
+
+    def recording(*args, **kwargs):
+        solution, report = solver(*args, **kwargs)
+        solved.append(solution)
+        return solution, report
+
+    monkeypatch.setattr(module, name, recording)
+    return solved
 
 
 class TestRun:
@@ -220,33 +251,64 @@ bundle = {tmp_path / 'bundle'}
         assert len(err) == 1 and err[0].startswith("error:") and "dense cap" in err[0]
         assert not (tmp_path / "o").exists()
 
-    def test_factor_output(self, tmp_path):
-        cfg = write_cfg(tmp_path, SMALL_EGADL + "\n[output]\nfactors = true\n")
+    def test_factor_output(self, tmp_path, monkeypatch):
+        # the saved factors reload to the solver's own, bit for bit, and
+        # assemble to the dense exact solution within each method's oracle
+        # tolerance (egadl's is BDF2's temporal error)
+        exact = dense_dle_exact(gen_dle_problem(n0=6, p=2, seed=1), TimeGrid(0.0, 1.0, 10))
+        for method, module, name, tol in (("egadl", dlebdf, "egadl_solve", 1e-2),
+                                          ("expo", dleexp, "expo_dle_solve", 1e-6)):
+            solved = _record_solution(monkeypatch, module, name)
+            text = SMALL_EGADL.replace("method = egadl", f"method = {method}")
+            cfg = write_cfg(tmp_path, text + "\n[output]\nfactors = true\n")
+            out = tmp_path / method
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            solution = solved[0]
+            loaded = LowRankSolution.load(out / "factors")
+            assert loaded.grid == solution.grid
+            for k in range(solution.grid.nnodes):
+                (z, signs), (z_mem, signs_mem) = loaded.factor(k), solution.factor(k)
+                assert z.tobytes() == z_mem.tobytes() and z.shape == (36, signs.size)
+                assert signs.tobytes() == signs_mem.tobytes()
+                assert np.linalg.norm((z * signs) @ z.T - exact[k]) <= tol
+
+    def test_factor_output_reproducible_bytes(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("method = egadl", "method = expo")
+                        + "\n[output]\nfactors = true\n")
+        files = []
+        for out in (tmp_path / "one", tmp_path / "two"):
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in (out / "factors").iterdir()})
+        assert files[0] == files[1]
+        assert len(files[0]) == 2 + 2 * 11        # basis, manifest, z and signs per node
+
+    def test_galerkin_factor_output_is_the_snapshots(self, tmp_path, monkeypatch):
+        solved = _record_solution(monkeypatch, dsylv, "galerkin_solve")
+        text = SMALL_EGADL.replace("method = egadl", "method = galerkin").replace(
+            "kind = laplacian2d\nn0 = 6", "kind = sylvester-q2\nn = 20")
+        cfg = write_cfg(tmp_path, text + "\n[output]\nfactors = true\n")
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-        z = read_matrix_market(out / "factors" / "node_0005_Z.mtx")
-        signs = read_matrix_market(out / "factors" / "node_0005_signs.mtx")
-        assert z.shape[0] == 36
-        assert z.shape[1] == signs.shape[0]
+        for k in range(11):
+            x = read_matrix_market(out / "factors" / f"node_{k:04d}_X.mtx")
+            assert x.tobytes() == solved[0].snapshot(k).tobytes()
+
+    def test_seed_on_bundle_exits_2(self, tmp_path, capsys):
+        # a bundle's B is fixed, so a --seed could only be dropped
+        save_problem(gen_dle_problem(n0=4, p=1, seed=3), tmp_path / "bundle")
+        cfg = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg), "--seed", "4",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--seed" in err[0]
+        assert not (tmp_path / "o").exists()
 
     def test_run_from_bundle(self, tmp_path):
         assert main(["generate", "laplacian2d", "--out", str(tmp_path / "bundle"),
                      "--seed", "3", "--param", "n0=5", "--param", "p=1"]) == 0
-        cfg = write_cfg(tmp_path, f"""\
-[run]
-method = egadl
-
-[problem]
-bundle = {tmp_path / 'bundle'}
-
-[grid]
-steps = 8
-
-[solver]
-m_max = 15
-tol = 1e-8
-l = 2
-""")
+        cfg = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
@@ -311,6 +373,21 @@ class TestSweep:
         out = capsys.readouterr().out.splitlines()
         assert f"{bad}: exit 2" in out and f"{good}: exit 0" in out
         assert (tmp_path / "sweep" / "good" / "report.csv").exists()
+
+    def test_seed_fails_only_the_bundle_configs(self, tmp_path, capsys):
+        save_problem(gen_dle_problem(n0=4, p=1, seed=3), tmp_path / "bundle")
+        bundle = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"),
+                           "bundle.cfg")
+        generated = write_cfg(tmp_path, SMALL_EGADL, "generated.cfg")
+        code = main(["sweep", "--configs", str(bundle), str(generated), "--seed", "4",
+                     "--out", str(tmp_path / "sweep")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"{bundle}: exit 2" in captured.out.splitlines()
+        assert f"{generated}: exit 0" in captured.out.splitlines()
+        assert "--seed" in captured.err
+        assert not (tmp_path / "sweep" / "bundle").exists()
+        assert (tmp_path / "sweep" / "generated" / "report.csv").exists()
 
     def test_solver_failure_is_exit_5_per_config(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):

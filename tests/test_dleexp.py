@@ -10,11 +10,12 @@ from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
                            krylov_expm_action, lognorm2_operator, residual_bound_exp)
+from krymat.errors import ParseError
 from krymat.garnoldi import global_arnoldi
 from krymat.oracle import dense_dle_exact
 from krymat.probio import DLEProblem, gen_dle_problem
 from krymat.smallmat import vanloan_gram
-from krymat.solution import TimeGrid
+from krymat.solution import LowRankSolution, TimeGrid
 
 from conftest import perturbed_equation_check, stable_dense, stable_sym
 
@@ -143,7 +144,7 @@ class TestAprioriBound:
 
 
 class TestExpoSolve:
-    def test_zero_b(self):
+    def test_zero_b(self, tmp_path):
         import warnings
         from krymat.probio import gen_laplacian2d
         with warnings.catch_warnings():
@@ -155,6 +156,17 @@ class TestExpoSolve:
             assert rep.converged
             np.testing.assert_array_equal(sol.snapshot(2), np.zeros((9, 9)))
             assert sol.factor(2)[0].shape == (9, 0)
+            # rank-0 factors survive the factored files
+            sol.save(tmp_path / solve.__name__)
+            loaded = LowRankSolution.load(tmp_path / solve.__name__)
+            z, signs = loaded.factor(2)
+            assert z.shape == (9, 0) and signs.shape == (0,)
+            with pytest.raises(ValueError, match="no kernel"):
+                loaded.snapshot(2)
+
+    def test_load_needs_the_manifest(self, tmp_path):
+        with pytest.raises(ParseError, match="solution.cfg"):
+            LowRankSolution.load(tmp_path)
 
     def test_global_variant_matches_oracle(self):
         prob = gen_dle_problem(n0=10, p=2, seed=1)
