@@ -4,8 +4,7 @@ A block row stacks m matrices of common shape n x s side by side into one
 n x (m*s) array.  Stored column-major, each block is one contiguous n*s chunk
 and vec(V_j) is column j of the (n*s, m) view ``flat()``.  The kernels are
 dense products on that view: diamond is flat(Z)^T flat(W), V (S kron I_s) is
-flat(V) S, and ``cgs2``, the one Gram-Schmidt kernel, runs classical
-Gram-Schmidt twice on its columns.
+flat(V) S, and ``cgs2`` runs classical Gram-Schmidt twice on its columns.
 """
 
 from dataclasses import dataclass, field, replace
@@ -128,9 +127,9 @@ class BlockStore:
         return BlockBasis(self._buf[:, : k * self.width], self.width, checked=True)
 
 
-def cgs2(q, w, passes=2):
+def cgs2(q, w):
     """Orthogonalize the columns of ``w`` against the orthonormal columns of
-    ``q`` in place, by classical Gram-Schmidt: c = q^T w, w -= q c.
+    ``q`` in place, by classical Gram-Schmidt twice: c = q^T w, w -= q c.
 
     Two passes keep w orthogonal to q at working precision ("twice is
     enough", Giraud, Langou and Rozloznik 2005).  Returns the summed
@@ -138,11 +137,9 @@ def cgs2(q, w, passes=2):
     """
     c = q.T @ w
     w -= q @ c
-    for _ in range(passes - 1):
-        d = q.T @ w
-        w -= q @ d
-        c += d
-    return c
+    d = q.T @ w
+    w -= q @ d
+    return c + d
 
 
 def diamond(zb, wb):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallmat
-from .blockmat import BlockRow, diamond
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, IllPosedError, StepFailureError
 from .probio import LinearSolver
@@ -155,12 +154,13 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
     bdf_coefficients(l)            # checks l before any work
 
     def start(report):
-        b = problem.b
-        proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), b)
+        proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
 
         def fit(m):
             basis, tm, t_sub = proc.projection(m)
-            bm = diamond(basis, BlockRow(b, basis.width)).ravel()
+            # B = V_1 r_11, and V is F-orthonormal
+            bm = np.zeros(basis.m)
+            bm[0] = proc.r_init[0, 0]
             ys = bdf_integrate(tm, bm, None, grid, l).samples
             bounds = np.array([residual_bound_bdf(t_sub, y) for y in ys])
             return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), basis, ys

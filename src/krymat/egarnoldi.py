@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockRow, BlockStore, cgs2, diamond, global_qr
+from .blockmat import BlockRow, BlockStore, diamond, global_qr
 from .errors import DimensionError
 
 # Truncation threshold for remainder blocks, relative to the pre-
@@ -59,8 +59,10 @@ class ExtendedGlobalArnoldi:
         self.solver = solver
         self.width = seed.shape[1]
         self.tol = tol
-        q0, r0, deficient = global_qr(
-            BlockRow(np.hstack([seed, solver.solve(seed)]), self.width), tol)
+        # the rank test is per block, as in step: B itself is then never
+        # deficient, so B = V_1 r_11 always holds
+        pair = BlockRow(np.hstack([seed, solver.solve(seed)]), self.width)
+        q0, r0, deficient = global_qr(pair, tol, scale=np.linalg.norm(pair.flat(), axis=0))
         self.r_init = r0
         self._ccols = []          # per step: (2j+4) x 2 coefficient columns
         self._proj_cols = []      # per step: projections of A v_{2j+1}
@@ -81,47 +83,59 @@ class ExtendedGlobalArnoldi:
         return self._store.m
 
     def step(self):
-        """One extended Arnoldi step; False on breakdown."""
+        """One extended Arnoldi step; False on breakdown.
+
+        Block CGS2 (Barlow and Smoktunowicz 2013) on U = [A v_a, A^{-1} v_inv,
+        A v_inv] against the flat basis Q: pass 1 takes C1 = Q^T U in one
+        product, which also gives the direct projection of A v_inv, removes
+        Q C1 from the two new directions W and factors the remainder as
+        Q1 R1; pass 2 removes Q C2, C2 = Q^T Q1, and factors again as Q2 R2.
+        Then W = Q (C1 + C2 R1) + Q2 (R2 R1), from four reads of Q.
+        """
         if self.breakdown:
             return False
         j = self.m
         p = self.width
         basis = self._store.view(2 * j + 2)
+        q = basis.flat()
         v_a, v_inv = basis.block(2 * j), basis.block(2 * j + 1)
-        u = np.empty((basis.n, 2 * p), order="F")
+        u = np.empty((basis.n, 3 * p), order="F")
         u[:, :p] = self.a @ v_a
-        u[:, p:] = self.solver.solve(v_inv)
-        halves = u.reshape(-1, 2, order="F")
+        u[:, p : 2 * p] = self.solver.solve(v_inv)
+        u[:, 2 * p :] = self.a @ v_inv
+        ub = BlockRow(u, p)
+        cols = ub.flat()
+        halves = cols[:, :2]
         # the two halves can differ in scale by orders of magnitude (||A v||
         # vs ||A^{-1} v||), so the rank test is per half
         half_norm0 = np.linalg.norm(halves, axis=0)
-        coeffs = np.zeros((2 * j + 4, 2))
-        coeffs[: 2 * j + 2] = cgs2(basis.flat(), halves)
+        c1 = diamond(basis, ub)
+        halves -= q @ c1[:, :2]
         # rank test against the pre-orthogonalization scale of each half: a
         # remainder tiny relative to its own direction signals an invariant
         # subspace; keeping it would admit a noise direction that spoils both
         # the basis and the Krylov structure
-        qn, rn, deficient = global_qr(BlockRow(u, p), self.tol,
-                                      scale=half_norm0)
-        coeffs[2 * j + 2 :, :] = rn
+        q1, r1, deficient = global_qr(ub.narrow(2), self.tol, scale=half_norm0)
+        c2 = diamond(basis, q1)
+        w = q1.flat()
+        w -= q @ c2
+        # a unit direction that the second pass cancels was noise after the first
+        q2, r2, collapsed = global_qr(q1, self.tol, scale=1.0)
+        deficient = set(deficient) | set(collapsed)
+        coeffs = np.vstack([c1[:, :2] + c2 @ r1, r2 @ r1])
         self._ccols.append(coeffs)
         # keep any independent new direction, so that on breakdown the
-        # retained prefix spans the full invariant subspace; the inner QR can
-        # cancel heavily, so one more sweep against the outer basis keeps the
-        # new directions orthonormal to roundoff
+        # retained prefix spans the full invariant subspace
         for i in range(2):
             if i not in deficient:
-                w = qn.flat()[:, i]
-                cgs2(self._store.view().flat(), w, passes=1)
-                self._store.append(w / np.linalg.norm(w))
+                self._store.append(q2.block(i))
         if deficient:
             self.breakdown = True
             return False
         # direct projection column for A v_{2j+1}; the inverse-direction
         # coefficients would recover it only through divisions by the (often
         # tiny) subdiagonal entries, which is numerically fragile
-        w = (self.a @ v_inv).ravel(order="F")
-        self._proj_cols.append(self._store.view().flat().T @ w)
+        self._proj_cols.append(np.concatenate([c1[:, 2], q2.flat().T @ cols[:, 2]]))
         return True
 
     def advance_to(self, m):

@@ -173,13 +173,27 @@ class SylvesterSolution:
     def save(self, out_dir):
         """Write the dense X_m(t_k) of every node as node_kkkk_X.mtx: here the
         basis has more columns than a snapshot."""
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _clear_solution_files(out_dir)
         for k in range(self.grid.nnodes):
             probio.write_matrix_market(out_dir / f"node_{k:04d}_X.mtx", self.snapshot(k))
 
 
 SOLUTION_MANIFEST = "solution.cfg"
+
+# the files a solution's save writes, and the only ones it removes first
+_SOLUTION_FILES = ("node_*_z.mtx", "node_*_signs.mtx", "node_*_X.mtx", "basis.mtx",
+                   SOLUTION_MANIFEST)
+
+
+def _clear_solution_files(out_dir):
+    """Make ``out_dir`` and remove what an earlier save left there, so that a
+    shorter run leaves no node of a longer one; other files stay."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for pattern in _SOLUTION_FILES:
+        for path in out_dir.glob(pattern):
+            path.unlink()
+    return out_dir
 
 
 @dataclass
@@ -213,8 +227,7 @@ class LowRankSolution:
         its signs (node_kkkk_signs.mtx), and a manifest (solution.cfg) with the
         block width and the grid.  ``load`` reads the directory back."""
         factors = self._factors()
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _clear_solution_files(out_dir)
         probio.write_matrix_market(out_dir / "basis.mtx", self.basis.data)
         for k, f in enumerate(factors):
             probio.write_matrix_market(out_dir / f"node_{k:04d}_z.mtx", f.z)

@@ -282,6 +282,25 @@ bundle = {tmp_path / 'bundle'}
         assert files[0] == files[1]
         assert len(files[0]) == 2 + 2 * 11        # basis, manifest, z and signs per node
 
+    def test_factor_output_replaces_a_longer_run(self, tmp_path):
+        # a 4-step run into the directory of a 10-step run leaves no node of
+        # the first run; a file of another name stays
+        text = (CONFIG_DIR / "expo_laplacian.cfg").read_text() + "\n[output]\nfactors = true\n"
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        cfg = write_cfg(tmp_path, text.replace("steps = 20", "steps = 10"))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(list((out / "factors").glob("node_*"))) == 2 * 11
+        (out / "factors" / "notes.txt").write_text("kept")
+        cfg = write_cfg(tmp_path, text.replace("steps = 20", "steps = 4"))
+        for d in (out, fresh):
+            assert main(["run", "--config", str(cfg), "--out", str(d)]) == 0
+        files = {p.name: p.read_bytes() for p in (out / "factors").iterdir()}
+        assert files.pop("notes.txt") == b"kept"
+        assert len(files) == 12
+        assert files == {p.name: p.read_bytes() for p in (fresh / "factors").iterdir()}
+        loaded = LowRankSolution.load(out / "factors")
+        assert loaded.grid.steps == 4 and len(loaded.factors) == 5
+
     def test_galerkin_factor_output_is_the_snapshots(self, tmp_path, monkeypatch):
         solved = _record_solution(monkeypatch, dsylv, "galerkin_solve")
         text = SMALL_EGADL.replace("method = egadl", "method = galerkin").replace(

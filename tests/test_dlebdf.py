@@ -12,10 +12,10 @@ from krymat.egarnoldi import ext_global_arnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
-                           gen_laplacian2d, random_full_rank)
+                           gen_laplacian2d, gen_random_dle_problem, random_full_rank)
 from krymat.solution import TimeGrid
 
-from conftest import bdf_derivatives, stable_dense, stable_sparse
+from conftest import bdf_derivatives, dense_dle_bdf, stable_dense, stable_sparse
 
 
 def scalar_exact(t):
@@ -195,6 +195,19 @@ class TestEgadlSolve:
         for k in range(stride, grid.nnodes, stride):
             xm = kron_apply(sub, traj.samples[k]).data @ sub.data.T
             assert np.linalg.norm(xm - ref[k]) / scale <= 1e-6
+
+    @pytest.mark.parametrize("n, p, density, seed", [(150, 2, 0.05, 1), (120, 1, 0.1, 3)])
+    def test_matches_same_grid_bdf_off_the_laplacian(self, n, p, density, seed):
+        # nonsymmetric A: the LU, the extended process and B's projection
+        # r_11 e_1 are checked against the full-dimension BDF2 solution on the
+        # same grid, at AC-4's bound
+        prob = gen_random_dle_problem(n=n, p=p, density=density, seed=seed)
+        grid = TimeGrid(0.0, 1.0, 20)
+        sol, rep = egadl_solve(prob, grid, 40, 1e-8, l=2)
+        assert rep.converged and not rep.breakdown
+        ref = dense_dle_bdf(prob, grid, 2)
+        for k in range(grid.nnodes):
+            assert np.linalg.norm(sol.snapshot(k) - ref[k]) < 1e-6
 
     def test_bound_dominates_dense_residual(self, rng):
         prob = gen_dle_problem(n0=6, p=1, seed=4)

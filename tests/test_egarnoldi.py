@@ -47,6 +47,16 @@ class TestSeed:
         rhs = kron_apply(proc.sub_basis(2), r).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_seed_rank_test_is_per_block(self):
+        # ||A^{-1} B|| is below 1e-9 ||B||: against the norm of the pair, the
+        # independent remainder of A^{-1} B would pass for a rank drop
+        a = sp.diags(1e9 * np.arange(1.0, 21.0)).tocsr()
+        b = np.ones((20, 1))
+        proc = _setup(a, b)
+        assert not proc.breakdown and proc.advance_to(3) == 3
+        bm = diamond(proc.sub_basis(6), BlockRow(b, 1)).ravel()
+        np.testing.assert_allclose(bm, np.eye(6)[0] * proc.r_init[0, 0], atol=1e-14)
+
 
 class TestSubspaceContent:
     def test_p1_diag_matches_explicit_generators(self):
@@ -90,26 +100,46 @@ class TestHessenberg:
             np.testing.assert_allclose(zero_rows, 0.0, atol=1e-14)
 
 
+def assert_arnoldi_relations(a, sub, hess):
+    """Both block Arnoldi relations of the extended process, at 1e-11 ||A||_1."""
+    anorm1 = np.max(np.abs(a).sum(axis=0))
+    m = hess.m
+    vm = sub.narrow(2 * m)
+    av = a @ vm.data
+    # A V_m = V_{m+1} (Ttilde kron I_p)
+    rel1 = av - kron_apply(sub, hess.ttilde).data
+    assert np.linalg.norm(rel1) <= 1e-11 * anorm1
+    # A V_m = V_m (T kron I_p) + V_{m+1} T_sub (E_m^T kron I_p)
+    tail_cols = np.zeros((2 * m + 2, 2 * m))
+    tail_cols[2 * m:, 2 * m - 2:] = hess.t_sub
+    tail = kron_apply(sub, tail_cols).data
+    rel2 = av - kron_apply(vm, hess.tm).data - tail
+    assert np.linalg.norm(rel2) <= 1e-11 * anorm1
+
+
 class TestRelations:
     def test_orthonormality_and_relations(self, rng):
         a = gen_laplacian2d(6)
-        anorm1 = np.max(np.abs(a).sum(axis=0))
         b = random_full_rank(36, 2, seed=9)
         basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 4)
-        m = hess.m
         sub = basis.with_width(2)
-        assert sub.orth_defect() <= 1e-12 * m
-        vm = sub.narrow(2 * m)
-        av = a @ vm.data
-        # A V_m = V_{m+1} (Ttilde kron I_p)
-        rel1 = av - kron_apply(sub, hess.ttilde).data
-        assert np.linalg.norm(rel1) <= 1e-11 * anorm1
-        # A V_m = V_m (T kron I_p) + V_{m+1} T_sub (E_m^T kron I_p)
-        tail_cols = np.zeros((2 * m + 2, 2 * m))
-        tail_cols[2 * m:, 2 * m - 2:] = hess.t_sub
-        tail = kron_apply(sub, tail_cols).data
-        rel2 = av - kron_apply(vm, hess.tm).data - tail
-        assert np.linalg.norm(rel2) <= 1e-11 * anorm1
+        assert sub.orth_defect() <= 1e-12 * hess.m
+        assert_arnoldi_relations(a, sub, hess)
+
+    def test_second_pass_keeps_cancelling_steps_orthonormal(self, rng):
+        # B lies within 1e-4 of the invariant subspace of a cluster of eight
+        # close eigenvalues, so the first Gram-Schmidt pass cancels most of
+        # every new direction; with one pass the defect is 3.5e-11 here
+        n = 200
+        a = sp.diags(-np.concatenate([1.0 + 1e-2 * np.arange(8),
+                                      np.linspace(2.0, 50.0, n - 8)])).tocsr()
+        b = 1e-4 * rng.standard_normal((n, 2))
+        b[:8] = rng.standard_normal((8, 2))
+        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 6)
+        assert hess.m == 6 and not hess.breakdown
+        sub = basis.with_width(2)
+        assert sub.orth_defect() <= 1e-13 * sub.m
+        assert_arnoldi_relations(a, sub, hess)
 
     def test_projected_b_is_r11_e1(self, rng):
         a = stable_sparse(40, rng)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from krymat import probio
 from krymat.cli import main
@@ -77,6 +78,20 @@ class TestLinearSolver:
         w = rng.standard_normal((50, 3))
         x = solver.solve(w)
         assert np.linalg.norm(spd @ x - w) <= 1e-10 * np.linalg.norm(w)
+
+    def test_nonsymmetric_residual(self, rng):
+        a = gen_random_stable(300, density=0.02, seed=4)
+        assert abs(a - a.T).max() > 1.0
+        w = rng.standard_normal((300, 2))
+        x = LinearSolver(a).solve(w)
+        assert np.linalg.norm(a @ x - w) <= 1e-12 * np.linalg.norm(w)
+
+    def test_fill_no_larger_than_colamd(self):
+        # the minimum-degree ordering of A^T + A against SuperLU's default
+        a = gen_laplacian2d(60)
+        lu = LinearSolver(a)._lu
+        colamd = spla.splu(a.tocsc(), permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz <= colamd.L.nnz + colamd.U.nnz
 
     def test_singular_rejected(self):
         singular = sp.csr_matrix((3, 3))
