@@ -3,11 +3,10 @@
 from .blockmat import BlockBasis, BlockRow, diamond, frob_inner, global_qr, kron_apply
 from .dlebdf import (BDFScheme, bdf_coefficients, bdf_integrate, bdf_step,
                      egadl_solve, residual_bound_bdf)
-from .dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
-                     krylov_expm_action, residual_bound_exp)
+from .dleexp import apriori_error_bound, expo_dle_solve, gram_trajectory, residual_bound_exp
 from .dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
-from .egarnoldi import ExtendedGlobalArnoldi, ExtHessenbergData, ext_global_arnoldi
-from .garnoldi import GlobalArnoldi, HessenbergData, global_arnoldi
+from .egarnoldi import ExtendedGlobalArnoldi
+from .garnoldi import GlobalArnoldi
 from .oracle import dense_dle_exact, dense_dme_solve
 from .probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_laplacian2d,
                      gsylv_apply, load_problem, read_matrix_market, save_problem,

@@ -98,13 +98,13 @@ def bdf_integrate(tm, bm, y0, grid, l):
     return KernelTrajectorySym(grid, samples)
 
 
-def residual_bound_bdf(t_sub, y):
+def residual_bound_bdf(coupling, y):
     """Residual bound sqrt(2) ||T_{m+1,m} E_m^T Y||_F from the coupling block
-    and the last two rows of the kernel."""
-    t_sub = np.atleast_2d(np.asarray(t_sub, dtype=float))
+    T_{m+1,m} and the kernel's rows it multiplies (the last two)."""
+    coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
     y = np.asarray(y, dtype=float)
-    nr = t_sub.shape[1]
-    return float(np.sqrt(2.0) * np.linalg.norm(t_sub @ y[-nr:, :]))
+    nr = coupling.shape[1]
+    return float(np.sqrt(2.0) * np.linalg.norm(coupling @ y[-nr:, :]))
 
 
 def lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
@@ -157,12 +157,11 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
         proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
 
         def fit(m):
-            basis, tm, t_sub = proc.projection(m)
-            # B = V_1 r_11, and V is F-orthonormal
-            bm = np.zeros(basis.m)
-            bm[0] = proc.r_init[0, 0]
+            basis, tm, coupling = proc.projection(m)
+            # B = V_1 beta, and V is F-orthonormal
+            bm = np.r_[proc.beta, np.zeros(basis.m - 1)]
             ys = bdf_integrate(tm, bm, None, grid, l).samples
-            bounds = np.array([residual_bound_bdf(t_sub, y) for y in ys])
+            bounds = np.array([residual_bound_bdf(coupling, y) for y in ys])
             return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), basis, ys
 
         return proc, fit

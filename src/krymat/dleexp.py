@@ -8,19 +8,18 @@ evaluated exactly with the Van Loan block exponential, so the only error is
 the subspace truncation.  Computable residual and a-priori error bounds come
 from the subdiagonal coupling of the Hessenberg reduction.
 
-The residual bound |h_{m+1,m}| ||last row of G_m(t)||_2 holds for the
-spectral norm of the residual (numerically it is an equality); the Frobenius
-norm can exceed it by sqrt(2).
+The polynomial space's bound |h_{m+1,m}| ||last row of G_m(t)||_2 is the
+residual's spectral norm for p = 1, where the Frobenius norm is sqrt(2) times
+it; at p = 2, 3 (30 random stable A, n = 30) the spectral norm measured
+0.41-0.89 and the Frobenius norm 0.72-1.21 times it.  The extended space
+uses EgAdl's Frobenius bound.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .blockmat import kron_apply
 from .dlebdf import lowrank_dle_solve, residual_bound_bdf
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError
@@ -31,25 +30,8 @@ from .probio import LinearSolver
 VARIANTS = ("global", "extended")
 
 
-@dataclass
-class GramTrajectory:
-    """Samples of the projected Gramian G_m(t_k), with the seed norm beta."""
-
-    grid: object
-    samples: list
-    beta: float
-
-
-def krylov_expm_action(basis, hm, beta, s):
-    """Approximate e^{sA} B as beta * V_m (e^{s H_m} e_1 kron I_p)."""
-    hm = np.atleast_2d(np.asarray(hm, dtype=float))
-    m = hm.shape[0]
-    col = smallmat.expm(s * hm)[:, 0]
-    return beta * kron_apply(basis.narrow(m), col[:, None]).data
-
-
 def gram_trajectory(hm, beta, grid):
-    """G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds.
+    """The list of G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds.
 
     Evaluated through the Van Loan block exponential, which is quadrature free
     and satisfies dG/dt = H G + G H^T + beta^2 e_1 e_1^T by construction.
@@ -58,21 +40,22 @@ def gram_trajectory(hm, beta, grid):
     q = np.zeros(hm.shape[0])
     q[0] = beta
     grams, _ = smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)
-    return GramTrajectory(grid, grams, beta)
+    return grams
 
 
-def residual_bound_exp(h_sub, g):
-    """|h_{m+1,m}| times the Euclidean norm of the last row of G."""
+def residual_bound_exp(coupling, g):
+    """|h_{m+1,m}| times the Euclidean norm of the last row of G, from the
+    polynomial process's coupling block [[h_{m+1,m}]]."""
     g = np.asarray(g, dtype=float)
-    return abs(float(h_sub)) * float(np.linalg.norm(g[-1, :]))
+    return abs(float(coupling[0, 0])) * float(np.linalg.norm(g[-1, :]))
 
 
-def apriori_error_bound(h_sub, gbar_max, mu2, t, t0):
+def apriori_error_bound(h, gbar_max, mu2, t, t0):
     """Error bound |h_{m+1,m}| ||Gbar||_inf (e^{2(t-t0) mu2} - 1) / (2 mu2).
 
     For |mu2| below 1e-14 the limit value (t - t0) |h| ||Gbar|| is used.
     """
-    lead, dt = abs(float(h_sub)) * float(gbar_max), t - t0
+    lead, dt = abs(float(h)) * float(gbar_max), t - t0
     if abs(mu2) < 1e-14:
         return lead * dt
     return lead * (np.exp(2.0 * dt * mu2) - 1.0) / (2.0 * mu2)
@@ -114,20 +97,15 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
         nodes = grid.nodes
         if variant == "global":
             proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b)
+            bound_of = residual_bound_exp
         else:
             proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
+            bound_of = residual_bound_bdf
 
         def fit(m):
-            if variant == "global":
-                hess = proc.hessenberg(m)
-                basis, hm, beta = proc.basis(m), hess.hm, proc.beta
-                bound_of = lambda g: residual_bound_exp(hess.h_sub, g)
-            else:
-                basis, hm, t_sub = proc.projection(m)
-                beta = proc.r_init[0, 0]
-                bound_of = lambda g: residual_bound_bdf(t_sub, g)
-            grams = gram_trajectory(hm, beta, grid).samples
-            bounds = np.array([bound_of(g) for g in grams])
+            basis, hm, coupling = proc.projection(m)
+            grams = gram_trajectory(hm, proc.beta, grid)
+            bounds = np.array([bound_of(coupling, g) for g in grams])
             res_max = float(bounds.max())
             apriori = lambda k: (apriori_error_bound(1.0, res_max, mu2, nodes[k], grid.t0),)
             return bounds, apriori, basis, grams

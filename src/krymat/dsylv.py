@@ -48,13 +48,14 @@ def integrate_projected(hm, cm, y0, grid):
     return KernelTrajectoryVec(grid, samples)
 
 
-def residual_norm(hess, y):
+def residual_norm(coupling, y):
     """Frobenius norm of the Galerkin residual at one node, or one per row of y.
 
     When y solves the projected ODE the residual collapses to
-    -h_{m+1,m} y^{(m)}(t) V_{m+1}, so its norm is |h_{m+1,m} y^{(m)}(t)|.
+    -h_{m+1,m} y^{(m)}(t) V_{m+1}, so its norm is |h_{m+1,m} y^{(m)}(t)|;
+    ``coupling`` is the process's [[h_{m+1,m}]].
     """
-    return abs(hess.h_sub) * np.abs(np.asarray(y, dtype=float)[..., -1])
+    return abs(float(coupling[0, 0])) * np.abs(np.asarray(y, dtype=float)[..., -1])
 
 
 def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
@@ -89,11 +90,11 @@ def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
     proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0)
 
     def fit(m):
-        hess = proc.hessenberg(m)
+        basis, hm, coupling = proc.projection(m)
         # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
-        cm = np.r_[-proc.beta, np.zeros(hess.m - 1)]
-        kernel = integrate_projected(hess.hm, cm, None, grid)
-        return residual_norm(hess, kernel.samples), lambda k: (), proc.basis(m), kernel
+        cm = np.r_[-proc.beta, np.zeros(m - 1)]
+        kernel = integrate_projected(hm, cm, None, grid)
+        return residual_norm(coupling, kernel.samples), lambda k: (), basis, kernel
 
     basis, kernel = grow_until(proc, fit, grid, report, m_max, eps, report_stride)
     report.wall_time = time.perf_counter() - t_start

@@ -10,8 +10,6 @@ direct projections for the A^{-1}-direction columns, never from divisions by
 subdiagonal entries.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blockmat import BlockRow, BlockStore, diamond, global_qr
@@ -26,27 +24,13 @@ from .errors import DimensionError
 DEFAULT_BREAKDOWN_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class ExtHessenbergData:
-    """Rectangular block Hessenberg reduction 2(m+1) x 2m of the extended process."""
-
-    m: int
-    ttilde: np.ndarray
-    t_sub: np.ndarray        # 2 x 2 coupling block T_{m+1,m}
-    r_init: np.ndarray       # 2 x 2 upper triangular from the seed QR
-    breakdown: bool
-
-    @property
-    def tm(self):
-        """Square part, ttilde with the last two rows deleted."""
-        return self.ttilde[: 2 * self.m, :]
-
-
 class ExtendedGlobalArnoldi:
     """Incremental extended global Arnoldi for a sparse A with prefactored solver.
 
     ``solver`` must provide ``solve(w)`` computing A^{-1} w (probio.LinearSolver).
-    The sub-block width is the seed's column count.
+    The sub-block width is the seed's column count.  The seed QR
+    [B, A^{-1} B] = V_1 (r_init kron I_p) gives ``beta`` = r_init[0, 0], the
+    seed's coefficient on V_1.
     """
 
     def __init__(self, a, solver, seed, tol=DEFAULT_BREAKDOWN_TOL):
@@ -64,7 +48,8 @@ class ExtendedGlobalArnoldi:
         pair = BlockRow(np.hstack([seed, solver.solve(seed)]), self.width)
         q0, r0, deficient = global_qr(pair, tol, scale=np.linalg.norm(pair.flat(), axis=0))
         self.r_init = r0
-        self._ccols = []          # per step: (2j+4) x 2 coefficient columns
+        self.beta = float(r0[0, 0])
+        self._ccols = []          # per step: coefficients of A v_{2j}, length 2j+4
         self._proj_cols = []      # per step: projections of A v_{2j+1}
         # a dependent seed block and A^{-1} image leave nothing to iterate on
         self.breakdown = bool(deficient)
@@ -122,8 +107,8 @@ class ExtendedGlobalArnoldi:
         # a unit direction that the second pass cancels was noise after the first
         q2, r2, collapsed = global_qr(q1, self.tol, scale=1.0)
         deficient = set(deficient) | set(collapsed)
-        coeffs = np.vstack([c1[:, :2] + c2 @ r1, r2 @ r1])
-        self._ccols.append(coeffs)
+        # only the A-direction column enters T; the A^{-1} one is projected directly
+        self._ccols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
         # keep any independent new direction, so that on breakdown the
         # retained prefix spans the full invariant subspace
         for i in range(2):
@@ -147,13 +132,8 @@ class ExtendedGlobalArnoldi:
         """BlockBasis of the first ``nsub`` width-p sub-blocks (all by default), a view."""
         return self._store.view(nsub)
 
-    def basis(self, m=None):
-        """BlockBasis of the first m width-2p blocks of the extended process."""
-        m = self.nsub // 2 if m is None else m
-        return self.sub_basis(2 * m).with_width(2 * self.width)
-
-    def hessenberg(self, m=None):
-        """Block Hessenberg data for the first m steps.
+    def hessenberg(self, m):
+        """(T_m, T_{m+1,m}) for the first m steps, from the recurrence.
 
         Columns belonging to the A-direction sub-blocks are the recorded
         orthogonalization coefficients; columns for the A^{-1}-direction
@@ -161,18 +141,15 @@ class ExtendedGlobalArnoldi:
         (recovering them from the coefficients alone divides by subdiagonal
         entries that vanish near an invariant subspace).
         """
-        m = self.m if m is None else m
         if not 1 <= m <= self.m:
             raise DimensionError(f"only {self.m} steps completed, asked for {m}")
         t = np.zeros((2 * m + 2, 2 * m))
         for j in range(1, m + 1):
-            c1 = self._ccols[j - 1][:, 0]
+            c1 = self._ccols[j - 1]
             t[: len(c1), 2 * j - 2] = c1
             proj = self._proj_cols[j - 1]
             t[: min(len(proj), 2 * m + 2), 2 * j - 1] = proj[: 2 * m + 2]
-        t_sub = t[2 * m :, 2 * m - 2 :].copy()
-        broke = self.breakdown and m == self.m
-        return ExtHessenbergData(m, t, t_sub, self.r_init.copy(), broke)
+        return t[: 2 * m], t[2 * m :, 2 * m - 2 :].copy()
 
     def projection(self, m):
         """(sub-block basis, T_m, T_{m+1,m}) after m steps.
@@ -185,23 +162,4 @@ class ExtendedGlobalArnoldi:
             basis = self.sub_basis()
             tm = diamond(basis, BlockRow(self.a @ basis.data, basis.width))
             return basis, tm, np.zeros((2, basis.m))
-        hess = self.hessenberg(m)
-        return self.sub_basis(2 * m), hess.tm, hess.t_sub
-
-
-def ext_global_arnoldi(a, solver, b, m, tol=DEFAULT_BREAKDOWN_TOL):
-    """Run m steps of the extended global Arnoldi algorithm on the pair (A, B).
-
-    Returns ``(basis, hess)``: a width-2p BlockBasis holding every completed
-    extended block (m+1 of them when no breakdown occurred) and the block
-    Hessenberg data.  On immediate seed breakdown ([B, A^{-1}B] rank
-    deficient) the Hessenberg data has ``m == 0`` and the basis holds the
-    retained seed prefix at width p.
-    """
-    proc = ExtendedGlobalArnoldi(a, solver, b, tol)
-    done = proc.advance_to(m)
-    if done == 0:
-        hess = ExtHessenbergData(0, np.zeros((2, 0)), np.zeros((2, 2)),
-                                 proc.r_init.copy(), True)
-        return proc.sub_basis(), hess
-    return proc.basis(), proc.hessenberg(done)
+        return (self.sub_basis(2 * m), *self.hessenberg(m))

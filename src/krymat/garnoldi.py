@@ -8,8 +8,6 @@ process object is incremental so solvers can grow the basis one step at a time
 and reuse all previous work.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blockmat import BlockStore, cgs2
@@ -18,28 +16,14 @@ from .errors import DimensionError
 DEFAULT_BREAKDOWN_FACTOR = 1e-14
 
 
-@dataclass(frozen=True)
-class HessenbergData:
-    """(m+1) x m upper Hessenberg reduction with its subdiagonal coupling term."""
-
-    m: int
-    htilde: np.ndarray
-    h_sub: float
-    breakdown: bool
-
-    @property
-    def hm(self):
-        """Square part, htilde with the last row deleted."""
-        return self.htilde[: self.m, :]
-
-
 class GlobalArnoldi:
     """Incremental global Arnoldi for an operator on n x p matrices.
 
     ``op`` maps an n x p array to an n x p array and must be linear.  After
     ``advance_to(m)`` the object holds m+1 basis blocks (or fewer on
     breakdown) and the coefficients h[i][j].  Breakdown is declared at step j
-    when h_{j+1,j} <= tol * ||op(V_j)||_F.
+    when h_{j+1,j} <= tol * ||op(V_j)||_F.  ``beta`` = ||seed||_F is the
+    seed's coefficient on V_1.
     """
 
     def __init__(self, op, seed, tol=DEFAULT_BREAKDOWN_FACTOR):
@@ -95,26 +79,13 @@ class GlobalArnoldi:
         """BlockBasis of the first ``nblocks`` basis blocks (all by default), a view."""
         return self._store.view(nblocks)
 
-    def hessenberg(self, m=None):
-        m = self.m if m is None else m
+    def projection(self, m):
+        """(V_m, H_m, coupling) after m steps: the basis view, the m x m
+        Hessenberg matrix and the 1 x 1 block [[h_{m+1,m}]] (zero after a
+        breakdown) that couples V_{m+1} into the rectangular relation."""
         if not 1 <= m <= self.m:
             raise DimensionError(f"only {self.m} steps completed, asked for {m}")
         htilde = np.zeros((m + 1, m))
-        for j in range(m):
-            col = self._hcols[j]
-            htilde[: len(col), j] = col
-        h_sub = float(htilde[m, m - 1])
-        broke = self.breakdown and m == self.m
-        return HessenbergData(m, htilde, h_sub, broke)
-
-
-def global_arnoldi(op, seed, m, tol=DEFAULT_BREAKDOWN_FACTOR):
-    """Run m steps of the global Arnoldi algorithm.
-
-    Returns ``(basis, hess)`` where ``basis`` holds every generated block
-    (m+1 of them, or fewer if the process broke down at an invariant
-    subspace) and ``hess`` the corresponding Hessenberg data.
-    """
-    proc = GlobalArnoldi(op, seed, tol)
-    done = proc.advance_to(m)
-    return proc.basis(), proc.hessenberg(done)
+        for j, col in enumerate(self._hcols[:m]):
+            htilde[: j + 2, j] = col
+        return self.basis(m), htilde[:m], htilde[m:, m - 1:]

@@ -442,6 +442,20 @@ def gen_sylvester_q2(n=40, p=3, seed=0, t0=0.0, tf=1.0):
 MANIFEST_NAME = "problem.cfg"
 
 
+def read_manifest(path, keys):
+    """``keys(manifest)`` on the INI file at ``path``.  A missing file, text
+    that is not INI, or a key that ``keys`` misses or cannot convert raises
+    ParseError naming the file."""
+    manifest = configparser.ConfigParser()
+    try:
+        if manifest.read(path):
+            return keys(manifest)
+    except (configparser.Error, KeyError, ValueError) as exc:
+        # some parser messages span lines; the CLI reports one
+        raise ParseError(f"bad {path.name} in {path.parent}: {' '.join(str(exc).split())}") from None
+    raise ParseError(f"no {path.name} in {path.parent}")
+
+
 def save_problem(problem, out_dir):
     """Write a problem bundle (Matrix Market members + manifest) to a directory."""
     out_dir = Path(out_dir)
@@ -477,38 +491,31 @@ def save_problem(problem, out_dir):
 def load_problem(bundle_dir):
     """Load a problem bundle written by save_problem."""
     bundle_dir = Path(bundle_dir)
-    manifest_path = bundle_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ParseError(f"no {MANIFEST_NAME} in {bundle_dir}")
-    manifest = configparser.ConfigParser()
-    manifest.read(manifest_path)
-    kind = manifest.get("problem", "kind", fallback=None)
-    t0 = manifest.getfloat("problem", "t0", fallback=0.0)
-    tf = manifest.getfloat("problem", "tf", fallback=1.0)
-    files = dict(manifest["matrices"]) if manifest.has_section("matrices") else {}
 
-    def member(name, required=True):
+    def keys(manifest):
+        kind = manifest.get("problem", "kind", fallback=None)
+        return (kind, manifest.getfloat("problem", "t0", fallback=0.0),
+                manifest.getfloat("problem", "tf", fallback=1.0),
+                manifest.getint("problem", "q") if kind == "gensylv" else 0,
+                dict(manifest["matrices"]) if manifest.has_section("matrices") else {})
+
+    kind, t0, tf, q, files = read_manifest(bundle_dir / MANIFEST_NAME, keys)
+
+    def member(name, required=True, dense=False):
         key = name.lower()
         if key not in files:
             if required:
                 raise ParseError(f"manifest is missing matrix {name!r}")
             return None
-        return read_matrix_market(bundle_dir / files[key])
+        mat = read_matrix_market(bundle_dir / files[key])
+        return mat.toarray() if dense and sp.issparse(mat) else mat
 
     if kind == "dle":
-        a = member("A")
-        b = member("B")
-        z0 = member("Z0", required=False)
-        b = np.asarray(b.todense()) if sp.issparse(b) else b
-        return DLEProblem(sp.csr_matrix(a), b, z0=z0, t0=t0, tf=tf)
+        return DLEProblem(sp.csr_matrix(member("A")), member("B", dense=True),
+                          z0=member("Z0", required=False), t0=t0, tf=tf)
     if kind == "gensylv":
-        q = manifest.getint("problem", "q")
         a_list = [sp.csr_matrix(member(f"A{i}")) for i in range(1, q + 1)]
         b_list = [sp.csr_matrix(member(f"B{i}")) for i in range(1, q + 1)]
-        c = member("C")
-        c = np.asarray(c.todense()) if sp.issparse(c) else c
-        x0 = member("X0", required=False)
-        if x0 is not None and sp.issparse(x0):
-            x0 = np.asarray(x0.todense())
-        return GenSylvesterProblem(tuple(a_list), tuple(b_list), c, x0=x0, t0=t0, tf=tf)
+        return GenSylvesterProblem(tuple(a_list), tuple(b_list), member("C", dense=True),
+                                   x0=member("X0", required=False, dense=True), t0=t0, tf=tf)
     raise ParseError(f"unknown problem kind {kind!r}")

@@ -9,7 +9,7 @@ import numpy as np
 from . import probio, smallmat
 from .blockmat import BlockRow, kron_apply
 from .config import check_dense_cap
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -244,15 +244,13 @@ class LowRankSolution:
         """The solution ``save`` wrote to ``fac_dir``, with its factors and no
         kernel: ``factor(k)`` gives the saved solution's factor bit for bit."""
         fac_dir = Path(fac_dir)
-        manifest = configparser.ConfigParser()
-        if not manifest.read(fac_dir / SOLUTION_MANIFEST):
-            raise ParseError(f"no {SOLUTION_MANIFEST} in {fac_dir}")
-        try:
+
+        def keys(manifest):
             sec = manifest["solution"]
-            width = int(sec["width"])
-            grid = TimeGrid(float(sec["t0"]), float(sec["tf"]), int(sec["steps"]))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"bad {SOLUTION_MANIFEST} in {fac_dir}: {exc}") from None
+            return int(sec["width"]), TimeGrid(float(sec["t0"]), float(sec["tf"]),
+                                               int(sec["steps"]))
+
+        width, grid = probio.read_manifest(fac_dir / SOLUTION_MANIFEST, keys)
         basis = BlockRow(probio.read_matrix_market(fac_dir / "basis.mtx"), width)
         factors = [smallmat.LowRankFactor(
             probio.read_matrix_market(fac_dir / f"node_{k:04d}_z.mtx"),

@@ -106,7 +106,15 @@ def bdf_derivatives(samples, h, l):
     return out
 
 
-def perturbed_equation_check(problem, basis, hm, coupling, gram):
+def rect_hessenberg(tm, coupling):
+    """[T_m; 0 ... coupling]: a process's projection(m) as the rectangular
+    Hessenberg matrix of A V_m = V_{m+1} (Ttilde kron I_p)."""
+    tail = np.zeros((coupling.shape[0], tm.shape[1]))
+    tail[:, tm.shape[1] - coupling.shape[1]:] = coupling
+    return np.vstack([tm, tail])
+
+
+def perturbed_equation_check(problem, basis, hm, coupling, beta, grams):
     """Max Frobenius defect of the perturbed equation over the grid nodes.
 
     The approximation X_m(t) = V (G_m(t) kron I_p) V^T satisfies
@@ -128,9 +136,9 @@ def perturbed_equation_check(problem, basis, hm, coupling, gram):
     a_dense = problem.a.toarray() if sp.issparse(problem.a) else np.asarray(problem.a)
     bbt = problem.b @ problem.b.T
     e11 = np.zeros((k, k))
-    e11[0, 0] = gram.beta ** 2
+    e11[0, 0] = beta ** 2
     worst = 0.0
-    for g in gram.samples:
+    for g in grams:
         gdot = hm @ g + g @ hm.T + e11
         xm = kron_apply(vm, g).data @ vm.data.T
         xdot = kron_apply(vm, gdot).data @ vm.data.T

@@ -5,6 +5,7 @@ success) and enforces its stated tolerance.  Fixtures are seeded, so every
 number here is reproducible.
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -20,8 +21,8 @@ from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solv
 from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
                            lognorm2_operator, residual_bound_exp)
 from krymat.dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
-from krymat.egarnoldi import ext_global_arnoldi
-from krymat.garnoldi import global_arnoldi
+from krymat.egarnoldi import ExtendedGlobalArnoldi
+from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_sylvester_q2, gsylv_apply, random_full_rank)
@@ -29,9 +30,11 @@ from krymat.smallmat import vanloan_gram
 from krymat.solution import TimeGrid
 
 from conftest import (bdf_derivatives, dense_dle_bdf, explicit_kron_apply,
-                      random_block_row, stable_sparse, stable_sym)
+                      random_block_row, rect_hessenberg, stable_sparse, stable_sym)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# the CLI subprocesses import the same krymat as the tests: this checkout's src
+CLI_ENV = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
 
 
 def _verdict(name, ok, detail):
@@ -114,19 +117,21 @@ def test_ac2_arnoldi_relations():
         prob = gen_sylvester_q2(n, p, seed=trial)
         op = lambda x: gsylv_apply(prob, x)
         seed_blk = rng.standard_normal((n, p))
-        basis, hess = global_arnoldi(op, seed_blk, m)
-        mm = hess.m
-        vm = basis.narrow(mm)
+        proc = GlobalArnoldi(op, seed_blk)
+        mm = proc.advance_to(m)
+        basis = proc.basis()
+        vm, hm, coupling = proc.projection(mm)
+        htilde = rect_hessenberg(hm, coupling)
         applied = np.hstack([op(vm.block(j)) for j in range(mm)])
-        tol = 1e-11 * (1 + np.linalg.norm(hess.htilde))
+        tol = 1e-11 * (1 + np.linalg.norm(htilde))
         tail = np.zeros_like(applied)
         if basis.m > mm:
-            err1 = np.linalg.norm(applied - kron_apply(basis, hess.htilde).data)
-            tail[:, (mm - 1) * p:] = hess.h_sub * basis.block(mm)
+            err1 = np.linalg.norm(applied - kron_apply(basis, htilde).data)
+            tail[:, (mm - 1) * p:] = coupling[0, 0] * basis.block(mm)
         else:
             # lucky breakdown at the last step: the htilde last row is zero
-            err1 = np.linalg.norm(applied - kron_apply(vm, hess.hm).data)
-        err2 = np.linalg.norm(applied - kron_apply(vm, hess.hm).data - tail)
+            err1 = np.linalg.norm(applied - kron_apply(vm, hm).data)
+        err2 = np.linalg.norm(applied - kron_apply(vm, hm).data - tail)
         worst_rel = max(worst_rel, err1 / tol, err2 / tol)
         worst_orth = max(worst_orth, basis.orth_defect() / (1e-12 * max(basis.m, 1)))
 
@@ -134,17 +139,21 @@ def test_ac2_arnoldi_relations():
         # the relations are checked for the clean prefix
         a = stable_sparse(n, rng)
         b = rng.standard_normal((n, p))
-        ebasis, ehess = ext_global_arnoldi(a, LinearSolver(a), b, m)
-        if ehess.m == 0:
+        eproc = ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+        me = eproc.advance_to(m)
+        if me == 0:
             continue
-        me = ehess.m
-        sub = ebasis.with_width(p).narrow(2 * me + 2)
-        etol = 1e-11 * (1 + np.linalg.norm(ehess.ttilde))
+        sub = eproc.sub_basis(2 * me + 2)
+        # the recurrence's T_m and T_{m+1,m}: after a breakdown projection(me)
+        # projects directly onto every retained sub-block instead
+        tm, t_sub = eproc.hessenberg(me)
+        ttilde = rect_hessenberg(tm, t_sub)
+        etol = 1e-11 * (1 + np.linalg.norm(ttilde))
         av = a @ sub.narrow(2 * me).data
-        err3 = np.linalg.norm(av - kron_apply(sub, ehess.ttilde).data)
+        err3 = np.linalg.norm(av - kron_apply(sub, ttilde).data)
         tail_cols = np.zeros((2 * me + 2, 2 * me))
-        tail_cols[2 * me:, 2 * me - 2:] = ehess.t_sub
-        err4 = np.linalg.norm(av - kron_apply(sub.narrow(2 * me), ehess.tm).data
+        tail_cols[2 * me:, 2 * me - 2:] = t_sub
+        err4 = np.linalg.norm(av - kron_apply(sub.narrow(2 * me), tm).data
                               - kron_apply(sub, tail_cols).data)
         worst_rel = max(worst_rel, err3 / etol, err4 / etol)
         worst_orth = max(worst_orth, sub.orth_defect() / (1e-12 * sub.m))
@@ -177,17 +186,16 @@ def test_ac3_galerkin_exactness_and_residual_formula():
         # truncated subspace: closed-form residual against the dense residual
         r0 = -prob.c
         m_t = 4
-        basis, hess = global_arnoldi(lambda x: gsylv_apply(prob, x), r0, m_t)
-        mm = hess.m
-        vm = basis.narrow(mm)
+        proc = GlobalArnoldi(lambda x: gsylv_apply(prob, x), r0)
+        vm, hm, coupling = proc.projection(proc.advance_to(m_t))
         cm = project_rhs(vm, r0)
-        traj = integrate_projected(hess.hm, cm, None, grid)
+        traj = integrate_projected(hm, cm, None, grid)
         for k in range(grid.nnodes):
             y = traj.samples[k]
             xm = kron_apply(vm, y[:, None]).data
-            xdot = kron_apply(vm, (hess.hm @ y + cm)[:, None]).data
+            xdot = kron_apply(vm, (hm @ y + cm)[:, None]).data
             dense = np.linalg.norm(xdot - gsylv_apply(prob, xm) - prob.c)
-            worst_resgap = max(worst_resgap, abs(dense - residual_norm(hess, y)))
+            worst_resgap = max(worst_resgap, abs(dense - residual_norm(coupling, y)))
     elapsed = time.perf_counter() - t0
     ok = worst_dev <= 1e-8 and worst_resgap <= 1e-10 and elapsed < 60.0
     assert _verdict("AC-3", ok,
@@ -295,37 +303,35 @@ def test_ac6_residual_bound_validity():
         l = 2
 
         # BDF case
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 3)
-        sub = basis.with_width(p)
-        me = hess.m
-        vm = sub.narrow(2 * me)
-        bm = np.zeros(2 * me)
-        bm[0] = hess.r_init[0, 0]
-        traj = bdf_integrate(hess.tm, bm, None, grid, l)
+        eproc = ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+        vm, tm, t_sub = eproc.projection(eproc.advance_to(3))
+        bm = np.zeros(vm.m)
+        bm[0] = eproc.beta
+        traj = bdf_integrate(tm, bm, None, grid, l)
         derivs = bdf_derivatives(traj.samples, grid.h, l)
         for k in range(1, grid.nnodes):
             y = traj.samples[k]
             xm = kron_apply(vm, y).data @ vm.data.T
             xdot = kron_apply(vm, derivs[k - 1]).data @ vm.data.T
             dense = np.linalg.norm(xdot - a_dense @ xm - xm @ a_dense.T - bbt)
-            bound = residual_bound_bdf(hess.t_sub, y)
+            bound = residual_bound_bdf(t_sub, y)
             worst_bdf = max(worst_bdf, dense - bound * (1 + 1e-8))
 
         # exponential case
-        gbasis, ghess = global_arnoldi(lambda x: a @ x, b, 5)
-        gm = ghess.m
-        gv = gbasis.narrow(gm)
+        gproc = GlobalArnoldi(lambda x: a @ x, b)
+        gv, ghm, gcoupling = gproc.projection(gproc.advance_to(5))
+        gm = gv.m
         beta = np.linalg.norm(b)
-        gram = gram_trajectory(ghess.hm, beta, grid)
+        grams = gram_trajectory(ghm, beta, grid)
         e11 = np.zeros((gm, gm))
         e11[0, 0] = beta ** 2
         for k in range(grid.nnodes):
-            g = gram.samples[k]
-            gdot = ghess.hm @ g + g @ ghess.hm.T + e11
+            g = grams[k]
+            gdot = ghm @ g + g @ ghm.T + e11
             xm = kron_apply(gv, g).data @ gv.data.T
             xdot = kron_apply(gv, gdot).data @ gv.data.T
             dense2 = np.linalg.norm(xdot - a_dense @ xm - xm @ a_dense.T - bbt, 2)
-            worst_exp = max(worst_exp, dense2 - residual_bound_exp(ghess.h_sub, g))
+            worst_exp = max(worst_exp, dense2 - residual_bound_exp(gcoupling, g))
     elapsed = time.perf_counter() - t0
     ok = worst_bdf <= 1e-9 and worst_exp <= 1e-9 and elapsed < 60.0
     assert _verdict("AC-6", ok,
@@ -345,18 +351,17 @@ def test_ac7_apriori_bound():
         b = random_full_rank(n, 1, seed=trial + 50)
         mu2 = lognorm2_operator(a_dense)
         assert mu2 < 0
-        basis, hess = global_arnoldi(lambda x: a_dense @ x, b, 7)
-        m = hess.m
+        proc = GlobalArnoldi(lambda x: a_dense @ x, b)
+        vm, hm, coupling = proc.projection(proc.advance_to(7))
         grid = TimeGrid(0.0, 1.0, 10)
-        gram = gram_trajectory(hess.hm, 1.0, grid)
-        gbar = max(np.linalg.norm(g[-1, :]) for g in gram.samples)
+        grams = gram_trajectory(hm, 1.0, grid)
+        gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
         prob = DLEProblem(sp.csr_matrix(a_dense), b)
         ref = dense_dle_exact(prob, grid)
-        vm = basis.narrow(m)
         for k in range(1, grid.nnodes):
-            xm = kron_apply(vm, gram.samples[k]).data @ vm.data.T
+            xm = kron_apply(vm, grams[k]).data @ vm.data.T
             err = np.linalg.norm(xm - ref[k], 2)
-            bound = apriori_error_bound(hess.h_sub, gbar, mu2, grid.nodes[k], 0.0)
+            bound = apriori_error_bound(coupling[0, 0], gbar, mu2, grid.nodes[k], 0.0)
             worst = max(worst, err - bound)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.0 and elapsed < 30.0
@@ -375,14 +380,14 @@ def test_ac8_gram_ode_consistency():
         hm = hm - (np.abs(np.linalg.eigvals(hm).real).max() + 0.3) * np.eye(k)
         beta = float(rng.uniform(0.5, 2.0))
         grid = TimeGrid(0.0, 1.0, 5)
-        gram = gram_trajectory(hm, beta, grid)
+        grams = gram_trajectory(hm, beta, grid)
         q = np.zeros(k)
         q[0] = beta
         dt = 1e-5
         for node in (2, 4):
             t = grid.nodes[node]
             fd = (vanloan_gram(hm, q, t + dt) - vanloan_gram(hm, q, t - dt)) / (2 * dt)
-            g = gram.samples[node]
+            g = grams[node]
             rhs = hm @ g + g @ hm.T + np.outer(q, q)
             worst = max(worst, np.abs(fd - rhs).max())
     elapsed = time.perf_counter() - t0
@@ -419,7 +424,7 @@ def test_ac10_cli_end_to_end(tmp_path):
         res = subprocess.run(
             env_cmd + ["run", "--config", str(CONFIG_DIR / "egadl_laplacian.cfg"),
                        "--out", str(out), "--seed", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CLI_ENV)
         assert res.returncode == 0, res.stderr
         outputs.append((out / "report.csv").read_bytes())
     identical = outputs[0] == outputs[1]
@@ -429,7 +434,7 @@ def test_ac10_cli_end_to_end(tmp_path):
         res = subprocess.run(
             env_cmd + ["run", "--config", str(CONFIG_DIR / name),
                        "--out", str(tmp_path / name)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=CLI_ENV)
         others_ok = others_ok and res.returncode == 0
 
     # the CSV must agree with the in-process AC-4 run, float for float

@@ -11,7 +11,8 @@ from krymat.cli import main
 from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
                            NumericError, StepFailureError)
 from krymat.oracle import dense_dle_exact
-from krymat.probio import DLEProblem, gen_dle_problem, read_matrix_market, save_problem
+from krymat.probio import (DLEProblem, gen_dle_problem, gen_sylvester_q2, read_matrix_market,
+                           save_problem)
 from krymat.solution import LowRankSolution, TimeGrid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -322,6 +323,21 @@ bundle = {tmp_path / 'bundle'}
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--seed" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("damage", ["no q", "not INI"])
+    def test_bad_bundle_manifest_exits_2(self, tmp_path, capsys, damage):
+        bundle = tmp_path / "bundle"
+        save_problem(gen_sylvester_q2(n=6, p=2, seed=1), bundle)
+        manifest = bundle / "problem.cfg"
+        text = manifest.read_text()
+        assert "q = 2\n" in text
+        manifest.write_text(text.replace("q = 2\n", "") if damage == "no q"
+                            else "kind = gensylv\n" + text)
+        cfg = write_cfg(tmp_path, f"[run]\nmethod = galerkin\n\n[problem]\nbundle = {bundle}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "problem.cfg" in err[0]
         assert not (tmp_path / "o").exists()
 
     def test_run_from_bundle(self, tmp_path):

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
                            residual_bound_bdf)
-from krymat.egarnoldi import ext_global_arnoldi
+from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
@@ -16,6 +16,12 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
 from krymat.solution import TimeGrid
 
 from conftest import bdf_derivatives, dense_dle_bdf, stable_dense, stable_sparse
+
+
+def _projection(a, b, m):
+    """The extended process after m steps and its (V_m, T_m, T_{m+1,m})."""
+    proc = ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+    return proc, proc.projection(proc.advance_to(m))
 
 
 def scalar_exact(t):
@@ -147,13 +153,11 @@ class TestResidualBound:
         n, m, l = 40, 3, 2
         a = stable_sparse(n, rng)
         b = random_full_rank(n, 1, seed=5)
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, m)
-        sub = basis.with_width(1)
-        vm = sub.narrow(2 * m)
+        proc, (vm, tm, t_sub) = _projection(a, b, m)
         grid = TimeGrid(0.0, 1.0, 10)
         bm = np.zeros(2 * m)
-        bm[0] = hess.r_init[0, 0]
-        traj = bdf_integrate(hess.tm, bm, None, grid, l)
+        bm[0] = proc.beta
+        traj = bdf_integrate(tm, bm, None, grid, l)
         derivs = bdf_derivatives(traj.samples, grid.h, l)
         a_dense = a.toarray()
         bbt = b @ b.T
@@ -162,7 +166,7 @@ class TestResidualBound:
             xm = kron_apply(vm, y).data @ vm.data.T
             xdot = kron_apply(vm, derivs[k - 1]).data @ vm.data.T
             dense = np.linalg.norm(xdot - a_dense @ xm - xm @ a_dense.T - bbt)
-            bound = residual_bound_bdf(hess.t_sub, y)
+            bound = residual_bound_bdf(t_sub, y)
             assert dense <= bound * (1 + 1e-8) + 1e-12
 
 
@@ -184,11 +188,10 @@ class TestEgadlSolve:
         prob = gen_dle_problem(n0=10, p=2, seed=1)
         grid = TimeGrid(0.0, 1.0, 6000)
         m = 10
-        basis, hess = ext_global_arnoldi(prob.a, LinearSolver(prob.a), prob.b, m)
-        sub = basis.with_width(2).narrow(2 * m)
+        proc, (sub, tm, _) = _projection(prob.a, prob.b, m)
         bm = np.zeros(2 * m)
-        bm[0] = hess.r_init[0, 0]
-        traj = bdf_integrate(hess.tm, bm, None, grid, 2)
+        bm[0] = proc.beta
+        traj = bdf_integrate(tm, bm, None, grid, 2)
         ref = dense_dle_exact(prob, grid)
         scale = np.linalg.norm(ref[-1])
         stride = 300
@@ -237,12 +240,10 @@ class TestEgadlSolve:
 
     def test_projected_b_consistency(self):
         prob = gen_dle_problem(n0=5, p=2, seed=6)
-        solver = LinearSolver(prob.a)
-        basis, hess = ext_global_arnoldi(prob.a, solver, prob.b, 3)
-        sub = basis.with_width(2)
-        bm = diamond(sub.narrow(2 * hess.m), BlockRow(prob.b, 2)).ravel()
-        expected = np.zeros(2 * hess.m)
-        expected[0] = hess.r_init[0, 0]
+        proc, (vm, _, _) = _projection(prob.a, prob.b, 3)
+        bm = diamond(vm, BlockRow(prob.b, 2)).ravel()
+        expected = np.zeros(2 * proc.m)
+        expected[0] = proc.beta
         np.testing.assert_allclose(bm, expected, atol=1e-12)
 
     def test_breakdown_invariant_subspace_exact(self):

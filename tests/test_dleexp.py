@@ -8,36 +8,40 @@ from scipy.linalg import expm as sexpm
 
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import egadl_solve
-from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
-                           krylov_expm_action, lognorm2_operator, residual_bound_exp)
+from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_trajectory,
+                           lognorm2_operator, residual_bound_exp)
 from krymat.errors import ParseError
-from krymat.garnoldi import global_arnoldi
+from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact
-from krymat.probio import DLEProblem, gen_dle_problem
+from krymat.probio import DLEProblem, gen_dle_problem, gen_random_dle_problem
 from krymat.smallmat import vanloan_gram
 from krymat.solution import LowRankSolution, TimeGrid
 
-from conftest import perturbed_equation_check, stable_dense, stable_sym
+from conftest import perturbed_equation_check, rect_hessenberg, stable_dense, stable_sym
 
 
 def _arnoldi_on(a, b, m):
-    return global_arnoldi(lambda x: a @ x, b, m)
+    proc = GlobalArnoldi(lambda x: a @ x, b)
+    proc.advance_to(m)
+    return proc
 
 
 class TestKrylovExpmAction:
     def test_s_zero_returns_b(self, rng):
         a = stable_dense(12, rng)
         b = rng.standard_normal((12, 2))
-        basis, hess = _arnoldi_on(a, b, 4)
-        got = krylov_expm_action(basis, hess.hm, np.linalg.norm(b), 0.0)
+        proc = _arnoldi_on(a, b, 4)
+        vm, hm, _ = proc.projection(proc.m)
+        # e^{sA} B ~ beta V_m (e^{s H_m} e_1 kron I_p)
+        got = proc.beta * kron_apply(vm, sexpm(0.0 * hm)[:, [0]]).data
         np.testing.assert_allclose(got, b, atol=1e-13)
 
     def test_full_space_matches_dense(self, rng):
         a = stable_dense(6, rng)
         b = rng.standard_normal((6, 1))
-        basis, hess = _arnoldi_on(a, b, 6)
-        m = hess.m
-        got = krylov_expm_action(basis, hess.hm, np.linalg.norm(b), 1.0)
+        proc = _arnoldi_on(a, b, 6)
+        vm, hm, _ = proc.projection(proc.m)
+        got = proc.beta * kron_apply(vm, sexpm(hm)[:, [0]]).data
         ref = sexpm(a) @ b
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
@@ -48,8 +52,9 @@ class TestKrylovExpmAction:
         ref = sexpm(a) @ b
         errs = []
         for m in (2, 4, 6, 8):
-            basis, hess = _arnoldi_on(a, b, m)
-            got = krylov_expm_action(basis, hess.hm, np.linalg.norm(b), 1.0)
+            proc = _arnoldi_on(a, b, m)
+            vm, hm, _ = proc.projection(proc.m)
+            got = proc.beta * kron_apply(vm, sexpm(hm)[:, [0]]).data
             errs.append(np.linalg.norm(got - ref))
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
 
@@ -57,57 +62,60 @@ class TestKrylovExpmAction:
 class TestGramTrajectory:
     def test_starts_at_zero(self, rng):
         grid = TimeGrid(0.0, 1.0, 5)
-        gram = gram_trajectory(stable_dense(3, rng), 2.0, grid)
-        np.testing.assert_array_equal(gram.samples[0], np.zeros((3, 3)))
+        grams = gram_trajectory(stable_dense(3, rng), 2.0, grid)
+        np.testing.assert_array_equal(grams[0], np.zeros((3, 3)))
 
     def test_scalar_formula(self):
         grid = TimeGrid(0.0, 2.0, 8)
-        gram = gram_trajectory(np.array([[-1.0]]), 1.0, grid)
+        grams = gram_trajectory(np.array([[-1.0]]), 1.0, grid)
         for k, t in enumerate(grid.nodes):
-            assert gram.samples[k][0, 0] == pytest.approx(
+            assert grams[k][0, 0] == pytest.approx(
                 (1 - np.exp(-2 * t)) / 2, abs=1e-13)
 
     def test_ode_identity_by_finite_differences(self, rng):
         hm = stable_dense(4, rng)
         beta = 1.7
         grid = TimeGrid(0.0, 1.0, 10)
-        gram = gram_trajectory(hm, beta, grid)
+        grams = gram_trajectory(hm, beta, grid)
         e1 = np.zeros(4)
         e1[0] = beta
         dt = 1e-5
         for k in (3, 7):
             t = grid.nodes[k]
             fd = (vanloan_gram(hm, e1, t + dt) - vanloan_gram(hm, e1, t - dt)) / (2 * dt)
-            g = gram.samples[k]
+            g = grams[k]
             rhs = hm @ g + g @ hm.T + np.outer(e1, e1)
             np.testing.assert_allclose(fd, rhs, atol=1e-6)
 
 
 class TestResidualBoundExp:
     def test_zero_cases(self):
-        assert residual_bound_exp(0.0, np.ones((3, 3))) == 0.0
-        assert residual_bound_exp(2.0, np.zeros((3, 3))) == 0.0
+        assert residual_bound_exp(np.zeros((1, 1)), np.ones((3, 3))) == 0.0
+        assert residual_bound_exp(np.array([[2.0]]), np.zeros((3, 3))) == 0.0
 
     def test_dense_residual_2norm_le_bound(self, rng):
+        # equality for p = 1; for p > 1 the 2-norm is well below the bound
+        # and the Frobenius norm near it (see the dleexp module docstring)
         n = 30
-        a = stable_dense(n, rng)
-        b = rng.standard_normal((n, 1))
-        b /= np.linalg.norm(b)
-        basis, hess = _arnoldi_on(a, b, 6)
-        m = hess.m
-        grid = TimeGrid(0.0, 1.0, 10)
-        gram = gram_trajectory(hess.hm, 1.0, grid)
-        vm = basis.narrow(m)
-        e11 = np.zeros((m, m))
-        e11[0, 0] = 1.0
-        bbt = b @ b.T
-        for k in range(grid.nnodes):
-            g = gram.samples[k]
-            gdot = hess.hm @ g + g @ hess.hm.T + e11
-            xm = kron_apply(vm, g).data @ vm.data.T
-            xdot = kron_apply(vm, gdot).data @ vm.data.T
-            rm = xdot - a @ xm - xm @ a.T - bbt
-            assert np.linalg.norm(rm, 2) <= residual_bound_exp(hess.h_sub, g) + 1e-9
+        for p in (1, 2, 3):
+            a = stable_dense(n, rng)
+            b = rng.standard_normal((n, p))
+            b /= np.linalg.norm(b)
+            proc = _arnoldi_on(a, b, 6)
+            m = proc.m
+            vm, hm, coupling = proc.projection(m)
+            grid = TimeGrid(0.0, 1.0, 10)
+            grams = gram_trajectory(hm, 1.0, grid)
+            e11 = np.zeros((m, m))
+            e11[0, 0] = 1.0
+            bbt = b @ b.T
+            for k in range(grid.nnodes):
+                g = grams[k]
+                gdot = hm @ g + g @ hm.T + e11
+                xm = kron_apply(vm, g).data @ vm.data.T
+                xdot = kron_apply(vm, gdot).data @ vm.data.T
+                rm = xdot - a @ xm - xm @ a.T - bbt
+                assert np.linalg.norm(rm, 2) <= residual_bound_exp(coupling, g) + 1e-9
 
 
 class TestAprioriBound:
@@ -126,20 +134,19 @@ class TestAprioriBound:
         a_dense = stable_sym(n, rng, lo=0.5, hi=8.0)
         b = rng.standard_normal((n, 1))
         b /= np.linalg.norm(b)
-        basis, hess = _arnoldi_on(a_dense, b, 8)
-        m = hess.m
+        proc = _arnoldi_on(a_dense, b, 8)
+        vm, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 10)
-        gram = gram_trajectory(hess.hm, 1.0, grid)
+        grams = gram_trajectory(hm, 1.0, grid)
         mu2 = lognorm2_operator(a_dense)
         assert mu2 < 0
-        gbar = max(np.linalg.norm(g[-1, :]) for g in gram.samples)
+        gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
         prob = DLEProblem(sp.csr_matrix(a_dense), b)
         ref = dense_dle_exact(prob, grid)
-        vm = basis.narrow(m)
         for k in range(1, grid.nnodes):
-            xm = kron_apply(vm, gram.samples[k]).data @ vm.data.T
+            xm = kron_apply(vm, grams[k]).data @ vm.data.T
             err = np.linalg.norm(xm - ref[k], 2)
-            bound = apriori_error_bound(hess.h_sub, gbar, mu2, grid.nodes[k], 0.0)
+            bound = apriori_error_bound(coupling[0, 0], gbar, mu2, grid.nodes[k], 0.0)
             assert err <= bound
 
 
@@ -165,8 +172,12 @@ class TestExpoSolve:
                 loaded.snapshot(2)
 
     def test_load_needs_the_manifest(self, tmp_path):
-        with pytest.raises(ParseError, match="solution.cfg"):
-            LowRankSolution.load(tmp_path)
+        # missing, then without a section header, then without a key
+        for text in (None, "width = 1\n", "[solution]\nwidth = 1\n"):
+            if text is not None:
+                (tmp_path / "solution.cfg").write_text(text)
+            with pytest.raises(ParseError, match="solution.cfg"):
+                LowRankSolution.load(tmp_path)
 
     def test_global_variant_matches_oracle(self):
         prob = gen_dle_problem(n0=10, p=2, seed=1)
@@ -192,6 +203,18 @@ class TestExpoSolve:
                   for k in range(grid.nnodes))
         assert dev <= 1e-6
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_nonsymmetric_error_within_apriori_bound(self, variant):
+        prob = gen_random_dle_problem(n=120, p=2, density=0.05, seed=3)
+        assert abs(prob.a - prob.a.T).max() > 0.0
+        grid = TimeGrid(0.0, 1.0, 20)
+        sol, rep = expo_dle_solve(prob, grid, 60, 1e-8, variant=variant)
+        assert rep.converged and not rep.breakdown
+        apriori = [row[3] for row in rep.rows if row[0] == rep.m_final]
+        ref = dense_dle_exact(prob, grid)
+        for k in range(grid.nnodes):
+            assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= apriori[k]
+
     def test_residual_bound_nonincreasing_in_m(self):
         # empirical monotonicity on the stable fixture at fixed t
         prob = gen_dle_problem(n0=8, p=1, seed=3)
@@ -199,9 +222,10 @@ class TestExpoSolve:
         beta = np.linalg.norm(prob.b)
         proc_bounds = []
         for m in range(2, 12, 2):
-            basis, hess = _arnoldi_on(prob.a.toarray(), prob.b, m)
-            gram = gram_trajectory(hess.hm, beta, grid)
-            proc_bounds.append(residual_bound_exp(hess.h_sub, gram.samples[-1]))
+            proc = _arnoldi_on(prob.a.toarray(), prob.b, m)
+            _, hm, coupling = proc.projection(proc.m)
+            grams = gram_trajectory(hm, beta, grid)
+            proc_bounds.append(residual_bound_exp(coupling, grams[-1]))
         assert all(b2 <= b1 * (1 + 1e-12)
                    for b1, b2 in zip(proc_bounds, proc_bounds[1:]))
 
@@ -235,20 +259,20 @@ class TestPerturbedEquation:
         b = rng.standard_normal((n, 1))
         b /= np.linalg.norm(b)
         prob = DLEProblem(sp.csr_matrix(a), b)
-        basis, hess = _arnoldi_on(a, b, m)
+        proc = _arnoldi_on(a, b, m)
+        _, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 8)
-        gram = gram_trajectory(hess.hm, 1.0, grid)
-        return prob, basis, hess, gram, grid
+        grams = gram_trajectory(hm, 1.0, grid)
+        return prob, proc, hm, coupling, grams, grid
 
     def test_defect_small(self, rng):
-        prob, basis, hess, gram, _ = self._setup(rng)
-        m = hess.m
-        coupling = np.zeros((1, m))
-        coupling[0, -1] = hess.h_sub
-        assert perturbed_equation_check(prob, basis, hess.hm, coupling, gram) <= 1e-9
+        prob, proc, hm, coupling, grams, _ = self._setup(rng)
+        m = proc.m
+        rows = rect_hessenberg(hm, coupling)[m:]      # (0 ... 0 h_{m+1,m})
+        assert perturbed_equation_check(prob, proc.basis(), hm, rows, 1.0, grams) <= 1e-9
 
     def test_breakdown_case_reduces_to_exact_equation(self, rng):
-        # diagonal operator, b on an invariant subspace: h_sub -> 0 and the
+        # diagonal operator, b on an invariant subspace: h_{m+1,m} -> 0 and the
         # perturbed equation becomes the DLE itself
         lam = -np.arange(1.0, 9.0)
         a = np.diag(lam)
@@ -256,40 +280,41 @@ class TestPerturbedEquation:
         b[:3, 0] = [1.0, 0.5, -0.25]
         b /= np.linalg.norm(b)
         prob = DLEProblem(sp.csr_matrix(a), b)
-        basis, hess = _arnoldi_on(a, b, 6)
-        assert hess.breakdown
-        m = hess.m
+        proc = _arnoldi_on(a, b, 6)
+        assert proc.breakdown
+        m = proc.m
+        basis, hm, _ = proc.projection(m)
         grid = TimeGrid(0.0, 1.0, 6)
-        gram = gram_trajectory(hess.hm, 1.0, grid)
-        coupling = np.zeros((1, m))          # h_sub = 0
+        grams = gram_trajectory(hm, 1.0, grid)
+        coupling = np.zeros((1, m))          # h_{m+1,m} = 0
         # tail block needed by the check: append a zero block
         padded = BlockRow(np.hstack([basis.data, np.zeros((8, 1))]), 1)
-        defect = perturbed_equation_check(prob, padded, hess.hm, coupling, gram)
+        defect = perturbed_equation_check(prob, padded, hm, coupling, 1.0, grams)
         assert defect <= 1e-10
 
     def test_cap_refusal(self, rng, monkeypatch):
-        prob, basis, hess, gram, _ = self._setup(rng)
+        prob, proc, hm, _, grams, _ = self._setup(rng)
         monkeypatch.setenv("KRYMAT_DENSE_CAP", "10")
         from krymat.errors import CapExceededError
-        coupling = np.zeros((1, hess.m))
+        coupling = np.zeros((1, proc.m))
         with pytest.raises(CapExceededError):
-            perturbed_equation_check(prob, basis, hess.hm, coupling, gram)
+            perturbed_equation_check(prob, proc.basis(), hm, coupling, 1.0, grams)
 
     def test_error_integral_identity(self, rng):
         # E(t) = e^{tA} E_0 e^{tA^T} - int_0^t e^{(t-s)A} R(s) e^{(t-s)A^T} ds
         # with E_0 = 0; Simpson quadrature on the right-hand side
-        prob, basis, hess, gram, grid = self._setup(rng, n=12, m=3)
-        m = hess.m
+        prob, proc, hm, _, grams, grid = self._setup(rng, n=12, m=3)
+        m = proc.m
         a = prob.a.toarray()
         ref = dense_dle_exact(prob, grid)
-        vm = basis.narrow(m)
+        vm = proc.projection(m)[0]
         e11 = np.zeros((m, m))
         e11[0, 0] = 1.0
         bbt = prob.b @ prob.b.T
 
         def residual_at(t):
-            g = vanloan_gram(hess.hm, np.eye(m)[:, 0], t)
-            gdot = hess.hm @ g + g @ hess.hm.T + e11
+            g = vanloan_gram(hm, np.eye(m)[:, 0], t)
+            gdot = hm @ g + g @ hm.T + e11
             xm = kron_apply(vm, g).data @ vm.data.T
             xdot = kron_apply(vm, gdot).data @ vm.data.T
             return xdot - a @ xm - xm @ a.T - bbt
@@ -304,7 +329,7 @@ class TestPerturbedEquation:
         for s, wk in zip(ss, w):
             e = sexpm((t - s) * a)
             integral += wk * (e @ residual_at(s) @ e.T)
-        xm_t = kron_apply(vm, gram.samples[-1]).data @ vm.data.T
+        xm_t = kron_apply(vm, grams[-1]).data @ vm.data.T
         err_t = ref[-1] - xm_t
         np.testing.assert_allclose(err_t, -integral, atol=1e-7)
 
@@ -314,8 +339,7 @@ class TestTwoKroneckerForms:
         # beta V (f(H) e1 kron I_p) == beta V f(H kron I_p) (e1 kron I_p)
         hm = rng.standard_normal((4, 4))
         p = 2
-        basis, _ = _arnoldi_on(stable_dense(8, rng), rng.standard_normal((8, p)), 4)
-        vm = basis.narrow(4)
+        vm = _arnoldi_on(stable_dense(8, rng), rng.standard_normal((8, p)), 4).projection(4)[0]
         beta = 1.3
         lhs = beta * kron_apply(vm, sexpm(hm)[:, [0]]).data
         big = sexpm(np.kron(hm, np.eye(p)))

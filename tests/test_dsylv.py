@@ -11,12 +11,18 @@ from krymat import blockmat, dsylv, smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dsylv import (galerkin_solve, integrate_projected, project_rhs,
                           residual_norm)
-from krymat.garnoldi import global_arnoldi
+from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dme_solve
 from krymat.probio import GenSylvesterProblem, gen_sylvester_q2, gsylv_apply
 from krymat.solution import TimeGrid
 
 from conftest import stable_dense, stable_sym
+
+
+def _projection(op, seed, m):
+    """(V_m, H_m, coupling) of the global process after up to m steps."""
+    proc = GlobalArnoldi(op, seed)
+    return proc.projection(proc.advance_to(m))
 
 
 def _two_exponential_march(hm, cm, y0, grid):
@@ -46,9 +52,9 @@ def _projected_case(name, rng):
         # process breaks down after three steps
         b = np.zeros((12, 1))
         b[:3, 0] = [1.0, -0.5, 0.25]
-        _, hess = global_arnoldi(lambda x: -np.arange(1.0, 13.0)[:, None] * x, b, 6)
-        assert hess.breakdown and hess.m == 3
-        return hess.hm, np.r_[-np.linalg.norm(b), 0.0, 0.0], np.zeros(3)
+        proc = GlobalArnoldi(lambda x: -np.arange(1.0, 13.0)[:, None] * x, b)
+        assert proc.advance_to(6) == 3 and proc.breakdown
+        return proc.projection(3)[1], np.r_[-np.linalg.norm(b), 0.0, 0.0], np.zeros(3)
     # stiff: eigenvalues down to -2000, so h ||H||_1 >= 100 at h = 0.1
     return stable_sym(5, rng, lo=1.0, hi=2000.0), rng.standard_normal(5), np.zeros(5)
 
@@ -57,15 +63,17 @@ class TestProjectRhs:
     def test_seed_gives_beta_e1(self, rng):
         r0 = rng.standard_normal((8, 2))
         beta = np.linalg.norm(r0)
-        basis, hess = global_arnoldi(lambda x: stable_dense(8, rng) @ x, r0, 3)
-        cm = project_rhs(basis.narrow(hess.m), r0)
-        expected = np.zeros(hess.m)
+        vm, _, _ = _projection(lambda x: stable_dense(8, rng) @ x, r0, 3)
+        cm = project_rhs(vm, r0)
+        expected = np.zeros(vm.m)
         expected[0] = -beta
         np.testing.assert_allclose(cm, expected, atol=1e-12 * beta)
 
     def test_orthogonal_rhs_projects_to_zero(self, rng):
-        basis, _ = global_arnoldi(lambda x: x * np.arange(1.0, 7.0)[:, None],
-                                  rng.standard_normal((6, 1)), 3)
+        proc = GlobalArnoldi(lambda x: x * np.arange(1.0, 7.0)[:, None],
+                             rng.standard_normal((6, 1)))
+        proc.advance_to(3)
+        basis = proc.basis()
         # build a block orthogonal to the basis by projection removal
         w = rng.standard_normal((6, 1))
         for j in range(basis.m):
@@ -75,11 +83,10 @@ class TestProjectRhs:
 
     def test_matches_entrywise_inner_products(self, rng):
         r0 = rng.standard_normal((7, 2))
-        basis, hess = global_arnoldi(
+        vm, _, _ = _projection(
             lambda x: stable_dense(7, rng) @ x, rng.standard_normal((7, 2)), 3)
-        vm = basis.narrow(hess.m)
         cm = project_rhs(vm, r0)
-        expected = [-np.sum(vm.block(i) * r0) for i in range(hess.m)]
+        expected = [-np.sum(vm.block(i) * r0) for i in range(vm.m)]
         np.testing.assert_allclose(cm, expected, atol=1e-13)
 
 
@@ -117,30 +124,28 @@ class TestIntegrateProjected:
 
 class TestResidualNorm:
     def test_breakdown_or_zero_component(self, rng):
-        basis, hess = global_arnoldi(lambda x: x, rng.standard_normal((5, 1)), 3)
-        assert residual_norm(hess, np.array([1.0])) == 0.0
+        _, _, coupling = _projection(lambda x: x, rng.standard_normal((5, 1)), 3)
+        assert residual_norm(coupling, np.array([1.0])) == 0.0
 
     def test_zero_last_component(self, rng):
         prob = gen_sylvester_q2(8, 1, seed=2)
-        _, hess = global_arnoldi(lambda x: gsylv_apply(prob, x), -prob.c, 3)
-        assert hess.h_sub != 0.0
-        assert residual_norm(hess, np.array([1.0, 2.0, 0.0])) == 0.0
+        _, _, coupling = _projection(lambda x: gsylv_apply(prob, x), -prob.c, 3)
+        assert coupling[0, 0] != 0.0
+        assert residual_norm(coupling, np.array([1.0, 2.0, 0.0])) == 0.0
 
     def test_matches_dense_residual(self, rng):
         prob = gen_sylvester_q2(10, 2, seed=21)
         grid = TimeGrid(0.0, 1.0, 6)
         r0 = -prob.c
-        basis, hess = global_arnoldi(lambda x: gsylv_apply(prob, x), r0, 3)
-        m = hess.m
-        vm = basis.narrow(m)
+        vm, hm, coupling = _projection(lambda x: gsylv_apply(prob, x), r0, 3)
         cm = project_rhs(vm, r0)
-        traj = integrate_projected(hess.hm, cm, None, grid)
+        traj = integrate_projected(hm, cm, None, grid)
         for k, t in enumerate(grid.nodes):
             y = traj.samples[k]
             xm = kron_apply(vm, y[:, None]).data
-            xdot = kron_apply(vm, (hess.hm @ y + cm)[:, None]).data
+            xdot = kron_apply(vm, (hm @ y + cm)[:, None]).data
             dense = np.linalg.norm(xdot - gsylv_apply(prob, xm) - prob.c)
-            assert abs(dense - residual_norm(hess, y)) <= 1e-10
+            assert abs(dense - residual_norm(coupling, y)) <= 1e-10
 
 
 class TestGalerkinSolve:
@@ -175,15 +180,13 @@ class TestGalerkinSolve:
         prob = gen_sylvester_q2(9, 2, seed=13)
         grid = TimeGrid(0.0, 1.0, 5)
         r0 = -prob.c
-        basis, hess = global_arnoldi(lambda x: gsylv_apply(prob, x), r0, 4)
-        m = hess.m
-        vm = basis.narrow(m)
+        vm, hm, _ = _projection(lambda x: gsylv_apply(prob, x), r0, 4)
         cm = project_rhs(vm, r0)
-        traj = integrate_projected(hess.hm, cm, None, grid)
+        traj = integrate_projected(hm, cm, None, grid)
         for k in range(grid.nnodes):
             y = traj.samples[k]
             xm = kron_apply(vm, y[:, None]).data
-            res = kron_apply(vm, (hess.hm @ y + cm)[:, None]).data \
+            res = kron_apply(vm, (hm @ y + cm)[:, None]).data \
                 - gsylv_apply(prob, xm) - prob.c
             gal = diamond(vm, BlockRow(res, prob.p))
             np.testing.assert_allclose(gal, 0.0, atol=1e-10)

@@ -5,14 +5,20 @@ import pytest
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.egarnoldi import ExtendedGlobalArnoldi, ext_global_arnoldi
+from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.probio import LinearSolver, gen_laplacian2d, random_full_rank
 
-from conftest import stable_sparse
+from conftest import rect_hessenberg, stable_sparse
 
 
 def _setup(a, b):
     return ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+
+
+def _run(a, b, m):
+    proc = _setup(a, b)
+    proc.advance_to(m)
+    return proc
 
 
 def hessenberg_audit(a, sub_basis, ttilde):
@@ -31,10 +37,10 @@ class TestSeed:
     def test_identity_breaks_down_immediately(self):
         a = sp.identity(6, format="csr")
         b = random_full_rank(6, 2, seed=1)
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 3)
-        assert hess.breakdown
-        assert hess.m == 0
-        assert basis.m == 1          # only the normalized seed survives
+        proc = _run(a, b, 3)
+        assert proc.breakdown
+        assert proc.m == 0
+        assert proc.sub_basis().m == 1          # only the normalized seed survives
 
     def test_seed_qr_consistency(self, rng):
         a = stable_sparse(20, rng)
@@ -42,6 +48,7 @@ class TestSeed:
         proc = _setup(a, b)
         r = proc.r_init
         assert r[1, 0] == 0.0
+        assert proc.beta == r[0, 0]
         # [B, A^{-1}B] = V_1 (R kron I_p)
         lhs = np.hstack([b, LinearSolver(a).solve(b)])
         rhs = kron_apply(proc.sub_basis(2), r).data
@@ -55,7 +62,7 @@ class TestSeed:
         proc = _setup(a, b)
         assert not proc.breakdown and proc.advance_to(3) == 3
         bm = diamond(proc.sub_basis(6), BlockRow(b, 1)).ravel()
-        np.testing.assert_allclose(bm, np.eye(6)[0] * proc.r_init[0, 0], atol=1e-14)
+        np.testing.assert_allclose(bm, np.eye(6)[0] * proc.beta, atol=1e-14)
 
 
 class TestSubspaceContent:
@@ -79,41 +86,42 @@ class TestHessenberg:
     def test_recurrence_matches_direct_projection(self, rng):
         a = gen_laplacian2d(6)
         b = random_full_rank(36, 2, seed=7)
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 4)
-        sub = basis.with_width(2)
-        assert hessenberg_audit(a, sub, hess.ttilde) <= 1e-11
+        proc = _run(a, b, 4)
+        ttilde = rect_hessenberg(*proc.projection(4)[1:])
+        assert hessenberg_audit(a, proc.sub_basis(), ttilde) <= 1e-11
 
     def test_recurrence_on_nonsymmetric(self, rng):
         a = stable_sparse(30, rng)
         b = random_full_rank(30, 1, seed=2)
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 5)
-        assert hessenberg_audit(a, basis.with_width(1), hess.ttilde) <= 1e-10
+        proc = _run(a, b, 5)
+        ttilde = rect_hessenberg(*proc.projection(5)[1:])
+        assert hessenberg_audit(a, proc.sub_basis(), ttilde) <= 1e-10
 
     def test_block_hessenberg_structure(self, rng):
         a = gen_laplacian2d(5)
         b = random_full_rank(25, 1, seed=4)
-        _, hess = ext_global_arnoldi(a, LinearSolver(a), b, 4)
-        t = hess.ttilde
+        t = rect_hessenberg(*_run(a, b, 4).projection(4)[1:])
         for j in range(t.shape[1]):
             blk_j = j // 2
             zero_rows = t[2 * (blk_j + 2):, j]
             np.testing.assert_allclose(zero_rows, 0.0, atol=1e-14)
 
 
-def assert_arnoldi_relations(a, sub, hess):
+def assert_arnoldi_relations(a, proc):
     """Both block Arnoldi relations of the extended process, at 1e-11 ||A||_1."""
     anorm1 = np.max(np.abs(a).sum(axis=0))
-    m = hess.m
-    vm = sub.narrow(2 * m)
+    m = proc.m
+    sub = proc.sub_basis()
+    vm, tm, coupling = proc.projection(m)
     av = a @ vm.data
     # A V_m = V_{m+1} (Ttilde kron I_p)
-    rel1 = av - kron_apply(sub, hess.ttilde).data
+    rel1 = av - kron_apply(sub, rect_hessenberg(tm, coupling)).data
     assert np.linalg.norm(rel1) <= 1e-11 * anorm1
     # A V_m = V_m (T kron I_p) + V_{m+1} T_sub (E_m^T kron I_p)
     tail_cols = np.zeros((2 * m + 2, 2 * m))
-    tail_cols[2 * m:, 2 * m - 2:] = hess.t_sub
+    tail_cols[2 * m:, 2 * m - 2:] = coupling
     tail = kron_apply(sub, tail_cols).data
-    rel2 = av - kron_apply(vm, hess.tm).data - tail
+    rel2 = av - kron_apply(vm, tm).data - tail
     assert np.linalg.norm(rel2) <= 1e-11 * anorm1
 
 
@@ -121,10 +129,9 @@ class TestRelations:
     def test_orthonormality_and_relations(self, rng):
         a = gen_laplacian2d(6)
         b = random_full_rank(36, 2, seed=9)
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 4)
-        sub = basis.with_width(2)
-        assert sub.orth_defect() <= 1e-12 * hess.m
-        assert_arnoldi_relations(a, sub, hess)
+        proc = _run(a, b, 4)
+        assert proc.sub_basis().orth_defect() <= 1e-12 * proc.m
+        assert_arnoldi_relations(a, proc)
 
     def test_second_pass_keeps_cancelling_steps_orthonormal(self, rng):
         # B lies within 1e-4 of the invariant subspace of a cluster of eight
@@ -135,21 +142,21 @@ class TestRelations:
                                       np.linspace(2.0, 50.0, n - 8)])).tocsr()
         b = 1e-4 * rng.standard_normal((n, 2))
         b[:8] = rng.standard_normal((8, 2))
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 6)
-        assert hess.m == 6 and not hess.breakdown
-        sub = basis.with_width(2)
+        proc = _run(a, b, 6)
+        assert proc.m == 6 and not proc.breakdown
+        sub = proc.sub_basis()
         assert sub.orth_defect() <= 1e-13 * sub.m
-        assert_arnoldi_relations(a, sub, hess)
+        assert_arnoldi_relations(a, proc)
 
     def test_projected_b_is_r11_e1(self, rng):
         a = stable_sparse(40, rng)
         b = random_full_rank(40, 2, seed=12)
-        basis, hess = ext_global_arnoldi(a, LinearSolver(a), b, 3)
-        m = hess.m
-        sub = basis.with_width(2)
-        bm = diamond(sub.narrow(2 * m), BlockRow(b, 2)).ravel()
+        proc = _run(a, b, 3)
+        m = proc.m
+        vm, _, _ = proc.projection(m)
+        bm = diamond(vm, BlockRow(b, 2)).ravel()
         expected = np.zeros(2 * m)
-        expected[0] = hess.r_init[0, 0]
+        expected[0] = proc.beta
         np.testing.assert_allclose(bm, expected, atol=1e-12)
 
     def test_breakdown_truncates(self):
@@ -170,15 +177,16 @@ class TestLayout:
         proc = _setup(a, random_full_rank(30, 2, seed=5))
         proc.advance_to(3)
         store = proc._store.view().data
-        for v in (proc.sub_basis(), proc.sub_basis(4), proc.basis(), proc.basis(2)):
+        for v in (proc.sub_basis(), proc.sub_basis(4), proc.projection(2)[0],
+                  proc.sub_basis().with_width(4), proc.sub_basis(4).with_width(4)):
             assert np.shares_memory(v.data, store)
 
     def test_diamond_is_the_column_block_gram(self):
         # the layout the benchmark's independent checks read: block j of a
         # width-w basis is columns j*w:(j+1)*w of .data
         a = gen_laplacian2d(6)
-        basis, _ = ext_global_arnoldi(a, LinearSolver(a), random_full_rank(36, 2, seed=9), 4)
-        sub = basis.with_width(2)
+        sub = _run(a, random_full_rank(36, 2, seed=9), 4).sub_basis()
+        basis = sub.with_width(4)
         for v in (basis, sub):
             w = v.width
             gram = sum(v.data[:, s::w].T @ v.data[:, s::w] for s in range(w))
