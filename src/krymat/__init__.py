@@ -13,7 +13,7 @@ from .probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_laplacia
                      write_matrix_market)
 from .smallmat import (expm, lognorm2, lyap_solve, phi1, trunc_sym_factor,
                        vanloan_gram)
-from .solution import (KernelTrajectorySym, KernelTrajectoryVec, LowRankSolution,
-                       SolveReport, SylvesterSolution, TimeGrid)
+from .solution import (KernelTrajectory, LowRankSolution, SolveReport, SylvesterSolution,
+                       TimeGrid)
 
 __version__ = "0.1.0"

@@ -74,23 +74,21 @@ class Method(NamedTuple):
                            # installed there is the function called
     problem: type
     reference: object      # dense reference, (problem, grid) -> one X per node
-    keys: dict             # [solver] key -> (solver keyword, type, default)
+    keys: dict             # [solver] key, the solver's keyword -> (type, default)
 
 
-_COMMON = {"m_max": ("m_max", int, 30), "tol": ("tol", float, 1e-8)}
-_LOWRANK = {"probe_stride": ("probe_stride", int, 1),
-            "factor_tol": ("factor_tol", float, 1e-10)}
+_COMMON = {"m_max": (int, 30), "tol": (float, 1e-8), "probe_stride": (int, 1)}
+_FACTOR_TOL = {"factor_tol": (float, 1e-10)}
 
 # method -> solver, problem type, dense reference and [solver] keys past
-# m_max and tol, which every method reads
+# those of _COMMON, which every method reads
 SOLVERS = {
     "galerkin": Method(dsylv, "galerkin_solve", probio.GenSylvesterProblem,
-                       oracle.dense_dme_solve,
-                       {"probe_stride": ("report_stride", int, 1)}),
+                       oracle.dense_dme_solve, {}),
     "egadl": Method(dlebdf, "egadl_solve", probio.DLEProblem, oracle.dense_dle_exact,
-                    {"l": ("l", int, 2), **_LOWRANK}),
+                    {"l": (int, 2), **_FACTOR_TOL}),
     "expo": Method(dleexp, "expo_dle_solve", probio.DLEProblem, oracle.dense_dle_exact,
-                   {"variant": ("variant", str, "extended"), **_LOWRANK}),
+                   {"variant": (str, "extended"), **_FACTOR_TOL}),
 }
 
 # the keys each section past [problem] may hold
@@ -153,10 +151,10 @@ def _configure(method, cfg, problem, grid):
         raise ConfigError(f"method {method} needs a {entry.problem.__name__}")
     sol = cfg["solver"] if cfg.has_section("solver") else {}
     kwargs = {}
-    for key, (keyword, kind, default) in (_COMMON | entry.keys).items():
+    for key, (kind, default) in (_COMMON | entry.keys).items():
         raw = sol.get(key, default)
         try:
-            kwargs[keyword] = kind(raw)
+            kwargs[key] = kind(raw)
         except ValueError:
             raise ConfigError(f"[solver] {key} = {raw}: not {kind.__name__}") from None
     solver = getattr(entry.module, entry.solver)
@@ -254,6 +252,15 @@ def cmd_generate(args):
 def cmd_sweep(args):
     configs = [Path(c) for c in args.configs]
     out_root = Path(args.out)
+    # each config writes out_root/<its file name>, which must be its own
+    by_name = {}
+    for cfg_path in configs:
+        by_name.setdefault(cfg_path.stem, []).append(str(cfg_path))
+    clashes = [" and ".join(paths) for paths in by_name.values() if len(paths) > 1]
+    if clashes:
+        print(f"error: configs would share an output directory: {'; '.join(clashes)}",
+              file=sys.stderr)
+        return EXIT_CONFIG
 
     def one(cfg_path):
         ns = argparse.Namespace(config=str(cfg_path), seed=args.seed,

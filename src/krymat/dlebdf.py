@@ -1,5 +1,5 @@
-"""Low-rank differential Lyapunov solvers: the Krylov solve that EgAdl and
-the exponential method share, and EgAdl's BDF time stepping.
+"""Low-rank differential Lyapunov solvers: the report and checks that EgAdl
+and the exponential method share, and EgAdl's BDF time stepping.
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
 equation with shifted coefficient h beta T - I/2, solved by Bartels-Stewart
@@ -9,7 +9,6 @@ may be negative, so it is assembled as a dense symmetric matrix; low-rank
 factors with a +/-1 signature are produced only for output.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,7 @@ from . import smallmat
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, IllPosedError, StepFailureError
 from .probio import LinearSolver
-from .solution import (KernelTrajectorySym, LowRankSolution, SolveReport, grow_until,
-                       require_positive)
+from .solution import KernelTrajectory, LowRankSolution, SolveReport, krylov_solve
 
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
@@ -79,7 +77,7 @@ def bdf_integrate(tm, bm, y0, grid, l):
     Startup uses the 1-step then 2-step schemes until l previous kernels are
     available.  T is reduced to real Schur form once; each scheme's step
     operator h beta T - I/2 is a shift of that form.  Returns a
-    KernelTrajectorySym.
+    KernelTrajectory.
     """
     bdf_coefficients(l)            # validate l early
     tm = np.atleast_2d(np.asarray(tm, dtype=float))
@@ -95,7 +93,7 @@ def bdf_integrate(tm, bm, y0, grid, l):
         y = bdf_step(ops[j], bm, prev, grid.h, schemes[j])
         samples.append(y)
         prev = [y] + prev[: l - 1]
-    return KernelTrajectorySym(grid, samples)
+    return KernelTrajectory(grid, samples)
 
 
 def residual_bound_bdf(coupling, y):
@@ -107,38 +105,17 @@ def residual_bound_bdf(coupling, y):
     return float(np.sqrt(2.0) * np.linalg.norm(coupling @ y[-nr:, :]))
 
 
-def lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
-                      method, column, settings, start):
-    """The solve both low-rank DLE methods share: the Galerkin projection onto
-    an extended (or polynomial) global Krylov space, grown until the bound is
-    below tol at every node.  The methods differ only in the process and in
-    how the projected equation is integrated.
-
-    Every argument is checked before any work.  ``method`` and ``column``
-    name the report and its last column, ``settings`` holds the method's own
-    settings, and ``start(report)`` builds (process, fit) once B is known to
-    be nonzero.  Returns (LowRankSolution, SolveReport).
-    """
+def lowrank_report(problem, method, column, factor_tol, settings):
+    """The report of a low-rank DLE solve, after the checks both methods
+    share: X0 = 0 and 0 <= factor_tol < 1.  ``column`` names the report's
+    last column and ``settings`` holds the method's own settings."""
     if problem.has_initial_value:
         raise ConfigError(f"{method} assumes X0 = 0")
-    require_positive(m_max=m_max, probe_stride=probe_stride)
-    t_start = time.perf_counter()
-    report = SolveReport(
-        method=method,
-        columns=("m", "t", "residual_bound", column),
-        dims={"n": problem.n, "p": problem.p},
-        settings={"m_max": m_max, "tol": tol, "grid_steps": grid.steps,
-                  "probe_stride": probe_stride, "factor_tol": factor_tol, **settings},
-    )
-    if np.linalg.norm(problem.b) == 0.0:
-        report.converged = True
-        solution = LowRankSolution.zero(grid, problem.n, factor_tol)
-    else:
-        proc, fit = start(report)
-        basis, kernel = grow_until(proc, fit, grid, report, m_max, tol, probe_stride)
-        solution = LowRankSolution.from_kernel(grid, basis, kernel, factor_tol)
-    report.wall_time = time.perf_counter() - t_start
-    return solution, report
+    if not 0 <= factor_tol < 1:
+        raise ConfigError(f"factor_tol = {factor_tol}: need 0 <= factor_tol < 1")
+    return SolveReport(method=method, columns=("m", "t", "residual_bound", column),
+                       dims={"n": problem.n, "p": problem.p},
+                       settings={"factor_tol": factor_tol, **settings})
 
 
 def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10):
@@ -152,22 +129,25 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
     Returns (LowRankSolution, SolveReport).
     """
     bdf_coefficients(l)            # checks l before any work
+    report = lowrank_report(problem, "egadl", "rank", factor_tol, {"l": l})
 
     def start(report):
+        if not problem.b.any():
+            return None
         proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
 
-        def fit(m):
-            basis, tm, coupling = proc.projection(m)
+        def fit(tm, coupling):
             # B = V_1 beta, and V is F-orthonormal
-            bm = np.r_[proc.beta, np.zeros(basis.m - 1)]
-            ys = bdf_integrate(tm, bm, None, grid, l).samples
+            bm = np.r_[proc.beta, np.zeros(tm.shape[0] - 1)]
+            kernel = bdf_integrate(tm, bm, None, grid, l)
+            ys = kernel.samples
             bounds = np.array([residual_bound_bdf(coupling, y) for y in ys])
-            return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), basis, ys
+            return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), kernel
 
         return proc, fit
 
-    return lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
-                             "egadl", "rank", {"l": l}, start)
+    basis, kernel = krylov_solve(report, grid, m_max, tol, probe_stride, start)
+    return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report
 
 
 def _sym_rank(y, tol):

@@ -20,11 +20,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .dlebdf import lowrank_dle_solve, residual_bound_bdf
+from .dlebdf import lowrank_report, residual_bound_bdf
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError
 from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver
+from .solution import KernelTrajectory, LowRankSolution, krylov_solve
 
 # the subspaces expo_dle_solve can project onto
 VARIANTS = ("global", "extended")
@@ -90,8 +91,12 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant = {variant}: need one of {', '.join(VARIANTS)}")
+    report = lowrank_report(problem, f"expo-{variant}", "apriori_bound", factor_tol,
+                            {"variant": variant})
 
     def start(report):
+        if not problem.b.any():
+            return None
         mu2 = lognorm2_operator(problem.a)
         report.settings["mu2"] = mu2
         nodes = grid.nodes
@@ -102,15 +107,14 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
             proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
             bound_of = residual_bound_bdf
 
-        def fit(m):
-            basis, hm, coupling = proc.projection(m)
+        def fit(hm, coupling):
             grams = gram_trajectory(hm, proc.beta, grid)
             bounds = np.array([bound_of(coupling, g) for g in grams])
             res_max = float(bounds.max())
             apriori = lambda k: (apriori_error_bound(1.0, res_max, mu2, nodes[k], grid.t0),)
-            return bounds, apriori, basis, grams
+            return bounds, apriori, KernelTrajectory(grid, grams)
 
         return proc, fit
 
-    return lowrank_dle_solve(problem, grid, m_max, tol, probe_stride, factor_tol,
-                             f"expo-{variant}", "apriori_bound", {"variant": variant}, start)
+    basis, kernel = krylov_solve(report, grid, m_max, tol, probe_stride, start)
+    return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report

@@ -6,16 +6,13 @@ steps (the right-hand side is constant in time), and a closed-form residual
 norm decides when to stop growing the basis.
 """
 
-import time
-
 import numpy as np
 
 from . import smallmat
 from .blockmat import BlockRow, diamond
 from .garnoldi import GlobalArnoldi
 from .probio import gsylv_apply
-from .solution import (KernelTrajectoryVec, SolveReport, SylvesterSolution, grow_until,
-                       require_positive)
+from .solution import KernelTrajectory, SolveReport, SylvesterSolution, krylov_solve
 
 
 def project_rhs(basis, r0):
@@ -45,7 +42,7 @@ def integrate_projected(hm, cm, y0, grid):
     for k in range(grid.steps):
         y = e_h @ y + forcing
         samples[k + 1] = y
-    return KernelTrajectoryVec(grid, samples)
+    return KernelTrajectory(grid, samples)
 
 
 def residual_norm(coupling, y):
@@ -58,44 +55,32 @@ def residual_norm(coupling, y):
     return abs(float(coupling[0, 0])) * np.abs(np.asarray(y, dtype=float)[..., -1])
 
 
-def galerkin_solve(problem, grid, m_max, eps, report_stride=1):
+def galerkin_solve(problem, grid, m_max, tol, probe_stride=1):
     """Algorithm: grow the Krylov basis until the residual maximum over the
-    grid nodes falls below eps, then reconstruct the trajectory.  The report
-    holds every ``report_stride``-th node.
+    grid nodes falls below tol, then reconstruct the trajectory.  The report
+    holds every ``probe_stride``-th node.
 
     Returns (SylvesterSolution, SolveReport).  Non-convergence at m_max is a
     report status, not an exception.
     """
-    require_positive(m_max=m_max, report_stride=report_stride)
-    t_start = time.perf_counter()
-    x0 = problem.initial_value()
-    # constant initial guess: residual R0 = -A(X0) - C is time independent
-    r0 = -gsylv_apply(problem, x0) - problem.c
-    beta = float(np.linalg.norm(r0))
-    report = SolveReport(
-        method="galerkin",
-        columns=("m", "t", "residual_bound"),
-        dims={"n": problem.n, "p": problem.p, "q": problem.q},
-        settings={"m_max": m_max, "eps": eps, "grid_steps": grid.steps,
-                  "report_stride": report_stride},
-    )
+    report = SolveReport(method="galerkin", columns=("m", "t", "residual_bound"),
+                         dims={"n": problem.n, "p": problem.p, "q": problem.q})
+
+    def start(report):
+        # constant initial guess: residual R0 = -A(X0) - C is time independent
+        r0 = -gsylv_apply(problem, problem.initial_value()) - problem.c
+        if not r0.any():
+            return None            # X(t) = X0 already solves the equation
+        proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0)
+
+        def fit(hm, coupling):
+            # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
+            cm = np.r_[-proc.beta, np.zeros(hm.shape[0] - 1)]
+            kernel = integrate_projected(hm, cm, None, grid)
+            return residual_norm(coupling, kernel.samples), lambda k: (), kernel
+
+        return proc, fit
+
+    basis, kernel = krylov_solve(report, grid, m_max, tol, probe_stride, start)
     shape = (problem.n, problem.p)
-    if beta == 0.0:
-        # X(t) = X0 already solves the equation
-        kernel = KernelTrajectoryVec(grid, np.zeros((grid.nnodes, 1)))
-        report.converged = True
-        report.wall_time = time.perf_counter() - t_start
-        return SylvesterSolution(grid, None, kernel, shape, x0=problem.x0), report
-
-    proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0)
-
-    def fit(m):
-        basis, hm, coupling = proc.projection(m)
-        # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
-        cm = np.r_[-proc.beta, np.zeros(m - 1)]
-        kernel = integrate_projected(hm, cm, None, grid)
-        return residual_norm(coupling, kernel.samples), lambda k: (), basis, kernel
-
-    basis, kernel = grow_until(proc, fit, grid, report, m_max, eps, report_stride)
-    report.wall_time = time.perf_counter() - t_start
     return SylvesterSolution(grid, basis, kernel, shape, x0=problem.x0), report

@@ -12,7 +12,7 @@ subdiagonal entries.
 
 import numpy as np
 
-from .blockmat import BlockRow, BlockStore, diamond, global_qr
+from .blockmat import BlockRow, BlockStore, diamond, global_qr, kron_apply
 from .errors import DimensionError
 
 # Truncation threshold for remainder blocks, relative to the pre-
@@ -21,7 +21,7 @@ from .errors import DimensionError
 # destroys the Krylov structure of the basis (the algebraic relations degrade
 # by eps divided by this ratio), so the process stops there and treats the
 # span as invariant.
-DEFAULT_BREAKDOWN_TOL = 1e-7
+BREAKDOWN_TOL = 1e-7
 
 
 class ExtendedGlobalArnoldi:
@@ -33,7 +33,7 @@ class ExtendedGlobalArnoldi:
     seed's coefficient on V_1.
     """
 
-    def __init__(self, a, solver, seed, tol=DEFAULT_BREAKDOWN_TOL):
+    def __init__(self, a, solver, seed):
         seed = np.asarray(seed, dtype=float)
         if seed.ndim == 1:
             seed = seed[:, None]
@@ -42,11 +42,11 @@ class ExtendedGlobalArnoldi:
         self.a = a
         self.solver = solver
         self.width = seed.shape[1]
-        self.tol = tol
         # the rank test is per block, as in step: B itself is then never
         # deficient, so B = V_1 r_11 always holds
         pair = BlockRow(np.hstack([seed, solver.solve(seed)]), self.width)
-        q0, r0, deficient = global_qr(pair, tol, scale=np.linalg.norm(pair.flat(), axis=0))
+        q0, r0, deficient = global_qr(pair, BREAKDOWN_TOL,
+                                      scale=np.linalg.norm(pair.flat(), axis=0))
         self.r_init = r0
         self.beta = float(r0[0, 0])
         self._ccols = []          # per step: coefficients of A v_{2j}, length 2j+4
@@ -100,12 +100,12 @@ class ExtendedGlobalArnoldi:
         # remainder tiny relative to its own direction signals an invariant
         # subspace; keeping it would admit a noise direction that spoils both
         # the basis and the Krylov structure
-        q1, r1, deficient = global_qr(ub.narrow(2), self.tol, scale=half_norm0)
+        q1, r1, deficient = global_qr(ub.narrow(2), BREAKDOWN_TOL, scale=half_norm0)
         c2 = diamond(basis, q1)
         w = q1.flat()
         w -= q @ c2
         # a unit direction that the second pass cancels was noise after the first
-        q2, r2, collapsed = global_qr(q1, self.tol, scale=1.0)
+        q2, r2, collapsed = global_qr(q1, BREAKDOWN_TOL, scale=1.0)
         deficient = set(deficient) | set(collapsed)
         # only the A-direction column enters T; the A^{-1} one is projected directly
         self._ccols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
@@ -154,12 +154,18 @@ class ExtendedGlobalArnoldi:
     def projection(self, m):
         """(sub-block basis, T_m, T_{m+1,m}) after m steps.
 
-        After a breakdown the retained sub-blocks span an A-invariant
+        After a breakdown the retained sub-blocks should span an A-invariant
         subspace: the projection is then V^T diamond (A V) onto all of them,
-        with zero coupling, so the residual bound vanishes.
+        and the coupling is the R factor of A V - V (T kron I), which is
+        roundoff on a truly invariant subspace.  When the rank test took a
+        real remainder for noise (a near-singular A), it keeps the residual
+        bound truthful.
         """
         if self.breakdown and m >= self.m:
             basis = self.sub_basis()
-            tm = diamond(basis, BlockRow(self.a @ basis.data, basis.width))
-            return basis, tm, np.zeros((2, basis.m))
+            av = BlockRow(self.a @ basis.data, basis.width)
+            tm = diamond(basis, av)
+            _, coupling, _ = global_qr(BlockRow(av.data - kron_apply(basis, tm).data,
+                                                basis.width))
+            return basis, tm, coupling
         return (self.sub_basis(2 * m), *self.hessenberg(m))

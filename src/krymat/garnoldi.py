@@ -13,7 +13,7 @@ import numpy as np
 from .blockmat import BlockStore, cgs2
 from .errors import DimensionError
 
-DEFAULT_BREAKDOWN_FACTOR = 1e-14
+BREAKDOWN_FACTOR = 1e-14
 
 
 class GlobalArnoldi:
@@ -22,11 +22,11 @@ class GlobalArnoldi:
     ``op`` maps an n x p array to an n x p array and must be linear.  After
     ``advance_to(m)`` the object holds m+1 basis blocks (or fewer on
     breakdown) and the coefficients h[i][j].  Breakdown is declared at step j
-    when h_{j+1,j} <= tol * ||op(V_j)||_F.  ``beta`` = ||seed||_F is the
-    seed's coefficient on V_1.
+    when h_{j+1,j} <= BREAKDOWN_FACTOR * ||op(V_j)||_F.  ``beta`` = ||seed||_F
+    is the seed's coefficient on V_1.
     """
 
-    def __init__(self, op, seed, tol=DEFAULT_BREAKDOWN_FACTOR):
+    def __init__(self, op, seed):
         seed = np.asarray(seed, dtype=float)
         if seed.ndim == 1:
             seed = seed[:, None]
@@ -35,7 +35,6 @@ class GlobalArnoldi:
             raise ValueError("global Arnoldi needs a nonzero seed block")
         self.op = op
         self.beta = beta
-        self.tol = tol
         self._store = BlockStore(*seed.shape)
         self._store.append(seed / beta)
         self._hcols = []
@@ -62,7 +61,7 @@ class GlobalArnoldi:
         hnext = float(np.linalg.norm(w))
         col[j + 1] = hnext
         self._hcols.append(col)
-        if hnext <= self.tol * wnorm0:
+        if hnext <= BREAKDOWN_FACTOR * wnorm0:
             col[j + 1] = 0.0
             self.breakdown = True
             return False

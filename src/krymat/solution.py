@@ -1,6 +1,7 @@
-"""Time grids, solver reports, and solution containers shared by the solvers."""
+"""Time grids, solver reports, the shared Krylov solve, and solution containers."""
 
 import configparser
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,58 +91,59 @@ class SolveReport:
         return lines
 
 
-def require_positive(**settings):
-    """Raise ConfigError naming the first of the settings below 1."""
-    for key, value in settings.items():
+def krylov_solve(report, grid, m_max, tol, probe_stride, start):
+    """The solve of the three solvers: grow the basis one step, project the
+    equation onto it, fit the projected equation, report every
+    ``probe_stride``-th node, and stop once the bound is below ``tol`` at
+    every node, on breakdown, or at m_max.
+
+    The settings are checked before any work.  ``start(report)`` returns
+    (process, fit), or None for a zero right-hand side; ``fit(T_m, coupling)``
+    returns the bound at every node, a function giving the report columns
+    past the bound at node k, and the kernel.  Sets the report's status,
+    basis size and wall time; returns the last (basis, kernel), or
+    (None, None) for a zero right-hand side.
+    """
+    for key, value in (("m_max", m_max), ("probe_stride", probe_stride)):
         if value < 1:
             raise ConfigError(f"{key} = {value}: need {key} >= 1")
-
-
-def grow_until(proc, fit, grid, report, m_max, tol, stride):
-    """The outer loop of the three solvers: grow the basis one step, fit the
-    projected equation at that size, report every ``stride``-th node, and stop
-    once the bound is below ``tol`` at every node, on breakdown, or at m_max.
-
-    ``fit(m)`` returns the bound at every node, a function giving the report
-    columns past the bound at node k, the basis and the kernel.  Sets the
-    report's status and basis size; returns the last (basis, kernel).
-    """
-    nodes = grid.nodes
-    m = 0
-    while True:
-        m = proc.advance_to(m + 1)
-        bounds, extra, basis, kernel = fit(m)
-        for k in range(0, grid.nnodes, stride):
-            report.add(m, nodes[k], bounds[k], *extra(k))
-        report.converged = bool(bounds.max() < tol)
-        if report.converged or proc.breakdown or m >= m_max:
-            break
-    report.m_final = m
-    report.breakdown = proc.breakdown
-    report.dims["basis_blocks"] = basis.m
-    report.dims["basis_cols"] = basis.m * basis.width
+    if not 0 <= tol < np.inf:
+        raise ConfigError(f"tol = {tol}: need 0 <= tol < inf")
+    report.settings.update(m_max=m_max, tol=tol, grid_steps=grid.steps,
+                           probe_stride=probe_stride)
+    t_start = time.perf_counter()
+    started = start(report)
+    basis = kernel = None
+    if started is None:
+        report.converged = True
+    else:
+        proc, fit = started
+        nodes = grid.nodes
+        m = 0
+        while True:
+            m = proc.advance_to(m + 1)
+            basis, tm, coupling = proc.projection(m)
+            bounds, extra, kernel = fit(tm, coupling)
+            for k in range(0, grid.nnodes, probe_stride):
+                report.add(m, nodes[k], bounds[k], *extra(k))
+            report.converged = bool(bounds.max() < tol)
+            if report.converged or proc.breakdown or m >= m_max:
+                break
+        report.m_final = m
+        report.breakdown = proc.breakdown
+        report.dims["basis_blocks"] = basis.m
+        report.dims["basis_cols"] = basis.m * basis.width
+    report.wall_time = time.perf_counter() - t_start
     return basis, kernel
 
 
 @dataclass
-class KernelTrajectoryVec:
-    """Small projected solution y_m(t_k), one length-m vector per node."""
+class KernelTrajectory:
+    """Small projected solution on a grid, one sample per node: the rows of
+    an (nnodes, m) array of vectors y_m(t_k), or a list of symmetric Y_m(t_k)."""
 
     grid: TimeGrid
-    samples: np.ndarray            # (nnodes, m)
-
-    def __post_init__(self):
-        self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-        if self.samples.shape[0] != self.grid.nnodes:
-            raise DimensionError("one kernel sample per grid node required")
-
-
-@dataclass
-class KernelTrajectorySym:
-    """Small symmetric kernel samples Y_m(t_k) on a grid."""
-
-    grid: TimeGrid
-    samples: list                  # of (k, k) symmetric arrays
+    samples: object
 
     def __post_init__(self):
         if len(self.samples) != self.grid.nnodes:
@@ -152,13 +154,13 @@ class KernelTrajectorySym:
 class SylvesterSolution:
     """Factored trajectory X_m(t_k) = X0 + V (y_m(t_k) kron I_p).
 
-    ``basis`` may be None for the degenerate zero-residual case, where the
-    trajectory is the constant X0.
+    ``basis`` and ``kernel`` are None for the degenerate zero-residual case,
+    where the trajectory is the constant X0.
     """
 
     grid: TimeGrid
     basis: object                  # BlockBasis, m blocks of width p
-    kernel: KernelTrajectoryVec
+    kernel: KernelTrajectory
     shape: tuple
     x0: np.ndarray = None
 
@@ -206,20 +208,18 @@ class LowRankSolution:
 
     grid: TimeGrid
     basis: object                  # BlockBasis at sub-block width (p or seed width)
-    kernel: KernelTrajectorySym    # None for a solution loaded from its factors
+    kernel: KernelTrajectory       # None for a solution loaded from its factors
     factors: list = None           # of smallmat.LowRankFactor, one per node
 
     @classmethod
-    def from_kernel(cls, grid, basis, samples, factor_tol):
-        """Solution with kernel samples Y_k on ``basis``, each Y_k factored."""
-        factors = [smallmat.trunc_sym_factor(y, factor_tol) for y in samples]
-        return cls(grid, basis, KernelTrajectorySym(grid, samples), factors)
-
-    @classmethod
-    def zero(cls, grid, n, factor_tol):
-        """X(t) = 0 on one zero basis column."""
-        return cls.from_kernel(grid, BlockRow(np.zeros((n, 1)), 1),
-                               [np.zeros((1, 1))] * grid.nnodes, factor_tol)
+    def from_kernel(cls, grid, n, basis, kernel, factor_tol):
+        """Solution with the kernel samples Y_k on ``basis``, each Y_k
+        factored; X(t) = 0 on one zero basis column when ``basis`` is None."""
+        if basis is None:
+            basis = BlockRow(np.zeros((n, 1)), 1)
+            kernel = KernelTrajectory(grid, [np.zeros((1, 1))] * grid.nnodes)
+        factors = [smallmat.trunc_sym_factor(y, factor_tol) for y in kernel.samples]
+        return cls(grid, basis, kernel, factors)
 
     def save(self, out_dir):
         """Write the solution in factored form: the basis once (basis.mtx,

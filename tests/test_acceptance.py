@@ -177,7 +177,7 @@ def test_ac3_galerkin_exactness_and_residual_formula():
         n, p = shapes[trial % len(shapes)]
         prob = gen_sylvester_q2(n, p, seed=1000 + trial)
         grid = TimeGrid(0.0, 1.0, 10)
-        sol, rep = galerkin_solve(prob, grid, m_max=n * p, eps=0.0)
+        sol, rep = galerkin_solve(prob, grid, m_max=n * p, tol=0.0)
         ref = dense_dme_solve(prob, grid)
         dev = max(np.linalg.norm(sol.snapshot(k) - ref[k])
                   for k in range(grid.nnodes))

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, generation, sweep."""
 
 import configparser
+import re
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,8 @@ class TestRun:
         ("egadl", "m_max = 0"),
         ("egadl", "m_max = abc"),
         ("egadl", "tol = x"),
+        ("egadl", "tol = nan"),
+        ("expo", "factor_tol = 1.5"),
         ("expo", "variant = bogus"),
         ("egadl", "[output]\nfactors = maybe"),
     ])
@@ -409,6 +412,23 @@ class TestSweep:
         assert f"{bad}: exit 2" in out and f"{good}: exit 0" in out
         assert (tmp_path / "sweep" / "good" / "report.csv").exists()
 
+    def test_configs_with_one_output_name_exit_2(self, tmp_path, capsys):
+        # a/run.cfg and b/run.cfg would both write sweep/run
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_cfg(tmp_path / "a", SMALL_EGADL)
+        second = write_cfg(tmp_path / "b", SMALL_EGADL.replace("seed = 1", "seed = 2"))
+        other = write_cfg(tmp_path, SMALL_EGADL, "other.cfg")
+        code = main(["sweep", "--configs", str(first), str(other), str(second),
+                     "--out", str(tmp_path / "sweep"), "--threads", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert str(first) in err[0] and str(second) in err[0] and str(other) not in err[0]
+        assert captured.out == ""
+        assert not (tmp_path / "sweep").exists()
+
     def test_seed_fails_only_the_bundle_configs(self, tmp_path, capsys):
         save_problem(gen_dle_problem(n0=4, p=1, seed=3), tmp_path / "bundle")
         bundle = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"),
@@ -468,7 +488,7 @@ class TestSolverCallContract:
     @pytest.mark.parametrize("method,module,name,keyword", [
         ("egadl", dlebdf, "egadl_solve", "l"),
         ("expo", dleexp, "expo_dle_solve", "factor_tol"),
-        ("galerkin", dsylv, "galerkin_solve", "report_stride"),
+        ("galerkin", dsylv, "galerkin_solve", "probe_stride"),
     ], ids=["egadl", "expo", "galerkin"])
     def test_wrapper_on_the_module_is_called(self, tmp_path, monkeypatch,
                                              method, module, name, keyword):
@@ -502,3 +522,34 @@ class TestShippedConfigs:
             path = write_cfg(tmp_path, text.split("```ini\n", 1)[1].split("```", 1)[0])
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
+
+
+def _documented_keys(text, keys):
+    """The `key` (default) pairs of a README cell or sentence, each default
+    parsed with the type ``keys`` gives its key."""
+    pairs = dict(re.findall(r"`(\w+)` \(([^)]*)\)", text))
+    assert set(pairs) == set(keys)
+    return {key: keys[key][0](default) for key, default in pairs.items()}
+
+
+class TestMethodTable:
+    def test_readme_table_matches_solvers(self):
+        # the README's method table, so that it cannot go stale
+        lines = (CONFIG_DIR.parent / "README.md").read_text().splitlines()
+        start = lines.index("| method | solver | problem | reference | other `[solver]` keys |")
+        rows = {}
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            method, solver, _, reference, keys = (c.strip() for c in line.strip("|").split("|"))
+            rows[method.strip("`")] = (solver.strip("`"), reference.strip("`"), keys)
+        assert set(rows) == set(cli.SOLVERS)
+        for method, (solver, reference, keys) in rows.items():
+            entry = cli.SOLVERS[method]
+            assert solver == f"{entry.module.__name__.rsplit('.', 1)[1]}.{entry.solver}"
+            assert reference == entry.reference.__name__
+            assert _documented_keys(keys, entry.keys) == {
+                key: default for key, (_, default) in entry.keys.items()}
+        common = next(line for line in lines if "every method also reads" in line)
+        assert _documented_keys(common, cli._COMMON) == {
+            key: default for key, (_, default) in cli._COMMON.items()}

@@ -152,7 +152,7 @@ class TestGalerkinSolve:
     def test_full_dimension_matches_oracle(self, rng):
         prob = gen_sylvester_q2(6, 2, seed=31)
         grid = TimeGrid(0.0, 1.0, 10)
-        sol, rep = galerkin_solve(prob, grid, m_max=12, eps=1e-12)
+        sol, rep = galerkin_solve(prob, grid, m_max=12, tol=1e-12)
         ref = dense_dme_solve(prob, grid)
         for k in range(grid.nnodes):
             assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= 1e-8
@@ -172,7 +172,7 @@ class TestGalerkinSolve:
     def test_reaches_tolerance_on_stable_instance(self):
         prob = gen_sylvester_q2(100, 2, seed=17)
         grid = TimeGrid(0.0, 1.0, 10)
-        sol, rep = galerkin_solve(prob, grid, m_max=80, eps=1e-8)
+        sol, rep = galerkin_solve(prob, grid, m_max=80, tol=1e-8)
         assert rep.converged
         assert rep.final_bounds().max() < 1e-8
 
@@ -194,8 +194,8 @@ class TestGalerkinSolve:
     def test_kernel_norm_equals_solution_shift(self, rng):
         prob = gen_sylvester_q2(12, 2, seed=23)
         grid = TimeGrid(0.0, 1.0, 6)
-        sol, rep = galerkin_solve(prob, grid, m_max=6, eps=0.0)
-        assert not rep.converged                 # eps=0 is unreachable
+        sol, rep = galerkin_solve(prob, grid, m_max=6, tol=0.0)
+        assert not rep.converged                 # tol=0 is unreachable
         for k in range(grid.nnodes):
             x = sol.snapshot(k)
             y = sol.kernel.samples[k]
@@ -239,7 +239,7 @@ class TestGalerkinSolve:
         ref = expm_multiply(aug, start, start=grid.t0, stop=grid.tf,
                             num=grid.nnodes, endpoint=True)[:, :npv]
         ref = ref.reshape((grid.nnodes, 30, 2), order="F")
-        sol, rep = galerkin_solve(prob, grid, m_max=60, eps=1e-12)
+        sol, rep = galerkin_solve(prob, grid, m_max=60, tol=1e-12)
         assert rep.converged
         err = max(np.linalg.norm(sol.snapshot(k) - ref[k]) for k in range(grid.nnodes))
         assert err <= 1e-10

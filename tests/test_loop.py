@@ -1,17 +1,21 @@
-"""The grow-fit-stop loop that the three solvers share: report stride and
-breakdown, seen through each solver."""
+"""The solve that the three solvers share: report stride, breakdown, argument
+checks and rank-deficient data, seen through each solver."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import dense_dle_bdf
 from krymat import dlebdf, dleexp, dsylv
+from krymat.blockmat import kron_apply
 from krymat.dlebdf import egadl_solve
-from krymat.dleexp import expo_dle_solve
+from krymat.dleexp import expo_dle_solve, gram_trajectory
 from krymat.dsylv import galerkin_solve
+from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import ConfigError
 from krymat.oracle import dense_dle_exact, dense_dme_solve
-from krymat.probio import DLEProblem, GenSylvesterProblem, gen_dle_problem, gen_sylvester_q2
+from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dle_problem,
+                           gen_laplacian2d, gen_sylvester_q2, random_full_rank)
 from krymat.solution import TimeGrid
 
 
@@ -27,7 +31,7 @@ def _expo(stride):
 
 def _galerkin(stride):
     prob = gen_sylvester_q2(40, 2, seed=3)
-    return galerkin_solve(prob, TimeGrid(0.0, 1.0, 20), 60, 1e-8, report_stride=stride)
+    return galerkin_solve(prob, TimeGrid(0.0, 1.0, 20), 60, 1e-8, probe_stride=stride)
 
 
 @pytest.mark.parametrize("solve", [_egadl, _expo, _galerkin],
@@ -80,6 +84,85 @@ def test_galerkin_breakdown_is_exact():
     assert err <= 1e-13
 
 
+def _near_singular_problem():
+    # the 2-D Laplacian shifted by just past its largest eigenvalue: A stays
+    # stable, 1e-6 from singular, so A^{-1} v is dominated by a direction
+    # already in the basis and the extended process's rank test reads a real
+    # remainder as noise
+    a = gen_laplacian2d(8)
+    lam_max = np.linalg.eigvalsh(a.toarray()).max()
+    a = (a - (lam_max + 1e-6) * sp.identity(64)).tocsr()
+    return DLEProblem(a, random_full_rank(64, 2, seed=1))
+
+
+@pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])
+def test_false_breakdown_is_not_convergence(solve):
+    prob = _near_singular_problem()
+    grid = TimeGrid(0.0, 1.0, 20)
+    sol, rep = solve(prob, grid, 30, 1e-8)
+    assert rep.breakdown and not rep.converged
+    ref = dense_dle_exact(prob, grid)
+    err = max(np.linalg.norm(sol.snapshot(k) - ref[k]) for k in range(grid.nnodes))
+    assert err > 1e-8                 # the basis misses part of the solution
+
+
+def test_false_breakdown_bound_dominates_dense_residual():
+    # X_m = V (G kron I) V^T with the exact Gramian G of the projected
+    # equation, so dX_m/dt = V ((T G + G T^T + beta^2 e_1 e_1^T) kron I) V^T
+    prob = _near_singular_problem()
+    grid = TimeGrid(0.0, 1.0, 20)
+    _, rep = expo_dle_solve(prob, grid, 30, 1e-8, variant="extended")
+    proc = ExtendedGlobalArnoldi(prob.a, LinearSolver(prob.a), prob.b)
+    basis, tm, _ = proc.projection(proc.advance_to(1))
+    assert proc.breakdown and basis.m == tm.shape[0]
+    a_dense = prob.a.toarray()
+    bbt = prob.b @ prob.b.T
+    for g, bound in zip(gram_trajectory(tm, proc.beta, grid), rep.final_bounds()):
+        gdot = tm @ g + g @ tm.T
+        gdot[0, 0] += proc.beta ** 2
+        xm = kron_apply(basis, g).data @ basis.data.T
+        xdot = kron_apply(basis, gdot).data @ basis.data.T
+        dense = np.linalg.norm(xdot - a_dense @ xm - xm @ a_dense.T - bbt)
+        assert dense <= bound * (1 + 1e-8) + 1e-12
+
+
+# columns of B as multiples of one vector b
+RANK_DEFICIENT_B = {"b,b": [1.0, 1.0], "b,2b,-b": [1.0, 2.0, -1.0]}
+
+
+@pytest.mark.parametrize("weights", list(RANK_DEFICIENT_B.values()),
+                         ids=list(RANK_DEFICIENT_B))
+@pytest.mark.parametrize("method", ["egadl", "expo-global", "expo-extended"])
+def test_rank_deficient_b_matches_dense_reference(method, weights):
+    b = random_full_rank(64, 1, seed=1)
+    with pytest.warns(UserWarning, match="rank deficient"):
+        prob = DLEProblem(gen_laplacian2d(8), b * np.array(weights))
+    grid = TimeGrid(0.0, 1.0, 20)
+    if method == "egadl":
+        sol, rep = egadl_solve(prob, grid, 30, 1e-8, l=2)
+        ref, bounds = dense_dle_bdf(prob, grid, 2), [1e-6] * grid.nnodes   # AC-4's bound
+    else:
+        sol, rep = expo_dle_solve(prob, grid, 30, 1e-8, variant=method.split("-")[1])
+        ref = dense_dle_exact(prob, grid)
+        bounds = [row[3] for row in rep.rows if row[0] == rep.m_final]    # a-priori bound
+    assert rep.converged and not rep.breakdown
+    for k in range(grid.nnodes):
+        assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= bounds[k]
+
+
+def test_rank_deficient_c_matches_oracle():
+    base = gen_sylvester_q2(40, 2, seed=3)
+    c = base.c[:, :1]
+    with pytest.warns(UserWarning, match="rank deficient"):
+        prob = GenSylvesterProblem(base.a_list, base.b_list, np.hstack([c, c]))
+    grid = TimeGrid(0.0, 1.0, 20)
+    sol, rep = galerkin_solve(prob, grid, 60, 1e-10)
+    assert rep.converged
+    ref = dense_dme_solve(prob, grid)
+    for k in range(grid.nnodes):
+        assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= 1e-8
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the solver started work on a bad argument")
 
@@ -94,7 +177,12 @@ BAD_ARGUMENTS = [
     ("expo", {"variant": "bogus"}, "variant"),
     ("expo", {"z0": True}, "X0"),
     ("galerkin", {"m_max": 0}, "m_max"),
-    ("galerkin", {"report_stride": 0}, "report_stride"),
+    ("galerkin", {"probe_stride": 0}, "probe_stride"),
+    ("egadl", {"tol": float("nan")}, "tol"),
+    ("expo", {"tol": float("inf")}, "tol"),
+    ("galerkin", {"tol": -1.0}, "tol"),
+    ("egadl", {"factor_tol": float("nan")}, "factor_tol"),
+    ("expo", {"factor_tol": 1.5}, "factor_tol"),
 ]
 
 
@@ -107,6 +195,7 @@ def test_bad_argument_is_refused_before_any_work(monkeypatch, method, bad, key):
         monkeypatch.setattr(module, name, _no_work)
     kwargs = dict(bad)
     m_max = kwargs.pop("m_max", 20)
+    tol = kwargs.pop("tol", 1e-8)
     if method == "galerkin":
         prob, solve = gen_sylvester_q2(20, 2, seed=3), galerkin_solve
     else:
@@ -115,4 +204,4 @@ def test_bad_argument_is_refused_before_any_work(monkeypatch, method, bad, key):
             prob = DLEProblem(prob.a, prob.b, z0=np.ones((25, 1)))
         solve = egadl_solve if method == "egadl" else expo_dle_solve
     with pytest.raises(ConfigError, match=key):
-        solve(prob, TimeGrid(0.0, 1.0, 10), m_max, 1e-8, **kwargs)
+        solve(prob, TimeGrid(0.0, 1.0, 10), m_max, tol, **kwargs)
