@@ -2,8 +2,10 @@
 and the exponential method share, and EgAdl's BDF time stepping.
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
-equation with shifted coefficient h beta T - I/2, solved by Bartels-Stewart
-from one real Schur form of T per basis size.
+equation with shifted coefficient h beta T - I/2, solved from one reduction
+of T per basis size: an eigendecomposition when its eigenvector matrix is
+well conditioned, which makes the step one elementwise division, and the
+real Schur form (Bartels-Stewart) otherwise.
 The right-hand side of that step mixes the previous kernels with weights that
 may be negative, so it is assembled as a dense symmetric matrix; low-rank
 factors with a +/-1 signature are produced only for output.
@@ -48,10 +50,10 @@ def bdf_step(tm, bm, prev, h, scheme):
     ``prev`` lists the most recent kernels, newest first.  The step solves
     (h beta T - I/2) Y + Y (h beta T - I/2)^T + Q = 0 with
     Q = h beta b b^T + sum_i alpha_i prev[i].  ``tm`` is T as a matrix, or the
-    RealSchur form of the step operator h beta T - I/2 for this h and scheme,
-    which the step reuses without a new reduction.
+    RealSchur or EigenForm of the step operator h beta T - I/2 for this h and
+    scheme, which the step reuses without a new reduction.
     """
-    if isinstance(tm, smallmat.RealSchur):
+    if isinstance(tm, smallmat.FORMS):
         t_cal = tm
     else:
         tm = np.atleast_2d(np.asarray(tm, dtype=float))
@@ -75,17 +77,16 @@ def bdf_integrate(tm, bm, y0, grid, l):
     """March the projected Lyapunov ODE over the grid with l-step BDF.
 
     Startup uses the 1-step then 2-step schemes until l previous kernels are
-    available.  T is reduced to real Schur form once; each scheme's step
-    operator h beta T - I/2 is a shift of that form.  Returns a
-    KernelTrajectory.
+    available.  ``tm`` is T, reduced here once by ``smallmat.small_form``, or
+    that reduction; each scheme's step operator h beta T - I/2 is a shift of
+    it.  Returns a KernelTrajectory.
     """
     bdf_coefficients(l)            # validate l early
-    tm = np.atleast_2d(np.asarray(tm, dtype=float))
-    k = tm.shape[0]
+    form = tm if isinstance(tm, smallmat.FORMS) else smallmat.small_form(tm)[0]
+    k = form.lam.shape[0]
     y = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
     schemes = [bdf_coefficients(j) for j in range(1, l + 1)]
-    schur = smallmat.real_schur(tm)
-    ops = [schur.shifted(grid.h * s.beta, -0.5) for s in schemes]
+    ops = [form.shifted(grid.h * s.beta, -0.5) for s in schemes]
     samples = [y]
     prev = [y]
     for _ in range(grid.steps):
@@ -103,6 +104,16 @@ def residual_bound_bdf(coupling, y):
     y = np.asarray(y, dtype=float)
     nr = coupling.shape[1]
     return float(np.sqrt(2.0) * np.linalg.norm(coupling @ y[-nr:, :]))
+
+
+def reduce_projected(report, tm):
+    """``smallmat.small_form`` of the projected T_m, with its branch and
+    kappa_2(X) written to the report's trust lines, where the last basis
+    size's stay."""
+    form, cond = smallmat.small_form(tm)
+    report.trust["small_form"] = "eigen" if isinstance(form, smallmat.EigenForm) else "schur"
+    report.trust["eig_cond"] = cond
+    return form
 
 
 def lowrank_report(problem, method, column, factor_tol, settings):
@@ -139,7 +150,7 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
         def fit(tm, coupling):
             # B = V_1 beta, and V is F-orthonormal
             bm = np.r_[proc.beta, np.zeros(tm.shape[0] - 1)]
-            kernel = bdf_integrate(tm, bm, None, grid, l)
+            kernel = bdf_integrate(reduce_projected(report, tm), bm, None, grid, l)
             ys = kernel.samples
             bounds = np.array([residual_bound_bdf(coupling, y) for y in ys])
             return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), kernel

@@ -4,9 +4,11 @@ exponential action.
 With X0 = 0 the exact solution is a Gramian integral of e^{sA} B.  Projecting
 e^{sA} B onto a (extended) global Krylov subspace turns that integral into a
 small Gramian G_m(t) that satisfies a low-dimensional Lyapunov ODE and is
-evaluated exactly with the Van Loan block exponential, so the only error is
-the subspace truncation.  Computable residual and a-priori error bounds come
-from the subdiagonal coupling of the Hessenberg reduction.
+evaluated exactly, so the only error is the subspace truncation: in closed
+form from an eigendecomposition of H_m when its eigenvector matrix is well
+conditioned, and with the Van Loan block exponential otherwise.  Computable
+residual and a-priori error bounds come from the subdiagonal coupling of the
+Hessenberg reduction.
 
 The polynomial space's bound |h_{m+1,m}| ||last row of G_m(t)||_2 is the
 residual's spectral norm for p = 1, where the Frobenius norm is sqrt(2) times
@@ -20,9 +22,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .dlebdf import lowrank_report, residual_bound_bdf
+from .dlebdf import lowrank_report, reduce_projected, residual_bound_bdf
 from .egarnoldi import ExtendedGlobalArnoldi
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver
 from .solution import KernelTrajectory, LowRankSolution, krylov_solve
@@ -31,16 +33,38 @@ from .solution import KernelTrajectory, LowRankSolution, krylov_solve
 VARIANTS = ("global", "extended")
 
 
-def gram_trajectory(hm, beta, grid):
+def gram_trajectory(hm, beta, grid, form=None):
     """The list of G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds.
 
-    Evaluated through the Van Loan block exponential, which is quadrature free
-    and satisfies dG/dt = H G + G H^T + beta^2 e_1 e_1^T by construction.
+    ``form`` is ``smallmat.small_form(hm)``, computed here when not given.
+    From H = X diag(lambda) X^{-1} the Gramian is closed form,
+    G(t) = Re(X [t phi_1(t (lambda_i + lambda_j)) q_i q_j] X^T) with
+    q = X^{-1} beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
+    it is the Van Loan block exponential of H itself, whose (block)
+    Hessenberg zeros keep the small last rows that the bounds read accurate.
+    Both are quadrature free and satisfy dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
     """
     hm = np.atleast_2d(np.asarray(hm, dtype=float))
-    q = np.zeros(hm.shape[0])
-    q[0] = beta
-    grams, _ = smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)
+    if form is None:
+        form, _ = smallmat.small_form(hm)
+    if isinstance(form, smallmat.RealSchur):
+        q = np.zeros(hm.shape[0])
+        q[0] = beta
+        return smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)[0]
+    qh = beta * form.xinv[:, 0]
+    qq = np.outer(qh, qh)
+    pair = form.lam[:, None] + form.lam[None, :]
+    zero = pair == 0
+    pair_safe = np.where(zero, 1.0, pair)
+    grams = []
+    for t in grid.h * np.arange(grid.nnodes):
+        with np.errstate(over="ignore", invalid="ignore"):
+            # t phi_1(t s) = expm1(t s)/s, with the limit t at s = 0
+            weight = np.where(zero, t, np.expm1(t * pair) / pair_safe)
+            g = (form.x @ (weight * qq) @ form.x.T).real
+        if not np.isfinite(g).all():
+            raise NumericError("gram_trajectory: Gramian overflowed")
+        grams.append(0.5 * (g + g.T))
     return grams
 
 
@@ -108,7 +132,7 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
             bound_of = residual_bound_bdf
 
         def fit(hm, coupling):
-            grams = gram_trajectory(hm, proc.beta, grid)
+            grams = gram_trajectory(hm, proc.beta, grid, reduce_projected(report, hm))
             bounds = np.array([bound_of(coupling, g) for g in grams])
             res_max = float(bounds.max())
             apriori = lambda k: (apriori_error_bound(1.0, res_max, mu2, nodes[k], grid.t0),)

@@ -22,6 +22,9 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not np.isfinite([self.t0, self.tf, self.tf - self.t0]).all():
+            raise DimensionError(f"TimeGrid needs finite t0, tf and tf - t0, "
+                                 f"got t0 = {self.t0}, tf = {self.tf}")
         if not self.t0 < self.tf:
             raise DimensionError("TimeGrid needs t0 < tf")
         if self.steps < 1:
@@ -45,7 +48,9 @@ class SolveReport:
     """Per-iteration, per-node residual-bound history plus run metadata.
 
     ``rows`` holds tuples matching ``columns``; the first two columns are
-    always the iteration count m and the node time t.
+    always the iteration count m and the node time t.  ``trust`` holds what
+    the fit of the final basis size says about how far to trust it; it goes
+    to the summary, not to the CSV.
     """
 
     method: str
@@ -56,6 +61,7 @@ class SolveReport:
     breakdown: bool = False
     dims: dict = field(default_factory=dict)
     settings: dict = field(default_factory=dict)
+    trust: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     def add(self, *row):
@@ -87,6 +93,8 @@ class SolveReport:
             lines.append(f"dims.{key} = {self.dims[key]}")
         for key in sorted(self.settings):
             lines.append(f"settings.{key} = {self.settings[key]}")
+        for key in sorted(self.trust):
+            lines.append(f"trust.{key} = {self.trust[key]}")
         lines.append(f"wall_time_s = {self.wall_time:.3f}")
         return lines
 

@@ -22,6 +22,13 @@ def stable_dense(n, rng, spread=1.0):
     return a - shift * np.eye(n)
 
 
+def near_defective(n, coupling=1e3):
+    """Upper bidiagonal T with eigenvalues -1, -1.001, ...: its eigenvector
+    matrix is far past ``smallmat.EIG_COND_MAX``, so ``small_form`` keeps
+    the real Schur form."""
+    return np.diag(-1.0 - 1e-3 * np.arange(n)) + coupling * np.eye(n, k=1)
+
+
 def stable_sym(n, rng, lo=0.5, hi=20.0):
     """Symmetric matrix with eigenvalues in [-hi, -lo]."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

@@ -83,8 +83,10 @@ class TestRun:
         assert code == 0
         lines = (tmp_path / "out" / "report.csv").read_text().splitlines()
         assert lines[0] == "m,t,residual_bound,rank"
-        summary = (tmp_path / "out" / "summary.txt").read_text()
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
         assert "converged = True" in summary
+        assert "trust.small_form = eigen" in summary
+        assert len([ln for ln in summary if ln.startswith("trust.eig_cond = ")]) == 1
 
     def test_unreachable_tolerance_exits_3_with_history(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_EGADL.replace("tol = 1e-8", "tol = 0"))
@@ -107,6 +109,11 @@ class TestRun:
         cfg2 = write_cfg(tmp_path, "[problem]\nkind = laplacian2d\n", "no_run.cfg")
         assert main(["run", "--config", str(cfg2)]) == 2
         assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+        # non-finite horizons: tf itself, and tf - t0 past the largest float
+        for horizon in ("t0 = 0.0\ntf = inf", "t0 = -1e308\ntf = 1e308"):
+            text = SMALL_EGADL.replace("t0 = 0.0\ntf = 1.0", horizon)
+            cfg3 = write_cfg(tmp_path, text, "horizon.cfg")
+            assert main(["run", "--config", str(cfg3), "--out", str(tmp_path / "o")]) == 2
 
     def test_unsupported_bdf_steps_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_EGADL.replace("l = 2", "l = 7"))

@@ -15,7 +15,8 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, random_full_rank)
 from krymat.solution import TimeGrid
 
-from conftest import bdf_derivatives, dense_dle_bdf, stable_dense, stable_sparse
+from conftest import (bdf_derivatives, dense_dle_bdf, near_defective, stable_dense,
+                      stable_sparse)
 
 
 def _projection(a, b, m):
@@ -111,17 +112,24 @@ class TestBdfIntegrate:
 class TestSchurReuse:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_one_reduction_per_march(self, monkeypatch, rng, l):
+        # a T on each side of small_form's gate: one eigendecomposition for the
+        # well-conditioned one; the trial eigendecomposition and one Schur form
+        # for the near-defective one
         calls = []
-        schur = sla.schur
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return schur(*args, **kwargs)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(sla, "schur", counted)
-        bdf_integrate(stable_dense(6, rng), rng.standard_normal(6), None,
-                      TimeGrid(0.0, 1.0, 12), l)
-        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
+        monkeypatch.setattr(sla, "schur", counted("schur", sla.schur))
+        for tm, reductions in ((stable_dense(6, rng), ["eig"]),
+                               (near_defective(6, coupling=10.0), ["eig", "schur"])):
+            calls.clear()
+            bdf_integrate(tm, rng.standard_normal(6), None, TimeGrid(0.0, 1.0, 12), l)
+            assert calls == reductions
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_matches_stepwise_reference(self, rng, l):
@@ -199,11 +207,13 @@ class TestEgadlSolve:
             xm = kron_apply(sub, traj.samples[k]).data @ sub.data.T
             assert np.linalg.norm(xm - ref[k]) / scale <= 1e-6
 
-    @pytest.mark.parametrize("n, p, density, seed", [(150, 2, 0.05, 1), (120, 1, 0.1, 3)])
+    @pytest.mark.parametrize("n, p, density, seed", [(150, 2, 0.05, 1), (120, 1, 0.1, 3),
+                                                     (150, 2, 0.05, 5)])
     def test_matches_same_grid_bdf_off_the_laplacian(self, n, p, density, seed):
         # nonsymmetric A: the LU, the extended process and B's projection
         # r_11 e_1 are checked against the full-dimension BDF2 solution on the
-        # same grid, at AC-4's bound
+        # same grid, at AC-4's bound; the first two end on the Schur form of
+        # T_m, the third on the eigen form (test_trust_names_the_final_reduction)
         prob = gen_random_dle_problem(n=n, p=p, density=density, seed=seed)
         grid = TimeGrid(0.0, 1.0, 20)
         sol, rep = egadl_solve(prob, grid, 40, 1e-8, l=2)

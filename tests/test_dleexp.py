@@ -10,14 +10,15 @@ from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_trajectory,
                            lognorm2_operator, residual_bound_exp)
-from krymat.errors import ParseError
+from krymat.errors import NumericError, ParseError
 from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact
 from krymat.probio import DLEProblem, gen_dle_problem, gen_random_dle_problem
 from krymat.smallmat import vanloan_gram
 from krymat.solution import LowRankSolution, TimeGrid
 
-from conftest import perturbed_equation_check, rect_hessenberg, stable_dense, stable_sym
+from conftest import (near_defective, perturbed_equation_check, rect_hessenberg, stable_dense,
+                      stable_sym)
 
 
 def _arnoldi_on(a, b, m):
@@ -71,6 +72,30 @@ class TestGramTrajectory:
         for k, t in enumerate(grid.nodes):
             assert grams[k][0, 0] == pytest.approx(
                 (1 - np.exp(-2 * t)) / 2, abs=1e-13)
+
+    @pytest.mark.parametrize("case", ["stiff", "rotation", "near-defective"])
+    def test_matches_vanloan(self, rng, case):
+        # stiff: symmetric, h ||H||_1 ~ 4.9e3; rotation: lambda_1 + lambda_2 = 0,
+        # where phi_1 takes its limit; near-defective: the Schur-form branch
+        if case == "stiff":
+            q_mat, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+            hm = q_mat @ np.diag(-rng.uniform(1.0, 2000.0, 20)) @ q_mat.T
+            grid = TimeGrid(0.0, 2.5, 2)
+        elif case == "rotation":
+            hm, grid = np.array([[0.0, 1.0], [-1.0, 0.0]]), TimeGrid(0.0, 2 * np.pi, 8)
+        else:
+            hm, grid = near_defective(2), TimeGrid(0.0, 3.0, 6)
+        beta = 1.3
+        grams = gram_trajectory(hm, beta, grid)
+        e1 = np.zeros(hm.shape[0])
+        e1[0] = beta
+        for k in range(1, grid.nnodes):
+            ref = vanloan_gram(hm, e1, k * grid.h)
+            assert np.linalg.norm(grams[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_overflow_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="overflowed"):
+            gram_trajectory(np.array([[400.0]]), 1.0, TimeGrid(0.0, 2.0, 1))
 
     def test_ode_identity_by_finite_differences(self, rng):
         hm = stable_dense(4, rng)

@@ -15,7 +15,9 @@ from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import ConfigError
 from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dle_problem,
-                           gen_laplacian2d, gen_sylvester_q2, random_full_rank)
+                           gen_laplacian2d, gen_random_dle_problem, gen_sylvester_q2,
+                           random_full_rank)
+from krymat.smallmat import EIG_COND_MAX, EigenForm, small_form
 from krymat.solution import TimeGrid
 
 
@@ -47,6 +49,33 @@ def test_stride_thins_the_report_only(solve):
     probed = [row for i, row in enumerate(full.rows) if i % len(nodes) % 3 == 0]
     assert thin.rows == probed
     assert len(thin.rows) == full.m_final * len(range(0, len(nodes), 3))
+
+
+@pytest.mark.parametrize("kind, seed, branch", [
+    ("laplacian", 1, "eigen"), ("random-stable", 1, "schur"), ("random-stable", 5, "eigen"),
+])
+@pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])
+def test_trust_names_the_final_reduction(solve, kind, seed, branch):
+    # the Laplacian's T_m is symmetric to roundoff; the nonsymmetric random
+    # fixtures end at m = 9 with kappa_2(X) = 16.3 (past the gate) and 6.9
+    if kind == "laplacian":
+        problem = gen_dle_problem(n0=6, p=2, seed=seed)
+    else:
+        problem = gen_random_dle_problem(n=150, p=2, density=0.05, seed=seed)
+    _, rep = solve(problem, TimeGrid(0.0, 1.0, 20), 40, 1e-8)
+    assert rep.converged
+    _, tm, _ = _extended_projection(problem, rep.m_final)
+    form, cond = small_form(tm)
+    assert rep.trust == {"small_form": branch, "eig_cond": cond}
+    assert (cond <= EIG_COND_MAX) == (branch == "eigen") == isinstance(form, EigenForm)
+    lines = rep.summary_lines()
+    assert f"trust.small_form = {branch}" in lines
+    assert f"trust.eig_cond = {cond}" in lines
+
+
+def _extended_projection(problem, m):
+    proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
+    return proc.projection(proc.advance_to(m))
 
 
 def _diagonal_with_invariant_rhs():

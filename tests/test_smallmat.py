@@ -2,13 +2,30 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from krymat.errors import CapExceededError, DimensionError, IllPosedError
-from krymat.smallmat import (RealSchur, expm, lognorm2, lyap_solve, phi1, real_schur,
-                             symmetrize, trunc_sym_factor, vanloan_gram,
-                             vanloan_gram_nodes)
+from krymat.smallmat import (EIG_COND_MAX, EigenForm, RealSchur, expm, lognorm2, lyap_solve,
+                             phi1, real_schur, small_form, symmetrize, trunc_sym_factor,
+                             vanloan_gram, vanloan_gram_nodes)
 
-from conftest import stable_dense, stable_sym
+from conftest import near_defective, stable_dense, stable_sym
+
+
+def normal_complex_pairs(k, rng):
+    """Q blockdiag([[-a, b], [-b, -a]], ...) Q^T: normal, complex spectrum, kappa(X) = 1."""
+    blocks = [np.array([[-a, b], [-b, -a]])
+              for a, b in zip(rng.uniform(0.5, 5.0, k // 2), rng.uniform(1.0, 10.0, k // 2))]
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return q @ block_diag(*blocks) @ q.T
+
+
+# T on the eigen side of small_form's gate: real spectrum, complex pairs, nonnormal
+WELL_CONDITIONED = {
+    "symmetric": lambda rng: stable_sym(8, rng),
+    "complex-pairs": lambda rng: normal_complex_pairs(8, rng),
+    "nonnormal": lambda rng: stable_dense(6, rng),
+}
 
 
 class TestExpm:
@@ -89,6 +106,44 @@ class TestLyapSolve:
         t = np.diag([-1.0, 1.0])  # lambda_1 + lambda_2 = 0
         with pytest.raises(IllPosedError):
             lyap_solve(t, np.eye(2))
+
+
+class TestSmallForm:
+    @pytest.mark.parametrize("make", list(WELL_CONDITIONED.values()), ids=list(WELL_CONDITIONED))
+    def test_eigen_side_of_the_gate(self, rng, make):
+        t = make(rng)
+        form, cond = small_form(t)
+        assert isinstance(form, EigenForm) and cond <= EIG_COND_MAX
+        np.testing.assert_allclose(form.x @ np.diag(form.lam) @ form.xinv, t,
+                                   atol=1e-13 * cond * np.linalg.norm(t))
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_near_defective_keeps_the_schur_form(self, k):
+        t = near_defective(k)
+        form, cond = small_form(t)
+        assert isinstance(form, RealSchur) and cond > EIG_COND_MAX
+        np.testing.assert_array_equal(form.s, real_schur(t).s)
+
+    @pytest.mark.parametrize("make", list(WELL_CONDITIONED.values()), ids=list(WELL_CONDITIONED))
+    @pytest.mark.parametrize("c,d", [(1.0, 0.0), (0.01, -0.5), (-0.3, -2.0)])
+    def test_solve_matches_schur_and_scipy(self, rng, make, c, d):
+        t = make(rng)
+        q = rng.standard_normal((t.shape[0], 2))
+        q = q @ q.T
+        form, _ = small_form(t)
+        y = lyap_solve(form.shifted(c, d), q)
+        assert y.dtype == float
+        np.testing.assert_array_equal(y, y.T)
+        op = c * t + d * np.eye(t.shape[0])
+        for y_ref in (lyap_solve(real_schur(t).shifted(c, d), q),
+                      solve_continuous_lyapunov(op, -q)):
+            assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
+    def test_singular_shifted_operator_rejected(self, rng):
+        t = stable_sym(4, rng)
+        lam_max = np.linalg.eigvalsh(t).max()
+        with pytest.raises(IllPosedError):
+            lyap_solve(small_form(t)[0].shifted(1.0, -lam_max), np.eye(4))
 
 
 class TestRealSchur:
@@ -257,6 +312,8 @@ class TestDenseCap:
             lognorm2(np.zeros((5, 5)))
         with pytest.raises(CapExceededError):
             real_schur(-np.eye(5))
+        with pytest.raises(CapExceededError):
+            small_form(-np.eye(5))
         np.testing.assert_array_equal(expm(np.zeros((4, 4))), np.eye(4))
 
 
