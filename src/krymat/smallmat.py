@@ -186,10 +186,28 @@ def _vanloan_segment(h, q_outer, t):
 # overflow of the e^{+tH^T} block and cancellation in the read-off product.
 VANLOAN_THETA = 4.0
 
+# Most segments one step may take.  Each segment costs one k x k congruence
+# W <- W_d + E W E^T, about 4 k^3 flops, so 10^5 segments are about 4e5 k^3
+# flops: seconds at k = 40 and about a minute at k = 100.  The test suite's
+# largest step needs 2,118; far more means a horizon that the segmented
+# accumulation cannot reach in useful time (tf = 1e308 asked for 2.5e305).
+VANLOAN_MAX_SEGMENTS = 100_000
+
 
 def _segment_count(h, t):
     scale = float(np.linalg.norm(h, 1))
-    return max(1, int(np.ceil(abs(t) * scale / VANLOAN_THETA)))
+    with np.errstate(over="ignore"):
+        nseg = np.ceil(abs(t) * scale / VANLOAN_THETA)
+    if not nseg <= VANLOAN_MAX_SEGMENTS:
+        raise NumericError(f"vanloan_gram: a step of {t:.3g} with ||H||_1 = {scale:.3g} "
+                           f"needs {nseg:.3g} segments, more than {VANLOAN_MAX_SEGMENTS}")
+    return max(1, int(nseg))
+
+
+def _finite(w, what):
+    if not np.isfinite(w).all():
+        raise NumericError(f"vanloan_gram: {what} overflowed")
+    return w
 
 
 def vanloan_gram(h, q, t):
@@ -216,17 +234,19 @@ def vanloan_gram(h, q, t):
     d = t / nseg
     wd, ed = _vanloan_segment(h, q_outer, d)
     w = wd
-    for _ in range(nseg - 1):
-        w = wd + ed @ w @ ed.T
-        w = 0.5 * (w + w.T)
-    return w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nseg - 1):
+            w = wd + ed @ w @ ed.T
+            w = 0.5 * (w + w.T)
+    return _finite(w, "the Gramian")
 
 
 def vanloan_gram_nodes(h, q, step, nsteps):
     """Gramians at t_k = k*step for k = 0..nsteps, plus the propagators e^{t_k H}.
 
     Uses the splitting W(t + s) = W(s) + e^{sH} W(t) e^{sH^T} so the block
-    exponential is evaluated once, not per node.
+    exponential is evaluated once, not per node.  Raises NumericError when a
+    step needs more than VANLOAN_MAX_SEGMENTS segments or a Gramian overflows.
     """
     h = _square(h, "vanloan_gram_nodes")
     k = h.shape[0]
@@ -241,16 +261,17 @@ def vanloan_gram_nodes(h, q, step, nsteps):
     d = step / nseg
     wd, ed = _vanloan_segment(h, q_outer, d)
     wh, eh = wd, ed
-    for _ in range(nseg - 1):
-        wh = wd + ed @ wh @ ed.T
-        eh = ed @ eh
-    wh = 0.5 * (wh + wh.T)
-    grams = [np.zeros((k, k))]
-    props = [np.eye(k)]
-    for _ in range(nsteps):
-        w = wh + eh @ grams[-1] @ eh.T
-        grams.append(0.5 * (w + w.T))
-        props.append(eh @ props[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nseg - 1):
+            wh = wd + ed @ wh @ ed.T
+            eh = ed @ eh
+        wh = _finite(0.5 * (wh + wh.T), "the Gramian of one step")
+        grams = [np.zeros((k, k))]
+        props = [np.eye(k)]
+        for _ in range(nsteps):
+            w = wh + eh @ grams[-1] @ eh.T
+            grams.append(_finite(0.5 * (w + w.T), "the Gramian"))
+            props.append(eh @ props[-1])
     return grams, props
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +16,21 @@ from krymat.dlebdf import bdf_coefficients
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test instead of hanging once ``seconds`` have passed."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def stable_dense(n, rng, spread=1.0):

@@ -16,6 +16,8 @@ from krymat.probio import (DLEProblem, gen_dle_problem, gen_sylvester_q2, read_m
                            save_problem)
 from krymat.solution import LowRankSolution, TimeGrid
 
+from conftest import deadline
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 SMALL_EGADL = """\
@@ -60,6 +62,30 @@ steps = 8
 m_max = 15
 tol = 1e-8
 l = 2
+"""
+
+
+# expo on a random-stable A whose projected T_5 takes the Van Loan path: a
+# step of 5e306 needs 2.5e305 segments, which once hung the run
+HUGE_HORIZON_EXPO = """\
+[run]
+method = expo
+
+[problem]
+kind = random-stable
+n = 150
+p = 2
+density = 0.05
+seed = 1
+
+[grid]
+t0 = 0.0
+tf = 1e308
+steps = 20
+
+[solver]
+m_max = 30
+tol = 1e-8
 """
 
 
@@ -234,6 +260,15 @@ bundle = {tmp_path / 'bundle'}
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: the step at t = 0.1 failed"]
         assert not (tmp_path / "o").exists()
+        if error is NumericError:
+            # the same exit from a real NumericError: a horizon no Van Loan
+            # accumulation can reach
+            cfg = write_cfg(tmp_path, HUGE_HORIZON_EXPO, "huge.cfg")
+            with deadline(60):
+                code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "h")])
+            assert code == 5
+            assert "segments" in capsys.readouterr().err
+            assert not (tmp_path / "h").exists()
 
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")

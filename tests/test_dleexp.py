@@ -13,7 +13,8 @@ from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_t
 from krymat.errors import NumericError, ParseError
 from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact
-from krymat.probio import DLEProblem, gen_dle_problem, gen_random_dle_problem
+from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem, gen_laplacian2d,
+                           gen_random_dle_problem, gen_random_stable)
 from krymat.smallmat import vanloan_gram
 from krymat.solution import LowRankSolution, TimeGrid
 
@@ -175,6 +176,85 @@ class TestAprioriBound:
             assert err <= bound
 
 
+class SpySolver(LinearSolver):
+    """The LU of A, counting its solves."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.solves = 0
+
+    def solve(self, w):
+        self.solves += 1
+        return super().solve(w)
+
+
+def _dense_mu2(a):
+    a = a.toarray()
+    return float(np.linalg.eigvalsh(0.5 * (a + a.T)).max())
+
+
+class TestLognorm2Operator:
+    """The sparse path, n > 400: shift-invert through the LU when A is
+    certified negative definite, the Lanczos on the symmetric part else."""
+
+    def _run(self, a, solver):
+        trust = {}
+        mu2 = lognorm2_operator(a, solver, trust)
+        return mu2, trust["mu2_method"]
+
+    def test_laplacian_closed_form(self):
+        a = gen_laplacian2d(21)
+        spy = SpySolver(a)
+        mu2, method = self._run(a, spy)
+        exact = -4 * 22**2 * (1 - np.cos(np.pi / 22))
+        assert method == "shift-invert" and spy.solves > 0
+        assert mu2 == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("case", ["minus-identity", "double-lambda-max"])
+    def test_certified_edge_cases(self, case):
+        if case == "minus-identity":
+            a = -sp.identity(450, format="csr")
+        else:
+            a = sp.block_diag([gen_laplacian2d(21)] * 2, format="csr")
+        spy = SpySolver(a)
+        mu2, method = self._run(a, spy)
+        assert method == "shift-invert" and spy.solves > 0
+        assert mu2 == pytest.approx(_dense_mu2(a), rel=1e-11)
+
+    def test_indefinite_needs_the_certificate(self):
+        # L + 35 I: lambda_max = 15.3, but the eigenvalue nearest 0 is -14.1,
+        # so a shift-invert on A^{-1} would return -14.1; Gershgorin fails
+        a = (gen_laplacian2d(21) + 35.0 * sp.identity(441)).tocsr()
+        lam = np.linalg.eigvalsh(a.toarray())
+        assert lam.max() > 0 and lam[np.abs(lam).argmin()] < 0
+        spy = SpySolver(a)
+        mu2, method = self._run(a, spy)
+        assert method == "lanczos" and spy.solves == 0
+        assert mu2 == pytest.approx(lam.max(), rel=1e-11)
+
+    @pytest.mark.parametrize("case", ["gershgorin-fails", "nonsymmetric", "no-solver"])
+    def test_fallbacks(self, case):
+        if case == "gershgorin-fails":
+            # negative definite (lambda_max = -14.7) with row sums 5 > 0
+            a = (gen_laplacian2d(21) + 5.0 * sp.identity(441)).tocsr()
+        elif case == "nonsymmetric":
+            a = gen_random_stable(450, seed=1)
+        else:
+            a = gen_laplacian2d(21)
+        spy = None if case == "no-solver" else SpySolver(a)
+        mu2, method = self._run(a, spy)
+        assert method == "lanczos"
+        assert spy is None or spy.solves == 0
+        assert mu2 == pytest.approx(_dense_mu2(a), rel=1e-11)
+
+    def test_small_and_dense_inputs(self):
+        a = gen_laplacian2d(20)
+        spy = SpySolver(a)
+        for op in (a, a.toarray()):
+            assert self._run(op, spy) == (pytest.approx(_dense_mu2(a), rel=1e-13), "dense")
+        assert spy.solves == 0
+
+
 class TestExpoSolve:
     def test_zero_b(self, tmp_path):
         import warnings
@@ -195,6 +275,21 @@ class TestExpoSolve:
             assert z.shape == (9, 0) and signs.shape == (0,)
             with pytest.raises(ValueError, match="no kernel"):
                 loaded.snapshot(2)
+
+    @pytest.mark.parametrize("kind, variant, method", [
+        ("laplacian", "extended", "shift-invert"),
+        ("laplacian", "global", "lanczos"),
+        ("random-stable", "extended", "lanczos"),
+    ])
+    def test_summary_names_the_lognorm_path(self, kind, variant, method):
+        # n = 441 and 450, past the dense log-norm; the global variant holds no LU
+        if kind == "laplacian":
+            prob = gen_dle_problem(n0=21, p=2, seed=1)
+        else:
+            prob = gen_random_dle_problem(n=450, p=2, density=0.02, seed=1)
+        _, rep = expo_dle_solve(prob, TimeGrid(0.0, 1.0, 10), 5, 1e-8, variant=variant)
+        lines = [ln for ln in rep.summary_lines() if ln.startswith("trust.mu2_method")]
+        assert lines == [f"trust.mu2_method = {method}"]
 
     def test_load_needs_the_manifest(self, tmp_path):
         # missing, then without a section header, then without a key

@@ -66,7 +66,9 @@ def test_trust_names_the_final_reduction(solve, kind, seed, branch):
     assert rep.converged
     _, tm, _ = _extended_projection(problem, rep.m_final)
     form, cond = small_form(tm)
-    assert rep.trust == {"small_form": branch, "eig_cond": cond}
+    # expo also names its log-norm path; n <= 400 takes the dense one
+    extra = {"mu2_method": "dense"} if solve is expo_dle_solve else {}
+    assert rep.trust == {"small_form": branch, "eig_cond": cond, **extra}
     assert (cond <= EIG_COND_MAX) == (branch == "eigen") == isinstance(form, EigenForm)
     lines = rep.summary_lines()
     assert f"trust.small_form = {branch}" in lines

@@ -6,12 +6,12 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from krymat.dlebdf import bdf_integrate
-from krymat.errors import CapExceededError
+from krymat.errors import CapExceededError, NumericError
 from krymat.oracle import dense_dle_exact, dense_dme_solve, kron_operator
 from krymat.probio import DLEProblem, GenSylvesterProblem, gen_sylvester_q2
 from krymat.solution import TimeGrid
 
-from conftest import dense_dle_bdf, stable_dense, stable_sparse
+from conftest import deadline, dense_dle_bdf, stable_dense, stable_sparse
 
 
 class TestDenseDme:
@@ -104,6 +104,13 @@ class TestDenseDle:
         vec = dense_dme_solve(gen, grid)
         for k in range(grid.nnodes):
             assert np.linalg.norm(lyap[k] - vec[k]) <= 1e-9
+
+    @pytest.mark.parametrize("a, tf", [(-1.0, 1e308), (400.0, 2.0)])
+    def test_unreachable_horizon_is_a_numeric_error(self, a, tf):
+        # too many Van Loan segments, then an overflowing Gramian
+        prob = DLEProblem(sp.csr_matrix(np.array([[a]])), np.array([[1.0]]))
+        with deadline(60), pytest.raises(NumericError):
+            dense_dle_exact(prob, TimeGrid(0.0, tf, 1))
 
     def test_cap(self, monkeypatch):
         monkeypatch.setenv("KRYMAT_DENSE_CAP", "8")

@@ -1,15 +1,18 @@
 """Dense kernels against spectral, Kronecker and quadrature oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, solve_continuous_lyapunov
 
-from krymat.errors import CapExceededError, DimensionError, IllPosedError
-from krymat.smallmat import (EIG_COND_MAX, EigenForm, RealSchur, expm, lognorm2, lyap_solve,
-                             phi1, real_schur, small_form, symmetrize, trunc_sym_factor,
-                             vanloan_gram, vanloan_gram_nodes)
+from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
+from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, EigenForm,
+                             RealSchur, expm, lognorm2, lyap_solve, phi1, real_schur,
+                             small_form, symmetrize, trunc_sym_factor, vanloan_gram,
+                             vanloan_gram_nodes)
 
-from conftest import near_defective, stable_dense, stable_sym
+from conftest import deadline, near_defective, stable_dense, stable_sym
 
 
 def normal_complex_pairs(k, rng):
@@ -264,6 +267,23 @@ class TestVanloanGram:
         got = vanloan_gram(h, q, 1.5)
         ref = q_mat @ vanloan_gram(np.diag(lam), q_mat.T @ q, 1.5) @ q_mat.T
         np.testing.assert_allclose(got, ref, atol=1e-10 * (1 + np.linalg.norm(ref)))
+
+
+    @pytest.mark.parametrize("step", [1e308, VANLOAN_THETA * (VANLOAN_MAX_SEGMENTS + 1)])
+    def test_too_many_segments_is_a_numeric_error(self, step):
+        # ||H||_1 = 1: the second step needs one segment past the limit
+        with deadline(60), pytest.raises(NumericError, match="segments"):
+            vanloan_gram_nodes(np.array([[-1.0]]), np.array([1.0]), step, 2)
+
+    @pytest.mark.parametrize("h, step, nsteps, what", [
+        (400.0, 2.0, 1, "of one step"),    # the accumulation of one step overflows
+        (4.0, 10.0, 30, "the Gramian"),    # each step is finite, the node recursion is not
+    ])
+    def test_overflow_is_a_numeric_error(self, h, step, nsteps, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"{what} overflowed"):
+                vanloan_gram_nodes(np.array([[h]]), np.array([1.0]), step, nsteps)
 
 
 class TestLognorm2:
