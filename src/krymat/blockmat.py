@@ -74,10 +74,6 @@ class BlockRow:
             raise DimensionError(f"cannot narrow {self.m} blocks to {m}")
         return replace(self, data=self.data[:, : m * self.width], checked=True)
 
-    def with_width(self, width):
-        """Reinterpret the same columns with a different block width."""
-        return replace(self, width=width, checked=True)
-
 
 @dataclass(frozen=True)
 class BlockBasis(BlockRow):

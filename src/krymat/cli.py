@@ -77,7 +77,7 @@ class Method(NamedTuple):
     keys: dict             # [solver] key, the solver's keyword -> (type, default)
 
 
-_COMMON = {"m_max": (int, 30), "tol": (float, 1e-8), "probe_stride": (int, 1)}
+_COMMON = {"m_max": (int, 30), "tol": (float, 1e-8)}
 _FACTOR_TOL = {"factor_tol": (float, 1e-10)}
 
 # method -> solver, problem type, dense reference and [solver] keys past
@@ -233,7 +233,9 @@ def _parse_params(pairs):
 def cmd_generate(args):
     try:
         params = _parse_params(args.param)
-        seed = args.seed if args.seed is not None else int(params.pop("seed", 0))
+        # --seed wins over --param seed, as run --seed does over [problem] seed
+        seed = params.pop("seed", 0)
+        seed = int(seed) if args.seed is None else args.seed
         t0 = float(params.pop("t0", 0.0))
         tf = float(params.pop("tf", 1.0))
         problem = _generate(args.kind, params, seed, t0, tf)

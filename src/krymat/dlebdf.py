@@ -44,20 +44,15 @@ def bdf_coefficients(l):
     return BDFScheme(l, beta, alpha)
 
 
-def bdf_step(tm, bm, prev, h, scheme):
+def bdf_step(op, bm, prev, h, scheme):
     """One implicit BDF step of dY/dt = T Y + Y T^T + b b^T.
 
     ``prev`` lists the most recent kernels, newest first.  The step solves
     (h beta T - I/2) Y + Y (h beta T - I/2)^T + Q = 0 with
-    Q = h beta b b^T + sum_i alpha_i prev[i].  ``tm`` is T as a matrix, or the
-    RealSchur or EigenForm of the step operator h beta T - I/2 for this h and
-    scheme, which the step reuses without a new reduction.
+    Q = h beta b b^T + sum_i alpha_i prev[i].  ``op`` is the
+    ``smallmat.small_form`` reduction of the step operator h beta T - I/2
+    for this h and scheme, which the step reuses without a new reduction.
     """
-    if isinstance(tm, smallmat.FORMS):
-        t_cal = tm
-    else:
-        tm = np.atleast_2d(np.asarray(tm, dtype=float))
-        t_cal = h * scheme.beta * tm - 0.5 * np.eye(tm.shape[0])
     bm = np.asarray(bm, dtype=float).ravel()
     if len(prev) < scheme.l:
         raise StepFailureError(
@@ -66,23 +61,22 @@ def bdf_step(tm, bm, prev, h, scheme):
     for a_i, y_i in zip(scheme.alpha, prev):
         q = q + a_i * y_i
     try:
-        y = smallmat.lyap_solve(t_cal, q)
+        y = smallmat.lyap_solve(op, q)
     except IllPosedError as exc:
         raise StepFailureError(
             f"implicit BDF step is ill posed ({exc}); reduce the step size") from exc
     return y
 
 
-def bdf_integrate(tm, bm, y0, grid, l):
+def bdf_integrate(form, bm, y0, grid, l):
     """March the projected Lyapunov ODE over the grid with l-step BDF.
 
     Startup uses the 1-step then 2-step schemes until l previous kernels are
-    available.  ``tm`` is T, reduced here once by ``smallmat.small_form``, or
-    that reduction; each scheme's step operator h beta T - I/2 is a shift of
-    it.  Returns a KernelTrajectory.
+    available.  ``form`` is the ``smallmat.small_form`` reduction of T; each
+    scheme's step operator h beta T - I/2 is a shift of it.  Returns a
+    KernelTrajectory.
     """
     bdf_coefficients(l)            # validate l early
-    form = tm if isinstance(tm, smallmat.FORMS) else smallmat.small_form(tm)[0]
     k = form.lam.shape[0]
     y = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
     schemes = [bdf_coefficients(j) for j in range(1, l + 1)]
@@ -129,13 +123,12 @@ def lowrank_report(problem, method, column, factor_tol, settings):
                        settings={"factor_tol": factor_tol, **settings})
 
 
-def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10):
+def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
     """Extended global Arnoldi for differential Lyapunov equations with X0 = 0.
 
     Grows the extended Krylov basis one block at a time, integrates the
     projected equation with l-step BDF, and stops once the residual bound is
-    below tol at every node; ``probe_stride`` thins the report (and its rank
-    column) only.
+    below tol at every node.
 
     Returns (LowRankSolution, SolveReport).
     """
@@ -153,11 +146,11 @@ def egadl_solve(problem, grid, m_max, tol, l=2, probe_stride=1, factor_tol=1e-10
             kernel = bdf_integrate(reduce_projected(report, tm), bm, None, grid, l)
             ys = kernel.samples
             bounds = np.array([residual_bound_bdf(coupling, y) for y in ys])
-            return bounds, lambda k: (_sym_rank(ys[k], factor_tol),), kernel
+            return (bounds, [_sym_rank(y, factor_tol) for y in ys]), kernel
 
         return proc, fit
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, probe_stride, start)
+    basis, kernel = krylov_solve(report, grid, m_max, tol, start)
     return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report
 
 

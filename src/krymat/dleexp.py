@@ -39,22 +39,19 @@ from .solution import KernelTrajectory, LowRankSolution, krylov_solve
 VARIANTS = ("global", "extended")
 
 
-def gram_trajectory(hm, beta, grid, form=None):
+def gram_trajectory(hm, beta, grid, form):
     """The list of G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds.
 
-    ``form`` is ``smallmat.small_form(hm)``, computed here when not given.
-    From H = X diag(lambda) X^{-1} the Gramian is closed form,
+    ``form`` is the ``smallmat.small_form`` reduction of ``hm``.  From
+    H = X diag(lambda) X^{-1} the Gramian is closed form,
     G(t) = Re(X [t phi_1(t (lambda_i + lambda_j)) q_i q_j] X^T) with
     q = X^{-1} beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
     it is the Van Loan block exponential of H itself, whose (block)
     Hessenberg zeros keep the small last rows that the bounds read accurate.
     Both are quadrature free and satisfy dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
     """
-    hm = np.atleast_2d(np.asarray(hm, dtype=float))
-    if form is None:
-        form, _ = smallmat.small_form(hm)
     if isinstance(form, smallmat.RealSchur):
-        q = np.zeros(hm.shape[0])
+        q = np.zeros(form.lam.shape[0])
         q[0] = beta
         return smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)[0]
     qh = beta * form.xinv[:, 0]
@@ -84,8 +81,9 @@ def residual_bound_exp(coupling, g):
 def apriori_error_bound(h, gbar_max, mu2, t, t0):
     """Error bound |h_{m+1,m}| ||Gbar||_inf (e^{2(t-t0) mu2} - 1) / (2 mu2).
 
-    For |mu2| below 1e-14 the limit value (t - t0) |h| ||Gbar|| is used.
-    Past the largest float the exponent is +-inf, and the bound its limit.
+    ``t`` is one time or an array of them.  For |mu2| below 1e-14 the limit
+    value (t - t0) |h| ||Gbar|| is used.  Past the largest float the exponent
+    is +-inf, and the bound its limit.
     """
     lead, dt = abs(float(h)) * float(gbar_max), t - t0
     if abs(mu2) < 1e-14:
@@ -145,15 +143,14 @@ def lognorm2_operator(a, solver=None, trust=None):
     return mu2
 
 
-def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
-                   probe_stride=1, factor_tol=1e-10):
+def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-10):
     """Solve the DLE with X0 = 0 by the exponential Krylov method.
 
     ``variant`` selects the subspace: "global" uses the polynomial Krylov
     space of (A, B); "extended" also uses A^{-1} directions, replacing beta by
     the seed QR entry r_{1,1} and H_m by the extended block Hessenberg matrix.
     Stops once the residual bound is below tol at every node; reports carry
-    the a-priori error bound alongside, at every ``probe_stride``-th node.
+    the a-priori error bound alongside.
 
     Returns (LowRankSolution, SolveReport).
     """
@@ -169,7 +166,6 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
         solver = LinearSolver(problem.a) if variant == "extended" else None
         mu2 = lognorm2_operator(problem.a, solver, report.trust)
         report.settings["mu2"] = mu2
-        nodes = grid.nodes
         if variant == "global":
             proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b)
             bound_of = residual_bound_exp
@@ -180,11 +176,10 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended",
         def fit(hm, coupling):
             grams = gram_trajectory(hm, proc.beta, grid, reduce_projected(report, hm))
             bounds = np.array([bound_of(coupling, g) for g in grams])
-            res_max = float(bounds.max())
-            apriori = lambda k: (apriori_error_bound(1.0, res_max, mu2, nodes[k], grid.t0),)
-            return bounds, apriori, KernelTrajectory(grid, grams)
+            apriori = apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes, grid.t0)
+            return (bounds, apriori), KernelTrajectory(grid, grams)
 
         return proc, fit
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, probe_stride, start)
+    basis, kernel = krylov_solve(report, grid, m_max, tol, start)
     return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report

@@ -55,10 +55,9 @@ def residual_norm(coupling, y):
     return abs(float(coupling[0, 0])) * np.abs(np.asarray(y, dtype=float)[..., -1])
 
 
-def galerkin_solve(problem, grid, m_max, tol, probe_stride=1):
+def galerkin_solve(problem, grid, m_max, tol):
     """Algorithm: grow the Krylov basis until the residual maximum over the
-    grid nodes falls below tol, then reconstruct the trajectory.  The report
-    holds every ``probe_stride``-th node.
+    grid nodes falls below tol, then reconstruct the trajectory.
 
     Returns (SylvesterSolution, SolveReport).  Non-convergence at m_max is a
     report status, not an exception.
@@ -77,10 +76,10 @@ def galerkin_solve(problem, grid, m_max, tol, probe_stride=1):
             # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
             cm = np.r_[-proc.beta, np.zeros(hm.shape[0] - 1)]
             kernel = integrate_projected(hm, cm, None, grid)
-            return residual_norm(coupling, kernel.samples), lambda k: (), kernel
+            return (residual_norm(coupling, kernel.samples),), kernel
 
         return proc, fit
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, probe_stride, start)
+    basis, kernel = krylov_solve(report, grid, m_max, tol, start)
     shape = (problem.n, problem.p)
     return SylvesterSolution(grid, basis, kernel, shape, x0=problem.x0), report

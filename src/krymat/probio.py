@@ -332,7 +332,7 @@ def read_matrix_market(path):
     return _array_matrix(parsed, nrows, ncols, symmetric)
 
 
-def write_matrix_market(path, mat, comment=None):
+def write_matrix_market(path, mat):
     """Write a sparse matrix (coordinate) or ndarray (array), 17 significant
     digits, formatting a bounded chunk of entries per write."""
     if sp.issparse(mat):
@@ -351,8 +351,6 @@ def write_matrix_market(path, mat, comment=None):
     width, total = len(columns), len(columns[0])
     with open(path, "w") as fh:
         fh.write(f"%%MatrixMarket matrix {layout} real general\n")
-        if comment:
-            fh.write(f"% {comment}\n")
         fh.write(f"{size}\n")
         for start in range(0, total, _LINES_PER_WRITE):
             stop = min(start + _LINES_PER_WRITE, total)
@@ -407,8 +405,15 @@ def random_full_rank(n, p, seed=0):
     return b / np.linalg.norm(b)
 
 
+def _need_positive(who, **sizes):
+    for key, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{who}: need {key} >= 1, got {key} = {value}")
+
+
 def gen_dle_problem(n0=10, p=2, seed=0, t0=0.0, tf=1.0):
     """Laplacian DLE fixture: A = gen_laplacian2d(n0), random unit-norm B."""
+    _need_positive("gen_dle_problem", p=p)
     a = gen_laplacian2d(n0)
     b = random_full_rank(a.shape[0], p, seed)
     return DLEProblem(a, b, t0=t0, tf=tf)
@@ -416,6 +421,7 @@ def gen_dle_problem(n0=10, p=2, seed=0, t0=0.0, tf=1.0):
 
 def gen_random_dle_problem(n=50, p=1, density=0.1, seed=0, t0=0.0, tf=1.0):
     """Random DLE fixture: A = gen_random_stable(n), random unit-norm B."""
+    _need_positive("gen_random_dle_problem", n=n, p=p)
     a = gen_random_stable(n, density=density, seed=seed)
     return DLEProblem(a, random_full_rank(n, p, seed=seed), t0=t0, tf=tf)
 
@@ -423,6 +429,7 @@ def gen_random_dle_problem(n=50, p=1, density=0.1, seed=0, t0=0.0, tf=1.0):
 def gen_sylvester_q2(n=40, p=3, seed=0, t0=0.0, tf=1.0):
     """Two-term fixture A1 X B1 + A2 X B2 with the Lyapunov-like pattern
     B1 = I_p and A2 = I_n, both A1 and B2 stable."""
+    _need_positive("gen_sylvester_q2", n=n, p=p)
     rng = np.random.default_rng(seed)
     a1 = gen_random_stable(n, density=0.1, seed=seed)
     b2_dense = rng.standard_normal((p, p))

@@ -128,21 +128,17 @@ def small_form(t):
     return real_schur(t), cond
 
 
-# the reductions of T that lyap_solve and the DLE fits reuse
-FORMS = (RealSchur, EigenForm)
-
-
-def lyap_solve(t_mat, q_mat):
+def lyap_solve(form, q_mat):
     """Solve T Y + Y T^T + Q = 0 for symmetric Q.
 
-    ``t_mat`` is T itself, reduced here to real Schur form, or a RealSchur
-    or EigenForm of T that is reused as it is.  From a RealSchur the solve is
-    Bartels-Stewart, a quasi-triangular Sylvester solve (LAPACK trsyl) with no
-    complex arithmetic; from an EigenForm it is
+    ``form`` is a reduction of T, a RealSchur or an EigenForm (from
+    ``small_form``, ``real_schur`` or their ``shifted``), reused as it is.
+    From a RealSchur the solve is Bartels-Stewart, a quasi-triangular
+    Sylvester solve (LAPACK trsyl) with no complex arithmetic; from an
+    EigenForm it is
     Y = Re(X [(X^{-1} Q X^{-T}) / -(lambda_i + lambda_j)] X^T).  Raises
     IllPosedError when some eigenvalue pair satisfies lambda_i + lambda_j ~ 0.
     """
-    form = t_mat if isinstance(t_mat, FORMS) else real_schur(t_mat)
     q_mat = symmetrize(q_mat)
     lam = form.lam
     k = lam.shape[0]

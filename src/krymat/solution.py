@@ -99,26 +99,24 @@ class SolveReport:
         return lines
 
 
-def krylov_solve(report, grid, m_max, tol, probe_stride, start):
+def krylov_solve(report, grid, m_max, tol, start):
     """The solve of the three solvers: grow the basis one step, project the
-    equation onto it, fit the projected equation, report every
-    ``probe_stride``-th node, and stop once the bound is below ``tol`` at
-    every node, on breakdown, or at m_max.
+    equation onto it, fit the projected equation, report every node, and
+    stop once the bound is below ``tol`` at every node, on breakdown, or at
+    m_max.
 
     The settings are checked before any work.  ``start(report)`` returns
     (process, fit), or None for a zero right-hand side; ``fit(T_m, coupling)``
-    returns the bound at every node, a function giving the report columns
-    past the bound at node k, and the kernel.  Sets the report's status,
-    basis size and wall time; returns the last (basis, kernel), or
-    (None, None) for a zero right-hand side.
+    returns (columns, kernel), where ``columns`` holds the report columns
+    past t, the bound first, each with one value per node.  Sets the
+    report's status, basis size and wall time; returns the last (basis,
+    kernel), or (None, None) for a zero right-hand side.
     """
-    for key, value in (("m_max", m_max), ("probe_stride", probe_stride)):
-        if value < 1:
-            raise ConfigError(f"{key} = {value}: need {key} >= 1")
+    if m_max < 1:
+        raise ConfigError(f"m_max = {m_max}: need m_max >= 1")
     if not 0 <= tol < np.inf:
         raise ConfigError(f"tol = {tol}: need 0 <= tol < inf")
-    report.settings.update(m_max=m_max, tol=tol, grid_steps=grid.steps,
-                           probe_stride=probe_stride)
+    report.settings.update(m_max=m_max, tol=tol, grid_steps=grid.steps)
     t_start = time.perf_counter()
     started = start(report)
     basis = kernel = None
@@ -126,15 +124,14 @@ def krylov_solve(report, grid, m_max, tol, probe_stride, start):
         report.converged = True
     else:
         proc, fit = started
-        nodes = grid.nodes
         m = 0
         while True:
             m = proc.advance_to(m + 1)
             basis, tm, coupling = proc.projection(m)
-            bounds, extra, kernel = fit(tm, coupling)
-            for k in range(0, grid.nnodes, probe_stride):
-                report.add(m, nodes[k], bounds[k], *extra(k))
-            report.converged = bool(bounds.max() < tol)
+            columns, kernel = fit(tm, coupling)
+            for row in zip(grid.nodes, *columns, strict=True):
+                report.add(m, *row)
+            report.converged = bool(columns[0].max() < tol)
             if report.converged or proc.breakdown or m >= m_max:
                 break
         report.m_final = m
@@ -217,7 +214,7 @@ class LowRankSolution:
     grid: TimeGrid
     basis: object                  # BlockBasis at sub-block width (p or seed width)
     kernel: KernelTrajectory       # None for a solution loaded from its factors
-    factors: list = None           # of smallmat.LowRankFactor, one per node
+    factors: list                  # of smallmat.LowRankFactor, one per node
 
     @classmethod
     def from_kernel(cls, grid, n, basis, kernel, factor_tol):
@@ -234,10 +231,9 @@ class LowRankSolution:
         n x m*width), each node's small factor Z_k (node_kkkk_z.mtx, m x r) and
         its signs (node_kkkk_signs.mtx), and a manifest (solution.cfg) with the
         block width and the grid.  ``load`` reads the directory back."""
-        factors = self._factors()
         out_dir = _clear_solution_files(out_dir)
         probio.write_matrix_market(out_dir / "basis.mtx", self.basis.data)
-        for k, f in enumerate(factors):
+        for k, f in enumerate(self.factors):
             probio.write_matrix_market(out_dir / f"node_{k:04d}_z.mtx", f.z)
             probio.write_matrix_market(out_dir / f"node_{k:04d}_signs.mtx", f.signs)
         manifest = configparser.ConfigParser()
@@ -266,14 +262,9 @@ class LowRankSolution:
             for k in range(grid.nnodes)]
         return cls(grid, basis, None, factors)
 
-    def _factors(self):
-        if self.factors is None:
-            raise ValueError("solution was built without output factors")
-        return self.factors
-
     def factor(self, k):
         """Thin factor (Z, signs) with X_m(t_k) ~ Z diag(signs) Z^T + signature."""
-        f = self._factors()[k]
+        f = self.factors[k]
         if f.rank == 0:
             return np.zeros((self.basis.n, 0)), f.signs
         z_big = kron_apply(self.basis, f.z).data

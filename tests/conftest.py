@@ -11,6 +11,7 @@ from scipy.linalg import solve_continuous_lyapunov
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.config import check_dense_cap
 from krymat.dlebdf import bdf_coefficients
+from krymat.smallmat import real_schur
 
 
 @pytest.fixture
@@ -74,6 +75,12 @@ def random_block_row(rng, n, m, width, scale=1.0):
 def explicit_kron_apply(vb, s_mat):
     """Reference for kron_apply: materialize the Kronecker product."""
     return vb.data @ np.kron(s_mat, np.eye(vb.width))
+
+
+def step_operator(tm, h, scheme):
+    """The real Schur form of the BDF step operator h beta T - I/2, the
+    reduction ``bdf_step`` takes."""
+    return real_schur(h * scheme.beta * tm - 0.5 * np.eye(tm.shape[0]))
 
 
 def dense_dle_bdf(problem, grid, l):

@@ -115,15 +115,13 @@ def reference_read(path):
     return dense
 
 
-def reference_write(path, mat, comment=None):
+def reference_write(path, mat):
     """Write a sparse matrix (coordinate) or ndarray (array), 17 significant digits."""
     path = Path(path)
     with open(path, "w") as fh:
         if sp.issparse(mat):
             coo = mat.tocoo()
             fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             order = np.lexsort((coo.col, coo.row))
             for i, j, v in zip(coo.row[order], coo.col[order], coo.data[order]):
@@ -133,8 +131,6 @@ def reference_write(path, mat, comment=None):
             if arr.ndim == 1:
                 arr = arr[:, None]
             fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
             fh.write(f"{arr.shape[0]} {arr.shape[1]}\n")
             for v in arr.flatten(order="F"):
                 fh.write(f"{v:.17g}\n")

@@ -26,11 +26,12 @@ from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_sylvester_q2, gsylv_apply, random_full_rank)
-from krymat.smallmat import vanloan_gram
+from krymat.smallmat import small_form, vanloan_gram
 from krymat.solution import TimeGrid
 
 from conftest import (bdf_derivatives, dense_dle_bdf, explicit_kron_apply,
-                      random_block_row, rect_hessenberg, stable_sparse, stable_sym)
+                      random_block_row, rect_hessenberg, stable_sparse, stable_sym,
+                      step_operator)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # the CLI subprocesses import the same krymat as the tests: this checkout's src
@@ -260,7 +261,7 @@ def test_ac5_bdf_orders():
     for l in (1, 2):
         errs = []
         for steps in steps_list:
-            traj = bdf_integrate(tm, bm, None, TimeGrid(0.0, 1.0, steps), l)
+            traj = bdf_integrate(small_form(tm)[0], bm, None, TimeGrid(0.0, 1.0, steps), l)
             errs.append(abs(traj.samples[-1][0, 0] - exact(1.0)))
         observed[l] = np.log2(errs[-2] / errs[-1])
     # l = 3 with exact starting values
@@ -270,7 +271,7 @@ def test_ac5_bdf_orders():
         h = 1.0 / steps
         prev = [np.array([[exact((2 - i) * h)]]) for i in range(3)]
         for _ in range(2, steps):
-            y = bdf_step(tm, bm, prev, h, scheme)
+            y = bdf_step(step_operator(tm, h, scheme), bm, prev, h, scheme)
             prev = [y] + prev[:2]
         errs3.append(abs(prev[0][0, 0] - exact(1.0)))
     observed[3] = np.log2(errs3[-2] / errs3[-1])
@@ -307,7 +308,7 @@ def test_ac6_residual_bound_validity():
         vm, tm, t_sub = eproc.projection(eproc.advance_to(3))
         bm = np.zeros(vm.m)
         bm[0] = eproc.beta
-        traj = bdf_integrate(tm, bm, None, grid, l)
+        traj = bdf_integrate(small_form(tm)[0], bm, None, grid, l)
         derivs = bdf_derivatives(traj.samples, grid.h, l)
         for k in range(1, grid.nnodes):
             y = traj.samples[k]
@@ -322,7 +323,7 @@ def test_ac6_residual_bound_validity():
         gv, ghm, gcoupling = gproc.projection(gproc.advance_to(5))
         gm = gv.m
         beta = np.linalg.norm(b)
-        grams = gram_trajectory(ghm, beta, grid)
+        grams = gram_trajectory(ghm, beta, grid, small_form(ghm)[0])
         e11 = np.zeros((gm, gm))
         e11[0, 0] = beta ** 2
         for k in range(grid.nnodes):
@@ -354,7 +355,7 @@ def test_ac7_apriori_bound():
         proc = GlobalArnoldi(lambda x: a_dense @ x, b)
         vm, hm, coupling = proc.projection(proc.advance_to(7))
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, 1.0, grid)
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
         prob = DLEProblem(sp.csr_matrix(a_dense), b)
         ref = dense_dle_exact(prob, grid)
@@ -380,7 +381,7 @@ def test_ac8_gram_ode_consistency():
         hm = hm - (np.abs(np.linalg.eigvals(hm).real).max() + 0.3) * np.eye(k)
         beta = float(rng.uniform(0.5, 2.0))
         grid = TimeGrid(0.0, 1.0, 5)
-        grams = gram_trajectory(hm, beta, grid)
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
         q = np.zeros(k)
         q[0] = beta
         dt = 1e-5

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, determinism, generation, sweep."""
 
 import configparser
+import inspect
 import re
 from pathlib import Path
 
@@ -227,6 +228,7 @@ bundle = {tmp_path / 'bundle'}
 
     @pytest.mark.parametrize("section,line", [
         ("solver", "tolerance = 1e-3"),
+        ("solver", "probe_stride = 2"),
         ("run", "outdir = elsewhere"),
         ("grid", "step = 5"),
         ("output", "factor = true"),
@@ -430,6 +432,26 @@ class TestGenerate:
         assert main(["generate", "laplacian2d", "--out", str(tmp_path / "y"),
                      "--param", "n0"]) == 2
 
+    @pytest.mark.parametrize("kind,param", [
+        ("sylvester-q2", "p=0"), ("sylvester-q2", "n=0"), ("random-stable", "n=0"),
+        ("random-stable", "p=0"), ("laplacian2d", "p=0"), ("laplacian2d", "p=-2"),
+    ])
+    def test_size_below_one_exits_2(self, tmp_path, capsys, kind, param):
+        out = tmp_path / "x"
+        assert main(["generate", kind, "--out", str(out), "--param", param]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        key = param.split("=")[0]
+        assert len(err) == 1 and err[0].startswith("error:") and f"need {key} >= 1" in err[0]
+        assert not out.exists()
+
+    def test_seed_option_wins_over_seed_param(self, tmp_path):
+        for sub, extra in (("plain", []), ("both", ["--param", "seed=2"])):
+            assert main(["generate", "laplacian2d", "--out", str(tmp_path / sub),
+                         "--seed", "1", "--param", "n0=6", *extra]) == 0
+        for name in ("A.mtx", "B.mtx", "problem.cfg"):
+            assert ((tmp_path / "both" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
 
 class TestSweep:
     def test_parallel_runs(self, tmp_path):
@@ -527,13 +549,13 @@ class TestSolverCallContract:
     other setting as a keyword, defaults included.  The benchmark times the
     solve and checks the solution through a wrapper installed there."""
 
-    @pytest.mark.parametrize("method,module,name,keyword", [
-        ("egadl", dlebdf, "egadl_solve", "l"),
-        ("expo", dleexp, "expo_dle_solve", "factor_tol"),
-        ("galerkin", dsylv, "galerkin_solve", "probe_stride"),
+    @pytest.mark.parametrize("method,module,name,keywords", [
+        ("egadl", dlebdf, "egadl_solve", {"l", "factor_tol"}),
+        ("expo", dleexp, "expo_dle_solve", {"variant", "factor_tol"}),
+        ("galerkin", dsylv, "galerkin_solve", set()),
     ], ids=["egadl", "expo", "galerkin"])
     def test_wrapper_on_the_module_is_called(self, tmp_path, monkeypatch,
-                                             method, module, name, keyword):
+                                             method, module, name, keywords):
         calls = []
         solver = getattr(module, name)
 
@@ -549,7 +571,7 @@ class TestSolverCallContract:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == 1
         args, kwargs = calls[0]
-        assert len(args) == 4 and keyword in kwargs
+        assert len(args) == 4 and set(kwargs) == keywords
         assert isinstance(args[1], TimeGrid) and args[2:] == (20, 1e-8)
 
 
@@ -595,3 +617,13 @@ class TestMethodTable:
         common = next(line for line in lines if "every method also reads" in line)
         assert _documented_keys(common, cli._COMMON) == {
             key: default for key, (_, default) in cli._COMMON.items()}
+
+    @pytest.mark.parametrize("method", list(cli.SOLVERS))
+    def test_solver_signature_matches_the_table(self, method):
+        # a solver keyword without a [solver] key, or a default that drifted
+        # from the table's, fails here
+        entry = cli.SOLVERS[method]
+        params = list(inspect.signature(getattr(entry.module, entry.solver)).parameters.values())
+        assert [p.name for p in params[:4]] == ["problem", "grid", *cli._COMMON]
+        assert [(p.name, p.default) for p in params[4:]] == [
+            (key, default) for key, (_, default) in entry.keys.items()]

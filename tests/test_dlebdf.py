@@ -13,10 +13,11 @@ from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, random_full_rank)
+from krymat.smallmat import small_form
 from krymat.solution import TimeGrid
 
 from conftest import (bdf_derivatives, dense_dle_bdf, near_defective, stable_dense,
-                      stable_sparse)
+                      stable_sparse, step_operator)
 
 
 def _projection(a, b, m):
@@ -49,16 +50,18 @@ class TestCoefficients:
 
 class TestBdfStep:
     def test_scalar_first_step(self):
-        y1 = bdf_step(np.array([[-1.0]]), np.array([1.0]), [np.zeros((1, 1))],
-                      0.1, bdf_coefficients(1))
+        scheme = bdf_coefficients(1)
+        y1 = bdf_step(step_operator(np.array([[-1.0]]), 0.1, scheme), np.array([1.0]),
+                      [np.zeros((1, 1))], 0.1, scheme)
         assert y1[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_steady_state_fixed_point(self):
         tm = np.array([[-1.0]])
         bm = np.array([1.0])
         y = np.zeros((1, 1))
+        scheme = bdf_coefficients(1)
         for _ in range(400):
-            y = bdf_step(tm, bm, [y], 0.1, bdf_coefficients(1))
+            y = bdf_step(step_operator(tm, 0.1, scheme), bm, [y], 0.1, scheme)
         assert y[0, 0] == pytest.approx(0.5, rel=1e-10)
 
     def test_defining_equation_residual(self, rng):
@@ -67,7 +70,7 @@ class TestBdfStep:
         prev = [np.eye(4) * 0.3, np.eye(4) * 0.2]
         h = 0.05
         scheme = bdf_coefficients(2)
-        y = bdf_step(tm, bm, prev, h, scheme)
+        y = bdf_step(step_operator(tm, h, scheme), bm, prev, h, scheme)
         t_cal = h * scheme.beta * tm - 0.5 * np.eye(4)
         q = h * scheme.beta * np.outer(bm, bm) + sum(
             a * p for a, p in zip(scheme.alpha, prev))
@@ -77,8 +80,10 @@ class TestBdfStep:
     def test_ill_posed_step_maps_to_step_failure(self):
         # h beta T = I/2 makes the shifted operator singular
         tm = np.array([[1.0]])
+        scheme = bdf_coefficients(1)
         with pytest.raises(StepFailureError):
-            bdf_step(tm, np.array([0.0]), [np.zeros((1, 1))], 0.5, bdf_coefficients(1))
+            bdf_step(step_operator(tm, 0.5, scheme), np.array([0.0]), [np.zeros((1, 1))],
+                     0.5, scheme)
 
 
 class TestBdfIntegrate:
@@ -89,7 +94,7 @@ class TestBdfIntegrate:
         errs = []
         for steps in (40, 80):
             grid = TimeGrid(0.0, 1.0, steps)
-            traj = bdf_integrate(tm, bm, None, grid, l)
+            traj = bdf_integrate(small_form(tm)[0], bm, None, grid, l)
             errs.append(abs(traj.samples[-1][0, 0] - scalar_exact(1.0)))
         assert errs[0] / errs[1] == pytest.approx(expected_ratio, abs=tol)
 
@@ -97,14 +102,14 @@ class TestBdfIntegrate:
         # B = 0, Y0 = I: exact kernel e^{tT} e^{tT^T} = e^{-2t} for T = -1
         tm = np.array([[-1.0]])
         grid = TimeGrid(0.0, 1.0, 160)
-        traj = bdf_integrate(tm, np.array([0.0]), np.eye(1), grid, 2)
+        traj = bdf_integrate(small_form(tm)[0], np.array([0.0]), np.eye(1), grid, 2)
         err = abs(traj.samples[-1][0, 0] - np.exp(-2.0))
         assert err <= 5.0 * (grid.h ** 2)
 
     def test_samples_symmetric(self, rng):
         tm = np.diag([-1.0, -4.0]) + 0.2 * rng.standard_normal((2, 2))
         grid = TimeGrid(0.0, 1.0, 12)
-        traj = bdf_integrate(tm, rng.standard_normal(2), None, grid, 3)
+        traj = bdf_integrate(small_form(tm)[0], rng.standard_normal(2), None, grid, 3)
         for y in traj.samples:
             np.testing.assert_array_equal(y, y.T)
 
@@ -112,9 +117,9 @@ class TestBdfIntegrate:
 class TestSchurReuse:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_one_reduction_per_march(self, monkeypatch, rng, l):
-        # a T on each side of small_form's gate: one eigendecomposition for the
-        # well-conditioned one; the trial eigendecomposition and one Schur form
-        # for the near-defective one
+        # a T on each side of small_form's gate, reduced and marched: one
+        # eigendecomposition for the well-conditioned one; the trial
+        # eigendecomposition and one Schur form for the near-defective one
         calls = []
 
         def counted(name, fn):
@@ -128,24 +133,26 @@ class TestSchurReuse:
         for tm, reductions in ((stable_dense(6, rng), ["eig"]),
                                (near_defective(6, coupling=10.0), ["eig", "schur"])):
             calls.clear()
-            bdf_integrate(tm, rng.standard_normal(6), None, TimeGrid(0.0, 1.0, 12), l)
+            form = small_form(tm)[0]
+            bdf_integrate(form, rng.standard_normal(6), None, TimeGrid(0.0, 1.0, 12), l)
             assert calls == reductions
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_matches_stepwise_reference(self, rng, l):
         # nonsymmetric T and Y0 != 0: the reference reduces every step's
-        # operator h beta T - I/2 afresh through bdf_step on the plain matrix
+        # operator h beta T - I/2 afresh to its real Schur form
         k = 10
         tm = stable_dense(k, rng)
         bm = rng.standard_normal(k)
         z = rng.standard_normal((k, 3))
         y0 = z @ z.T
         grid = TimeGrid(0.0, 1.0, 15)
-        traj = bdf_integrate(tm, bm, y0, grid, l)
+        traj = bdf_integrate(small_form(tm)[0], bm, y0, grid, l)
         ref = [y0]
         for _ in range(grid.steps):
             scheme = bdf_coefficients(min(l, len(ref)))
-            ref.append(bdf_step(tm, bm, ref[::-1][:scheme.l], grid.h, scheme))
+            ref.append(bdf_step(step_operator(tm, grid.h, scheme), bm, ref[::-1][:scheme.l],
+                                grid.h, scheme))
         assert len(traj.samples) == len(ref)
         for y, y_ref in zip(traj.samples, ref):
             assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
@@ -165,7 +172,7 @@ class TestResidualBound:
         grid = TimeGrid(0.0, 1.0, 10)
         bm = np.zeros(2 * m)
         bm[0] = proc.beta
-        traj = bdf_integrate(tm, bm, None, grid, l)
+        traj = bdf_integrate(small_form(tm)[0], bm, None, grid, l)
         derivs = bdf_derivatives(traj.samples, grid.h, l)
         a_dense = a.toarray()
         bbt = b @ b.T
@@ -199,7 +206,7 @@ class TestEgadlSolve:
         proc, (sub, tm, _) = _projection(prob.a, prob.b, m)
         bm = np.zeros(2 * m)
         bm[0] = proc.beta
-        traj = bdf_integrate(tm, bm, None, grid, 2)
+        traj = bdf_integrate(small_form(tm)[0], bm, None, grid, 2)
         ref = dense_dle_exact(prob, grid)
         scale = np.linalg.norm(ref[-1])
         stride = 300

@@ -15,7 +15,7 @@ from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem, gen_laplacian2d,
                            gen_random_dle_problem, gen_random_stable)
-from krymat.smallmat import vanloan_gram
+from krymat.smallmat import small_form, vanloan_gram
 from krymat.solution import LowRankSolution, TimeGrid
 
 from conftest import (near_defective, perturbed_equation_check, rect_hessenberg, stable_dense,
@@ -64,12 +64,14 @@ class TestKrylovExpmAction:
 class TestGramTrajectory:
     def test_starts_at_zero(self, rng):
         grid = TimeGrid(0.0, 1.0, 5)
-        grams = gram_trajectory(stable_dense(3, rng), 2.0, grid)
+        hm = stable_dense(3, rng)
+        grams = gram_trajectory(hm, 2.0, grid, small_form(hm)[0])
         np.testing.assert_array_equal(grams[0], np.zeros((3, 3)))
 
     def test_scalar_formula(self):
         grid = TimeGrid(0.0, 2.0, 8)
-        grams = gram_trajectory(np.array([[-1.0]]), 1.0, grid)
+        hm = np.array([[-1.0]])
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
         for k, t in enumerate(grid.nodes):
             assert grams[k][0, 0] == pytest.approx(
                 (1 - np.exp(-2 * t)) / 2, abs=1e-13)
@@ -87,7 +89,7 @@ class TestGramTrajectory:
         else:
             hm, grid = near_defective(2), TimeGrid(0.0, 3.0, 6)
         beta = 1.3
-        grams = gram_trajectory(hm, beta, grid)
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
         e1 = np.zeros(hm.shape[0])
         e1[0] = beta
         for k in range(1, grid.nnodes):
@@ -95,14 +97,15 @@ class TestGramTrajectory:
             assert np.linalg.norm(grams[k] - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_overflow_is_a_numeric_error(self):
+        hm = np.array([[400.0]])
         with pytest.raises(NumericError, match="overflowed"):
-            gram_trajectory(np.array([[400.0]]), 1.0, TimeGrid(0.0, 2.0, 1))
+            gram_trajectory(hm, 1.0, TimeGrid(0.0, 2.0, 1), small_form(hm)[0])
 
     def test_ode_identity_by_finite_differences(self, rng):
         hm = stable_dense(4, rng)
         beta = 1.7
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, beta, grid)
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
         e1 = np.zeros(4)
         e1[0] = beta
         dt = 1e-5
@@ -131,7 +134,7 @@ class TestResidualBoundExp:
             m = proc.m
             vm, hm, coupling = proc.projection(m)
             grid = TimeGrid(0.0, 1.0, 10)
-            grams = gram_trajectory(hm, 1.0, grid)
+            grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
             e11 = np.zeros((m, m))
             e11[0, 0] = 1.0
             bbt = b @ b.T
@@ -163,7 +166,7 @@ class TestAprioriBound:
         proc = _arnoldi_on(a_dense, b, 8)
         vm, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, 1.0, grid)
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
         mu2 = lognorm2_operator(a_dense)
         assert mu2 < 0
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
@@ -344,7 +347,7 @@ class TestExpoSolve:
         for m in range(2, 12, 2):
             proc = _arnoldi_on(prob.a.toarray(), prob.b, m)
             _, hm, coupling = proc.projection(proc.m)
-            grams = gram_trajectory(hm, beta, grid)
+            grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
             proc_bounds.append(residual_bound_exp(coupling, grams[-1]))
         assert all(b2 <= b1 * (1 + 1e-12)
                    for b1, b2 in zip(proc_bounds, proc_bounds[1:]))
@@ -382,7 +385,7 @@ class TestPerturbedEquation:
         proc = _arnoldi_on(a, b, m)
         _, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 8)
-        grams = gram_trajectory(hm, 1.0, grid)
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
         return prob, proc, hm, coupling, grams, grid
 
     def test_defect_small(self, rng):
@@ -405,7 +408,7 @@ class TestPerturbedEquation:
         m = proc.m
         basis, hm, _ = proc.projection(m)
         grid = TimeGrid(0.0, 1.0, 6)
-        grams = gram_trajectory(hm, 1.0, grid)
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
         coupling = np.zeros((1, m))          # h_{m+1,m} = 0
         # tail block needed by the check: append a zero block
         padded = BlockRow(np.hstack([basis.data, np.zeros((8, 1))]), 1)

@@ -178,7 +178,7 @@ class TestLayout:
         proc.advance_to(3)
         store = proc._store.view().data
         for v in (proc.sub_basis(), proc.sub_basis(4), proc.projection(2)[0],
-                  proc.sub_basis().with_width(4), proc.sub_basis(4).with_width(4)):
+                  BlockRow(proc.sub_basis().data, 4), BlockRow(proc.sub_basis(4).data, 4)):
             assert np.shares_memory(v.data, store)
 
     def test_diamond_is_the_column_block_gram(self):
@@ -186,7 +186,7 @@ class TestLayout:
         # width-w basis is columns j*w:(j+1)*w of .data
         a = gen_laplacian2d(6)
         sub = _run(a, random_full_rank(36, 2, seed=9), 4).sub_basis()
-        basis = sub.with_width(4)
+        basis = BlockRow(sub.data, 4)
         for v in (basis, sub):
             w = v.width
             gram = sum(v.data[:, s::w].T @ v.data[:, s::w] for s in range(w))

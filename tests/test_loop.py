@@ -1,4 +1,4 @@
-"""The solve that the three solvers share: report stride, breakdown, argument
+"""The solve that the three solvers share: report rows, breakdown, argument
 checks and rank-deficient data, seen through each solver."""
 
 import numpy as np
@@ -21,34 +21,30 @@ from krymat.smallmat import EIG_COND_MAX, EigenForm, small_form
 from krymat.solution import TimeGrid
 
 
-def _egadl(stride):
+def _egadl():
     prob = gen_dle_problem(n0=6, p=2, seed=1)
-    return egadl_solve(prob, TimeGrid(0.0, 1.0, 20), 20, 1e-8, l=2, probe_stride=stride)
+    return egadl_solve(prob, TimeGrid(0.0, 1.0, 20), 20, 1e-8, l=2)
 
 
-def _expo(stride):
+def _expo():
     prob = gen_dle_problem(n0=6, p=2, seed=1)
-    return expo_dle_solve(prob, TimeGrid(0.0, 1.0, 20), 20, 1e-8, probe_stride=stride)
+    return expo_dle_solve(prob, TimeGrid(0.0, 1.0, 20), 20, 1e-8)
 
 
-def _galerkin(stride):
+def _galerkin():
     prob = gen_sylvester_q2(40, 2, seed=3)
-    return galerkin_solve(prob, TimeGrid(0.0, 1.0, 20), 60, 1e-8, probe_stride=stride)
+    return galerkin_solve(prob, TimeGrid(0.0, 1.0, 20), 60, 1e-8)
 
 
 @pytest.mark.parametrize("solve", [_egadl, _expo, _galerkin],
                          ids=["egadl", "expo", "galerkin"])
-def test_stride_thins_the_report_only(solve):
-    _, full = solve(1)
-    _, thin = solve(3)
-    assert full.converged and thin.converged
-    assert thin.m_final == full.m_final
-    assert thin.breakdown == full.breakdown
+def test_report_holds_every_node(solve):
+    _, rep = solve()
+    assert rep.converged and not rep.breakdown
     nodes = TimeGrid(0.0, 1.0, 20).nodes
     # rows come per basis size, one per node in node order
-    probed = [row for i, row in enumerate(full.rows) if i % len(nodes) % 3 == 0]
-    assert thin.rows == probed
-    assert len(thin.rows) == full.m_final * len(range(0, len(nodes), 3))
+    assert [row[:2] for row in rep.rows] == [
+        (m, t) for m in range(1, rep.m_final + 1) for t in nodes]
 
 
 @pytest.mark.parametrize("kind, seed, branch", [
@@ -148,7 +144,8 @@ def test_false_breakdown_bound_dominates_dense_residual():
     assert proc.breakdown and basis.m == tm.shape[0]
     a_dense = prob.a.toarray()
     bbt = prob.b @ prob.b.T
-    for g, bound in zip(gram_trajectory(tm, proc.beta, grid), rep.final_bounds()):
+    grams = gram_trajectory(tm, proc.beta, grid, small_form(tm)[0])
+    for g, bound in zip(grams, rep.final_bounds()):
         gdot = tm @ g + g @ tm.T
         gdot[0, 0] += proc.beta ** 2
         xm = kron_apply(basis, g).data @ basis.data.T
@@ -200,15 +197,12 @@ def _no_work(*args, **kwargs):
 
 BAD_ARGUMENTS = [
     ("egadl", {"m_max": 0}, "m_max"),
-    ("egadl", {"probe_stride": 0}, "probe_stride"),
     ("egadl", {"l": 7}, "l = 7"),
     ("egadl", {"z0": True}, "X0"),
     ("expo", {"m_max": 0}, "m_max"),
-    ("expo", {"probe_stride": 0}, "probe_stride"),
     ("expo", {"variant": "bogus"}, "variant"),
     ("expo", {"z0": True}, "X0"),
     ("galerkin", {"m_max": 0}, "m_max"),
-    ("galerkin", {"probe_stride": 0}, "probe_stride"),
     ("egadl", {"tol": float("nan")}, "tol"),
     ("expo", {"tol": float("inf")}, "tol"),
     ("galerkin", {"tol": -1.0}, "tol"),

@@ -9,6 +9,7 @@ from krymat.dlebdf import bdf_integrate
 from krymat.errors import CapExceededError, NumericError
 from krymat.oracle import dense_dle_exact, dense_dme_solve, kron_operator
 from krymat.probio import DLEProblem, GenSylvesterProblem, gen_sylvester_q2
+from krymat.smallmat import small_form
 from krymat.solution import TimeGrid
 
 from conftest import deadline, dense_dle_bdf, stable_dense, stable_sparse
@@ -130,7 +131,7 @@ class TestDenseDleBdf:
         prob = DLEProblem(sp.csr_matrix(a), b)
         grid = TimeGrid(0.0, 1.0, 10)
         ref = dense_dle_bdf(prob, grid, l)
-        traj = bdf_integrate(a, b, None, grid, l)
+        traj = bdf_integrate(small_form(a)[0], b, None, grid, l)
         for k in range(1, grid.nnodes):
             assert (np.linalg.norm(traj.samples[k] - ref[k])
                     <= 1e-12 * np.linalg.norm(ref[k]))

@@ -81,13 +81,14 @@ class TestPhi1:
 
 class TestLyapSolve:
     def test_scalar(self):
-        np.testing.assert_allclose(lyap_solve(np.array([[-1.0]]), np.array([[2.0]])),
+        np.testing.assert_allclose(lyap_solve(real_schur(np.array([[-1.0]])), np.array([[2.0]])),
                                    [[1.0]], rtol=1e-14)
 
     def test_constructed_2x2(self):
         t = np.diag([-1.0, -2.0])
         q = np.array([[2.0, 3.0], [3.0, 4.0]])
-        np.testing.assert_allclose(lyap_solve(t, q), np.ones((2, 2)), rtol=1e-13)
+        np.testing.assert_allclose(lyap_solve(real_schur(t), q), np.ones((2, 2)),
+                                   rtol=1e-13)
 
     def test_kronecker_oracle(self, rng):
         t = stable_dense(6, rng)
@@ -95,20 +96,20 @@ class TestLyapSolve:
         # vectorized linear system (I kron T + T kron I) vec(Y) = -vec(Q)
         big = np.kron(np.eye(6), t) + np.kron(t, np.eye(6))
         y_ref = np.linalg.solve(big, -q.flatten(order="F")).reshape((6, 6), order="F")
-        y = lyap_solve(t, q)
+        y = lyap_solve(real_schur(t), q)
         np.testing.assert_allclose(y, y_ref, atol=1e-10 * (1 + np.linalg.norm(y_ref)))
         res = t @ y + y @ t.T + q
         assert np.linalg.norm(res) <= 1e-10 * (
             np.linalg.norm(t) * np.linalg.norm(y) + np.linalg.norm(q))
 
     def test_symmetric_output(self, rng):
-        y = lyap_solve(stable_dense(5, rng), stable_sym(5, rng))
+        y = lyap_solve(real_schur(stable_dense(5, rng)), stable_sym(5, rng))
         np.testing.assert_array_equal(y, y.T)
 
     def test_singular_operator_rejected(self):
         t = np.diag([-1.0, 1.0])  # lambda_1 + lambda_2 = 0
         with pytest.raises(IllPosedError):
-            lyap_solve(t, np.eye(2))
+            lyap_solve(real_schur(t), np.eye(2))
 
 
 class TestSmallForm:
@@ -166,7 +167,7 @@ class TestRealSchur:
         shifted = real_schur(t).shifted(c, d)
         assert isinstance(shifted, RealSchur)
         y = lyap_solve(shifted, q)
-        y_ref = lyap_solve(c * t + d * np.eye(30), q)
+        y_ref = lyap_solve(real_schur(c * t + d * np.eye(30)), q)
         assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
     def test_shift_keeps_the_form_and_the_original(self, rng):
@@ -184,7 +185,7 @@ class TestRealSchur:
         with pytest.raises(IllPosedError):
             lyap_solve(real_schur(t).shifted(1.0, -1.0), np.eye(2))
         with pytest.raises(IllPosedError):
-            lyap_solve(t - np.eye(2), np.eye(2))
+            lyap_solve(real_schur(t - np.eye(2)), np.eye(2))
 
     def test_order_mismatch(self, rng):
         with pytest.raises(DimensionError):
