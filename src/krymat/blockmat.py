@@ -4,14 +4,16 @@ A block row stacks m matrices of common shape n x s side by side into one
 n x (m*s) array.  Stored column-major, each block is one contiguous n*s chunk
 and vec(V_j) is column j of the (n*s, m) view ``flat()``.  The kernels are
 dense products on that view: diamond is flat(Z)^T flat(W), V (S kron I_s) is
-flat(V) S, and ``cgs2`` runs classical Gram-Schmidt twice on its columns.
+flat(V) S, ``sub_product`` subtracts flat(V) C in place, and ``cgs2`` runs
+classical Gram-Schmidt twice on its columns.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg import blas
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -86,20 +88,29 @@ class BlockBasis(BlockRow):
 
 
 class BlockStore:
-    """Growable column-major stack of n x width blocks, the storage of a basis.
+    """Column-major stack of n x width blocks, the storage of a basis.
 
     The blocks live in one Fortran-ordered buffer, so the first k of them are a
-    view and ``view(k).flat()`` needs no copy.  The buffer starts with room for
-    16 blocks and doubles on demand with ``np.empty``, which leaves the pages
-    past the written blocks untouched.  A block is checked for finiteness once, when
-    it is appended; written blocks never change, so views stay valid after
-    the buffer has grown.
+    view and ``view(k).flat()`` needs no copy.  The buffer is allocated once,
+    with ``np.empty``, for the blocks of ``m_max`` steps of ``per_step`` blocks
+    each after the ``per_step`` first ones.  It never holds more than the
+    n*width independent blocks the space has, plus the ``per_step`` slots of
+    one more step whose breakdown test could miss a roundoff remainder.  Pages
+    that are never written cost no memory.  A block is checked for finiteness
+    once, when it is appended; written blocks never change, so views stay
+    valid.
     """
 
-    def __init__(self, n, width):
+    def __init__(self, n, width, m_max, per_step=1):
         self.width = width
         self.m = 0
-        self._buf = np.empty((n, 16 * width), order="F")
+        capacity = min(per_step * m_max, n * width) + per_step
+        try:
+            self._buf = np.empty((n, capacity * width), order="F")
+        except MemoryError:
+            raise ConfigError(
+                f"m_max = {m_max}: cannot allocate the Krylov basis, {capacity} blocks "
+                f"of {n} x {width} ({capacity * n * width * 8 / 1e6:.6g} MB)") from None
 
     def append(self, block):
         """Copy in the next block, given as an n x width array or its vec."""
@@ -109,9 +120,7 @@ class BlockStore:
             raise NumericError("basis block contains non-finite entries")
         used = self.m * s
         if used + s > self._buf.shape[1]:
-            grown = np.empty((n, 2 * self._buf.shape[1]), order="F")
-            grown[:, :used] = self._buf[:, :used]
-            self._buf = grown
+            raise DimensionError(f"basis store is full at {self.m} blocks")
         self._buf[:, used : used + s] = block
         self.m += 1
 
@@ -131,11 +140,24 @@ def cgs2(q, w):
     enough", Giraud, Langou and Rozloznik 2005).  Returns the summed
     coefficients, so that w on entry equals q c + w on return.
     """
+    # np.dot, not @: matmul runs a one-column q through a loop about six
+    # times slower than the BLAS product np.dot calls
     c = q.T @ w
-    w -= q @ c
+    w -= np.dot(q, c)
     d = q.T @ w
-    w -= q @ d
+    w -= np.dot(q, d)
     return c + d
+
+
+def sub_product(w, q, c):
+    """w -= q c in place, as one BLAS dgemm with beta = 1.
+
+    ``w`` must be column-major (as the flat views of a store or of a
+    Fortran-ordered block row are); no n-row temporary is made then.
+    """
+    out = blas.dgemm(-1.0, q, c, 1.0, w, overwrite_c=True)
+    if out is not w:               # dgemm worked on a copy of a non-Fortran w
+        w[...] = out
 
 
 def diamond(zb, wb):
@@ -147,7 +169,8 @@ def diamond(zb, wb):
         raise DimensionError(
             f"diamond: incompatible operands n={zb.n}/{wb.n}, width={zb.width}/{wb.width}"
         )
-    return zb.flat().T @ wb.flat()
+    # (W^T Z)^T is Z^T W; this operand order makes the faster product
+    return (wb.flat().T @ zb.flat()).T
 
 
 def kron_apply(vb, s_mat):
@@ -185,17 +208,19 @@ def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
         scales = np.full(m, float(np.linalg.norm(zb.data)))
     else:
         scales = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
-    z = zb.flat()
-    q = np.zeros((n * s, m), order="F")
+    # one working copy: each column is orthogonalized and normalized (or
+    # zeroed) in place against the finished columns before it
+    q = np.array(zb.flat(), order="F")
     r = np.zeros((m, m))
     deficient = []
     for j in range(m):
-        w = z[:, j].copy()
+        w = q[:, j]
         r[:j, j] = cgs2(q[:, :j], w)
         rjj = float(np.linalg.norm(w))
         r[j, j] = rjj
         if rjj <= tol * scales[j]:
             deficient.append(j)
+            w[:] = 0.0
         else:
-            q[:, j] = w / rjj
+            w /= rjj
     return BlockBasis(q.reshape(n, m * s, order="F"), s), r, tuple(deficient)

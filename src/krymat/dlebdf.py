@@ -138,7 +138,8 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
     def start(report):
         if not problem.b.any():
             return None
-        proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
+        proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b,
+                                     m_max)
 
         def fit(tm, coupling):
             # B = V_1 beta, and V is F-orthonormal

@@ -167,10 +167,10 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
         mu2 = lognorm2_operator(problem.a, solver, report.trust)
         report.settings["mu2"] = mu2
         if variant == "global":
-            proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b)
+            proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b, m_max)
             bound_of = residual_bound_exp
         else:
-            proc = ExtendedGlobalArnoldi(problem.a, solver, problem.b)
+            proc = ExtendedGlobalArnoldi(problem.a, solver, problem.b, m_max)
             bound_of = residual_bound_bdf
 
         def fit(hm, coupling):

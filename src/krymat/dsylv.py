@@ -70,7 +70,7 @@ def galerkin_solve(problem, grid, m_max, tol):
         r0 = -gsylv_apply(problem, problem.initial_value()) - problem.c
         if not r0.any():
             return None            # X(t) = X0 already solves the equation
-        proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0)
+        proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0, m_max)
 
         def fit(hm, coupling):
             # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1

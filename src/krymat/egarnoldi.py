@@ -12,7 +12,7 @@ subdiagonal entries.
 
 import numpy as np
 
-from .blockmat import BlockRow, BlockStore, diamond, global_qr, kron_apply
+from .blockmat import BlockRow, BlockStore, diamond, global_qr, kron_apply, sub_product
 from .errors import DimensionError
 
 # Truncation threshold for remainder blocks, relative to the pre-
@@ -30,10 +30,11 @@ class ExtendedGlobalArnoldi:
     ``solver`` must provide ``solve(w)`` computing A^{-1} w (probio.LinearSolver).
     The sub-block width is the seed's column count.  The seed QR
     [B, A^{-1} B] = V_1 (r_init kron I_p) gives ``beta`` = r_init[0, 0], the
-    seed's coefficient on V_1.
+    seed's coefficient on V_1.  The basis storage is allocated once for
+    ``m_max`` steps, and the process runs no further.
     """
 
-    def __init__(self, a, solver, seed):
+    def __init__(self, a, solver, seed, m_max):
         seed = np.asarray(seed, dtype=float)
         if seed.ndim == 1:
             seed = seed[:, None]
@@ -53,7 +54,8 @@ class ExtendedGlobalArnoldi:
         self._proj_cols = []      # per step: projections of A v_{2j+1}
         # a dependent seed block and A^{-1} image leave nothing to iterate on
         self.breakdown = bool(deficient)
-        self._store = BlockStore(seed.shape[0], self.width)
+        self.m_max = m_max
+        self._store = BlockStore(seed.shape[0], self.width, m_max, per_step=2)
         for j in range(2):
             if j not in deficient:
                 self._store.append(q0.block(j))
@@ -95,15 +97,14 @@ class ExtendedGlobalArnoldi:
         # vs ||A^{-1} v||), so the rank test is per half
         half_norm0 = np.linalg.norm(halves, axis=0)
         c1 = diamond(basis, ub)
-        halves -= q @ c1[:, :2]
+        sub_product(halves, q, c1[:, :2])
         # rank test against the pre-orthogonalization scale of each half: a
         # remainder tiny relative to its own direction signals an invariant
         # subspace; keeping it would admit a noise direction that spoils both
         # the basis and the Krylov structure
         q1, r1, deficient = global_qr(ub.narrow(2), BREAKDOWN_TOL, scale=half_norm0)
         c2 = diamond(basis, q1)
-        w = q1.flat()
-        w -= q @ c2
+        sub_product(q1.flat(), q, c2)
         # a unit direction that the second pass cancels was noise after the first
         q2, r2, collapsed = global_qr(q1, BREAKDOWN_TOL, scale=1.0)
         deficient = set(deficient) | set(collapsed)
@@ -124,6 +125,8 @@ class ExtendedGlobalArnoldi:
         return True
 
     def advance_to(self, m):
+        if m > self.m_max:
+            raise DimensionError(f"cannot advance to {m} steps past m_max = {self.m_max}")
         while self.m < m and self.step():
             pass
         return self.m

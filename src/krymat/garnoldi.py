@@ -23,10 +23,11 @@ class GlobalArnoldi:
     ``advance_to(m)`` the object holds m+1 basis blocks (or fewer on
     breakdown) and the coefficients h[i][j].  Breakdown is declared at step j
     when h_{j+1,j} <= BREAKDOWN_FACTOR * ||op(V_j)||_F.  ``beta`` = ||seed||_F
-    is the seed's coefficient on V_1.
+    is the seed's coefficient on V_1.  The basis storage is allocated once
+    for ``m_max`` steps, and the process runs no further.
     """
 
-    def __init__(self, op, seed):
+    def __init__(self, op, seed, m_max):
         seed = np.asarray(seed, dtype=float)
         if seed.ndim == 1:
             seed = seed[:, None]
@@ -35,7 +36,8 @@ class GlobalArnoldi:
             raise ValueError("global Arnoldi needs a nonzero seed block")
         self.op = op
         self.beta = beta
-        self._store = BlockStore(*seed.shape)
+        self.m_max = m_max
+        self._store = BlockStore(*seed.shape, m_max)
         self._store.append(seed / beta)
         self._hcols = []
         self.breakdown = False
@@ -70,6 +72,8 @@ class GlobalArnoldi:
 
     def advance_to(self, m):
         """Extend to m completed steps; returns the number actually completed."""
+        if m > self.m_max:
+            raise DimensionError(f"cannot advance to {m} steps past m_max = {self.m_max}")
         while self.m < m and self.step():
             pass
         return self.m

@@ -40,6 +40,15 @@ def _full_rank_warning(mat, name):
                       stacklevel=3)
 
 
+def check_horizon(t0, tf):
+    """Refuse a horizon that no time grid can cover: the problems and
+    ``TimeGrid`` share it, so no bundle is written that no run can read."""
+    if not np.isfinite([t0, tf, tf - t0]).all():
+        raise DimensionError(f"need finite t0, tf and tf - t0, got t0 = {t0}, tf = {tf}")
+    if not t0 < tf:
+        raise DimensionError("need t0 < tf")
+
+
 @dataclass(frozen=True)
 class GenSylvesterProblem:
     """d/dt X = sum_i A_i X B_i + C on [t0, tf] with X(t0) = X0."""
@@ -71,8 +80,7 @@ class GenSylvesterProblem:
             if x0.shape != (n, p):
                 raise DimensionError(f"X0 must be {n} x {p}, got {x0.shape}")
             object.__setattr__(self, "x0", x0)
-        if not self.t0 < self.tf:
-            raise DimensionError("need t0 < tf")
+        check_horizon(self.t0, self.tf)
         _full_rank_warning(c, "right-hand side C")
 
     @property
@@ -117,8 +125,7 @@ class DLEProblem:
             if z0.shape[0] != a.shape[0]:
                 raise DimensionError("Z0 row count does not match A")
             object.__setattr__(self, "z0", z0)
-        if not self.t0 < self.tf:
-            raise DimensionError("need t0 < tf")
+        check_horizon(self.t0, self.tf)
         if b.shape[1] > max(1, a.shape[0] // 10):
             warnings.warn("B is not low rank relative to n (p > n/10)", stacklevel=2)
         _full_rank_warning(b, "factor B")
@@ -384,6 +391,8 @@ def gen_laplacian2d(n0):
 
 def gen_random_stable(n, density=0.1, shift=1.0, seed=0):
     """Sparse random A made stable and nonsingular by diagonal dominance."""
+    if not 0 < density <= 1:
+        raise ValueError(f"gen_random_stable: need 0 < density <= 1, got density = {density}")
     rng = np.random.default_rng(seed)
     nnz = max(n, int(density * n * n))
     rows = rng.integers(0, n, nnz)

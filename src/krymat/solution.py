@@ -1,6 +1,7 @@
 """Time grids, solver reports, the shared Krylov solve, and solution containers."""
 
 import configparser
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,11 +23,7 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not np.isfinite([self.t0, self.tf, self.tf - self.t0]).all():
-            raise DimensionError(f"TimeGrid needs finite t0, tf and tf - t0, "
-                                 f"got t0 = {self.t0}, tf = {self.tf}")
-        if not self.t0 < self.tf:
-            raise DimensionError("TimeGrid needs t0 < tf")
+        probio.check_horizon(self.t0, self.tf)
         if self.steps < 1:
             raise DimensionError("TimeGrid needs at least one step")
 
@@ -112,8 +109,9 @@ def krylov_solve(report, grid, m_max, tol, start):
     report's status, basis size and wall time; returns the last (basis,
     kernel), or (None, None) for a zero right-hand side.
     """
-    if m_max < 1:
-        raise ConfigError(f"m_max = {m_max}: need m_max >= 1")
+    # the basis is allocated for m_max steps, so it must count them
+    if not isinstance(m_max, numbers.Integral) or m_max < 1:
+        raise ConfigError(f"m_max = {m_max}: need an integer m_max >= 1")
     if not 0 <= tol < np.inf:
         raise ConfigError(f"tol = {tol}: need 0 <= tol < inf")
     report.settings.update(m_max=m_max, tol=tol, grid_steps=grid.steps)

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_continuous_lyapunov
 
+from krymat import blockmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.config import check_dense_cap
 from krymat.dlebdf import bdf_coefficients
@@ -32,6 +33,22 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+class _NumpyWithoutEmpty:
+    """numpy as blockmat sees it, except that ``empty`` is out of memory."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        raise MemoryError
+
+
+def refuse_basis_allocation(monkeypatch):
+    """Make every basis store's allocation raise MemoryError, and nothing else."""
+    monkeypatch.setattr(blockmat, "np", _NumpyWithoutEmpty())
 
 
 def stable_dense(n, rng, spread=1.0):

@@ -118,7 +118,7 @@ def test_ac2_arnoldi_relations():
         prob = gen_sylvester_q2(n, p, seed=trial)
         op = lambda x: gsylv_apply(prob, x)
         seed_blk = rng.standard_normal((n, p))
-        proc = GlobalArnoldi(op, seed_blk)
+        proc = GlobalArnoldi(op, seed_blk, m)
         mm = proc.advance_to(m)
         basis = proc.basis()
         vm, hm, coupling = proc.projection(mm)
@@ -140,7 +140,7 @@ def test_ac2_arnoldi_relations():
         # the relations are checked for the clean prefix
         a = stable_sparse(n, rng)
         b = rng.standard_normal((n, p))
-        eproc = ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+        eproc = ExtendedGlobalArnoldi(a, LinearSolver(a), b, m)
         me = eproc.advance_to(m)
         if me == 0:
             continue
@@ -187,7 +187,7 @@ def test_ac3_galerkin_exactness_and_residual_formula():
         # truncated subspace: closed-form residual against the dense residual
         r0 = -prob.c
         m_t = 4
-        proc = GlobalArnoldi(lambda x: gsylv_apply(prob, x), r0)
+        proc = GlobalArnoldi(lambda x: gsylv_apply(prob, x), r0, m_t)
         vm, hm, coupling = proc.projection(proc.advance_to(m_t))
         cm = project_rhs(vm, r0)
         traj = integrate_projected(hm, cm, None, grid)
@@ -304,7 +304,7 @@ def test_ac6_residual_bound_validity():
         l = 2
 
         # BDF case
-        eproc = ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+        eproc = ExtendedGlobalArnoldi(a, LinearSolver(a), b, 3)
         vm, tm, t_sub = eproc.projection(eproc.advance_to(3))
         bm = np.zeros(vm.m)
         bm[0] = eproc.beta
@@ -319,7 +319,7 @@ def test_ac6_residual_bound_validity():
             worst_bdf = max(worst_bdf, dense - bound * (1 + 1e-8))
 
         # exponential case
-        gproc = GlobalArnoldi(lambda x: a @ x, b)
+        gproc = GlobalArnoldi(lambda x: a @ x, b, 5)
         gv, ghm, gcoupling = gproc.projection(gproc.advance_to(5))
         gm = gv.m
         beta = np.linalg.norm(b)
@@ -352,7 +352,7 @@ def test_ac7_apriori_bound():
         b = random_full_rank(n, 1, seed=trial + 50)
         mu2 = lognorm2_operator(a_dense)
         assert mu2 < 0
-        proc = GlobalArnoldi(lambda x: a_dense @ x, b)
+        proc = GlobalArnoldi(lambda x: a_dense @ x, b, 7)
         vm, hm, coupling = proc.projection(proc.advance_to(7))
         grid = TimeGrid(0.0, 1.0, 10)
         grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from krymat.blockmat import (BlockBasis, BlockRow, BlockStore, cgs2, diamond, frob_inner,
-                             global_qr, kron_apply)
-from krymat.errors import DimensionError, NumericError
+                             global_qr, kron_apply, sub_product)
+from krymat.errors import ConfigError, DimensionError, NumericError
 
-from conftest import explicit_kron_apply, random_block_row
+from conftest import explicit_kron_apply, random_block_row, refuse_basis_allocation
 
 
 class TestFrobInner:
@@ -123,6 +123,27 @@ class TestCGS2:
         assert np.linalg.norm(one.T @ one - np.eye(zb.m)) > 1e-6
 
 
+class TestSubProduct:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_the_product(self, rng, order):
+        q = np.asfortranarray(rng.standard_normal((30, 5)))
+        c = rng.standard_normal((5, 3))
+        w = np.array(rng.standard_normal((30, 3)), order=order)
+        expected = w - q @ c
+        sub_product(w, q, c)
+        np.testing.assert_allclose(w, expected, atol=1e-13)
+
+    def test_column_major_view_is_updated_in_place(self, rng):
+        q = np.asfortranarray(rng.standard_normal((30, 5)))
+        c = rng.standard_normal((5, 3))
+        u = np.asfortranarray(rng.standard_normal((30, 4)))
+        expected = u[:, :2] - q @ c[:, :2]
+        tail = u[:, 2:].copy()
+        sub_product(u[:, :2], q, c[:, :2])
+        np.testing.assert_allclose(u[:, :2], expected, atol=1e-13)
+        np.testing.assert_array_equal(u[:, 2:], tail)
+
+
 class TestGlobalQR:
     def test_zero_and_dependent_blocks_are_deficient(self, rng):
         z = random_block_row(rng, 9, 5, 2).data.copy()
@@ -155,6 +176,13 @@ class TestGlobalQR:
         assert deficient == ()
         np.testing.assert_allclose(kron_apply(q, r).data, zb.data, atol=1e-12)
         assert q.orth_defect() <= 1e-12
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_input_is_left_alone(self, rng, order):
+        z = np.array(random_block_row(rng, 8, 3, 2).data, order=order)
+        before = z.copy()
+        q, _, _ = global_qr(BlockRow(z, 2))
+        assert np.array_equal(z, before) and not np.shares_memory(q.data, z)
 
     def test_deterministic(self, rng):
         zb = random_block_row(rng, 8, 3, 2)
@@ -249,24 +277,41 @@ class TestBlockBasis:
 
 
 class TestBlockStore:
-    def test_views_share_storage_across_growth(self, rng):
-        blocks = [rng.standard_normal((6, 2)) for _ in range(40)]
-        store = BlockStore(6, 2)
+    def test_views_share_one_reserved_buffer(self, rng):
+        # m_max = 4 steps of one block after the first: room for 5 blocks
+        blocks = [rng.standard_normal((6, 2)) for _ in range(5)]
+        store = BlockStore(6, 2, 4)
+        buf = store._buf
         store.append(blocks[0])
+        first = store.view()
         store.append(blocks[1].flatten(order="F"))        # a vec is accepted too
-        early = store.view()
-        assert early.data.flags.f_contiguous
-        assert np.shares_memory(early.flat(), early.data)
         for b in blocks[2:]:
-            store.append(b)                               # grows twice
-        late = store.view()
-        assert late.m == 40
-        np.testing.assert_array_equal(late.data, np.hstack(blocks))
-        np.testing.assert_array_equal(early.data, np.hstack(blocks[:2]))
-        assert np.shares_memory(store.view(3).data, late.data)
+            store.append(b)
+        last = store.view()
+        assert store._buf is buf
+        assert last.data.flags.f_contiguous
+        assert np.shares_memory(last.flat(), last.data)
+        assert np.shares_memory(first.data, last.data)
+        np.testing.assert_array_equal(last.data, np.hstack(blocks))
+        np.testing.assert_array_equal(first.data, blocks[0])
+        with pytest.raises(DimensionError):
+            store.append(blocks[0])
+        assert store.m == 5 and store._buf is buf
+
+    @pytest.mark.parametrize("per_step", [1, 2])
+    def test_capacity_is_capped_by_the_block_space(self, per_step):
+        # 3 x 1 blocks span 3 dimensions; one more step can fill per_step slots
+        store = BlockStore(3, 1, 10**9, per_step=per_step)
+        assert store._buf.shape == (3, 3 + per_step)
+
+    def test_allocation_failure_names_m_max(self, monkeypatch):
+        refuse_basis_allocation(monkeypatch)
+        with pytest.raises(ConfigError, match=r"m_max = 60: .* 122 blocks of 90000 x 2 "
+                                              r"\(175\.68 MB\)"):
+            BlockStore(90000, 2, 60, per_step=2)
 
     def test_rejects_non_finite_block(self):
-        store = BlockStore(3, 1)
+        store = BlockStore(3, 1, 5)
         with pytest.raises(NumericError):
             store.append(np.array([1.0, np.inf, 0.0]))
         assert store.m == 0

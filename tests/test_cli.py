@@ -17,7 +17,7 @@ from krymat.probio import (DLEProblem, gen_dle_problem, gen_sylvester_q2, read_m
                            save_problem)
 from krymat.solution import LowRankSolution, TimeGrid
 
-from conftest import deadline
+from conftest import deadline, refuse_basis_allocation
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -272,6 +272,19 @@ bundle = {tmp_path / 'bundle'}
             assert "segments" in capsys.readouterr().err
             assert not (tmp_path / "h").exists()
 
+    @pytest.mark.parametrize("method", ["egadl", "expo", "galerkin"])
+    def test_basis_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch, method):
+        text = SMALL_EGADL.replace("method = egadl", f"method = {method}")
+        if method == "galerkin":
+            text = text.replace("kind = laplacian2d\nn0 = 6", "kind = sylvester-q2\nn = 30")
+        cfg = write_cfg(tmp_path, text)
+        refuse_basis_allocation(monkeypatch)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: m_max = 20: cannot allocate the Krylov basis")
+        assert not (tmp_path / "o").exists()
+
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")
         cfg = write_cfg(tmp_path, bad)
@@ -442,6 +455,28 @@ class TestGenerate:
         err = capsys.readouterr().err.strip().splitlines()
         key = param.split("=")[0]
         assert len(err) == 1 and err[0].startswith("error:") and f"need {key} >= 1" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,params", [
+        ("laplacian2d", ["n0=6", "tf=inf"]), ("laplacian2d", ["n0=6", "t0=nan"]),
+        ("random-stable", ["n=20", "t0=-1e308", "tf=1e308"]),
+        ("sylvester-q2", ["n=20", "tf=inf"]),
+    ])
+    def test_non_finite_horizon_exits_2(self, tmp_path, capsys, kind, params):
+        out = tmp_path / "x"
+        args = [arg for param in params for arg in ("--param", param)]
+        assert main(["generate", kind, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: need finite t0, tf and tf - t0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("density", ["-1", "0", "1.5", "nan"])
+    def test_density_outside_unit_interval_exits_2(self, tmp_path, capsys, density):
+        out = tmp_path / "x"
+        assert main(["generate", "random-stable", "--out", str(out),
+                     "--param", "n=20", "--param", f"density={density}"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "density" in err[0]
         assert not out.exists()
 
     def test_seed_option_wins_over_seed_param(self, tmp_path):

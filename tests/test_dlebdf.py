@@ -22,7 +22,7 @@ from conftest import (bdf_derivatives, dense_dle_bdf, near_defective, stable_den
 
 def _projection(a, b, m):
     """The extended process after m steps and its (V_m, T_m, T_{m+1,m})."""
-    proc = ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+    proc = ExtendedGlobalArnoldi(a, LinearSolver(a), b, m)
     return proc, proc.projection(proc.advance_to(m))
 
 

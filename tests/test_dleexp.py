@@ -23,7 +23,7 @@ from conftest import (near_defective, perturbed_equation_check, rect_hessenberg,
 
 
 def _arnoldi_on(a, b, m):
-    proc = GlobalArnoldi(lambda x: a @ x, b)
+    proc = GlobalArnoldi(lambda x: a @ x, b, m)
     proc.advance_to(m)
     return proc
 

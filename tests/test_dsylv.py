@@ -21,7 +21,7 @@ from conftest import stable_dense, stable_sym
 
 def _projection(op, seed, m):
     """(V_m, H_m, coupling) of the global process after up to m steps."""
-    proc = GlobalArnoldi(op, seed)
+    proc = GlobalArnoldi(op, seed, m)
     return proc.projection(proc.advance_to(m))
 
 
@@ -52,7 +52,7 @@ def _projected_case(name, rng):
         # process breaks down after three steps
         b = np.zeros((12, 1))
         b[:3, 0] = [1.0, -0.5, 0.25]
-        proc = GlobalArnoldi(lambda x: -np.arange(1.0, 13.0)[:, None] * x, b)
+        proc = GlobalArnoldi(lambda x: -np.arange(1.0, 13.0)[:, None] * x, b, 6)
         assert proc.advance_to(6) == 3 and proc.breakdown
         return proc.projection(3)[1], np.r_[-np.linalg.norm(b), 0.0, 0.0], np.zeros(3)
     # stiff: eigenvalues down to -2000, so h ||H||_1 >= 100 at h = 0.1
@@ -71,7 +71,7 @@ class TestProjectRhs:
 
     def test_orthogonal_rhs_projects_to_zero(self, rng):
         proc = GlobalArnoldi(lambda x: x * np.arange(1.0, 7.0)[:, None],
-                             rng.standard_normal((6, 1)))
+                             rng.standard_normal((6, 1)), 3)
         proc.advance_to(3)
         basis = proc.basis()
         # build a block orthogonal to the basis by projection removal

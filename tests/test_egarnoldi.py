@@ -6,17 +6,18 @@ import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.egarnoldi import ExtendedGlobalArnoldi
+from krymat.errors import DimensionError
 from krymat.probio import LinearSolver, gen_laplacian2d, random_full_rank
 
 from conftest import rect_hessenberg, stable_sparse
 
 
-def _setup(a, b):
-    return ExtendedGlobalArnoldi(a, LinearSolver(a), b)
+def _setup(a, b, m_max):
+    return ExtendedGlobalArnoldi(a, LinearSolver(a), b, m_max)
 
 
 def _run(a, b, m):
-    proc = _setup(a, b)
+    proc = _setup(a, b, m)
     proc.advance_to(m)
     return proc
 
@@ -45,7 +46,7 @@ class TestSeed:
     def test_seed_qr_consistency(self, rng):
         a = stable_sparse(20, rng)
         b = random_full_rank(20, 2, seed=3)
-        proc = _setup(a, b)
+        proc = _setup(a, b, 1)
         r = proc.r_init
         assert r[1, 0] == 0.0
         assert proc.beta == r[0, 0]
@@ -59,7 +60,7 @@ class TestSeed:
         # independent remainder of A^{-1} B would pass for a rank drop
         a = sp.diags(1e9 * np.arange(1.0, 21.0)).tocsr()
         b = np.ones((20, 1))
-        proc = _setup(a, b)
+        proc = _setup(a, b, 3)
         assert not proc.breakdown and proc.advance_to(3) == 3
         bm = diamond(proc.sub_basis(6), BlockRow(b, 1)).ravel()
         np.testing.assert_allclose(bm, np.eye(6)[0] * proc.beta, atol=1e-14)
@@ -70,7 +71,7 @@ class TestSubspaceContent:
         # subspace for m=2 is span{A^-2 b, A^-1 b, b, A b}
         a = sp.diags([1.0, 2.0, 4.0, 8.0]).tocsr()
         b = np.ones((4, 1))
-        proc = _setup(a, b)
+        proc = _setup(a, b, 2)
         proc.advance_to(2)
         v = proc.sub_basis(4).data          # 4 columns for p=1
         ainv = np.diag(1.0 / np.array([1.0, 2.0, 4.0, 8.0]))
@@ -164,7 +165,7 @@ class TestRelations:
         d = sp.diags([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).tocsr()
         b = np.zeros((6, 1))
         b[:4, 0] = [1.0, 1.0, 1.0, 1.0]
-        proc = _setup(d, b)
+        proc = _setup(d, b, 5)
         done = proc.advance_to(5)
         assert proc.breakdown
         assert done < 5
@@ -174,12 +175,20 @@ class TestRelations:
 class TestLayout:
     def test_bases_are_views_of_the_store(self, rng):
         a = stable_sparse(30, rng)
-        proc = _setup(a, random_full_rank(30, 2, seed=5))
+        proc = _setup(a, random_full_rank(30, 2, seed=5), 3)
         proc.advance_to(3)
         store = proc._store.view().data
         for v in (proc.sub_basis(), proc.sub_basis(4), proc.projection(2)[0],
                   BlockRow(proc.sub_basis().data, 4), BlockRow(proc.sub_basis(4).data, 4)):
             assert np.shares_memory(v.data, store)
+
+    def test_advance_past_m_max_is_refused(self, rng):
+        a = stable_sparse(30, rng)
+        proc = _setup(a, random_full_rank(30, 2, seed=5), 3)
+        assert proc.advance_to(3) == 3 and proc.nsub == 8
+        with pytest.raises(DimensionError, match="m_max = 3"):
+            proc.advance_to(4)
+        assert proc.m == 3
 
     def test_diamond_is_the_column_block_gram(self):
         # the layout the benchmark's independent checks read: block j of a

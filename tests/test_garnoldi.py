@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
+from krymat.errors import DimensionError
 from krymat.garnoldi import GlobalArnoldi
 from krymat.probio import gen_sylvester_q2, gsylv_apply
 
@@ -12,7 +13,7 @@ from conftest import rect_hessenberg, stable_dense
 
 
 def _run(op, seed, m):
-    proc = GlobalArnoldi(op, seed)
+    proc = GlobalArnoldi(op, seed, m)
     proc.advance_to(m)
     return proc
 
@@ -93,12 +94,12 @@ class TestGlobalArnoldi:
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
-            GlobalArnoldi(lambda x: x, np.zeros((4, 2)))
+            GlobalArnoldi(lambda x: x, np.zeros((4, 2)), 3)
 
     def test_incremental_matches_one_shot(self, rng):
         a = stable_dense(10, rng)
         seed = rng.standard_normal((10, 2))
-        proc = GlobalArnoldi(lambda x: a @ x, seed)
+        proc = GlobalArnoldi(lambda x: a @ x, seed, 5)
         proc.advance_to(2)
         proc.advance_to(5)
         once = _run(lambda x: a @ x, seed, 5)
@@ -106,9 +107,17 @@ class TestGlobalArnoldi:
         np.testing.assert_array_equal(rect_hessenberg(*proc.projection(5)[1:]),
                                       rect_hessenberg(*once.projection(5)[1:]))
 
+    def test_advance_past_m_max_is_refused(self, rng):
+        a = stable_dense(10, rng)
+        proc = GlobalArnoldi(lambda x: a @ x, rng.standard_normal((10, 2)), 3)
+        assert proc.advance_to(3) == 3
+        with pytest.raises(DimensionError, match="m_max = 3"):
+            proc.advance_to(4)
+        assert proc.m == 3
+
     def test_basis_is_a_view_of_the_store(self, rng):
         a = stable_dense(10, rng)
-        proc = GlobalArnoldi(lambda x: a @ x, rng.standard_normal((10, 2)))
+        proc = GlobalArnoldi(lambda x: a @ x, rng.standard_normal((10, 2)), 4)
         proc.advance_to(4)
         assert np.shares_memory(proc.basis().data, proc._store.view().data)
         assert np.shares_memory(proc.basis(2).data, proc.basis(5).data)

@@ -47,6 +47,33 @@ def test_report_holds_every_node(solve):
         (m, t) for m in range(1, rep.m_final + 1) for t in nodes]
 
 
+def _full_space_runs():
+    # a tiny random DLE and Sylvester equation whose bases fill all n*p
+    # dimensions before they break down
+    grid = TimeGrid(0.0, 1.0, 10)
+    dle = gen_random_dle_problem(n=6, p=1, density=0.5, seed=2)
+    syl = gen_sylvester_q2(3, 2, seed=3)
+    return {
+        "egadl": lambda m_max: egadl_solve(dle, grid, m_max, 1e-8),
+        "expo-extended": lambda m_max: expo_dle_solve(dle, grid, m_max, 1e-8),
+        "expo-global": lambda m_max: expo_dle_solve(dle, grid, m_max, 1e-8,
+                                                    variant="global"),
+        "galerkin": lambda m_max: galerkin_solve(syl, grid, m_max, 1e-8),
+    }
+
+
+@pytest.mark.parametrize("method", list(_full_space_runs()))
+def test_huge_m_max_reserves_only_the_block_space(method):
+    # the basis of m_max = 10**9 steps is never allocated: the store holds at
+    # most the n*p blocks the space has, and the run is the same as at 50
+    solve = _full_space_runs()[method]
+    _, huge = solve(10**9)
+    _, small = solve(50)
+    assert huge.converged and huge.breakdown
+    assert huge.dims["basis_blocks"] == huge.dims["n"] * huge.dims["p"]
+    assert (huge.rows, huge.m_final, huge.dims) == (small.rows, small.m_final, small.dims)
+
+
 @pytest.mark.parametrize("kind, seed, branch", [
     ("laplacian", 1, "eigen"), ("random-stable", 1, "schur"), ("random-stable", 5, "eigen"),
 ])
@@ -72,7 +99,7 @@ def test_trust_names_the_final_reduction(solve, kind, seed, branch):
 
 
 def _extended_projection(problem, m):
-    proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b)
+    proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b, m)
     return proc.projection(proc.advance_to(m))
 
 
@@ -139,7 +166,7 @@ def test_false_breakdown_bound_dominates_dense_residual():
     prob = _near_singular_problem()
     grid = TimeGrid(0.0, 1.0, 20)
     _, rep = expo_dle_solve(prob, grid, 30, 1e-8, variant="extended")
-    proc = ExtendedGlobalArnoldi(prob.a, LinearSolver(prob.a), prob.b)
+    proc = ExtendedGlobalArnoldi(prob.a, LinearSolver(prob.a), prob.b, 1)
     basis, tm, _ = proc.projection(proc.advance_to(1))
     assert proc.breakdown and basis.m == tm.shape[0]
     a_dense = prob.a.toarray()
@@ -189,6 +216,13 @@ def test_rank_deficient_c_matches_oracle():
     ref = dense_dme_solve(prob, grid)
     for k in range(grid.nnodes):
         assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= 1e-8
+
+
+@pytest.mark.parametrize("m_max", [2.5, 20.0])
+def test_non_integer_m_max_is_refused(m_max):
+    # the basis is allocated for m_max steps; a float once ran to ceil(m_max)
+    with pytest.raises(ConfigError, match="need an integer m_max >= 1"):
+        galerkin_solve(gen_sylvester_q2(20, 2, seed=3), TimeGrid(0.0, 1.0, 10), m_max, 1e-8)
 
 
 def _no_work(*args, **kwargs):

@@ -12,6 +12,7 @@ from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver,
                            gen_dle_problem, gen_laplacian2d, gen_random_stable,
                            gen_sylvester_q2, gsylv_apply, load_problem, random_full_rank,
                            read_matrix_market, save_problem, write_matrix_market)
+from krymat.solution import TimeGrid
 
 from conftest import stable_sparse
 from mm_reference import reference_read, reference_write
@@ -353,6 +354,20 @@ class TestProblems:
         with pytest.raises(DimensionError):
             DLEProblem(gen_laplacian2d(3), np.ones((9, 1)), t0=1.0, tf=0.5)
 
+    @pytest.mark.parametrize("t0, tf", [
+        (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (-1e308, 1e308),
+    ], ids=["tf-inf", "t0-inf", "tf-nan", "span-overflows"])
+    def test_non_finite_horizon_refused(self, t0, tf):
+        # the problems refuse what TimeGrid refuses: no bundle is written
+        # that no run can read
+        with pytest.raises(DimensionError, match="finite t0, tf and tf - t0"):
+            DLEProblem(gen_laplacian2d(3), np.ones((9, 1)), t0=t0, tf=tf)
+        with pytest.raises(DimensionError, match="finite t0, tf and tf - t0"):
+            GenSylvesterProblem((sp.identity(4, format="csr"),),
+                                (sp.identity(2, format="csr"),), np.eye(4, 2), t0=t0, tf=tf)
+        with pytest.raises(DimensionError, match="finite t0, tf and tf - t0"):
+            TimeGrid(t0, tf, 10)
+
     def test_low_rank_warning(self):
         b = np.column_stack([np.arange(1.0, 10.0), np.arange(1.0, 10.0) ** 2])
         with pytest.warns(UserWarning, match="low rank"):
@@ -384,6 +399,15 @@ class TestProblems:
         for a1, a2 in zip(back.a_list, prob.a_list):
             assert (a1 != a2).nnz == 0
         np.testing.assert_array_equal(back.c, prob.c)
+
+    @pytest.mark.parametrize("density", [-1.0, 0.0, 1.5, np.nan, np.inf])
+    def test_density_outside_unit_interval_refused(self, density):
+        with pytest.raises(ValueError, match="need 0 < density <= 1"):
+            gen_random_stable(20, density=density)
+
+    def test_full_density_accepted(self):
+        a = gen_random_stable(20, density=1.0, seed=4)
+        assert a.shape == (20, 20) and a.nnz > 20
 
     def test_generators_deterministic(self):
         a1 = gen_random_stable(30, seed=7)
