@@ -215,7 +215,8 @@ def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
     deficient = []
     for j in range(m):
         w = q[:, j]
-        r[:j, j] = cgs2(q[:, :j], w)
+        if j:                     # column 0 has nothing to be orthogonalized against
+            r[:j, j] = cgs2(q[:, :j], w)
         rjj = float(np.linalg.norm(w))
         r[j, j] = rjj
         if rjj <= tol * scales[j]:

@@ -100,15 +100,31 @@ SECTIONS = {
 }
 
 
-def _generate(kind, params, seed, t0, tf):
-    """The problem of a GENERATORS kind, from parameters given as text."""
+def _parse(kind, raw, what):
+    """``raw`` as a ``kind``; a value it cannot be is a ConfigError naming ``what``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{what} = {raw}: not {kind.__name__}") from None
+
+
+def _generate(kind, params, seed_override, t0, tf):
+    """The problem of a GENERATORS kind, from parameters given as text.
+
+    A ``seed_override`` (a --seed) wins over the parameter ``seed``, which is
+    0 when neither is given.
+    """
     if kind not in GENERATORS:
         raise ConfigError(f"unknown problem kind {kind!r}")
     gen, types = GENERATORS[kind]
+    seed = params.pop("seed", 0)
+    seed = _parse(int, seed, "seed") if seed_override is None else seed_override
+    if seed < 0:
+        raise ConfigError(f"seed = {seed}: not a non-negative integer")
     unknown = sorted(set(params) - set(types))
     if unknown:
         raise ConfigError(f"unknown {kind} parameters: {unknown}")
-    return gen(**{key: types[key](value) for key, value in params.items()},
+    return gen(**{key: _parse(types[key], value, key) for key, value in params.items()},
                seed=seed, t0=t0, tf=tf)
 
 
@@ -125,16 +141,14 @@ def _build_problem(cfg, seed_override=None):
         if dropped:
             raise ConfigError(f"[problem] bundle takes no {', '.join(dropped)}")
         return probio.load_problem(params["bundle"])
-    t0 = cfg.getfloat("grid", "t0", fallback=0.0)
-    tf = cfg.getfloat("grid", "tf", fallback=1.0)
+    t0 = _parse(float, cfg.get("grid", "t0", fallback=0.0), "[grid] t0")
+    tf = _parse(float, cfg.get("grid", "tf", fallback=1.0), "[grid] tf")
     kind = params.pop("kind", None)
-    seed = params.pop("seed", 0)
-    seed = int(seed) if seed_override is None else seed_override
-    return _generate(kind, params, seed, t0, tf)
+    return _generate(kind, params, seed_override, t0, tf)
 
 
 def _grid(cfg, problem):
-    steps = cfg.getint("grid", "steps", fallback=20)
+    steps = _parse(int, cfg.get("grid", "steps", fallback=20), "[grid] steps")
     return TimeGrid(problem.t0, problem.tf, steps)
 
 
@@ -152,11 +166,7 @@ def _configure(method, cfg, problem, grid):
     sol = cfg["solver"] if cfg.has_section("solver") else {}
     kwargs = {}
     for key, (kind, default) in (_COMMON | entry.keys).items():
-        raw = sol.get(key, default)
-        try:
-            kwargs[key] = kind(raw)
-        except ValueError:
-            raise ConfigError(f"[solver] {key} = {raw}: not {kind.__name__}") from None
+        kwargs[key] = _parse(kind, sol.get(key, default), f"[solver] {key}")
     solver = getattr(entry.module, entry.solver)
     return partial(solver, problem, grid, kwargs.pop("m_max"), kwargs.pop("tol"), **kwargs)
 
@@ -233,12 +243,9 @@ def _parse_params(pairs):
 def cmd_generate(args):
     try:
         params = _parse_params(args.param)
-        # --seed wins over --param seed, as run --seed does over [problem] seed
-        seed = params.pop("seed", 0)
-        seed = int(seed) if args.seed is None else args.seed
-        t0 = float(params.pop("t0", 0.0))
-        tf = float(params.pop("tf", 1.0))
-        problem = _generate(args.kind, params, seed, t0, tf)
+        t0 = _parse(float, params.pop("t0", 0.0), "t0")
+        tf = _parse(float, params.pop("tf", 1.0), "tf")
+        problem = _generate(args.kind, params, args.seed, t0, tf)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

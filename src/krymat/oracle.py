@@ -3,14 +3,13 @@
 The generalized problem is vectorized with explicit Kronecker products and
 evaluated through the closed form x(t) = t psi_1(t M)(b + M x0) + x0; the
 Lyapunov problem uses the exact propagation-plus-Gramian formula.  Both refuse
-to run above the configured dense cap.
+to run above the dense cap, smallmat.DENSE_CAP.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import smallmat
-from .config import check_dense_cap
 
 
 def kron_operator(problem):
@@ -30,7 +29,7 @@ def dense_dme_solve(problem, grid):
     Returns an array of shape (nnodes, n, p).
     """
     n, p = problem.n, problem.p
-    check_dense_cap(n * p, "dense_dme_solve")
+    smallmat.check_dense_cap(n * p, "dense_dme_solve")
     m = kron_operator(problem)
     b = problem.c.flatten(order="F")
     x0 = problem.initial_value().flatten(order="F")
@@ -54,7 +53,7 @@ def dense_dle_exact(problem, grid):
     of shape (nnodes, n, n).
     """
     n = problem.n
-    check_dense_cap(n, "dense_dle_exact")
+    smallmat.check_dense_cap(n, "dense_dle_exact")
     a = problem.a.toarray() if sp.issparse(problem.a) else np.asarray(problem.a)
     grams, props = smallmat.vanloan_gram_nodes(a, problem.b, grid.h, grid.steps)
     out = np.empty((grid.nnodes, n, n))

@@ -18,8 +18,6 @@ import scipy.sparse.linalg as spla
 from .blockmat import BlockRow, global_qr
 from .errors import DimensionError, FactorizationError, ParseError
 
-SparseMat = sp.csr_matrix
-
 
 def _as_square_sparse(a, who):
     if not sp.issparse(a):

@@ -5,8 +5,8 @@ reduction of a small T to eigen form (when its eigenvector matrix is well
 conditioned) or else to real Schur form, algebraic Lyapunov solves from
 either form, which shifted operators c T + d I reuse, Gramian integrals by
 the Van Loan block-exponential construction, the 2-logarithmic norm and
-truncated symmetric factorizations.  Everything here is dense and guarded by
-the configured cap.
+truncated symmetric factorizations.  Everything here is dense, and every
+kernel refuses a matrix of order above DENSE_CAP at its input gate.
 """
 
 from dataclasses import dataclass
@@ -15,18 +15,27 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .config import check_dense_cap
-from .errors import DimensionError, IllPosedError, NumericError
+from .errors import CapExceededError, DimensionError, IllPosedError, NumericError
 
 SYM_CHECK_TOL = 1e-13
 
+# Largest order admitted for a dense O(k^3) kernel or a dense order-n reference.
+DENSE_CAP = 2000
+
+
+def check_dense_cap(k, what="dense kernel"):
+    if k > DENSE_CAP:
+        raise CapExceededError(f"{what} of order {k} exceeds the dense cap {DENSE_CAP}")
+
 
 def _square(m, who):
+    """The input gate of every kernel: a finite square matrix within the cap."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{who}: expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NumericError(f"{who}: matrix contains non-finite entries")
+    check_dense_cap(m.shape[0], who)
     return m
 
 
@@ -43,7 +52,6 @@ def symmetrize(y, check_tol=SYM_CHECK_TOL):
 def expm(m):
     """Matrix exponential by scaling and squaring with a Pade approximant."""
     m = _square(m, "expm")
-    check_dense_cap(m.shape[0], "expm")
     e = sla.expm(m)
     if not np.isfinite(e).all():
         raise NumericError("expm overflowed")
@@ -58,7 +66,6 @@ def phi1(m):
     """
     m = _square(m, "phi1")
     k = m.shape[0]
-    check_dense_cap(k, "phi1")
     aug = np.zeros((2 * k, 2 * k))
     aug[:k, :k] = m
     aug[:k, k:] = np.eye(k)
@@ -84,7 +91,6 @@ class RealSchur:
 def real_schur(t):
     """One real Schur reduction of T."""
     t = _square(t, "real_schur")
-    check_dense_cap(t.shape[0], "real_schur")
     s, u = sla.schur(t, output="real")
     return RealSchur(s, u, np.linalg.eigvals(s))
 
@@ -120,7 +126,6 @@ def small_form(t):
     """One reduction of T: (EigenForm, kappa_2(X)) when the eigenvector
     matrix X is conditioned within EIG_COND_MAX, else (RealSchur, kappa_2(X))."""
     t = _square(t, "small_form")
-    check_dense_cap(t.shape[0], "small_form")
     lam, x = np.linalg.eig(t)
     cond = float(np.linalg.cond(x))
     if cond <= EIG_COND_MAX:
@@ -144,7 +149,6 @@ def lyap_solve(form, q_mat):
     k = lam.shape[0]
     if q_mat.shape[0] != k:
         raise DimensionError("lyap_solve: T and Q orders differ")
-    check_dense_cap(k, "lyap_solve")
     pair = lam[:, None] + lam[None, :]
     pair_min = np.abs(pair).min()
     scale = max(1.0, float(np.abs(lam).max()))
@@ -215,7 +219,6 @@ def vanloan_gram(h, q, t):
     """
     h = _square(h, "vanloan_gram")
     k = h.shape[0]
-    check_dense_cap(k, "vanloan_gram")
     if t < 0:
         raise ValueError("vanloan_gram: t must be nonnegative")
     q = np.asarray(q, dtype=float)
@@ -246,7 +249,6 @@ def vanloan_gram_nodes(h, q, step, nsteps):
     """
     h = _square(h, "vanloan_gram_nodes")
     k = h.shape[0]
-    check_dense_cap(k, "vanloan_gram_nodes")
     if step <= 0 or nsteps < 0:
         raise ValueError("vanloan_gram_nodes: need step > 0 and nsteps >= 0")
     q = np.asarray(q, dtype=float)
@@ -274,7 +276,6 @@ def vanloan_gram_nodes(h, q, step, nsteps):
 def lognorm2(a):
     """2-logarithmic norm, half the largest eigenvalue of A + A^T."""
     a = _square(a, "lognorm2")
-    check_dense_cap(a.shape[0], "lognorm2")
     return 0.5 * float(np.linalg.eigvalsh(a + a.T).max())
 
 
@@ -301,7 +302,6 @@ def trunc_sym_factor(y, tol):
     error satisfies ||Y - Z diag(signs) Z^T||_2 <= tol * |lambda|_max.
     """
     y = symmetrize(y)
-    check_dense_cap(y.shape[0], "trunc_sym_factor")
     lam, u = np.linalg.eigh(y)
     amax = np.abs(lam).max() if lam.size else 0.0
     keep = np.abs(lam) > tol * amax

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import probio, smallmat
 from .blockmat import BlockRow, kron_apply
-from .config import check_dense_cap
 from .errors import ConfigError, DimensionError
 
 
@@ -273,7 +272,7 @@ class LowRankSolution:
         """Dense X_m(t_k); guarded by the dense cap."""
         if self.kernel is None:
             raise ValueError("solution was loaded from factors and has no kernel")
-        check_dense_cap(self.basis.n, "LowRankSolution.snapshot")
+        smallmat.check_dense_cap(self.basis.n, "LowRankSolution.snapshot")
         y = self.kernel.samples[k]
         vy = kron_apply(self.basis, y).data
         return vy @ self.basis.data.T

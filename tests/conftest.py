@@ -8,9 +8,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_continuous_lyapunov
 
-from krymat import blockmat
+from krymat import blockmat, smallmat
 from krymat.blockmat import BlockRow, kron_apply
-from krymat.config import check_dense_cap
 from krymat.dlebdf import bdf_coefficients
 from krymat.smallmat import real_schur
 
@@ -173,7 +172,7 @@ def perturbed_equation_check(problem, basis, hm, coupling, beta, grams):
     derivative uses the exact Gramian identity dG/dt = H G + G H^T +
     beta^2 e_1 e_1^T, not finite differences.  Dense and test-only.
     """
-    check_dense_cap(problem.n, "perturbed_equation_check")
+    smallmat.check_dense_cap(problem.n, "perturbed_equation_check")
     hm = np.atleast_2d(np.asarray(hm, dtype=float))
     coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
     k = hm.shape[0]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from krymat import blockmat
 from krymat.blockmat import (BlockBasis, BlockRow, BlockStore, cgs2, diamond, frob_inner,
                              global_qr, kron_apply, sub_product)
 from krymat.errors import ConfigError, DimensionError, NumericError
@@ -183,6 +184,20 @@ class TestGlobalQR:
         before = z.copy()
         q, _, _ = global_qr(BlockRow(z, 2))
         assert np.array_equal(z, before) and not np.shares_memory(q.data, z)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_first_column_takes_no_gram_schmidt_pass(self, rng, monkeypatch, m):
+        widths = []
+
+        def recording_cgs2(q, w):
+            widths.append(q.shape[1])
+            return cgs2(q, w)
+
+        monkeypatch.setattr(blockmat, "cgs2", recording_cgs2)
+        zb = random_block_row(rng, 8, m, 2)
+        q, r, _ = global_qr(zb)
+        assert widths == list(range(1, m))          # none against an empty basis
+        np.testing.assert_allclose(q.flat() @ r, zb.flat(), atol=1e-13)
 
     def test_deterministic(self, rng):
         zb = random_block_row(rng, 8, 3, 2)

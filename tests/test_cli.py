@@ -2,13 +2,16 @@
 
 import configparser
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from krymat import cli, dlebdf, dleexp, dsylv
+from krymat import cli, dlebdf, dleexp, dsylv, smallmat
 from krymat.cli import main
 from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
                            NumericError, StepFailureError)
@@ -303,7 +306,7 @@ bundle = {tmp_path / 'bundle'}
         assert float(dev_line[0].split("=")[1]) < 1e-2
 
     def test_oracle_check_above_dense_cap_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("KRYMAT_DENSE_CAP", "20")      # n = 36 is above it
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 20)      # n = 36 is above it
         cfg_text = SMALL_EGADL.replace("method = egadl",
                                        "method = oracle-check\ncheck = egadl")
         cfg = write_cfg(tmp_path, cfg_text)
@@ -444,6 +447,27 @@ class TestGenerate:
                      "--param", "bogus=1"]) == 2
         assert main(["generate", "laplacian2d", "--out", str(tmp_path / "y"),
                      "--param", "n0"]) == 2
+
+    @pytest.mark.parametrize("command,change,key", [
+        ("generate", ["--param", "p=abc"], "p"),
+        ("generate", ["--param", "t0=abc"], "t0"),
+        ("generate", ["--param", "seed=x1"], "seed"),
+        ("generate", ["--seed", "-4"], "seed"),
+        ("run", ("n0 = 6", "n0 = five"), "n0"),
+        ("run", ("seed = 1", "seed = -2"), "seed"),
+        ("run", ("steps = 10", "steps = abc"), "steps"),
+    ])
+    def test_refused_value_names_its_key(self, tmp_path, capsys, command, change, key):
+        out = tmp_path / "x"
+        if command == "generate":
+            argv = ["generate", "laplacian2d", "--out", str(out), *change]
+        else:
+            cfg = write_cfg(tmp_path, SMALL_EGADL.replace(*change))
+            argv = ["run", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and f"{key} = " in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind,param", [
         ("sylvester-q2", "p=0"), ("sylvester-q2", "n=0"), ("random-stable", "n=0"),
@@ -621,6 +645,21 @@ class TestShippedConfigs:
             path = write_cfg(tmp_path, text.split("```ini\n", 1)[1].split("```", 1)[0])
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
+
+    @pytest.mark.parametrize("value", ["abc", "1"])
+    def test_environment_does_not_change_a_run(self, tmp_path, value):
+        # the dense cap is a constant: a KRYMAT_DENSE_CAP left in the
+        # environment, malformed or far too small, changes nothing
+        path = str(CONFIG_DIR / "egadl_laplacian.cfg")
+        assert main(["run", "--config", path, "--out", str(tmp_path / "plain")]) == 0
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"),
+                   KRYMAT_DENSE_CAP=value)
+        res = subprocess.run([sys.executable, "-m", "krymat.cli", "run", "--config", path,
+                              "--out", str(tmp_path / "env")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert ((tmp_path / "env" / "report.csv").read_bytes()
+                == (tmp_path / "plain" / "report.csv").read_bytes())
 
 
 def _documented_keys(text, keys):

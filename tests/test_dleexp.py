@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm as sexpm
 
+from krymat import smallmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_trajectory,
@@ -417,7 +418,7 @@ class TestPerturbedEquation:
 
     def test_cap_refusal(self, rng, monkeypatch):
         prob, proc, hm, _, grams, _ = self._setup(rng)
-        monkeypatch.setenv("KRYMAT_DENSE_CAP", "10")
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 10)
         from krymat.errors import CapExceededError
         coupling = np.zeros((1, proc.m))
         with pytest.raises(CapExceededError):

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from krymat import smallmat
 from krymat.dlebdf import bdf_integrate
 from krymat.errors import CapExceededError, NumericError
 from krymat.oracle import dense_dle_exact, dense_dme_solve, kron_operator
@@ -60,7 +61,7 @@ class TestDenseDme:
         assert np.linalg.norm(traj[-1] - ref) <= 1e-9
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("KRYMAT_DENSE_CAP", "8")
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 8)
         prob = gen_sylvester_q2(5, 2, seed=1)
         with pytest.raises(CapExceededError):
             dense_dme_solve(prob, TimeGrid(0.0, 1.0, 3))
@@ -114,7 +115,7 @@ class TestDenseDle:
             dense_dle_exact(prob, TimeGrid(0.0, tf, 1))
 
     def test_cap(self, monkeypatch):
-        monkeypatch.setenv("KRYMAT_DENSE_CAP", "8")
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 8)
         prob = DLEProblem(stable_sparse(10, np.random.default_rng(0)), np.ones((10, 1)))
         with pytest.raises(CapExceededError):
             dense_dle_exact(prob, TimeGrid(0.0, 1.0, 3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, solve_continuous_lyapunov
 
+from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
 from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, EigenForm,
                              RealSchur, expm, lognorm2, lyap_solve, phi1, real_schur,
@@ -326,7 +327,7 @@ class TestTruncSymFactor:
 
 class TestDenseCap:
     def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setenv("KRYMAT_DENSE_CAP", "4")
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 4)
         with pytest.raises(CapExceededError):
             expm(np.zeros((5, 5)))
         with pytest.raises(CapExceededError):
