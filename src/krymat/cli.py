@@ -112,7 +112,8 @@ def _generate(kind, params, seed_override, t0, tf):
     """The problem of a GENERATORS kind, from parameters given as text.
 
     A ``seed_override`` (a --seed) wins over the parameter ``seed``, which is
-    0 when neither is given.
+    0 when neither is given.  A problem too large to allocate is a
+    ConfigError.
     """
     if kind not in GENERATORS:
         raise ConfigError(f"unknown problem kind {kind!r}")
@@ -124,8 +125,13 @@ def _generate(kind, params, seed_override, t0, tf):
     unknown = sorted(set(params) - set(types))
     if unknown:
         raise ConfigError(f"unknown {kind} parameters: {unknown}")
-    return gen(**{key: _parse(types[key], value, key) for key, value in params.items()},
-               seed=seed, t0=t0, tf=tf)
+    values = {key: _parse(types[key], value, key) for key, value in params.items()}
+    try:
+        return gen(**values, seed=seed, t0=t0, tf=tf)
+    except MemoryError:
+        given = ", ".join(f"{key} = {value}" for key, value in sorted(values.items()))
+        raise ConfigError(f"{kind} with {given or 'its default parameters'}: "
+                          "cannot allocate the problem") from None
 
 
 def _build_problem(cfg, seed_override=None):

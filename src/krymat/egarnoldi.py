@@ -12,8 +12,8 @@ subdiagonal entries.
 
 import numpy as np
 
-from .blockmat import BlockRow, BlockStore, diamond, global_qr, kron_apply, sub_product
-from .errors import DimensionError
+from .blockmat import BlockRow, diamond, global_qr, kron_apply, sub_product
+from .garnoldi import KrylovProcess
 
 # Truncation threshold for remainder blocks, relative to the pre-
 # orthogonalization norm of their own direction.  Remainders near the square
@@ -24,22 +24,19 @@ from .errors import DimensionError
 BREAKDOWN_TOL = 1e-7
 
 
-class ExtendedGlobalArnoldi:
+class ExtendedGlobalArnoldi(KrylovProcess):
     """Incremental extended global Arnoldi for a sparse A with prefactored solver.
 
     ``solver`` must provide ``solve(w)`` computing A^{-1} w (probio.LinearSolver).
     The sub-block width is the seed's column count.  The seed QR
     [B, A^{-1} B] = V_1 (r_init kron I_p) gives ``beta`` = r_init[0, 0], the
-    seed's coefficient on V_1.  The basis storage is allocated once for
-    ``m_max`` steps, and the process runs no further.
+    seed's coefficient on V_1.
     """
 
+    per_step = 2
+
     def __init__(self, a, solver, seed, m_max):
-        seed = np.asarray(seed, dtype=float)
-        if seed.ndim == 1:
-            seed = seed[:, None]
-        if np.linalg.norm(seed) == 0.0:
-            raise ValueError("extended global Arnoldi needs a nonzero seed")
+        seed, _ = self._start(seed, m_max, "extended global Arnoldi")
         self.a = a
         self.solver = solver
         self.width = seed.shape[1]
@@ -50,24 +47,18 @@ class ExtendedGlobalArnoldi:
                                       scale=np.linalg.norm(pair.flat(), axis=0))
         self.r_init = r0
         self.beta = float(r0[0, 0])
-        self._ccols = []          # per step: coefficients of A v_{2j}, length 2j+4
-        self._proj_cols = []      # per step: projections of A v_{2j+1}
         # a dependent seed block and A^{-1} image leave nothing to iterate on
         self.breakdown = bool(deficient)
-        self.m_max = m_max
-        self._store = BlockStore(seed.shape[0], self.width, m_max, per_step=2)
         for j in range(2):
             if j not in deficient:
                 self._store.append(q0.block(j))
 
     @property
-    def m(self):
-        """Completed steps (appended sub-block pairs)."""
-        return (self.nsub - 2) // 2 if self.nsub >= 2 else 0
-
-    @property
     def nsub(self):
         return self._store.m
+
+    # the basis under its sub-block name, which bench/spans.py traces
+    sub_basis = KrylovProcess.basis
 
     def step(self):
         """One extended Arnoldi step; False on breakdown.
@@ -109,7 +100,7 @@ class ExtendedGlobalArnoldi:
         q2, r2, collapsed = global_qr(q1, BREAKDOWN_TOL, scale=1.0)
         deficient = set(deficient) | set(collapsed)
         # only the A-direction column enters T; the A^{-1} one is projected directly
-        self._ccols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
+        self._cols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
         # keep any independent new direction, so that on breakdown the
         # retained prefix spans the full invariant subspace
         for i in range(2):
@@ -121,38 +112,8 @@ class ExtendedGlobalArnoldi:
         # direct projection column for A v_{2j+1}; the inverse-direction
         # coefficients would recover it only through divisions by the (often
         # tiny) subdiagonal entries, which is numerically fragile
-        self._proj_cols.append(np.concatenate([c1[:, 2], q2.flat().T @ cols[:, 2]]))
+        self._cols.append(np.concatenate([c1[:, 2], q2.flat().T @ cols[:, 2]]))
         return True
-
-    def advance_to(self, m):
-        if m > self.m_max:
-            raise DimensionError(f"cannot advance to {m} steps past m_max = {self.m_max}")
-        while self.m < m and self.step():
-            pass
-        return self.m
-
-    def sub_basis(self, nsub=None):
-        """BlockBasis of the first ``nsub`` width-p sub-blocks (all by default), a view."""
-        return self._store.view(nsub)
-
-    def hessenberg(self, m):
-        """(T_m, T_{m+1,m}) for the first m steps, from the recurrence.
-
-        Columns belonging to the A-direction sub-blocks are the recorded
-        orthogonalization coefficients; columns for the A^{-1}-direction
-        sub-blocks are the direct projections cached during the iteration
-        (recovering them from the coefficients alone divides by subdiagonal
-        entries that vanish near an invariant subspace).
-        """
-        if not 1 <= m <= self.m:
-            raise DimensionError(f"only {self.m} steps completed, asked for {m}")
-        t = np.zeros((2 * m + 2, 2 * m))
-        for j in range(1, m + 1):
-            c1 = self._ccols[j - 1]
-            t[: len(c1), 2 * j - 2] = c1
-            proj = self._proj_cols[j - 1]
-            t[: min(len(proj), 2 * m + 2), 2 * j - 1] = proj[: 2 * m + 2]
-        return t[: 2 * m], t[2 * m :, 2 * m - 2 :].copy()
 
     def projection(self, m):
         """(sub-block basis, T_m, T_{m+1,m}) after m steps.
@@ -171,4 +132,5 @@ class ExtendedGlobalArnoldi:
             _, coupling, _ = global_qr(BlockRow(av.data - kron_apply(basis, tm).data,
                                                 basis.width))
             return basis, tm, coupling
-        return (self.sub_basis(2 * m), *self.hessenberg(m))
+        tm, coupling = self.hessenberg(m)
+        return self.sub_basis(2 * m), tm, coupling

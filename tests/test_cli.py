@@ -503,6 +503,23 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error:") and "density" in err[0]
         assert not out.exists()
 
+    # density 0.1 at n = 10^8 asks for 10^15 random indices: numpy refuses the
+    # 7.11 PiB array at once, so nothing is allocated
+    @pytest.mark.parametrize("command", ["generate", "run", "sweep"])
+    def test_unallocatable_problem_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("kind = laplacian2d\nn0 = 6",
+                                                      "kind = random-stable\nn = 100000000"))
+        argv = {"generate": ["generate", "random-stable", "--out", str(out),
+                             "--param", "n=100000000", "--param", "p=2"],
+                "run": ["run", "--config", str(cfg), "--out", str(out)],
+                "sweep": ["sweep", "--configs", str(cfg), "--out", str(out)]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: random-stable with n = 100000000, p = 2: "
+                       "cannot allocate the problem"]
+        assert not (out / "run").exists() if command == "sweep" else not out.exists()
+
     def test_seed_option_wins_over_seed_param(self, tmp_path):
         for sub, extra in (("plain", []), ("both", ["--param", "seed=2"])):
             assert main(["generate", "laplacian2d", "--out", str(tmp_path / sub),

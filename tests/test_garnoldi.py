@@ -1,13 +1,16 @@
 """Global Arnoldi process against the classical vector iteration and the
-algebraic relations it must satisfy."""
+algebraic relations it must satisfy, and the projected matrix that both
+processes assemble the same way."""
 
 import numpy as np
 import pytest
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.errors import DimensionError
+from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.garnoldi import GlobalArnoldi
-from krymat.probio import gen_sylvester_q2, gsylv_apply
+from krymat.probio import (LinearSolver, gen_random_stable, gen_sylvester_q2, gsylv_apply,
+                           random_full_rank)
 
 from conftest import rect_hessenberg, stable_dense
 
@@ -121,3 +124,33 @@ class TestGlobalArnoldi:
         proc.advance_to(4)
         assert np.shares_memory(proc.basis().data, proc._store.view().data)
         assert np.shares_memory(proc.basis(2).data, proc.basis(5).data)
+
+
+def _polynomial_process(rng, m_max):
+    a = rng.standard_normal((30, 30))          # nonsymmetric
+    return GlobalArnoldi(lambda x: a @ x, rng.standard_normal((30, 2)), m_max)
+
+
+def _extended_process(rng, m_max):
+    a = gen_random_stable(60, density=0.1, seed=3)
+    return ExtendedGlobalArnoldi(a, LinearSolver(a), random_full_rank(60, 2, seed=4), m_max)
+
+
+@pytest.mark.parametrize("make", [_polynomial_process, _extended_process],
+                         ids=["polynomial", "extended"])
+def test_every_projection_is_a_leading_slice_of_the_last(rng, make):
+    """projection(m) for m below the last step is the leading part of the
+    last rectangular matrix, cut to k + s rows, and a view of the basis."""
+    proc = make(rng, 6)
+    assert proc.advance_to(6) == 6 and not proc.breakdown
+    last_basis, *last = proc.projection(6)
+    full = rect_hessenberg(*last)
+    s = proc.per_step
+    for m in range(1, 6):
+        k = s * m
+        basis, tm, coupling = proc.projection(m)
+        np.testing.assert_array_equal(tm, full[:k, :k])
+        np.testing.assert_array_equal(coupling, full[k : k + s, k - s : k])
+        assert not full[k + s :, :k].any()          # the cut rows hold nothing
+        assert basis.m == k and basis.data.ctypes.data == last_basis.data.ctypes.data
+        np.testing.assert_array_equal(basis.data, last_basis.data[:, : basis.data.shape[1]])
