@@ -2,16 +2,20 @@
 and the exponential method share, and EgAdl's BDF time stepping.
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
-equation with shifted coefficient h beta T - I/2, solved from one reduction
-of T per basis size: an eigendecomposition when its eigenvector matrix is
-well conditioned, which makes the step one elementwise division, and the
-real Schur form (Bartels-Stewart) otherwise.
-The right-hand side of that step mixes the previous kernels with weights that
-may be negative, so it is assembled as a dense symmetric matrix; low-rank
-factors with a +/-1 signature are produced only for output.
+equation with shifted coefficient h beta T - I/2.  From one reduction of T
+per basis size the march runs in that reduction's own coordinates: with
+T = X diag(lambda) X^{-1} (eigenvector matrix well conditioned) the kernel
+is Y = X G X^T and each step one elementwise division of G's right-hand
+side; with the real Schur form T = U S U^T it is Y = U G U^T and each step
+one quasi-triangular solve with S.  The right-hand side of a step mixes the
+previous kernels with weights that may be negative, so it is assembled as a
+dense symmetric matrix.  The residual bound reads only the kernels' last
+rows; the kernels themselves, their ranks and the low-rank factors with a
++/-1 signature are formed only when read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from . import smallmat
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, IllPosedError, StepFailureError
 from .probio import LinearSolver
-from .solution import KernelTrajectory, LowRankSolution, SolveReport, krylov_solve
+from .solution import LowRankSolution, SolveReport, TimeGrid, krylov_solve
 
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
@@ -44,6 +48,14 @@ def bdf_coefficients(l):
     return BDFScheme(l, beta, alpha)
 
 
+def _lyap_step(op, q):
+    try:
+        return smallmat.lyap_solve(op, q)
+    except IllPosedError as exc:
+        raise StepFailureError(
+            f"implicit BDF step is ill posed ({exc}); reduce the step size") from exc
+
+
 def bdf_step(op, bm, prev, h, scheme):
     """One implicit BDF step of dY/dt = T Y + Y T^T + b b^T.
 
@@ -52,6 +64,7 @@ def bdf_step(op, bm, prev, h, scheme):
     Q = h beta b b^T + sum_i alpha_i prev[i].  ``op`` is the
     ``smallmat.small_form`` reduction of the step operator h beta T - I/2
     for this h and scheme, which the step reuses without a new reduction.
+    ``bdf_integrate`` makes the same steps in the reduction's coordinates.
     """
     bm = np.asarray(bm, dtype=float).ravel()
     if len(prev) < scheme.l:
@@ -60,43 +73,86 @@ def bdf_step(op, bm, prev, h, scheme):
     q = h * scheme.beta * np.outer(bm, bm)
     for a_i, y_i in zip(scheme.alpha, prev):
         q = q + a_i * y_i
-    try:
-        y = smallmat.lyap_solve(op, q)
-    except IllPosedError as exc:
-        raise StepFailureError(
-            f"implicit BDF step is ill posed ({exc}); reduce the step size") from exc
-    return y
+    return _lyap_step(op, q)
+
+
+@dataclass
+class CoordinateTrajectory:
+    """BDF kernels Y_k = Re(X G_k X^T), one per grid node, held as the basis
+    change X of a reduction of T (its eigenvectors or Schur vectors) and the
+    stack ``g`` of the G_k in X's coordinates."""
+
+    grid: TimeGrid
+    x: np.ndarray
+    g: np.ndarray
+
+    def kernels(self, nodes=slice(None)):
+        """The symmetric Y_k of the given nodes, a stack."""
+        y = (self.x @ self.g[nodes] @ self.x.T).real
+        return 0.5 * (y + y.transpose(0, 2, 1))
+
+    def last_rows(self, nr):
+        """The last ``nr`` rows of every Y_k, a stack: all a residual bound reads."""
+        return (self.x[-nr:] @ self.g @ self.x.T).real
+
+    @cached_property
+    def samples(self):
+        return self.kernels()
+
+    def ranks(self, tol):
+        """Rank of every Y_k, counting the eigenvalues above tol times the
+        largest in magnitude.  The kernels are formed k nodes at a time, k
+        their order: a chunk holds k^3 entries, k/N of the stack G of N
+        nodes.  Smaller chunks measured slower: each is a few library calls
+        whose dispatch competes with the basis loop's thread."""
+        nnodes, k = self.g.shape[:2]
+        out = []
+        for lo in range(0, nnodes, k):
+            lam = np.abs(np.linalg.eigvalsh(self.kernels(slice(lo, lo + k))))
+            out.append(np.count_nonzero(lam > tol * lam.max(axis=1, keepdims=True), axis=1))
+        return np.concatenate(out)
 
 
 def bdf_integrate(form, bm, y0, grid, l):
     """March the projected Lyapunov ODE over the grid with l-step BDF.
 
     Startup uses the 1-step then 2-step schemes until l previous kernels are
-    available.  ``form`` is the ``smallmat.small_form`` reduction of T; each
-    scheme's step operator h beta T - I/2 is a shift of it.  Returns a
-    KernelTrajectory.
+    available.  ``form`` is the ``smallmat.small_form`` reduction of T, and
+    the march runs in its coordinates (X, X^{-1}): G_0 = X^{-1} Y_0 X^{-T},
+    the forcing h beta qq^T with q = X^{-1} b formed once per scheme, and
+    one ``smallmat.lyap_solve`` per step with the scheme's step operator
+    h beta T - I/2, a shift of T in those coordinates.  Returns a
+    CoordinateTrajectory.
     """
     bdf_coefficients(l)            # validate l early
     k = form.lam.shape[0]
-    y = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
+    y0 = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
+    x, xinv, own = form.coordinates()
+    q = xinv @ np.asarray(bm, dtype=float).ravel()
     schemes = [bdf_coefficients(j) for j in range(1, l + 1)]
-    ops = [form.shifted(grid.h * s.beta, -0.5) for s in schemes]
-    samples = [y]
-    prev = [y]
-    for _ in range(grid.steps):
-        j = min(l, len(prev)) - 1
-        y = bdf_step(ops[j], bm, prev, grid.h, schemes[j])
-        samples.append(y)
-        prev = [y] + prev[: l - 1]
-    return KernelTrajectory(grid, samples)
+    ops = [own.shifted(grid.h * s.beta, -0.5) for s in schemes]
+    forcings = [grid.h * s.beta * np.outer(q, q) for s in schemes]
+    g = np.empty((grid.nnodes, k, k), dtype=q.dtype)
+    g0 = xinv @ y0 @ xinv.T
+    g[0] = 0.5 * (g0 + g0.T)
+    for n in range(grid.steps):
+        j = min(l, n + 1) - 1
+        rhs = forcings[j]
+        for i, a_i in enumerate(schemes[j].alpha):
+            rhs = rhs + a_i * g[n - i]
+        g[n + 1] = _lyap_step(ops[j], rhs)
+    return CoordinateTrajectory(grid, x, g)
 
 
 def residual_bound_bdf(coupling, y):
     """Residual bound sqrt(2) ||T_{m+1,m} E_m^T Y||_F from the coupling block
-    T_{m+1,m} and the kernel's rows it multiplies (the last two)."""
+    T_{m+1,m} and the kernel's rows it multiplies (the last two).  For a
+    stack of kernels, or of their last rows, one bound per kernel."""
     coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
     y = np.asarray(y, dtype=float)
     nr = coupling.shape[1]
+    if y.ndim == 3:
+        return np.sqrt(2.0) * np.linalg.norm(coupling @ y[:, -nr:, :], axis=(1, 2))
     return float(np.sqrt(2.0) * np.linalg.norm(coupling @ y[-nr:, :]))
 
 
@@ -110,17 +166,20 @@ def reduce_projected(report, tm):
     return form
 
 
-def lowrank_report(problem, method, column, factor_tol, settings):
+def lowrank_report(problem, method, column, factor_tol, settings, bound_norm):
     """The report of a low-rank DLE solve, after the checks both methods
     share: X0 = 0 and 0 <= factor_tol < 1.  ``column`` names the report's
-    last column and ``settings`` holds the method's own settings."""
+    last column, ``settings`` holds the method's own settings and
+    ``bound_norm`` names the norm of the residual that its bound limits
+    (trust.bound_norm)."""
     if problem.has_initial_value:
         raise ConfigError(f"{method} assumes X0 = 0")
     if not 0 <= factor_tol < 1:
         raise ConfigError(f"factor_tol = {factor_tol}: need 0 <= factor_tol < 1")
     return SolveReport(method=method, columns=("m", "t", "residual_bound", column),
                        dims={"n": problem.n, "p": problem.p},
-                       settings={"factor_tol": factor_tol, **settings})
+                       settings={"factor_tol": factor_tol, **settings},
+                       trust={"bound_norm": bound_norm})
 
 
 def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
@@ -133,7 +192,7 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
     Returns (LowRankSolution, SolveReport).
     """
     bdf_coefficients(l)            # checks l before any work
-    report = lowrank_report(problem, "egadl", "rank", factor_tol, {"l": l})
+    report = lowrank_report(problem, "egadl", "rank", factor_tol, {"l": l}, "frobenius")
 
     def start(report):
         if not problem.b.any():
@@ -145,17 +204,10 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
             # B = V_1 beta, and V is F-orthonormal
             bm = np.r_[proc.beta, np.zeros(tm.shape[0] - 1)]
             kernel = bdf_integrate(reduce_projected(report, tm), bm, None, grid, l)
-            ys = kernel.samples
-            bounds = np.array([residual_bound_bdf(coupling, y) for y in ys])
-            return (bounds, [_sym_rank(y, factor_tol) for y in ys]), kernel
+            bounds = residual_bound_bdf(coupling, kernel.last_rows(coupling.shape[1]))
+            return bounds, lambda: (kernel.ranks(factor_tol),), kernel
 
         return proc, fit
 
     basis, kernel = krylov_solve(report, grid, m_max, tol, start)
     return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report
-
-
-def _sym_rank(y, tol):
-    lam = np.abs(np.linalg.eigvalsh(y))
-    amax = lam.max() if lam.size else 0.0
-    return int(np.count_nonzero(lam > tol * amax))

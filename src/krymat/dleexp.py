@@ -156,8 +156,11 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant = {variant}: need one of {', '.join(VARIANTS)}")
+    # the global bound is the residual's spectral norm only for p = 1
+    bound_norm = ("frobenius" if variant == "extended"
+                  else "spectral" if problem.p == 1 else "unproven")
     report = lowrank_report(problem, f"expo-{variant}", "apriori_bound", factor_tol,
-                            {"variant": variant})
+                            {"variant": variant}, bound_norm)
 
     def start(report):
         if not problem.b.any():
@@ -177,7 +180,7 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
             grams = gram_trajectory(hm, proc.beta, grid, reduce_projected(report, hm))
             bounds = np.array([bound_of(coupling, g) for g in grams])
             apriori = apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes, grid.t0)
-            return (bounds, apriori), KernelTrajectory(grid, grams)
+            return bounds, lambda: (apriori,), KernelTrajectory(grid, grams)
 
         return proc, fit
 

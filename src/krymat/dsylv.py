@@ -76,7 +76,7 @@ def galerkin_solve(problem, grid, m_max, tol):
             # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
             cm = np.r_[-proc.beta, np.zeros(hm.shape[0] - 1)]
             kernel = integrate_projected(hm, cm, None, grid)
-            return (residual_norm(coupling, kernel.samples),), kernel
+            return residual_norm(coupling, kernel.samples), lambda: (), kernel
 
         return proc, fit
 

@@ -3,13 +3,16 @@
 Matrix exponential and the first exponential-integrator function, one
 reduction of a small T to eigen form (when its eigenvector matrix is well
 conditioned) or else to real Schur form, algebraic Lyapunov solves from
-either form, which shifted operators c T + d I reuse, Gramian integrals by
-the Van Loan block-exponential construction, the 2-logarithmic norm and
-truncated symmetric factorizations.  Everything here is dense, and every
-kernel refuses a matrix of order above DENSE_CAP at its input gate.
+either form or from T in the form's own coordinates (diagonal or
+quasi-triangular), which shifted operators c T + d I reuse, Gramian
+integrals by the Van Loan block-exponential construction, the
+2-logarithmic norm and truncated symmetric factorizations.  Everything here
+is dense, and every kernel refuses a matrix of order above DENSE_CAP at its
+input gate.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,9 +31,12 @@ def check_dense_cap(k, what="dense kernel"):
         raise CapExceededError(f"{what} of order {k} exceeds the dense cap {DENSE_CAP}")
 
 
-def _square(m, who):
-    """The input gate of every kernel: a finite square matrix within the cap."""
-    m = np.asarray(m, dtype=float)
+def _square(m, who, complex_ok=False):
+    """The input gate of every kernel: a finite square matrix within the cap,
+    real unless ``complex_ok``."""
+    m = np.asarray(m)
+    if not (complex_ok and np.iscomplexobj(m)):
+        m = m.astype(float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{who}: expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -72,6 +78,52 @@ def phi1(m):
     return expm(aug)[:k, k:]
 
 
+def _checked_divisors(lam):
+    """-(lambda_i + lambda_j), the divisors of a Lyapunov solve in eigen
+    coordinates.  Raises IllPosedError when some pair is ~0."""
+    pair = lam[:, None] + lam[None, :]
+    pair_min = np.abs(pair).min()
+    scale = max(1.0, float(np.abs(lam).max()))
+    if pair_min <= 1e-12 * scale:
+        raise IllPosedError(
+            f"Lyapunov operator is singular: min |lambda_i + lambda_j| = {pair_min:.3e}"
+        )
+    return -pair
+
+
+class _OwnCoordinates:
+    """A reduction's T in the reduction's own coordinates.  The Lyapunov
+    divisors, and with them the singularity test, are computed once per form."""
+
+    @cached_property
+    def divisors(self):
+        return _checked_divisors(self.lam)
+
+
+@dataclass(frozen=True)
+class DiagonalForm(_OwnCoordinates):
+    """T = diag(lam): an EigenForm's T in the coordinates of its X."""
+
+    lam: np.ndarray
+
+    def shifted(self, c, d):
+        return DiagonalForm(c * self.lam + d)
+
+
+@dataclass(frozen=True)
+class TriangularForm(_OwnCoordinates):
+    """T = S, quasi-upper-triangular with eigenvalues lam: a RealSchur's T in
+    the coordinates of its U."""
+
+    s: np.ndarray
+    lam: np.ndarray
+
+    def shifted(self, c, d):
+        s = c * self.s
+        s.flat[:: s.shape[0] + 1] += d
+        return TriangularForm(s, c * self.lam + d)
+
+
 @dataclass(frozen=True)
 class RealSchur:
     """Real Schur form T = U S U^T, with the eigenvalues of the quasi-triangular S."""
@@ -83,9 +135,12 @@ class RealSchur:
     def shifted(self, c, d):
         """The form of c T + d I: the same U and block structure, eigenvalues
         c lambda + d.  No new reduction."""
-        s = c * self.s
-        s.flat[:: s.shape[0] + 1] += d
-        return RealSchur(s, self.u, c * self.lam + d)
+        own = self.coordinates()[2].shifted(c, d)
+        return RealSchur(own.s, self.u, own.lam)
+
+    def coordinates(self):
+        """(U, U^{-1} = U^T, T in U's coordinates): Y = U G U^T."""
+        return self.u, self.u.T, TriangularForm(self.s, self.lam)
 
 
 def real_schur(t):
@@ -107,6 +162,10 @@ class EigenForm:
     def shifted(self, c, d):
         """The form of c T + d I: the same X, eigenvalues c lambda + d."""
         return EigenForm(self.x, self.xinv, c * self.lam + d)
+
+    def coordinates(self):
+        """(X, X^{-1}, T in X's coordinates): Y = X G X^T."""
+        return self.x, self.xinv, DiagonalForm(self.lam)
 
 
 # Largest kappa_2(X) for which small_form keeps T = X diag(lam) X^{-1}.  A
@@ -133,39 +192,43 @@ def small_form(t):
     return real_schur(t), cond
 
 
+def _own_solve(form, q_mat):
+    """G with T G + G T^T + Q = 0, T a DiagonalForm or a TriangularForm and
+    Q symmetric (complex symmetric for a complex spectrum)."""
+    divisors = form.divisors
+    if isinstance(form, DiagonalForm):
+        return q_mat / divisors
+    x, sc, info = lapack.dtrsyl(form.s, form.s, -q_mat, tranb="T")
+    if info < 0:
+        raise IllPosedError(f"trsyl failed with info={info}")
+    x /= sc
+    return 0.5 * (x + x.T)
+
+
 def lyap_solve(form, q_mat):
     """Solve T Y + Y T^T + Q = 0 for symmetric Q.
 
     ``form`` is a reduction of T, a RealSchur or an EigenForm (from
-    ``small_form``, ``real_schur`` or their ``shifted``), reused as it is.
-    From a RealSchur the solve is Bartels-Stewart, a quasi-triangular
-    Sylvester solve (LAPACK trsyl) with no complex arithmetic; from an
-    EigenForm it is
-    Y = Re(X [(X^{-1} Q X^{-T}) / -(lambda_i + lambda_j)] X^T).  Raises
-    IllPosedError when some eigenvalue pair satisfies lambda_i + lambda_j ~ 0.
+    ``small_form``, ``real_schur`` or their ``shifted``), or T in such a
+    form's own coordinates (``coordinates``), reused as it is.  In the own
+    coordinates the solve is one elementwise division
+    Y = Q / -(lambda_i + lambda_j) for a DiagonalForm, and a quasi-triangular
+    Sylvester solve (LAPACK trsyl, Bartels-Stewart) with no complex
+    arithmetic for a TriangularForm.  From an EigenForm or a RealSchur, Q is
+    first carried into those coordinates and Y back: with (X, X^{-1}) the
+    form's basis change, Y = Re(X G X^T) for the G that solves the equation
+    with X^{-1} Q X^{-T}.  Raises IllPosedError when some eigenvalue pair
+    satisfies lambda_i + lambda_j ~ 0.
     """
-    q_mat = symmetrize(q_mat)
-    lam = form.lam
-    k = lam.shape[0]
-    if q_mat.shape[0] != k:
+    in_own = isinstance(form, _OwnCoordinates)
+    q_mat = _square(q_mat, "lyap_solve", complex_ok=True) if in_own else symmetrize(q_mat)
+    if q_mat.shape[0] != form.lam.shape[0]:
         raise DimensionError("lyap_solve: T and Q orders differ")
-    pair = lam[:, None] + lam[None, :]
-    pair_min = np.abs(pair).min()
-    scale = max(1.0, float(np.abs(lam).max()))
-    if pair_min <= 1e-12 * scale:
-        raise IllPosedError(
-            f"Lyapunov operator is singular: min |lambda_i + lambda_j| = {pair_min:.3e}"
-        )
-    if isinstance(form, EigenForm):
-        y = form.x @ ((form.xinv @ q_mat @ form.xinv.T) / -pair) @ form.x.T
-        return symmetrize(y.real, check_tol=None)
-    u = form.u
-    qs = u.T @ (-q_mat) @ u
-    x, sc, info = lapack.dtrsyl(form.s, form.s, qs, tranb="T")
-    if info < 0:
-        raise IllPosedError(f"trsyl failed with info={info}")
-    y = u @ (x / sc) @ u.T
-    return symmetrize(y, check_tol=None)
+    if in_own:
+        return _own_solve(form, q_mat)
+    x, xinv, own = form.coordinates()
+    y = x @ _own_solve(own, xinv @ q_mat @ xinv.T) @ x.T
+    return symmetrize(y.real, check_tol=None)
 
 
 def _vanloan_segment(h, q_outer, t):

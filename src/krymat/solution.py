@@ -3,6 +3,7 @@
 import configparser
 import numbers
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,8 +104,15 @@ def krylov_solve(report, grid, m_max, tol, start):
 
     The settings are checked before any work.  ``start(report)`` returns
     (process, fit), or None for a zero right-hand side; ``fit(T_m, coupling)``
-    returns (columns, kernel), where ``columns`` holds the report columns
-    past t, the bound first, each with one value per node.  Sets the
+    returns (bounds, more, kernel): the bound at every node, a function
+    giving the report's later columns (one value per node each), and the
+    kernel.  ``more`` runs on the solve's one worker thread while the basis
+    grows by the next step, so it must call nothing the caller's thread
+    could be timing; the worker is joined before the solve returns or
+    raises.  A basis size's rows are added once the process has advanced
+    past it.  When that advance made no progress (an extended step that
+    broke down does not count), the fit of the same size on all retained
+    sub-blocks replaces them, and trust.refit names that size.  Sets the
     report's status, basis size and wall time; returns the last (basis,
     kernel), or (None, None) for a zero right-hand side.
     """
@@ -121,16 +129,28 @@ def krylov_solve(report, grid, m_max, tol, start):
         report.converged = True
     else:
         proc, fit = started
-        m = 0
-        while True:
-            m = proc.advance_to(m + 1)
-            basis, tm, coupling = proc.projection(m)
-            columns, kernel = fit(tm, coupling)
-            for row in zip(grid.nodes, *columns, strict=True):
+
+        def add_rows(m, bounds, more):
+            for row in zip(grid.nodes, bounds, *more.result(), strict=True):
                 report.add(m, *row)
-            report.converged = bool(columns[0].max() < tol)
-            if report.converged or proc.breakdown or m >= m_max:
-                break
+
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            m, pending = 0, None
+            while True:
+                advanced = proc.advance_to(m + 1)
+                if pending is not None:
+                    if advanced > m:
+                        add_rows(m, *pending)
+                    else:
+                        report.trust["refit"] = m
+                m = advanced
+                basis, tm, coupling = proc.projection(m)
+                bounds, more, kernel = fit(tm, coupling)
+                pending = bounds, worker.submit(more)
+                report.converged = bool(bounds.max() < tol)
+                if report.converged or proc.breakdown or m >= m_max:
+                    break
+            add_rows(m, *pending)
         report.m_final = m
         report.breakdown = proc.breakdown
         report.dims["basis_blocks"] = basis.m
@@ -205,23 +225,34 @@ class LowRankSolution:
     """Symmetric low-rank trajectory X_m(t_k) = V (Y_k kron I_p) V^T.
 
     ``factors`` holds the truncated small factors of each Y_k; mapped through
-    the basis they give the thin factors of the full solution.
+    the basis they give the thin factors of the full solution.  A solution
+    made from its kernel factors the Y_k at ``factor_tol`` when its factors
+    are first read; a loaded one keeps the factors it was given.
     """
 
     grid: TimeGrid
     basis: object                  # BlockBasis at sub-block width (p or seed width)
-    kernel: KernelTrajectory       # None for a solution loaded from its factors
-    factors: list                  # of smallmat.LowRankFactor, one per node
+    kernel: object                 # with one sample Y_k per node; None once loaded
+    factor_tol: float = None
+    _factors: list = field(default=None, repr=False)
 
     @classmethod
     def from_kernel(cls, grid, n, basis, kernel, factor_tol):
-        """Solution with the kernel samples Y_k on ``basis``, each Y_k
-        factored; X(t) = 0 on one zero basis column when ``basis`` is None."""
+        """Solution with the kernel samples Y_k on ``basis``, to be factored
+        at ``factor_tol``; X(t) = 0 on one zero basis column when ``basis``
+        is None."""
         if basis is None:
             basis = BlockRow(np.zeros((n, 1)), 1)
             kernel = KernelTrajectory(grid, [np.zeros((1, 1))] * grid.nnodes)
-        factors = [smallmat.trunc_sym_factor(y, factor_tol) for y in kernel.samples]
-        return cls(grid, basis, kernel, factors)
+        return cls(grid, basis, kernel, factor_tol)
+
+    @property
+    def factors(self):
+        """One smallmat.LowRankFactor per node."""
+        if self._factors is None:
+            self._factors = [smallmat.trunc_sym_factor(y, self.factor_tol)
+                             for y in self.kernel.samples]
+        return self._factors
 
     def save(self, out_dir):
         """Write the solution in factored form: the basis once (basis.mtx,
@@ -257,7 +288,7 @@ class LowRankSolution:
             probio.read_matrix_market(fac_dir / f"node_{k:04d}_z.mtx"),
             probio.read_matrix_market(fac_dir / f"node_{k:04d}_signs.mtx").ravel())
             for k in range(grid.nnodes)]
-        return cls(grid, basis, None, factors)
+        return cls(grid, basis, None, _factors=factors)
 
     def factor(self, k):
         """Thin factor (Z, signs) with X_m(t_k) ~ Z diag(signs) Z^T + signature."""

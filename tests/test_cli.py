@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -275,6 +276,20 @@ bundle = {tmp_path / 'bundle'}
             assert "segments" in capsys.readouterr().err
             assert not (tmp_path / "h").exists()
 
+    def test_failure_on_the_solve_worker_exits_5(self, tmp_path, capsys, monkeypatch):
+        # EgAdl's rank column is the only eigvalsh of its solve, on the worker
+        def failing(*args, **kwargs):
+            raise NumericError("eigvalsh did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        cfg = write_cfg(tmp_path, SMALL_EGADL)
+        before = threading.active_count()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        assert threading.active_count() == before
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: eigvalsh did not converge"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("method", ["egadl", "expo", "galerkin"])
     def test_basis_allocation_failure_exits_2(self, tmp_path, capsys, monkeypatch, method):
         text = SMALL_EGADL.replace("method = egadl", f"method = {method}")
@@ -540,6 +555,19 @@ class TestSweep:
         assert (tmp_path / "sweep" / "one" / "report.csv").exists()
         assert (tmp_path / "sweep" / "two" / "report.csv").exists()
 
+
+    def test_parallel_runs_write_the_sequential_reports(self, tmp_path):
+        # two solves, each with its own worker thread, side by side
+        cfgs = [write_cfg(tmp_path, SMALL_EGADL, "one.cfg"),
+                write_cfg(tmp_path, SMALL_EGADL.replace("seed = 1", "seed = 2")
+                          .replace("l = 2", "l = 3"), "two.cfg")]
+        assert main(["sweep", "--configs", *map(str, cfgs), "--out", str(tmp_path / "sweep"),
+                     "--threads", "2"]) == 0
+        for cfg in cfgs:
+            out = tmp_path / "seq" / cfg.stem
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert ((tmp_path / "sweep" / cfg.stem / "report.csv").read_bytes()
+                    == (out / "report.csv").read_bytes())
 
     def test_bad_config_does_not_sink_the_others(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, SMALL_EGADL.replace("m_max = 20", "m_max = 0"),

@@ -5,15 +5,16 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from krymat import smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
-                           residual_bound_bdf)
+from krymat.dlebdf import (CoordinateTrajectory, bdf_coefficients, bdf_integrate, bdf_step,
+                           egadl_solve, residual_bound_bdf)
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, random_full_rank)
-from krymat.smallmat import small_form
+from krymat.smallmat import EigenForm, small_form
 from krymat.solution import TimeGrid
 
 from conftest import (bdf_derivatives, dense_dle_bdf, near_defective, stable_dense,
@@ -158,6 +159,52 @@ class TestSchurReuse:
             assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
 
+class TestCoordinateMarch:
+    def test_complex_pairs_give_real_kernels(self, rng):
+        # a nonsymmetric T on the eigen side with complex eigenvalue pairs:
+        # X and G are complex, Y = X G X^T is real to roundoff
+        tm = stable_dense(6, rng)
+        form = small_form(tm)[0]
+        assert isinstance(form, EigenForm) and np.iscomplexobj(form.lam)
+        z = rng.standard_normal((6, 2))
+        traj = bdf_integrate(form, rng.standard_normal(6), z @ z.T, TimeGrid(0.0, 1.0, 12), 2)
+        assert np.iscomplexobj(traj.g)
+        full = traj.x @ traj.g @ traj.x.T
+        scale = np.abs(full.real).max()
+        assert np.abs(full.imag).max() <= 1e-14 * scale
+        assert traj.samples.dtype == float
+
+    @pytest.mark.parametrize("tm_of", [lambda rng: stable_dense(8, rng),
+                                       lambda rng: near_defective(8, coupling=10.0)],
+                             ids=["eigen", "schur"])
+    def test_last_rows_and_batched_bound_match_the_kernels(self, rng, tm_of):
+        tm = tm_of(rng)
+        traj = bdf_integrate(small_form(tm)[0], rng.standard_normal(8), None,
+                             TimeGrid(0.0, 1.0, 10), 2)
+        coupling = rng.standard_normal((2, 2))
+        ys = traj.samples
+        np.testing.assert_allclose(traj.last_rows(2), ys[:, -2:, :],
+                                   atol=1e-14 * np.abs(ys).max())
+        batched = residual_bound_bdf(coupling, traj.last_rows(2))
+        each = [residual_bound_bdf(coupling, y) for y in ys]
+        np.testing.assert_allclose(batched, each, rtol=1e-12, atol=1e-14 * max(each))
+
+    @pytest.mark.parametrize("k, steps", [(1, 4), (3, 10), (12, 30)])
+    def test_ranks_in_chunks_equal_per_node_ranks(self, rng, k, steps):
+        # kernels of mixed rank, a zero one at t0 included
+        g = np.zeros((steps + 1, k, k))
+        for n in range(1, steps + 1):
+            z = rng.standard_normal((k, n % (k + 1)))
+            g[n] = z @ z.T
+        traj = CoordinateTrajectory(TimeGrid(0.0, 1.0, steps), np.linalg.qr(
+            rng.standard_normal((k, k)))[0], g)
+        expected = []
+        for y in traj.samples:
+            lam = np.abs(np.linalg.eigvalsh(y))
+            expected.append(np.count_nonzero(lam > 1e-10 * lam.max()))
+        assert traj.ranks(1e-10).tolist() == expected
+
+
 class TestResidualBound:
     def test_zero_cases(self):
         assert residual_bound_bdf(np.zeros((2, 2)), np.zeros((6, 6))) == 0.0
@@ -276,6 +323,39 @@ class TestEgadlSolve:
         ref = dense_dle_exact(prob, grid)
         err = np.linalg.norm(sol.snapshot(grid.steps) - ref[-1])
         assert err <= 1e-7 * max(1.0, np.linalg.norm(ref[-1]))
+
+    @pytest.mark.parametrize("problem", [gen_dle_problem(n0=6, p=2, seed=1),
+                                         gen_random_dle_problem(n=150, p=2, density=0.05,
+                                                                seed=1)],
+                             ids=["eigen", "schur"])
+    def test_rank_column_is_each_kernels_eigvalsh_rank(self, problem):
+        grid = TimeGrid(0.0, 1.0, 20)
+        sol, rep = egadl_solve(problem, grid, 40, 1e-8, factor_tol=1e-10)
+        ranks = [row[3] for row in rep.rows if row[0] == rep.m_final]
+        expected = []
+        for y in sol.kernel.samples:
+            lam = np.abs(np.linalg.eigvalsh(y))
+            expected.append(int(np.count_nonzero(lam > 1e-10 * lam.max())))
+        assert ranks == expected
+
+    def test_factors_are_made_when_first_read(self, monkeypatch):
+        calls = []
+        factor = smallmat.trunc_sym_factor
+
+        def counted(y, tol):
+            calls.append(tol)
+            return factor(y, tol)
+
+        monkeypatch.setattr(smallmat, "trunc_sym_factor", counted)
+        grid = TimeGrid(0.0, 1.0, 10)
+        sol, _ = egadl_solve(gen_dle_problem(n0=6, p=2, seed=1), grid, 20, 1e-8,
+                             factor_tol=1e-9)
+        assert calls == []
+        factors = sol.factors
+        assert calls == [1e-9] * grid.nnodes
+        assert sol.factors is factors and len(calls) == grid.nnodes
+        for f, y in zip(factors, sol.kernel.samples):
+            np.testing.assert_array_equal(f.z, factor(y, 1e-9).z)
 
     def test_report_schema(self):
         prob = gen_dle_problem(n0=4, p=1, seed=1)

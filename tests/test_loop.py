@@ -1,6 +1,8 @@
 """The solve that the three solvers share: report rows, breakdown, argument
 checks and rank-deficient data, seen through each solver."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,7 +14,7 @@ from krymat.dlebdf import egadl_solve
 from krymat.dleexp import expo_dle_solve, gram_trajectory
 from krymat.dsylv import galerkin_solve
 from krymat.egarnoldi import ExtendedGlobalArnoldi
-from krymat.errors import ConfigError
+from krymat.errors import ConfigError, NumericError
 from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, gen_sylvester_q2,
@@ -89,13 +91,30 @@ def test_trust_names_the_final_reduction(solve, kind, seed, branch):
     assert rep.converged
     _, tm, _ = _extended_projection(problem, rep.m_final)
     form, cond = small_form(tm)
-    # expo also names its log-norm path; n <= 400 takes the dense one
+    # expo also names its log-norm path; n <= 400 takes the dense one.  Both
+    # bound the residual's Frobenius norm
     extra = {"mu2_method": "dense"} if solve is expo_dle_solve else {}
-    assert rep.trust == {"small_form": branch, "eig_cond": cond, **extra}
+    assert rep.trust == {"small_form": branch, "eig_cond": cond, "bound_norm": "frobenius",
+                         **extra}
     assert (cond <= EIG_COND_MAX) == (branch == "eigen") == isinstance(form, EigenForm)
     lines = rep.summary_lines()
     assert f"trust.small_form = {branch}" in lines
     assert f"trust.eig_cond = {cond}" in lines
+
+
+@pytest.mark.parametrize("method, p, norm", [
+    ("egadl", 2, "frobenius"), ("extended", 2, "frobenius"), ("global", 1, "spectral"),
+    ("global", 2, "unproven"),
+], ids=["egadl", "expo-extended", "expo-global-p1", "expo-global-p2"])
+def test_trust_names_the_norm_the_bound_limits(method, p, norm):
+    problem = gen_dle_problem(n0=6, p=p, seed=1)
+    grid = TimeGrid(0.0, 1.0, 10)
+    if method == "egadl":
+        _, rep = egadl_solve(problem, grid, 20, 1e-8)
+    else:
+        _, rep = expo_dle_solve(problem, grid, 20, 1e-8, variant=method)
+    assert rep.trust["bound_norm"] == norm
+    assert f"trust.bound_norm = {norm}" in rep.summary_lines()
 
 
 def _extended_projection(problem, m):
@@ -136,6 +155,38 @@ def test_galerkin_breakdown_is_exact():
     ref = dense_dme_solve(prob, grid)
     err = max(np.linalg.norm(sol.snapshot(k) - ref[k]) for k in range(grid.nnodes))
     assert err <= 1e-13
+
+
+@pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])
+def test_extended_breakdown_reports_one_row_set_per_size(solve):
+    # the extended step after m = 1 breaks down without counting, and the fit
+    # of m = 1 on all retained sub-blocks replaces the first one's rows
+    grid = TimeGrid(0.0, 1.0, 4)
+    _, rep = solve(gen_dle_problem(n0=3, p=1, seed=1), grid, 30, 1e-8)
+    assert rep.breakdown and rep.converged and rep.m_final == 1
+    assert [row[:2] for row in rep.rows] == [(1, t) for t in grid.nodes]
+    assert rep.final_bounds().max() < 1e-8
+    assert rep.trust["refit"] == 1
+
+
+def _raise_numeric_error(*args, **kwargs):
+    raise NumericError("eigvalsh failed on the worker")
+
+
+@pytest.mark.parametrize("solve", [_egadl, _expo, _galerkin], ids=["egadl", "expo", "galerkin"])
+def test_solve_joins_its_worker(solve):
+    before = threading.active_count()
+    solve()
+    assert threading.active_count() == before
+
+
+def test_solve_joins_its_worker_when_the_worker_raises(monkeypatch):
+    # only the worker's rank column calls eigvalsh in an EgAdl solve
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise_numeric_error)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="on the worker"):
+        _egadl()
+    assert threading.active_count() == before
 
 
 def _near_singular_problem():

@@ -8,10 +8,10 @@ from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
-from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, EigenForm,
-                             RealSchur, expm, lognorm2, lyap_solve, phi1, real_schur,
-                             small_form, symmetrize, trunc_sym_factor, vanloan_gram,
-                             vanloan_gram_nodes)
+from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, DiagonalForm,
+                             EigenForm, RealSchur, TriangularForm, expm, lognorm2, lyap_solve,
+                             phi1, real_schur, small_form, symmetrize, trunc_sym_factor,
+                             vanloan_gram, vanloan_gram_nodes)
 
 from conftest import deadline, near_defective, stable_dense, stable_sym
 
@@ -191,6 +191,82 @@ class TestRealSchur:
     def test_order_mismatch(self, rng):
         with pytest.raises(DimensionError):
             lyap_solve(real_schur(stable_dense(3, rng)), np.eye(4))
+
+
+# T on both sides of small_form's gate: each eigen-side kind and a Schur-side one
+BOTH_SIDES = {**WELL_CONDITIONED, "near-defective": lambda rng: near_defective(6, coupling=10.0)}
+
+# a T with eigenvalues 1 and 3 in its own coordinates: diagonal, and upper triangular
+OWN_FORMS = {
+    "diagonal": DiagonalForm(np.array([1.0, 3.0])),
+    "triangular": TriangularForm(np.array([[1.0, 2.0], [0.0, 3.0]]), np.array([1.0, 3.0])),
+}
+
+
+class TestOwnCoordinates:
+    @pytest.mark.parametrize("make", list(BOTH_SIDES.values()), ids=list(BOTH_SIDES))
+    @pytest.mark.parametrize("c,d", [(1.0, 0.0), (0.01, -0.5), (-0.3, -2.0)])
+    def test_solve_matches_the_congruence_path(self, rng, make, c, d):
+        # the march shifts T in the form's own coordinates and maps back once
+        t = make(rng)
+        q = rng.standard_normal((t.shape[0], 2))
+        q = q @ q.T
+        form, _ = small_form(t)
+        x, xinv, own = form.coordinates()
+        assert isinstance(own, DiagonalForm if isinstance(form, EigenForm) else TriangularForm)
+        qh = xinv @ q @ xinv.T
+        g = lyap_solve(own.shifted(c, d), 0.5 * (qh + qh.T))
+        np.testing.assert_array_equal(g, g.T)
+        y = x @ g @ x.T
+        y_ref = lyap_solve(form.shifted(c, d), q)
+        assert np.abs(y.imag).max() <= 1e-14 * np.linalg.norm(y_ref)
+        assert np.linalg.norm(y.real - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
+
+    @pytest.mark.parametrize("own", list(OWN_FORMS.values()), ids=list(OWN_FORMS))
+    def test_errors_are_those_of_the_congruence_path(self, own):
+        with pytest.raises(IllPosedError):
+            lyap_solve(own.shifted(1.0, -1.0), np.eye(2))     # lambda_1 + lambda_1 = 0
+        stable = own.shifted(1.0, -5.0)
+        with pytest.raises(NumericError):
+            lyap_solve(stable, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        with pytest.raises(DimensionError):
+            lyap_solve(stable, np.eye(3))
+        with pytest.raises(DimensionError):
+            lyap_solve(stable, np.ones(2))
+
+    def test_complex_diagonal_form(self):
+        # an EigenForm with complex pairs gives a complex G; its gate stays
+        lam = np.array([-1.0 + 2.0j, -1.0 - 2.0j])
+        q = np.array([[1.0, 0.5j], [0.5j, 2.0]])
+        g = lyap_solve(DiagonalForm(lam), q)
+        np.testing.assert_array_equal(g, q / -(lam[:, None] + lam[None, :]))
+        with pytest.raises(NumericError):
+            lyap_solve(DiagonalForm(lam), np.array([[np.inf * 1j, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("own", list(OWN_FORMS.values()), ids=list(OWN_FORMS))
+    def test_singularity_test_runs_once_per_form(self, monkeypatch, own):
+        calls = []
+        checked = smallmat._checked_divisors
+
+        def counted(lam):
+            calls.append(lam)
+            return checked(lam)
+
+        monkeypatch.setattr(smallmat, "_checked_divisors", counted)
+        stable = own.shifted(1.0, -5.0)
+        for _ in range(3):
+            lyap_solve(stable, np.eye(2))
+        lyap_solve(own.shifted(2.0, -9.0), np.eye(2))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("own", [DiagonalForm(-np.ones(5)),
+                                     TriangularForm(-np.eye(5), -np.ones(5))],
+                             ids=list(OWN_FORMS))
+    def test_cap_checked_per_call(self, monkeypatch, own):
+        lyap_solve(own, np.eye(5))
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 4)
+        with pytest.raises(CapExceededError):
+            lyap_solve(own, np.eye(5))
 
 
 def simpson_gram(h, q, t, panels=10_000):
