@@ -15,7 +15,6 @@ rows; the kernels themselves, their ranks and the low-rank factors with a
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from . import smallmat
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, IllPosedError, StepFailureError
 from .probio import LinearSolver
-from .solution import LowRankSolution, SolveReport, TimeGrid, krylov_solve
+from .solution import CoordinateTrajectory, LowRankSolution, SolveReport, krylov_solve
 
 _BDF_TABLE = {
     1: (1.0, (1.0,)),
@@ -74,43 +73,6 @@ def bdf_step(op, bm, prev, h, scheme):
     for a_i, y_i in zip(scheme.alpha, prev):
         q = q + a_i * y_i
     return _lyap_step(op, q)
-
-
-@dataclass
-class CoordinateTrajectory:
-    """BDF kernels Y_k = Re(X G_k X^T), one per grid node, held as the basis
-    change X of a reduction of T (its eigenvectors or Schur vectors) and the
-    stack ``g`` of the G_k in X's coordinates."""
-
-    grid: TimeGrid
-    x: np.ndarray
-    g: np.ndarray
-
-    def kernels(self, nodes=slice(None)):
-        """The symmetric Y_k of the given nodes, a stack."""
-        y = (self.x @ self.g[nodes] @ self.x.T).real
-        return 0.5 * (y + y.transpose(0, 2, 1))
-
-    def last_rows(self, nr):
-        """The last ``nr`` rows of every Y_k, a stack: all a residual bound reads."""
-        return (self.x[-nr:] @ self.g @ self.x.T).real
-
-    @cached_property
-    def samples(self):
-        return self.kernels()
-
-    def ranks(self, tol):
-        """Rank of every Y_k, counting the eigenvalues above tol times the
-        largest in magnitude.  The kernels are formed k nodes at a time, k
-        their order: a chunk holds k^3 entries, k/N of the stack G of N
-        nodes.  Smaller chunks measured slower: each is a few library calls
-        whose dispatch competes with the basis loop's thread."""
-        nnodes, k = self.g.shape[:2]
-        out = []
-        for lo in range(0, nnodes, k):
-            lam = np.abs(np.linalg.eigvalsh(self.kernels(slice(lo, lo + k))))
-            out.append(np.count_nonzero(lam > tol * lam.max(axis=1, keepdims=True), axis=1))
-        return np.concatenate(out)
 
 
 def bdf_integrate(form, bm, y0, grid, l):

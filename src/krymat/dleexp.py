@@ -33,42 +33,42 @@ from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, NumericError
 from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver
-from .solution import KernelTrajectory, LowRankSolution, krylov_solve
+from .solution import CoordinateTrajectory, LowRankSolution, krylov_solve
 
 # the subspaces expo_dle_solve can project onto
 VARIANTS = ("global", "extended")
 
 
 def gram_trajectory(hm, beta, grid, form):
-    """The list of G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds.
+    """G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds at
+    every node, a CoordinateTrajectory.
 
     ``form`` is the ``smallmat.small_form`` reduction of ``hm``.  From
-    H = X diag(lambda) X^{-1} the Gramian is closed form,
-    G(t) = Re(X [t phi_1(t (lambda_i + lambda_j)) q_i q_j] X^T) with
+    H = X diag(lambda) X^{-1} the whole stack is closed form in X's
+    coordinates, G_k = [t_k phi_1(t_k (lambda_i + lambda_j)) q_i q_j] with
     q = X^{-1} beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
-    it is the Van Loan block exponential of H itself, whose (block)
-    Hessenberg zeros keep the small last rows that the bounds read accurate.
-    Both are quadrature free and satisfy dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
+    it is the stack of Van Loan block exponentials of H itself, with X = I,
+    whose (block) Hessenberg zeros keep the small last rows that the bounds
+    read accurate.  Both are quadrature free and satisfy
+    dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
     """
     if isinstance(form, smallmat.RealSchur):
-        q = np.zeros(form.lam.shape[0])
+        k = form.lam.shape[0]
+        q = np.zeros(k)
         q[0] = beta
-        return smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)[0]
-    qh = beta * form.xinv[:, 0]
-    qq = np.outer(qh, qh)
+        grams = smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)[0]
+        return CoordinateTrajectory(grid, np.eye(k), np.array(grams))
+    q = beta * form.xinv[:, 0]
     pair = form.lam[:, None] + form.lam[None, :]
     zero = pair == 0
-    pair_safe = np.where(zero, 1.0, pair)
-    grams = []
-    for t in grid.h * np.arange(grid.nnodes):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # t phi_1(t s) = expm1(t s)/s, with the limit t at s = 0
-            weight = np.where(zero, t, np.expm1(t * pair) / pair_safe)
-            g = (form.x @ (weight * qq) @ form.x.T).real
-        if not np.isfinite(g).all():
-            raise NumericError("gram_trajectory: Gramian overflowed")
-        grams.append(0.5 * (g + g.T))
-    return grams
+    t = grid.h * np.arange(grid.nnodes)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # t phi_1(t s) = expm1(t s)/s, with the limit t at s = 0
+        weight = np.where(zero, t, np.expm1(t * pair) / np.where(zero, 1.0, pair))
+        g = weight * np.outer(q, q)
+    if not np.isfinite(g).all():
+        raise NumericError("gram_trajectory: Gramian overflowed")
+    return CoordinateTrajectory(grid, form.x, g)
 
 
 def residual_bound_exp(coupling, g):
@@ -177,10 +177,10 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
             bound_of = residual_bound_bdf
 
         def fit(hm, coupling):
-            grams = gram_trajectory(hm, proc.beta, grid, reduce_projected(report, hm))
-            bounds = np.array([bound_of(coupling, g) for g in grams])
+            kernel = gram_trajectory(hm, proc.beta, grid, reduce_projected(report, hm))
+            bounds = np.array([bound_of(coupling, g) for g in kernel.samples])
             apriori = apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes, grid.t0)
-            return bounds, lambda: (apriori,), KernelTrajectory(grid, grams)
+            return bounds, lambda: (apriori,), kernel
 
         return proc, fit
 

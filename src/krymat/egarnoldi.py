@@ -29,8 +29,8 @@ class ExtendedGlobalArnoldi(KrylovProcess):
 
     ``solver`` must provide ``solve(w)`` computing A^{-1} w (probio.LinearSolver).
     The sub-block width is the seed's column count.  The seed QR
-    [B, A^{-1} B] = V_1 (r_init kron I_p) gives ``beta`` = r_init[0, 0], the
-    seed's coefficient on V_1.
+    [B, A^{-1} B] = V_1 (R kron I_p) gives ``beta`` = R[0, 0], the seed's
+    coefficient on V_1.
     """
 
     per_step = 2
@@ -45,17 +45,12 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         pair = BlockRow(np.hstack([seed, solver.solve(seed)]), self.width)
         q0, r0, deficient = global_qr(pair, BREAKDOWN_TOL,
                                       scale=np.linalg.norm(pair.flat(), axis=0))
-        self.r_init = r0
         self.beta = float(r0[0, 0])
         # a dependent seed block and A^{-1} image leave nothing to iterate on
         self.breakdown = bool(deficient)
         for j in range(2):
             if j not in deficient:
                 self._store.append(q0.block(j))
-
-    @property
-    def nsub(self):
-        return self._store.m
 
     # the basis under its sub-block name, which bench/spans.py traces
     sub_basis = KrylovProcess.basis

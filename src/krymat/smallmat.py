@@ -132,12 +132,6 @@ class RealSchur:
     u: np.ndarray
     lam: np.ndarray
 
-    def shifted(self, c, d):
-        """The form of c T + d I: the same U and block structure, eigenvalues
-        c lambda + d.  No new reduction."""
-        own = self.coordinates()[2].shifted(c, d)
-        return RealSchur(own.s, self.u, own.lam)
-
     def coordinates(self):
         """(U, U^{-1} = U^T, T in U's coordinates): Y = U G U^T."""
         return self.u, self.u.T, TriangularForm(self.s, self.lam)
@@ -158,10 +152,6 @@ class EigenForm:
     x: np.ndarray
     xinv: np.ndarray
     lam: np.ndarray
-
-    def shifted(self, c, d):
-        """The form of c T + d I: the same X, eigenvalues c lambda + d."""
-        return EigenForm(self.x, self.xinv, c * self.lam + d)
 
     def coordinates(self):
         """(X, X^{-1}, T in X's coordinates): Y = X G X^T."""
@@ -209,8 +199,8 @@ def lyap_solve(form, q_mat):
     """Solve T Y + Y T^T + Q = 0 for symmetric Q.
 
     ``form`` is a reduction of T, a RealSchur or an EigenForm (from
-    ``small_form``, ``real_schur`` or their ``shifted``), or T in such a
-    form's own coordinates (``coordinates``), reused as it is.  In the own
+    ``small_form`` or ``real_schur``), or T in such a form's own coordinates
+    (``coordinates``, or their ``shifted``), reused as it is.  In the own
     coordinates the solve is one elementwise division
     Y = Q / -(lambda_i + lambda_j) for a DiagonalForm, and a quasi-triangular
     Sylvester solve (LAPACK trsyl, Bartels-Stewart) with no complex
@@ -352,9 +342,6 @@ class LowRankFactor:
     @property
     def rank(self):
         return self.z.shape[1]
-
-    def assemble(self):
-        return (self.z * self.signs) @ self.z.T
 
 
 def trunc_sym_factor(y, tol):

@@ -5,6 +5,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +162,8 @@ def krylov_solve(report, grid, m_max, tol, start):
 
 @dataclass
 class KernelTrajectory:
-    """Small projected solution on a grid, one sample per node: the rows of
-    an (nnodes, m) array of vectors y_m(t_k), or a list of symmetric Y_m(t_k)."""
+    """Galerkin's projected solution on a grid: the rows of an (nnodes, m)
+    array of vectors y_m(t_k), one per node."""
 
     grid: TimeGrid
     samples: object
@@ -170,6 +171,45 @@ class KernelTrajectory:
     def __post_init__(self):
         if len(self.samples) != self.grid.nnodes:
             raise DimensionError("one kernel sample per grid node required")
+
+
+@dataclass
+class CoordinateTrajectory:
+    """Symmetric kernels Y_k = Re(X G_k X^T) of a projected Lyapunov
+    equation, one per grid node, held as the basis change X of a reduction
+    of T (its eigenvectors, its Schur vectors, or I) and the stack ``g`` of
+    the G_k in X's coordinates.  Both low-rank fits return one: EgAdl's BDF
+    march and the exponential method's exact Gramians."""
+
+    grid: TimeGrid
+    x: np.ndarray
+    g: np.ndarray
+
+    def kernels(self, nodes=slice(None)):
+        """The symmetric Y_k of the given nodes, a stack."""
+        y = (self.x @ self.g[nodes] @ self.x.T).real
+        return 0.5 * (y + y.transpose(0, 2, 1))
+
+    def last_rows(self, nr):
+        """The last ``nr`` rows of every Y_k, a stack: all a residual bound reads."""
+        return (self.x[-nr:] @ self.g @ self.x.T).real
+
+    @cached_property
+    def samples(self):
+        return self.kernels()
+
+    def ranks(self, tol):
+        """Rank of every Y_k, counting the eigenvalues above tol times the
+        largest in magnitude.  The kernels are formed k nodes at a time, k
+        their order: a chunk holds k^3 entries, k/N of the stack G of N
+        nodes.  Smaller chunks measured slower: each is a few library calls
+        whose dispatch competes with the basis loop's thread."""
+        nnodes, k = self.g.shape[:2]
+        out = []
+        for lo in range(0, nnodes, k):
+            lam = np.abs(np.linalg.eigvalsh(self.kernels(slice(lo, lo + k))))
+            out.append(np.count_nonzero(lam > tol * lam.max(axis=1, keepdims=True), axis=1))
+        return np.concatenate(out)
 
 
 @dataclass
@@ -232,7 +272,7 @@ class LowRankSolution:
 
     grid: TimeGrid
     basis: object                  # BlockBasis at sub-block width (p or seed width)
-    kernel: object                 # with one sample Y_k per node; None once loaded
+    kernel: CoordinateTrajectory   # None once loaded
     factor_tol: float = None
     _factors: list = field(default=None, repr=False)
 
@@ -243,7 +283,7 @@ class LowRankSolution:
         is None."""
         if basis is None:
             basis = BlockRow(np.zeros((n, 1)), 1)
-            kernel = KernelTrajectory(grid, [np.zeros((1, 1))] * grid.nnodes)
+            kernel = CoordinateTrajectory(grid, np.eye(1), np.zeros((grid.nnodes, 1, 1)))
         return cls(grid, basis, kernel, factor_tol)
 
     @property

@@ -323,7 +323,7 @@ def test_ac6_residual_bound_validity():
         gv, ghm, gcoupling = gproc.projection(gproc.advance_to(5))
         gm = gv.m
         beta = np.linalg.norm(b)
-        grams = gram_trajectory(ghm, beta, grid, small_form(ghm)[0])
+        grams = gram_trajectory(ghm, beta, grid, small_form(ghm)[0]).samples
         e11 = np.zeros((gm, gm))
         e11[0, 0] = beta ** 2
         for k in range(grid.nnodes):
@@ -355,7 +355,7 @@ def test_ac7_apriori_bound():
         proc = GlobalArnoldi(lambda x: a_dense @ x, b, 7)
         vm, hm, coupling = proc.projection(proc.advance_to(7))
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
         prob = DLEProblem(sp.csr_matrix(a_dense), b)
         ref = dense_dle_exact(prob, grid)
@@ -381,7 +381,7 @@ def test_ac8_gram_ode_consistency():
         hm = hm - (np.abs(np.linalg.eigvals(hm).real).max() + 0.3) * np.eye(k)
         beta = float(rng.uniform(0.5, 2.0))
         grid = TimeGrid(0.0, 1.0, 5)
-        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0]).samples
         q = np.zeros(k)
         q[0] = beta
         dt = 1e-5

@@ -7,15 +7,15 @@ import scipy.sparse as sp
 
 from krymat import smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.dlebdf import (CoordinateTrajectory, bdf_coefficients, bdf_integrate, bdf_step,
-                           egadl_solve, residual_bound_bdf)
+from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
+                           residual_bound_bdf)
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, random_full_rank)
 from krymat.smallmat import EigenForm, small_form
-from krymat.solution import TimeGrid
+from krymat.solution import CoordinateTrajectory, TimeGrid
 
 from conftest import (bdf_derivatives, dense_dle_bdf, near_defective, stable_dense,
                       stable_sparse, step_operator)

@@ -4,6 +4,7 @@ residual and a-priori bounds, perturbed-equation identity."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 from scipy.linalg import expm as sexpm
 
 from krymat import smallmat
@@ -17,7 +18,7 @@ from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem, gen_laplacian2d,
                            gen_random_dle_problem, gen_random_stable)
 from krymat.smallmat import small_form, vanloan_gram
-from krymat.solution import LowRankSolution, TimeGrid
+from krymat.solution import CoordinateTrajectory, LowRankSolution, TimeGrid
 
 from conftest import (near_defective, perturbed_equation_check, rect_hessenberg, stable_dense,
                       stable_sym)
@@ -66,36 +67,62 @@ class TestGramTrajectory:
     def test_starts_at_zero(self, rng):
         grid = TimeGrid(0.0, 1.0, 5)
         hm = stable_dense(3, rng)
-        grams = gram_trajectory(hm, 2.0, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, 2.0, grid, small_form(hm)[0]).samples
         np.testing.assert_array_equal(grams[0], np.zeros((3, 3)))
 
     def test_scalar_formula(self):
         grid = TimeGrid(0.0, 2.0, 8)
         hm = np.array([[-1.0]])
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
         for k, t in enumerate(grid.nodes):
             assert grams[k][0, 0] == pytest.approx(
                 (1 - np.exp(-2 * t)) / 2, abs=1e-13)
 
-    @pytest.mark.parametrize("case", ["stiff", "rotation", "near-defective"])
+    @pytest.mark.parametrize("case", ["stiff", "rotation", "complex-pairs", "near-defective"])
     def test_matches_vanloan(self, rng, case):
         # stiff: symmetric, h ||H||_1 ~ 4.9e3; rotation: lambda_1 + lambda_2 = 0,
-        # where phi_1 takes its limit; near-defective: the Schur-form branch
+        # where phi_1 takes its limit; complex-pairs: stable and nonnormal, so
+        # the eigen branch runs with a complex X; near-defective: the
+        # Schur-form branch
         if case == "stiff":
             q_mat, _ = np.linalg.qr(rng.standard_normal((20, 20)))
             hm = q_mat @ np.diag(-rng.uniform(1.0, 2000.0, 20)) @ q_mat.T
             grid = TimeGrid(0.0, 2.5, 2)
         elif case == "rotation":
             hm, grid = np.array([[0.0, 1.0], [-1.0, 0.0]]), TimeGrid(0.0, 2 * np.pi, 8)
+        elif case == "complex-pairs":
+            blocks = [np.array([[-a, b], [-b, -a]])
+                      for a, b in zip(rng.uniform(0.5, 3.0, 3), rng.uniform(1.0, 5.0, 3))]
+            basis = np.eye(6) + 0.1 * rng.standard_normal((6, 6))
+            hm = basis @ block_diag(*blocks) @ np.linalg.inv(basis)
+            grid = TimeGrid(0.0, 2.0, 5)
         else:
             hm, grid = near_defective(2), TimeGrid(0.0, 3.0, 6)
         beta = 1.3
-        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
+        form = small_form(hm)[0]
+        if case == "complex-pairs":
+            assert isinstance(form, smallmat.EigenForm) and np.iscomplexobj(form.x)
+        traj = gram_trajectory(hm, beta, grid, form)
+        assert isinstance(traj, CoordinateTrajectory)
+        grams = traj.samples
+        full = traj.x @ traj.g @ traj.x.T             # what samples takes the real part of
+        assert grams.dtype == float and np.abs(full.imag).max() <= 1e-14 * np.abs(grams).max()
         e1 = np.zeros(hm.shape[0])
         e1[0] = beta
         for k in range(1, grid.nnodes):
             ref = vanloan_gram(hm, e1, k * grid.h)
             assert np.linalg.norm(grams[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+        last = grams[:, -1:]
+        assert np.linalg.norm(traj.last_rows(1) - last) <= 1e-14 * np.linalg.norm(last)
+        if isinstance(form, smallmat.EigenForm):
+            # the broadcast does the arithmetic of the closed form node by node
+            q = beta * form.xinv[:, 0]
+            pair = form.lam[:, None] + form.lam[None, :]
+            for k, t in enumerate(grid.h * np.arange(grid.nnodes)):
+                weight = np.where(pair == 0, t,
+                                  np.expm1(t * pair) / np.where(pair == 0, 1.0, pair))
+                y = (form.x @ (weight * np.outer(q, q)) @ form.x.T).real
+                np.testing.assert_array_equal(grams[k], 0.5 * (y + y.T))
 
     def test_overflow_is_a_numeric_error(self):
         hm = np.array([[400.0]])
@@ -106,7 +133,7 @@ class TestGramTrajectory:
         hm = stable_dense(4, rng)
         beta = 1.7
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0]).samples
         e1 = np.zeros(4)
         e1[0] = beta
         dt = 1e-5
@@ -135,7 +162,7 @@ class TestResidualBoundExp:
             m = proc.m
             vm, hm, coupling = proc.projection(m)
             grid = TimeGrid(0.0, 1.0, 10)
-            grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
+            grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
             e11 = np.zeros((m, m))
             e11[0, 0] = 1.0
             bbt = b @ b.T
@@ -167,7 +194,7 @@ class TestAprioriBound:
         proc = _arnoldi_on(a_dense, b, 8)
         vm, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
         mu2 = lognorm2_operator(a_dense)
         assert mu2 < 0
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
@@ -348,7 +375,7 @@ class TestExpoSolve:
         for m in range(2, 12, 2):
             proc = _arnoldi_on(prob.a.toarray(), prob.b, m)
             _, hm, coupling = proc.projection(proc.m)
-            grams = gram_trajectory(hm, beta, grid, small_form(hm)[0])
+            grams = gram_trajectory(hm, beta, grid, small_form(hm)[0]).samples
             proc_bounds.append(residual_bound_exp(coupling, grams[-1]))
         assert all(b2 <= b1 * (1 + 1e-12)
                    for b1, b2 in zip(proc_bounds, proc_bounds[1:]))
@@ -386,7 +413,7 @@ class TestPerturbedEquation:
         proc = _arnoldi_on(a, b, m)
         _, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 8)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
         return prob, proc, hm, coupling, grams, grid
 
     def test_defect_small(self, rng):
@@ -409,7 +436,7 @@ class TestPerturbedEquation:
         m = proc.m
         basis, hm, _ = proc.projection(m)
         grid = TimeGrid(0.0, 1.0, 6)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0])
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
         coupling = np.zeros((1, m))          # h_{m+1,m} = 0
         # tail block needed by the check: append a zero block
         padded = BlockRow(np.hstack([basis.data, np.zeros((8, 1))]), 1)

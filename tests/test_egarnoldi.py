@@ -47,12 +47,12 @@ class TestSeed:
         a = stable_sparse(20, rng)
         b = random_full_rank(20, 2, seed=3)
         proc = _setup(a, b, 1)
-        r = proc.r_init
-        assert r[1, 0] == 0.0
-        assert proc.beta == r[0, 0]
-        # [B, A^{-1}B] = V_1 (R kron I_p)
+        # [B, A^{-1}B] = V_1 (R kron I_p), R the block coefficients of the seed
         lhs = np.hstack([b, LinearSolver(a).solve(b)])
-        rhs = kron_apply(proc.sub_basis(2), r).data
+        r = diamond(proc.sub_basis(2), BlockRow(lhs, 2))
+        assert abs(r[1, 0]) <= 1e-12 * np.linalg.norm(r)
+        assert proc.beta == pytest.approx(r[0, 0], rel=1e-12)
+        rhs = kron_apply(proc.sub_basis(2), np.triu(r)).data
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_seed_rank_test_is_per_block(self):
@@ -169,7 +169,7 @@ class TestRelations:
         done = proc.advance_to(5)
         assert proc.breakdown
         assert done < 5
-        assert proc.sub_basis().orth_defect() <= 1e-12 * proc.nsub
+        assert proc.sub_basis().orth_defect() <= 1e-12 * proc.sub_basis().m
 
 
 class TestLayout:
@@ -185,7 +185,7 @@ class TestLayout:
     def test_advance_past_m_max_is_refused(self, rng):
         a = stable_sparse(30, rng)
         proc = _setup(a, random_full_rank(30, 2, seed=5), 3)
-        assert proc.advance_to(3) == 3 and proc.nsub == 8
+        assert proc.advance_to(3) == 3 and proc.sub_basis().m == 8
         with pytest.raises(DimensionError, match="m_max = 3"):
             proc.advance_to(4)
         assert proc.m == 3

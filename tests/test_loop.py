@@ -222,7 +222,7 @@ def test_false_breakdown_bound_dominates_dense_residual():
     assert proc.breakdown and basis.m == tm.shape[0]
     a_dense = prob.a.toarray()
     bbt = prob.b @ prob.b.T
-    grams = gram_trajectory(tm, proc.beta, grid, small_form(tm)[0])
+    grams = gram_trajectory(tm, proc.beta, grid, small_form(tm)[0]).samples
     for g, bound in zip(grams, rep.final_bounds()):
         gdot = tm @ g + g @ tm.T
         gdot[0, 0] += proc.beta ** 2
