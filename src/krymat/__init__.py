@@ -1,8 +1,7 @@
 """Krylov projection solvers for differential Sylvester and Lyapunov equations."""
 
 from .blockmat import BlockBasis, BlockRow, diamond, frob_inner, global_qr, kron_apply
-from .dlebdf import (BDFScheme, bdf_coefficients, bdf_integrate, bdf_step,
-                     egadl_solve, residual_bound_bdf)
+from .dlebdf import BDFScheme, bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
 from .dleexp import apriori_error_bound, expo_dle_solve, gram_trajectory, residual_bound_exp
 from .dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
 from .egarnoldi import ExtendedGlobalArnoldi

@@ -55,44 +55,25 @@ def _lyap_step(op, q):
             f"implicit BDF step is ill posed ({exc}); reduce the step size") from exc
 
 
-def bdf_step(op, bm, prev, h, scheme):
-    """One implicit BDF step of dY/dt = T Y + Y T^T + b b^T.
-
-    ``prev`` lists the most recent kernels, newest first.  The step solves
-    (h beta T - I/2) Y + Y (h beta T - I/2)^T + Q = 0 with
-    Q = h beta b b^T + sum_i alpha_i prev[i].  ``op`` is the
-    ``smallmat.small_form`` reduction of the step operator h beta T - I/2
-    for this h and scheme, which the step reuses without a new reduction.
-    ``bdf_integrate`` makes the same steps in the reduction's coordinates.
-    """
-    bm = np.asarray(bm, dtype=float).ravel()
-    if len(prev) < scheme.l:
-        raise StepFailureError(
-            f"BDF{scheme.l} needs {scheme.l} previous kernels, got {len(prev)}")
-    q = h * scheme.beta * np.outer(bm, bm)
-    for a_i, y_i in zip(scheme.alpha, prev):
-        q = q + a_i * y_i
-    return _lyap_step(op, q)
-
-
 def bdf_integrate(form, bm, y0, grid, l):
     """March the projected Lyapunov ODE over the grid with l-step BDF.
 
     Startup uses the 1-step then 2-step schemes until l previous kernels are
-    available.  ``form`` is the ``smallmat.small_form`` reduction of T, and
-    the march runs in its coordinates (X, X^{-1}): G_0 = X^{-1} Y_0 X^{-T},
-    the forcing h beta qq^T with q = X^{-1} b formed once per scheme, and
-    one ``smallmat.lyap_solve`` per step with the scheme's step operator
-    h beta T - I/2, a shift of T in those coordinates.  Returns a
-    CoordinateTrajectory.
+    available.  ``form`` is the ``smallmat.small_form`` Reduction
+    T = X F X^{-1}, and the march runs in its coordinates:
+    G_0 = X^{-1} Y_0 X^{-T}, the forcing h beta qq^T with q = X^{-1} b
+    formed once per scheme, and one ``smallmat.lyap_solve`` per step,
+    (h beta F - I/2) G + G (h beta F - I/2)^T + Q = 0 with
+    Q = h beta qq^T + sum_i alpha_i G_{n-i}, the step operator a shift of F.
+    Returns a CoordinateTrajectory.
     """
     bdf_coefficients(l)            # validate l early
-    k = form.lam.shape[0]
+    x, xinv = form.x, form.xinv
+    k = x.shape[0]
     y0 = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
-    x, xinv, own = form.coordinates()
     q = xinv @ np.asarray(bm, dtype=float).ravel()
     schemes = [bdf_coefficients(j) for j in range(1, l + 1)]
-    ops = [own.shifted(grid.h * s.beta, -0.5) for s in schemes]
+    ops = [form.own.shifted(grid.h * s.beta, -0.5) for s in schemes]
     forcings = [grid.h * s.beta * np.outer(q, q) for s in schemes]
     g = np.empty((grid.nnodes, k, k), dtype=q.dtype)
     g0 = xinv @ y0 @ xinv.T
@@ -123,7 +104,8 @@ def reduce_projected(report, tm):
     kappa_2(X) written to the report's trust lines, where the last basis
     size's stay."""
     form, cond = smallmat.small_form(tm)
-    report.trust["small_form"] = "eigen" if isinstance(form, smallmat.EigenForm) else "schur"
+    report.trust["small_form"] = ("eigen" if isinstance(form.own, smallmat.DiagonalForm)
+                                  else "schur")
     report.trust["eig_cond"] = cond
     return form
 

@@ -43,23 +43,24 @@ def gram_trajectory(hm, beta, grid, form):
     """G_m(t_k) = int_{t0}^{t_k} (beta e^{s H} e_1)(beta e^{s H} e_1)^T ds at
     every node, a CoordinateTrajectory.
 
-    ``form`` is the ``smallmat.small_form`` reduction of ``hm``.  From
-    H = X diag(lambda) X^{-1} the whole stack is closed form in X's
-    coordinates, G_k = [t_k phi_1(t_k (lambda_i + lambda_j)) q_i q_j] with
+    ``form`` is the ``smallmat.small_form`` Reduction of ``hm``.  From the
+    eigen form H = X diag(lambda) X^{-1} the whole stack is closed form in
+    X's coordinates, G_k = [t_k phi_1(t_k (lambda_i + lambda_j)) q_i q_j] with
     q = X^{-1} beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
     it is the stack of Van Loan block exponentials of H itself, with X = I,
     whose (block) Hessenberg zeros keep the small last rows that the bounds
     read accurate.  Both are quadrature free and satisfy
     dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
     """
-    if isinstance(form, smallmat.RealSchur):
-        k = form.lam.shape[0]
+    if isinstance(form.own, smallmat.TriangularForm):
+        k = form.x.shape[0]
         q = np.zeros(k)
         q[0] = beta
         grams = smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)[0]
         return CoordinateTrajectory(grid, np.eye(k), np.array(grams))
     q = beta * form.xinv[:, 0]
-    pair = form.lam[:, None] + form.lam[None, :]
+    lam = form.own.lam
+    pair = lam[:, None] + lam[None, :]
     zero = pair == 0
     t = grid.h * np.arange(grid.nnodes)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -35,7 +35,7 @@ def _full_rank_warning(mat, name):
     _, _, deficient = global_qr(BlockRow(arr, 1))
     if deficient:
         warnings.warn(f"{name} looks rank deficient (columns {list(deficient)})",
-                      stacklevel=3)
+                      stacklevel=4)
 
 
 def check_horizon(t0, tf):
@@ -125,7 +125,7 @@ class DLEProblem:
             object.__setattr__(self, "z0", z0)
         check_horizon(self.t0, self.tf)
         if b.shape[1] > max(1, a.shape[0] // 10):
-            warnings.warn("B is not low rank relative to n (p > n/10)", stacklevel=2)
+            warnings.warn("B is not low rank relative to n (p > n/10)", stacklevel=3)
         _full_rank_warning(b, "factor B")
 
     @property
@@ -387,8 +387,10 @@ def gen_laplacian2d(n0):
     return a
 
 
-def gen_random_stable(n, density=0.1, shift=1.0, seed=0):
-    """Sparse random A made stable and nonsingular by diagonal dominance."""
+def gen_random_stable(n, density=0.1, seed=0):
+    """Sparse random A made stable and nonsingular by diagonal dominance:
+    R - diag(r + 1.0) for a random sparse R with absolute row sums r, so the
+    margin of dominance is 1.0."""
     if not 0 < density <= 1:
         raise ValueError(f"gen_random_stable: need 0 < density <= 1, got density = {density}")
     rng = np.random.default_rng(seed)
@@ -399,7 +401,7 @@ def gen_random_stable(n, density=0.1, shift=1.0, seed=0):
     a = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     a.sum_duplicates()
     row_sums = np.asarray(np.abs(a).sum(axis=1)).ravel()
-    a = a - sp.diags(row_sums + shift)
+    a = a - sp.diags(row_sums + 1.0)
     a = a.tocsr()
     a.sort_indices()
     return a

@@ -1,11 +1,11 @@
 """Dense small-scale kernels.
 
 Matrix exponential and the first exponential-integrator function, one
-reduction of a small T to eigen form (when its eigenvector matrix is well
-conditioned) or else to real Schur form, algebraic Lyapunov solves from
-either form or from T in the form's own coordinates (diagonal or
-quasi-triangular), which shifted operators c T + d I reuse, Gramian
-integrals by the Van Loan block-exponential construction, the
+reduction T = X F X^{-1} of a small T (``Reduction``) to eigen form (when
+its eigenvector matrix is well conditioned) or else to real Schur form,
+algebraic Lyapunov solves with T in the reduction's own coordinates F
+(diagonal or quasi-triangular), which shifted operators c T + d I reuse,
+Gramian integrals by the Van Loan block-exponential construction, the
 2-logarithmic norm and truncated symmetric factorizations.  Everything here
 is dense, and every kernel refuses a matrix of order above DENSE_CAP at its
 input gate.
@@ -45,13 +45,12 @@ def _square(m, who, complex_ok=False):
     return m
 
 
-def symmetrize(y, check_tol=SYM_CHECK_TOL):
+def symmetrize(y):
     """Return (Y + Y^T)/2, first checking the asymmetry is roundoff-sized."""
     y = _square(y, "symmetrize")
-    if check_tol is not None:
-        scale = np.linalg.norm(y)
-        if scale > 0 and np.abs(y - y.T).max() > check_tol * scale:
-            raise NumericError("matrix is not symmetric to within tolerance")
+    scale = np.linalg.norm(y)
+    if scale > 0 and np.abs(y - y.T).max() > SYM_CHECK_TOL * scale:
+        raise NumericError("matrix is not symmetric to within tolerance")
     return 0.5 * (y + y.T)
 
 
@@ -102,7 +101,7 @@ class _OwnCoordinates:
 
 @dataclass(frozen=True)
 class DiagonalForm(_OwnCoordinates):
-    """T = diag(lam): an EigenForm's T in the coordinates of its X."""
+    """T = diag(lam): T on the eigen form, in the coordinates of X."""
 
     lam: np.ndarray
 
@@ -112,8 +111,8 @@ class DiagonalForm(_OwnCoordinates):
 
 @dataclass(frozen=True)
 class TriangularForm(_OwnCoordinates):
-    """T = S, quasi-upper-triangular with eigenvalues lam: a RealSchur's T in
-    the coordinates of its U."""
+    """T = S, quasi-upper-triangular with eigenvalues lam: T on the real
+    Schur form, in the coordinates of U."""
 
     s: np.ndarray
     lam: np.ndarray
@@ -125,37 +124,23 @@ class TriangularForm(_OwnCoordinates):
 
 
 @dataclass(frozen=True)
-class RealSchur:
-    """Real Schur form T = U S U^T, with the eigenvalues of the quasi-triangular S."""
-
-    s: np.ndarray
-    u: np.ndarray
-    lam: np.ndarray
-
-    def coordinates(self):
-        """(U, U^{-1} = U^T, T in U's coordinates): Y = U G U^T."""
-        return self.u, self.u.T, TriangularForm(self.s, self.lam)
-
-
-def real_schur(t):
-    """One real Schur reduction of T."""
-    t = _square(t, "real_schur")
-    s, u = sla.schur(t, output="real")
-    return RealSchur(s, u, np.linalg.eigvals(s))
-
-
-@dataclass(frozen=True)
-class EigenForm:
-    """Eigendecomposition T = X diag(lam) X^{-1}; X, X^{-1} and lam are real
-    for a real spectrum and complex otherwise."""
+class Reduction:
+    """One reduction T = X F X^{-1} of a small T, with F = ``own`` the
+    DiagonalForm of the eigen form (X, X^{-1} and lam real for a real
+    spectrum, complex otherwise) or the TriangularForm of the real Schur form
+    (X = U orthogonal, X^{-1} = U^T).  A kernel Y is Y = X G X^T for the G
+    in F's coordinates."""
 
     x: np.ndarray
     xinv: np.ndarray
-    lam: np.ndarray
+    own: _OwnCoordinates
 
-    def coordinates(self):
-        """(X, X^{-1}, T in X's coordinates): Y = X G X^T."""
-        return self.x, self.xinv, DiagonalForm(self.lam)
+
+def real_schur(t):
+    """The real Schur reduction T = U S U^T, a Reduction(U, U^T, TriangularForm)."""
+    t = _square(t, "real_schur")
+    s, u = sla.schur(t, output="real")
+    return Reduction(u, u.T, TriangularForm(s, np.linalg.eigvals(s)))
 
 
 # Largest kappa_2(X) for which small_form keeps T = X diag(lam) X^{-1}.  A
@@ -172,19 +157,32 @@ EIG_COND_MAX = 10.0
 
 
 def small_form(t):
-    """One reduction of T: (EigenForm, kappa_2(X)) when the eigenvector
-    matrix X is conditioned within EIG_COND_MAX, else (RealSchur, kappa_2(X))."""
+    """One reduction of T and kappa_2(X): the eigen form
+    Reduction(X, X^{-1}, DiagonalForm) when the eigenvector matrix X is
+    conditioned within EIG_COND_MAX, else the real Schur form ``real_schur``."""
     t = _square(t, "small_form")
     lam, x = np.linalg.eig(t)
     cond = float(np.linalg.cond(x))
     if cond <= EIG_COND_MAX:
-        return EigenForm(x, np.linalg.inv(x), lam), cond
+        return Reduction(x, np.linalg.inv(x), DiagonalForm(lam)), cond
     return real_schur(t), cond
 
 
-def _own_solve(form, q_mat):
-    """G with T G + G T^T + Q = 0, T a DiagonalForm or a TriangularForm and
-    Q symmetric (complex symmetric for a complex spectrum)."""
+def lyap_solve(form, q_mat):
+    """Solve T G + G T^T + Q = 0 for T in a reduction's own coordinates.
+
+    ``form`` is a Reduction's ``own``, or its ``shifted`` c T + d I, reused
+    as it is; Q is symmetric, complex symmetric for a complex spectrum.  For
+    a DiagonalForm the solve is one elementwise division
+    G = Q / -(lambda_i + lambda_j), and for a TriangularForm one
+    quasi-triangular Sylvester solve (LAPACK trsyl, Bartels-Stewart) with no
+    complex arithmetic, G symmetrized.  The kernel in T's first coordinates
+    is X G X^T, with X the Reduction's.  Raises IllPosedError when some
+    eigenvalue pair satisfies lambda_i + lambda_j ~ 0.
+    """
+    q_mat = _square(q_mat, "lyap_solve", complex_ok=True)
+    if q_mat.shape[0] != form.lam.shape[0]:
+        raise DimensionError("lyap_solve: T and Q orders differ")
     divisors = form.divisors
     if isinstance(form, DiagonalForm):
         return q_mat / divisors
@@ -193,32 +191,6 @@ def _own_solve(form, q_mat):
         raise IllPosedError(f"trsyl failed with info={info}")
     x /= sc
     return 0.5 * (x + x.T)
-
-
-def lyap_solve(form, q_mat):
-    """Solve T Y + Y T^T + Q = 0 for symmetric Q.
-
-    ``form`` is a reduction of T, a RealSchur or an EigenForm (from
-    ``small_form`` or ``real_schur``), or T in such a form's own coordinates
-    (``coordinates``, or their ``shifted``), reused as it is.  In the own
-    coordinates the solve is one elementwise division
-    Y = Q / -(lambda_i + lambda_j) for a DiagonalForm, and a quasi-triangular
-    Sylvester solve (LAPACK trsyl, Bartels-Stewart) with no complex
-    arithmetic for a TriangularForm.  From an EigenForm or a RealSchur, Q is
-    first carried into those coordinates and Y back: with (X, X^{-1}) the
-    form's basis change, Y = Re(X G X^T) for the G that solves the equation
-    with X^{-1} Q X^{-T}.  Raises IllPosedError when some eigenvalue pair
-    satisfies lambda_i + lambda_j ~ 0.
-    """
-    in_own = isinstance(form, _OwnCoordinates)
-    q_mat = _square(q_mat, "lyap_solve", complex_ok=True) if in_own else symmetrize(q_mat)
-    if q_mat.shape[0] != form.lam.shape[0]:
-        raise DimensionError("lyap_solve: T and Q orders differ")
-    if in_own:
-        return _own_solve(form, q_mat)
-    x, xinv, own = form.coordinates()
-    y = x @ _own_solve(own, xinv @ q_mat @ xinv.T) @ x.T
-    return symmetrize(y.real, check_tol=None)
 
 
 def _vanloan_segment(h, q_outer, t):

@@ -11,7 +11,6 @@ from scipy.linalg import solve_continuous_lyapunov
 from krymat import blockmat, smallmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import bdf_coefficients
-from krymat.smallmat import real_schur
 
 
 @pytest.fixture
@@ -93,10 +92,30 @@ def explicit_kron_apply(vb, s_mat):
     return vb.data @ np.kron(s_mat, np.eye(vb.width))
 
 
-def step_operator(tm, h, scheme):
-    """The real Schur form of the BDF step operator h beta T - I/2, the
-    reduction ``bdf_step`` takes."""
-    return real_schur(h * scheme.beta * tm - 0.5 * np.eye(tm.shape[0]))
+def lyap_through(red, q):
+    """Y with T Y + Y T^T + Q = 0 from the Reduction T = X F X^{-1}: Q carried
+    into F's coordinates, ``smallmat.lyap_solve`` with F, Y carried back."""
+    g = smallmat.lyap_solve(red.own, red.xinv @ q @ red.xinv.T)
+    y = (red.x @ g @ red.x.T).real
+    return 0.5 * (y + y.T)
+
+
+def bdf_step(tm, bm, prev, h, scheme):
+    """One implicit BDF step of dY/dt = T Y + Y T^T + b b^T, the stepwise
+    reference for ``bdf_integrate``.
+
+    ``prev`` lists the most recent kernels, newest first.  The step solves
+    (h beta T - I/2) Y + Y (h beta T - I/2)^T + Q = 0 with
+    Q = h beta b b^T + sum_i alpha_i prev[i] by scipy, on the explicit
+    operator: independent of the package's small-matrix kernels.
+    """
+    bm = np.asarray(bm, dtype=float).ravel()
+    q = h * scheme.beta * np.outer(bm, bm)
+    for a_i, y_i in zip(scheme.alpha, prev):
+        q = q + a_i * y_i
+    op = h * scheme.beta * tm - 0.5 * np.eye(tm.shape[0])
+    y = solve_continuous_lyapunov(op, -q)
+    return 0.5 * (y + y.T)
 
 
 def dense_dle_bdf(problem, grid, l):

@@ -16,8 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, global_qr, kron_apply
-from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
-                           residual_bound_bdf)
+from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
 from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
                            lognorm2_operator, residual_bound_exp)
 from krymat.dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
@@ -29,9 +28,8 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
 from krymat.smallmat import small_form, vanloan_gram
 from krymat.solution import TimeGrid
 
-from conftest import (bdf_derivatives, dense_dle_bdf, explicit_kron_apply,
-                      random_block_row, rect_hessenberg, stable_sparse, stable_sym,
-                      step_operator)
+from conftest import (bdf_derivatives, bdf_step, dense_dle_bdf, explicit_kron_apply,
+                      random_block_row, rect_hessenberg, stable_sparse, stable_sym)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # the CLI subprocesses import the same krymat as the tests: this checkout's src
@@ -271,7 +269,7 @@ def test_ac5_bdf_orders():
         h = 1.0 / steps
         prev = [np.array([[exact((2 - i) * h)]]) for i in range(3)]
         for _ in range(2, steps):
-            y = bdf_step(step_operator(tm, h, scheme), bm, prev, h, scheme)
+            y = bdf_step(tm, bm, prev, h, scheme)
             prev = [y] + prev[:2]
         errs3.append(abs(prev[0][0, 0] - exact(1.0)))
     observed[3] = np.log2(errs3[-2] / errs3[-1])

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import krymat
 from krymat import cli, dlebdf, dleexp, dsylv, smallmat
 from krymat.cli import main
 from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
@@ -746,3 +747,16 @@ class TestMethodTable:
         assert [p.name for p in params[:4]] == ["problem", "grid", *cli._COMMON]
         assert [(p.name, p.default) for p in params[4:]] == [
             (key, default) for key, (_, default) in entry.keys.items()]
+
+    def test_readme_exports_resolve(self):
+        # every name the README's exports paragraph gives is reachable from
+        # krymat, so that a removed or renamed export cannot linger there
+        text = (CONFIG_DIR.parent / "README.md").read_text()
+        start = text.index("The building blocks are exported too")
+        names = re.findall(r"`([^`]+)`", text[start:text.index("\n\n", start)])
+        assert "lyap_solve" in names
+        for name in names:
+            obj = krymat
+            for part in name.split("."):
+                assert hasattr(obj, part), f"README names `{name}`, which krymat lacks"
+                obj = getattr(obj, part)

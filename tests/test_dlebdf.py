@@ -7,18 +7,17 @@ import scipy.sparse as sp
 
 from krymat import smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.dlebdf import (bdf_coefficients, bdf_integrate, bdf_step, egadl_solve,
-                           residual_bound_bdf)
+from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, random_full_rank)
-from krymat.smallmat import EigenForm, small_form
+from krymat.smallmat import DiagonalForm, TriangularForm, small_form
 from krymat.solution import CoordinateTrajectory, TimeGrid
 
-from conftest import (bdf_derivatives, dense_dle_bdf, near_defective, stable_dense,
-                      stable_sparse, step_operator)
+from conftest import (bdf_derivatives, bdf_step, dense_dle_bdf, near_defective, stable_dense,
+                      stable_sparse)
 
 
 def _projection(a, b, m):
@@ -50,41 +49,40 @@ class TestCoefficients:
 
 
 class TestBdfStep:
+    # single steps of bdf_integrate's march, in the reduction's coordinates
     def test_scalar_first_step(self):
-        scheme = bdf_coefficients(1)
-        y1 = bdf_step(step_operator(np.array([[-1.0]]), 0.1, scheme), np.array([1.0]),
-                      [np.zeros((1, 1))], 0.1, scheme)
-        assert y1[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-14)
+        traj = bdf_integrate(small_form(np.array([[-1.0]]))[0], np.array([1.0]), None,
+                             TimeGrid(0.0, 0.1, 1), 1)
+        assert traj.samples[1][0, 0] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_steady_state_fixed_point(self):
-        tm = np.array([[-1.0]])
-        bm = np.array([1.0])
-        y = np.zeros((1, 1))
-        scheme = bdf_coefficients(1)
-        for _ in range(400):
-            y = bdf_step(step_operator(tm, 0.1, scheme), bm, [y], 0.1, scheme)
-        assert y[0, 0] == pytest.approx(0.5, rel=1e-10)
+        traj = bdf_integrate(small_form(np.array([[-1.0]]))[0], np.array([1.0]), None,
+                             TimeGrid(0.0, 40.0, 400), 1)
+        assert traj.samples[-1][0, 0] == pytest.approx(0.5, rel=1e-10)
 
     def test_defining_equation_residual(self, rng):
+        # the march's BDF2 step from t_1 to t_2, with its own Y_1 and Y_0
         tm = np.diag([-1.0, -2.0, -3.0, -0.5]) + 0.1 * rng.standard_normal((4, 4))
         bm = rng.standard_normal(4)
-        prev = [np.eye(4) * 0.3, np.eye(4) * 0.2]
         h = 0.05
+        ys = bdf_integrate(small_form(tm)[0], bm, np.eye(4) * 0.3, TimeGrid(0.0, 2 * h, 2),
+                           2).samples
         scheme = bdf_coefficients(2)
-        y = bdf_step(step_operator(tm, h, scheme), bm, prev, h, scheme)
         t_cal = h * scheme.beta * tm - 0.5 * np.eye(4)
         q = h * scheme.beta * np.outer(bm, bm) + sum(
-            a * p for a, p in zip(scheme.alpha, prev))
-        res = t_cal @ y + y @ t_cal.T + q
-        assert np.linalg.norm(res) <= 1e-10 * (1 + np.linalg.norm(y))
+            a * p for a, p in zip(scheme.alpha, (ys[1], ys[0])))
+        res = t_cal @ ys[2] + ys[2] @ t_cal.T + q
+        assert np.linalg.norm(res) <= 1e-10 * (1 + np.linalg.norm(ys[2]))
 
     def test_ill_posed_step_maps_to_step_failure(self):
-        # h beta T = I/2 makes the shifted operator singular
-        tm = np.array([[1.0]])
-        scheme = bdf_coefficients(1)
-        with pytest.raises(StepFailureError):
-            bdf_step(step_operator(tm, 0.5, scheme), np.array([0.0]), [np.zeros((1, 1))],
-                     0.5, scheme)
+        # h beta T = I/2 makes a step operator singular: on the eigen form
+        # (T = 1) and on the Schur form (a near-defective T with eigenvalue 1)
+        for tm, branch in ((np.array([[1.0]]), DiagonalForm),
+                           (near_defective(2) + 2.0 * np.eye(2), TriangularForm)):
+            form = small_form(tm)[0]
+            assert isinstance(form.own, branch)
+            with pytest.raises(StepFailureError):
+                bdf_integrate(form, np.zeros(tm.shape[0]), None, TimeGrid(0.0, 0.5, 1), 1)
 
 
 class TestBdfIntegrate:
@@ -140,8 +138,8 @@ class TestSchurReuse:
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_matches_stepwise_reference(self, rng, l):
-        # nonsymmetric T and Y0 != 0: the reference reduces every step's
-        # operator h beta T - I/2 afresh to its real Schur form
+        # nonsymmetric T and Y0 != 0: the reference solves every step with
+        # scipy on the explicit operator h beta T - I/2
         k = 10
         tm = stable_dense(k, rng)
         bm = rng.standard_normal(k)
@@ -152,8 +150,7 @@ class TestSchurReuse:
         ref = [y0]
         for _ in range(grid.steps):
             scheme = bdf_coefficients(min(l, len(ref)))
-            ref.append(bdf_step(step_operator(tm, grid.h, scheme), bm, ref[::-1][:scheme.l],
-                                grid.h, scheme))
+            ref.append(bdf_step(tm, bm, ref[::-1][:scheme.l], grid.h, scheme))
         assert len(traj.samples) == len(ref)
         for y, y_ref in zip(traj.samples, ref):
             assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
@@ -165,7 +162,7 @@ class TestCoordinateMarch:
         # X and G are complex, Y = X G X^T is real to roundoff
         tm = stable_dense(6, rng)
         form = small_form(tm)[0]
-        assert isinstance(form, EigenForm) and np.iscomplexobj(form.lam)
+        assert isinstance(form.own, DiagonalForm) and np.iscomplexobj(form.own.lam)
         z = rng.standard_normal((6, 2))
         traj = bdf_integrate(form, rng.standard_normal(6), z @ z.T, TimeGrid(0.0, 1.0, 12), 2)
         assert np.iscomplexobj(traj.g)

@@ -101,7 +101,7 @@ class TestGramTrajectory:
         beta = 1.3
         form = small_form(hm)[0]
         if case == "complex-pairs":
-            assert isinstance(form, smallmat.EigenForm) and np.iscomplexobj(form.x)
+            assert isinstance(form.own, smallmat.DiagonalForm) and np.iscomplexobj(form.x)
         traj = gram_trajectory(hm, beta, grid, form)
         assert isinstance(traj, CoordinateTrajectory)
         grams = traj.samples
@@ -114,10 +114,10 @@ class TestGramTrajectory:
             assert np.linalg.norm(grams[k] - ref) <= 1e-12 * np.linalg.norm(ref)
         last = grams[:, -1:]
         assert np.linalg.norm(traj.last_rows(1) - last) <= 1e-14 * np.linalg.norm(last)
-        if isinstance(form, smallmat.EigenForm):
+        if isinstance(form.own, smallmat.DiagonalForm):
             # the broadcast does the arithmetic of the closed form node by node
             q = beta * form.xinv[:, 0]
-            pair = form.lam[:, None] + form.lam[None, :]
+            pair = form.own.lam[:, None] + form.own.lam[None, :]
             for k, t in enumerate(grid.h * np.arange(grid.nnodes)):
                 weight = np.where(pair == 0, t,
                                   np.expm1(t * pair) / np.where(pair == 0, 1.0, pair))

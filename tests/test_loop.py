@@ -19,7 +19,7 @@ from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, gen_sylvester_q2,
                            random_full_rank)
-from krymat.smallmat import EIG_COND_MAX, EigenForm, small_form
+from krymat.smallmat import EIG_COND_MAX, DiagonalForm, small_form
 from krymat.solution import TimeGrid
 
 
@@ -96,7 +96,7 @@ def test_trust_names_the_final_reduction(solve, kind, seed, branch):
     extra = {"mu2_method": "dense"} if solve is expo_dle_solve else {}
     assert rep.trust == {"small_form": branch, "eig_cond": cond, "bound_norm": "frobenius",
                          **extra}
-    assert (cond <= EIG_COND_MAX) == (branch == "eigen") == isinstance(form, EigenForm)
+    assert (cond <= EIG_COND_MAX) == (branch == "eigen") == isinstance(form.own, DiagonalForm)
     lines = rep.summary_lines()
     assert f"trust.small_form = {branch}" in lines
     assert f"trust.eig_cond = {cond}" in lines

@@ -380,6 +380,18 @@ class TestProblems:
         with pytest.warns(UserWarning, match="rank deficient"):
             GenSylvesterProblem(a, b, c)
 
+    def test_warnings_name_the_caller(self):
+        # each warning names the line that built the problem, not the
+        # dataclass's generated __init__
+        with pytest.warns(UserWarning) as records:
+            DLEProblem(-sp.identity(4, format="csr"), np.ones((4, 2)))
+            GenSylvesterProblem((sp.identity(6, format="csr"),),
+                                (sp.identity(2, format="csr"),), np.ones((6, 2)))
+        messages = [str(r.message).split(" (")[0] for r in records]
+        assert messages == ["B is not low rank relative to n", "factor B looks rank deficient",
+                            "right-hand side C looks rank deficient"]
+        assert [r.filename for r in records] == [__file__] * 3
+
     def test_bundle_roundtrip_dle(self, rng, tmp_path):
         prob = DLEProblem(gen_laplacian2d(4), random_full_rank(16, 1, seed=3),
                           t0=0.25, tf=2.0)

@@ -9,11 +9,11 @@ from scipy.linalg import block_diag, solve_continuous_lyapunov
 from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
 from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, DiagonalForm,
-                             EigenForm, RealSchur, TriangularForm, expm, lognorm2, lyap_solve,
-                             phi1, real_schur, small_form, symmetrize, trunc_sym_factor,
-                             vanloan_gram, vanloan_gram_nodes)
+                             TriangularForm, expm, lognorm2, lyap_solve, phi1, real_schur,
+                             small_form, symmetrize, trunc_sym_factor, vanloan_gram,
+                             vanloan_gram_nodes)
 
-from conftest import deadline, near_defective, stable_dense, stable_sym
+from conftest import deadline, lyap_through, near_defective, stable_dense, stable_sym
 
 
 def normal_complex_pairs(k, rng):
@@ -82,13 +82,13 @@ class TestPhi1:
 
 class TestLyapSolve:
     def test_scalar(self):
-        np.testing.assert_allclose(lyap_solve(real_schur(np.array([[-1.0]])), np.array([[2.0]])),
-                                   [[1.0]], rtol=1e-14)
+        y = lyap_through(real_schur(np.array([[-1.0]])), np.array([[2.0]]))
+        np.testing.assert_allclose(y, [[1.0]], rtol=1e-14)
 
     def test_constructed_2x2(self):
         t = np.diag([-1.0, -2.0])
         q = np.array([[2.0, 3.0], [3.0, 4.0]])
-        np.testing.assert_allclose(lyap_solve(real_schur(t), q), np.ones((2, 2)),
+        np.testing.assert_allclose(lyap_through(real_schur(t), q), np.ones((2, 2)),
                                    rtol=1e-13)
 
     def test_kronecker_oracle(self, rng):
@@ -97,20 +97,20 @@ class TestLyapSolve:
         # vectorized linear system (I kron T + T kron I) vec(Y) = -vec(Q)
         big = np.kron(np.eye(6), t) + np.kron(t, np.eye(6))
         y_ref = np.linalg.solve(big, -q.flatten(order="F")).reshape((6, 6), order="F")
-        y = lyap_solve(real_schur(t), q)
+        y = lyap_through(real_schur(t), q)
         np.testing.assert_allclose(y, y_ref, atol=1e-10 * (1 + np.linalg.norm(y_ref)))
         res = t @ y + y @ t.T + q
         assert np.linalg.norm(res) <= 1e-10 * (
             np.linalg.norm(t) * np.linalg.norm(y) + np.linalg.norm(q))
 
     def test_symmetric_output(self, rng):
-        y = lyap_solve(real_schur(stable_dense(5, rng)), stable_sym(5, rng))
+        y = lyap_through(real_schur(stable_dense(5, rng)), stable_sym(5, rng))
         np.testing.assert_array_equal(y, y.T)
 
     def test_singular_operator_rejected(self):
         t = np.diag([-1.0, 1.0])  # lambda_1 + lambda_2 = 0
         with pytest.raises(IllPosedError):
-            lyap_solve(real_schur(t), np.eye(2))
+            lyap_through(real_schur(t), np.eye(2))
 
 
 class TestSmallForm:
@@ -118,16 +118,16 @@ class TestSmallForm:
     def test_eigen_side_of_the_gate(self, rng, make):
         t = make(rng)
         form, cond = small_form(t)
-        assert isinstance(form, EigenForm) and cond <= EIG_COND_MAX
-        np.testing.assert_allclose(form.x @ np.diag(form.lam) @ form.xinv, t,
+        assert isinstance(form.own, DiagonalForm) and cond <= EIG_COND_MAX
+        np.testing.assert_allclose(form.x @ np.diag(form.own.lam) @ form.xinv, t,
                                    atol=1e-13 * cond * np.linalg.norm(t))
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_near_defective_keeps_the_schur_form(self, k):
         t = near_defective(k)
         form, cond = small_form(t)
-        assert isinstance(form, RealSchur) and cond > EIG_COND_MAX
-        np.testing.assert_array_equal(form.s, real_schur(t).s)
+        assert isinstance(form.own, TriangularForm) and cond > EIG_COND_MAX
+        np.testing.assert_array_equal(form.own.s, real_schur(t).own.s)
 
     @pytest.mark.parametrize("make", list(WELL_CONDITIONED.values()), ids=list(WELL_CONDITIONED))
     @pytest.mark.parametrize("c,d", [(1.0, 0.0), (0.01, -0.5), (-0.3, -2.0)])
@@ -137,27 +137,28 @@ class TestSmallForm:
         q = q @ q.T
         op = c * t + d * np.eye(t.shape[0])
         form, _ = small_form(op)
-        assert isinstance(form, EigenForm)
-        y = lyap_solve(form, q)
+        assert isinstance(form.own, DiagonalForm)
+        y = lyap_through(form, q)
         assert y.dtype == float
         np.testing.assert_array_equal(y, y.T)
-        for y_ref in (lyap_solve(real_schur(op), q), solve_continuous_lyapunov(op, -q)):
+        for y_ref in (lyap_through(real_schur(op), q), solve_continuous_lyapunov(op, -q)):
             assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
     def test_singular_shifted_operator_rejected(self, rng):
         t = stable_sym(4, rng)
         lam_max = np.linalg.eigvalsh(t).max()
         with pytest.raises(IllPosedError):
-            lyap_solve(small_form(t - lam_max * np.eye(4))[0], np.eye(4))
+            lyap_solve(small_form(t - lam_max * np.eye(4))[0].own, np.eye(4))
 
 
 class TestRealSchur:
     def test_reconstruction_and_eigenvalues(self, rng):
         t = rng.standard_normal((30, 30))
         form = real_schur(t)
-        np.testing.assert_allclose(form.u @ form.s @ form.u.T, t,
+        np.testing.assert_array_equal(form.xinv, form.x.T)
+        np.testing.assert_allclose(form.x @ form.own.s @ form.xinv, t,
                                    atol=1e-13 * np.linalg.norm(t))
-        np.testing.assert_allclose(np.sort_complex(form.lam),
+        np.testing.assert_allclose(np.sort_complex(form.own.lam),
                                    np.sort_complex(np.linalg.eigvals(t)), atol=1e-12)
 
     @pytest.mark.parametrize("c,d", [(0.01, -0.5), (1.0, -8.0), (-0.3, -2.0)])
@@ -166,29 +167,29 @@ class TestRealSchur:
         q = rng.standard_normal((30, 30))
         q = q @ q.T
         op = c * t + d * np.eye(30)
-        y = lyap_solve(real_schur(op), q)
+        y = lyap_through(real_schur(op), q)
         y_ref = solve_continuous_lyapunov(op, -q)
         assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
 
     def test_shift_keeps_the_form_and_the_original(self, rng):
         # the shift of T in U's coordinates, which the BDF march takes
         t = rng.standard_normal((7, 7))
-        form = real_schur(t)
-        s0 = form.s.copy()
-        shifted = form.coordinates()[2].shifted(2.0, 0.5)
+        own = real_schur(t).own
+        s0 = own.s.copy()
+        shifted = own.shifted(2.0, 0.5)
         assert isinstance(shifted, TriangularForm)
         np.testing.assert_array_equal(shifted.s, 2.0 * s0 + 0.5 * np.eye(7))
-        np.testing.assert_array_equal(form.s, s0)
-        np.testing.assert_allclose(shifted.lam, 2.0 * form.lam + 0.5, rtol=1e-15)
+        np.testing.assert_array_equal(own.s, s0)
+        np.testing.assert_allclose(shifted.lam, 2.0 * own.lam + 0.5, rtol=1e-15)
 
     def test_singular_shifted_operator_rejected(self):
         t = np.array([[1.0, 2.0], [0.0, 3.0]])      # eigenvalues 1 and 3
         with pytest.raises(IllPosedError):
-            lyap_solve(real_schur(t - np.eye(2)), np.eye(2))
+            lyap_solve(real_schur(t - np.eye(2)).own, np.eye(2))
 
     def test_order_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            lyap_solve(real_schur(stable_dense(3, rng)), np.eye(4))
+            lyap_solve(real_schur(stable_dense(3, rng)).own, np.eye(4))
 
 
 # T on both sides of small_form's gate: each eigen-side kind and a Schur-side one
@@ -209,9 +210,9 @@ class TestOwnCoordinates:
         t = make(rng)
         q = rng.standard_normal((t.shape[0], 2))
         q = q @ q.T
-        form, _ = small_form(t)
-        x, xinv, own = form.coordinates()
-        assert isinstance(own, DiagonalForm if isinstance(form, EigenForm) else TriangularForm)
+        form, cond = small_form(t)
+        x, xinv, own = form.x, form.xinv, form.own
+        assert isinstance(own, DiagonalForm if cond <= EIG_COND_MAX else TriangularForm)
         qh = xinv @ q @ xinv.T
         g = lyap_solve(own.shifted(c, d), 0.5 * (qh + qh.T))
         np.testing.assert_array_equal(g, g.T)
@@ -233,7 +234,7 @@ class TestOwnCoordinates:
             lyap_solve(stable, np.ones(2))
 
     def test_complex_diagonal_form(self):
-        # an EigenForm with complex pairs gives a complex G; its gate stays
+        # an eigen form with complex pairs gives a complex G; its gate stays
         lam = np.array([-1.0 + 2.0j, -1.0 - 2.0j])
         q = np.array([[1.0, 0.5j], [0.5j, 2.0]])
         g = lyap_solve(DiagonalForm(lam), q)
