@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dlebdf, dleexp, dsylv, oracle, probio
-from .errors import ConfigError, KrymatError
+from .errors import ConfigError, DimensionError, KrymatError
 from .solution import TimeGrid
 
 EXIT_OK = 0
@@ -155,7 +155,10 @@ def _build_problem(cfg, seed_override=None):
 
 def _grid(cfg, problem):
     steps = _parse(int, cfg.get("grid", "steps", fallback=20), "[grid] steps")
-    return TimeGrid(problem.t0, problem.tf, steps)
+    try:
+        return TimeGrid(problem.t0, problem.tf, steps)
+    except DimensionError as exc:
+        raise ConfigError(f"[grid] {exc}") from None
 
 
 def _configure(method, cfg, problem, grid):
@@ -183,10 +186,11 @@ def cmd_run(args):
         method = cfg.get("run", "method", fallback=None)
         if method is None:
             raise ConfigError("[run] must set method")
-        check_method = None
+        check = cfg.get("run", "check", fallback=None)
         if method == "oracle-check":
-            check_method = cfg.get("run", "check", fallback="egadl")
-            method = check_method
+            method = check = "egadl" if check is None else check
+        elif check is not None:
+            raise ConfigError(f"[run] check = {check}: only method = oracle-check reads it")
         problem = _build_problem(cfg, args.seed)
         grid = _grid(cfg, problem)
         solve = _configure(method, cfg, problem, grid)
@@ -196,7 +200,7 @@ def cmd_run(args):
             raise ConfigError(f"[output] factors = {cfg['output']['factors']}: "
                               "not a boolean") from None
         # the dense reference first: above the dense cap it fails before the solve
-        ref = None if check_method is None else SOLVERS[method].reference(problem, grid)
+        ref = None if check is None else SOLVERS[method].reference(problem, grid)
     except (KrymatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

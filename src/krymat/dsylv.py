@@ -12,7 +12,7 @@ from . import smallmat
 from .blockmat import BlockRow, diamond
 from .garnoldi import GlobalArnoldi
 from .probio import gsylv_apply
-from .solution import KernelTrajectory, SolveReport, SylvesterSolution, krylov_solve
+from .solution import SolveReport, SylvesterSolution, krylov_solve
 
 
 def project_rhs(basis, r0):
@@ -22,7 +22,7 @@ def project_rhs(basis, r0):
 
 
 def integrate_projected(hm, cm, y0, grid):
-    """March dy/dt = H y + c on the grid by exponential Euler steps.
+    """March dy/dt = H y + c on the grid by exponential Euler steps, a row a node.
 
     For constant c each step y_{k+1} = e^{hH} y_k + h psi_1(hH) c reproduces
     the exact solution at the nodes up to roundoff.  One exponential of
@@ -42,7 +42,7 @@ def integrate_projected(hm, cm, y0, grid):
     for k in range(grid.steps):
         y = e_h @ y + forcing
         samples[k + 1] = y
-    return KernelTrajectory(grid, samples)
+    return samples
 
 
 def residual_norm(coupling, y):
@@ -75,11 +75,11 @@ def galerkin_solve(problem, grid, m_max, tol):
         def fit(hm, coupling):
             # V_1 = R0 / beta and V is F-orthonormal, so c_m = -V^T diamond R0 = -beta e_1
             cm = np.r_[-proc.beta, np.zeros(hm.shape[0] - 1)]
-            kernel = integrate_projected(hm, cm, None, grid)
-            return residual_norm(coupling, kernel.samples), lambda: (), kernel
+            samples = integrate_projected(hm, cm, None, grid)
+            return residual_norm(coupling, samples), lambda: (), samples
 
         return proc, fit
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, start)
+    basis, samples = krylov_solve(report, grid, m_max, tol, start)
     shape = (problem.n, problem.p)
-    return SylvesterSolution(grid, basis, kernel, shape, x0=problem.x0), report
+    return SylvesterSolution(grid, basis, samples, shape, x0=problem.x0), report

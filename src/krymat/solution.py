@@ -32,6 +32,9 @@ class TimeGrid:
         probio.check_horizon(self.t0, self.tf)
         if not is_count(self.steps) or self.steps < 1:
             raise DimensionError(f"steps = {self.steps}: TimeGrid needs an integer steps >= 1")
+        # np.arange cannot build more nodes: it raises, or returns none at all
+        if 8 * (int(self.steps) + 1) > np.iinfo(np.intp).max:
+            raise DimensionError(f"steps = {self.steps}: cannot allocate the grid's nodes")
 
     @property
     def h(self):
@@ -152,6 +155,9 @@ def krylov_solve(report, grid, m_max, tol, start):
                 m = advanced
                 basis, tm, coupling = proc.projection(m)
                 try:
+                    # more than numpy can size: a stack of k x k complex entries a node
+                    if 16 * int(grid.nnodes) * len(tm) ** 2 > np.iinfo(np.intp).max:
+                        raise MemoryError
                     bounds, more, kernel = fit(tm, coupling)
                 except MemoryError:
                     # the fit holds one projected solution per grid node
@@ -168,19 +174,6 @@ def krylov_solve(report, grid, m_max, tol, start):
         report.dims["basis_cols"] = basis.m * basis.width
     report.wall_time = time.perf_counter() - t_start
     return basis, kernel
-
-
-@dataclass
-class KernelTrajectory:
-    """Galerkin's projected solution on a grid: the rows of an (nnodes, m)
-    array of vectors y_m(t_k), one per node."""
-
-    grid: TimeGrid
-    samples: object
-
-    def __post_init__(self):
-        if len(self.samples) != self.grid.nnodes:
-            raise DimensionError("one kernel sample per grid node required")
 
 
 @dataclass
@@ -223,23 +216,26 @@ class CoordinateTrajectory:
 
 @dataclass
 class SylvesterSolution:
-    """Factored trajectory X_m(t_k) = X0 + V (y_m(t_k) kron I_p).
+    """Factored trajectory X_m(t_k) = X0 + V (samples[k] kron I_p).
 
-    ``basis`` and ``kernel`` are None for the degenerate zero-residual case,
+    ``basis`` and ``samples`` are None for the degenerate zero-residual case,
     where the trajectory is the constant X0.
     """
 
     grid: TimeGrid
     basis: object                  # BlockBasis, m blocks of width p
-    kernel: KernelTrajectory
+    samples: np.ndarray
     shape: tuple
     x0: np.ndarray = None
+
+    # ``solution.kernel.samples`` reads the samples, as on a LowRankSolution
+    kernel = property(lambda self: self)
 
     def snapshot(self, k):
         if self.basis is None:
             base = np.zeros(self.shape)
         else:
-            y = self.kernel.samples[k]
+            y = self.samples[k]
             base = kron_apply(self.basis, y[:, None]).data
         return base if self.x0 is None else base + self.x0
 

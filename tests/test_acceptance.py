@@ -188,9 +188,9 @@ def test_ac3_galerkin_exactness_and_residual_formula():
         proc = GlobalArnoldi(lambda x: gsylv_apply(prob, x), r0, m_t)
         vm, hm, coupling = proc.projection(proc.advance_to(m_t))
         cm = project_rhs(vm, r0)
-        traj = integrate_projected(hm, cm, None, grid)
+        samples = integrate_projected(hm, cm, None, grid)
         for k in range(grid.nnodes):
-            y = traj.samples[k]
+            y = samples[k]
             xm = kron_apply(vm, y[:, None]).data
             xdot = kron_apply(vm, (hm @ y + cm)[:, None]).data
             dense = np.linalg.norm(xdot - gsylv_apply(prob, xm) - prob.c)

@@ -307,26 +307,35 @@ bundle = {tmp_path / 'bundle'}
     @pytest.mark.parametrize("method", ["egadl", "expo", "galerkin"])
     def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys, method):
         # 10**15 nodes are petabytes: the allocation is refused at once and
-        # touches no memory
-        text = SMALL_EGADL.replace("method = egadl", f"method = {method}")
-        text = text.replace("steps = 10", f"steps = {10**15}")
-        if method == "galerkin":
-            text = text.replace("kind = laplacian2d\nn0 = 6", "kind = sylvester-q2\nn = 30")
-        cfg = write_cfg(tmp_path, text)
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"error: [grid] steps = {10**15}: cannot allocate")
-        assert not (tmp_path / "o").exists()
+        # touches no memory.  Numpy cannot even size EgAdl's stack at 2**58
+        # nodes, nor the nodes past that, and np.arange(2**63 - 1) returns an
+        # empty array instead of failing
+        for steps in (10**15, 2**58, 2**62, 2**63 - 1, 10**20):
+            text = SMALL_EGADL.replace("method = egadl", f"method = {method}")
+            text = text.replace("steps = 10", f"steps = {steps}")
+            if method == "galerkin":
+                text = text.replace("kind = laplacian2d\nn0 = 6", "kind = sylvester-q2\nn = 30")
+            cfg = write_cfg(tmp_path, text)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: [grid] steps = {steps}: cannot allocate")
+            assert not (tmp_path / "o").exists()
 
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")
         cfg = write_cfg(tmp_path, bad)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
-    def test_oracle_check_writes_deviation(self, tmp_path):
+    @pytest.mark.parametrize("method", ["egadl", "expo", "galerkin"])
+    def test_oracle_check_writes_deviation(self, tmp_path, method):
+        # egadl's bound is BDF2's temporal error; expo and galerkin are exact in time
+        bound = 1e-2 if method == "egadl" else 1e-6
         cfg_text = SMALL_EGADL.replace("method = egadl",
-                                       "method = oracle-check\ncheck = egadl")
+                                       f"method = oracle-check\ncheck = {method}")
+        if method == "galerkin":
+            cfg_text = cfg_text.replace("kind = laplacian2d\nn0 = 6",
+                                        "kind = sylvester-q2\nn = 30")
         cfg = write_cfg(tmp_path, cfg_text)
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
@@ -334,7 +343,16 @@ bundle = {tmp_path / 'bundle'}
         dev_line = [ln for ln in summary.splitlines()
                     if ln.startswith("oracle_max_deviation")]
         assert len(dev_line) == 1
-        assert float(dev_line[0].split("=")[1]) < 1e-2
+        assert float(dev_line[0].split("=")[1]) < bound
+
+    def test_check_without_oracle_check_exits_2(self, tmp_path, capsys):
+        # [run] check names the method oracle-check runs; no other method reads it
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("method = egadl",
+                                                      "method = egadl\ncheck = galerkin"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: [run] check = galerkin: only method = oracle-check reads it"]
+        assert not (tmp_path / "o").exists()
 
     def test_oracle_check_above_dense_cap_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(smallmat, "DENSE_CAP", 20)      # n = 36 is above it

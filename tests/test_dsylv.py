@@ -93,23 +93,23 @@ class TestProjectRhs:
 class TestIntegrateProjected:
     def test_pure_integration(self):
         grid = TimeGrid(0.0, 1.0, 10)
-        traj = integrate_projected(np.zeros((1, 1)), np.array([2.5]), None, grid)
-        np.testing.assert_allclose(traj.samples[:, 0], 2.5 * grid.nodes, atol=1e-14)
+        samples = integrate_projected(np.zeros((1, 1)), np.array([2.5]), None, grid)
+        np.testing.assert_allclose(samples[:, 0], 2.5 * grid.nodes, atol=1e-14)
 
     def test_scalar_linear_ode(self):
         grid = TimeGrid(0.0, 2.0, 20)
-        traj = integrate_projected(np.array([[-1.0]]), np.array([1.0]), None, grid)
-        np.testing.assert_allclose(traj.samples[:, 0], 1.0 - np.exp(-grid.nodes),
+        samples = integrate_projected(np.array([[-1.0]]), np.array([1.0]), None, grid)
+        np.testing.assert_allclose(samples[:, 0], 1.0 - np.exp(-grid.nodes),
                                    atol=1e-12)
 
     def test_rk_oracle(self, rng):
         hm = stable_dense(5, rng)
         cm = rng.standard_normal(5)
         grid = TimeGrid(0.0, 1.0, 8)
-        traj = integrate_projected(hm, cm, None, grid)
+        samples = integrate_projected(hm, cm, None, grid)
         sol = solve_ivp(lambda t, y: hm @ y + cm, (0.0, 1.0), np.zeros(5),
                         t_eval=grid.nodes, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(traj.samples.T, sol.y, atol=1e-10)
+        np.testing.assert_allclose(samples.T, sol.y, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["zero", "scalar", "stable", "breakdown", "stiff"])
     def test_matches_two_exponential_path(self, rng, name):
@@ -117,7 +117,7 @@ class TestIntegrateProjected:
         grid = TimeGrid(0.0, 1.0, 10)
         if name == "stiff":
             assert grid.h * np.linalg.norm(hm, 1) >= 100.0
-        new = integrate_projected(hm, cm, y0, grid).samples
+        new = integrate_projected(hm, cm, y0, grid)
         old = _two_exponential_march(hm, cm, y0, grid)
         assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
 
@@ -139,9 +139,9 @@ class TestResidualNorm:
         r0 = -prob.c
         vm, hm, coupling = _projection(lambda x: gsylv_apply(prob, x), r0, 3)
         cm = project_rhs(vm, r0)
-        traj = integrate_projected(hm, cm, None, grid)
+        samples = integrate_projected(hm, cm, None, grid)
         for k, t in enumerate(grid.nodes):
-            y = traj.samples[k]
+            y = samples[k]
             xm = kron_apply(vm, y[:, None]).data
             xdot = kron_apply(vm, (hm @ y + cm)[:, None]).data
             dense = np.linalg.norm(xdot - gsylv_apply(prob, xm) - prob.c)
@@ -182,9 +182,9 @@ class TestGalerkinSolve:
         r0 = -prob.c
         vm, hm, _ = _projection(lambda x: gsylv_apply(prob, x), r0, 4)
         cm = project_rhs(vm, r0)
-        traj = integrate_projected(hm, cm, None, grid)
+        samples = integrate_projected(hm, cm, None, grid)
         for k in range(grid.nnodes):
-            y = traj.samples[k]
+            y = samples[k]
             xm = kron_apply(vm, y[:, None]).data
             res = kron_apply(vm, (hm @ y + cm)[:, None]).data \
                 - gsylv_apply(prob, xm) - prob.c
@@ -198,7 +198,7 @@ class TestGalerkinSolve:
         assert not rep.converged                 # tol=0 is unreachable
         for k in range(grid.nnodes):
             x = sol.snapshot(k)
-            y = sol.kernel.samples[k]
+            y = sol.samples[k]
             assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(y), abs=1e-12)
 
     def test_one_exponential_per_basis_size(self, monkeypatch):

@@ -284,6 +284,14 @@ def test_non_integer_steps_are_refused():
     assert TimeGrid(0.0, 1.0, np.int64(2)).nnodes == 3
 
 
+def test_steps_past_what_numpy_can_index_are_refused():
+    # np.arange(2**63 - 1) returns no nodes at all instead of failing
+    for steps in (2**60, 2**63 - 1, np.int64(2**63 - 1), 10**20):
+        with pytest.raises(DimensionError, match="cannot allocate the grid's nodes"):
+            TimeGrid(0.0, 1.0, steps)
+    assert TimeGrid(0.0, 1.0, 2**60 - 2).nnodes == 2**60 - 1
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the solver started work on a bad argument")
 

@@ -1,0 +1,77 @@
+"""Property tests: drawn problems against the documented guarantees.
+
+The examples are derandomized and never stored, so a run draws the same
+problems every time.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krymat.blockmat import kron_apply
+from krymat.dsylv import galerkin_solve
+from krymat.garnoldi import GlobalArnoldi
+from krymat.probio import GenSylvesterProblem, gen_random_stable, gsylv_apply
+from krymat.solution import TimeGrid
+
+@st.composite
+def sylvester_runs(draw):
+    """(problem, grid, m_max, tol): sum_i A_i X B_i + C with one or two terms,
+    each A_i sparse, nonsymmetric and stable by diagonal dominance, each B_i
+    dense and stable; X0 zero or standard normal."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, min(3, n)))
+    q = draw(st.integers(1, 2))
+    density = draw(st.sampled_from([0.1, 0.3, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    x0_zero = draw(st.booleans())
+    tf = draw(st.sampled_from([0.1, 1.0]))
+    steps = draw(st.integers(5, 10))
+    m_max = draw(st.integers(1, 30))
+    tol = draw(st.sampled_from([1e-2, 1e-6, 1e-10]))
+    rng = np.random.default_rng(seed)
+    a_list, b_list = [], []
+    for i in range(q):
+        a_list.append(gen_random_stable(n, density=density, seed=seed + i))
+        b = rng.standard_normal((p, p))
+        b_list.append(sp.csr_matrix(b - (np.abs(np.linalg.eigvals(b).real).max() + 1.0)
+                                    * np.eye(p)))
+    c = rng.standard_normal((n, p))
+    x0 = None if x0_zero else rng.standard_normal((n, p))
+    problem = GenSylvesterProblem(tuple(a_list), tuple(b_list), c, x0=x0, tf=tf)
+    return problem, TimeGrid(0.0, tf, steps), m_max, tol
+
+
+class TestGalerkinProperties:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(sylvester_runs())
+    def test_bound_report_and_rerun(self, run):
+        problem, grid, m_max, tol = run
+        sol, rep = galerkin_solve(problem, grid, m_max, tol)
+        bounds = rep.final_bounds()
+
+        # one row set per basis size, each node once and in order
+        sizes = range(1, rep.m_final + 1)
+        assert [r[0] for r in rep.rows] == [m for m in sizes for _ in grid.nodes]
+        assert [r[1] for r in rep.rows] == list(grid.nodes) * rep.m_final
+        assert rep.converged == bool(bounds.max() < tol)
+
+        # the final bound is the formed residual X_m' - A(X_m) - C, as in AC-3:
+        # the same process rebuilt gives the solve's basis and H_m
+        m = rep.m_final
+        r0 = -gsylv_apply(problem, problem.initial_value()) - problem.c
+        proc = GlobalArnoldi(lambda x: gsylv_apply(problem, x), r0, m)
+        vm, hm, _ = proc.projection(proc.advance_to(m))
+        assert np.array_equal(vm.data, sol.basis.data)
+        cm = np.r_[-proc.beta, np.zeros(m - 1)]
+        for k in range(grid.nnodes):
+            xdot = kron_apply(vm, (hm @ sol.samples[k] + cm)[:, None]).data
+            ax = gsylv_apply(problem, sol.snapshot(k))
+            formed = np.linalg.norm(xdot - ax - problem.c)
+            scale = np.linalg.norm(xdot) + np.linalg.norm(ax) + np.linalg.norm(problem.c)
+            assert abs(formed - bounds[k]) <= 1e-12 * scale
+
+        again, rep_again = galerkin_solve(problem, grid, m_max, tol)
+        assert rep_again.rows == rep.rows
+        assert np.array_equal(again.samples, sol.samples)
