@@ -76,13 +76,8 @@ class BlockRow:
             raise DimensionError(f"cannot narrow {self.m} blocks to {m}")
         return replace(self, data=self.data[:, : m * self.width], checked=True)
 
-
-@dataclass(frozen=True)
-class BlockBasis(BlockRow):
-    """Block row whose blocks are F-orthonormal."""
-
     def orth_defect(self):
-        """|| V^T diamond V - I ||_F, the F-orthonormality defect."""
+        """|| V^T diamond V - I ||_F, how far the blocks are from F-orthonormal."""
         g = diamond(self, self)
         return float(np.linalg.norm(g - np.eye(self.m)))
 
@@ -125,11 +120,11 @@ class BlockStore:
         self.m += 1
 
     def view(self, k=None):
-        """BlockBasis of the first k blocks (all by default), sharing the buffer."""
+        """BlockRow of the first k blocks (all by default), sharing the buffer."""
         k = self.m if k is None else k
         if not 1 <= k <= self.m:
             raise DimensionError(f"only {self.m} blocks available, asked for {k}")
-        return BlockBasis(self._buf[:, : k * self.width], self.width, checked=True)
+        return BlockRow(self._buf[:, : k * self.width], self.width, checked=True)
 
 
 def cgs2(q, w):
@@ -195,7 +190,7 @@ def kron_apply(vb, s_mat):
 def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
     """Global QR factorization Z = Q (R kron I_width) by block CGS2.
 
-    Returns ``(q, r, deficient)`` where ``q`` is a BlockBasis, ``r`` the m x m
+    Returns ``(q, r, deficient)`` where ``q`` is a BlockRow, ``r`` the m x m
     upper triangular coefficient matrix and ``deficient`` the tuple of block
     indices whose remainder fell below ``tol`` times the reference scale
     (``||Z||_F`` unless a caller supplies ``scale``, a scalar or one value per
@@ -224,4 +219,4 @@ def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
             w[:] = 0.0
         else:
             w /= rjj
-    return BlockBasis(q.reshape(n, m * s, order="F"), s), r, tuple(deficient)
+    return BlockRow(q.reshape(n, m * s, order="F"), s), r, tuple(deficient)

@@ -15,6 +15,7 @@ configuration, 3 solver did not converge, 4 I/O failure, 5 the solver failed
 
 import argparse
 import configparser
+import io
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -33,6 +34,12 @@ EXIT_CONFIG = 2
 EXIT_NOCONV = 3
 EXIT_IO = 4
 EXIT_SOLVER = 5
+
+
+def _fail(message, code):
+    """Print the one ``error:`` line of a failed command; returns its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _load_config(path):
@@ -180,7 +187,7 @@ def _configure(method, cfg, problem, grid):
     return partial(solver, problem, grid, kwargs.pop("m_max"), kwargs.pop("tol"), **kwargs)
 
 
-def cmd_run(args):
+def cmd_run(args, out=None):
     try:
         cfg = _load_config(args.config)
         method = cfg.get("run", "method", fallback=None)
@@ -202,11 +209,9 @@ def cmd_run(args):
         # the dense reference first: above the dense cap it fails before the solve
         ref = None if check is None else SOLVERS[method].reference(problem, grid)
     except (KrymatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
 
     out_dir = Path(args.out if args.out else cfg.get("run", "out", fallback="krymat-out"))
     try:
@@ -214,29 +219,25 @@ def cmd_run(args):
     except KrymatError as exc:
         # the solver checks its settings before any work: a ConfigError is a
         # bad config, anything else a failure inside the solve
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER
+        return _fail(exc, EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER)
 
-    summary_extra = []
+    lines = report.summary_lines()
     if ref is not None:
         deviation = max(np.linalg.norm(solution.snapshot(k) - ref[k])
                         for k in range(grid.nnodes))
-        summary_extra.append(f"oracle_max_deviation = {deviation:.17g}")
+        lines.append(f"oracle_max_deviation = {deviation:.17g}")
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report.write_csv(out_dir / "report.csv")
-        lines = report.summary_lines() + summary_extra
         with open(out_dir / "summary.txt", "w") as fh:
             fh.write("\n".join(lines) + "\n")
         if write_factors:
             solution.save(out_dir / "factors")
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
 
-    for line in report.summary_lines() + summary_extra:
-        print(line)
+    print("\n".join(lines), file=out)
     return EXIT_OK if report.converged else EXIT_NOCONV
 
 
@@ -257,13 +258,11 @@ def cmd_generate(args):
         tf = _parse(float, params.pop("tf", 1.0), "tf")
         problem = _generate(args.kind, params, args.seed, t0, tf)
     except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(exc, EXIT_CONFIG)
     try:
         probio.save_problem(problem, args.out)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
     print(f"wrote {args.kind} bundle to {args.out}")
     return EXIT_OK
 
@@ -277,26 +276,26 @@ def cmd_sweep(args):
         by_name.setdefault(cfg_path.stem, []).append(str(cfg_path))
     clashes = [" and ".join(paths) for paths in by_name.values() if len(paths) > 1]
     if clashes:
-        print(f"error: configs would share an output directory: {'; '.join(clashes)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"configs would share an output directory: {'; '.join(clashes)}",
+                     EXIT_CONFIG)
 
-    def one(cfg_path):
+    def one(cfg_path, out):
         ns = argparse.Namespace(config=str(cfg_path), seed=args.seed,
                                 out=str(out_root / cfg_path.stem))
         try:
-            return cmd_run(ns)
+            return cmd_run(ns, out)
         except Exception as exc:      # one failing config must not sink the others
-            print(f"error: {cfg_path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+            return _fail(f"{cfg_path}: {type(exc).__name__}: {exc}", EXIT_ERROR)
 
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail(exc, EXIT_IO)
+    # each config's summary is one block, printed in config order
+    blocks = [io.StringIO() for _ in configs]
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        codes = list(pool.map(one, configs))
+        codes = list(pool.map(one, configs, blocks))
+    print("".join(block.getvalue() for block in blocks), end="")
     for cfg_path, code in zip(configs, codes):
         print(f"{cfg_path}: exit {code}")
     return max(codes) if codes else EXIT_OK

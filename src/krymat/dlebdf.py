@@ -19,17 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import smallmat
+from .blockmat import BlockRow
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, IllPosedError, StepFailureError
 from .probio import LinearSolver
 from .solution import CoordinateTrajectory, LowRankSolution, SolveReport, is_count, krylov_solve
-
-_BDF_TABLE = {
-    1: (1.0, (1.0,)),
-    2: (2.0 / 3.0, (4.0 / 3.0, -1.0 / 3.0)),
-    3: (6.0 / 11.0, (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)),
-}
-
 
 @dataclass(frozen=True)
 class BDFScheme:
@@ -40,11 +34,17 @@ class BDFScheme:
     alpha: tuple
 
 
+BDF_SCHEMES = (
+    BDFScheme(1, 1.0, (1.0,)),
+    BDFScheme(2, 2.0 / 3.0, (4.0 / 3.0, -1.0 / 3.0)),
+    BDFScheme(3, 6.0 / 11.0, (18.0 / 11.0, -9.0 / 11.0, 2.0 / 11.0)),
+)
+
+
 def bdf_coefficients(l):
-    if not is_count(l) or l not in _BDF_TABLE:
+    if not is_count(l) or not 1 <= l <= len(BDF_SCHEMES):
         raise ConfigError(f"l = {l}: BDF with {l} steps is unsupported (need an integer 1-3)")
-    beta, alpha = _BDF_TABLE[l]
-    return BDFScheme(l, beta, alpha)
+    return BDF_SCHEMES[l - 1]
 
 
 def _lyap_step(op, q):
@@ -72,7 +72,7 @@ def bdf_integrate(form, bm, y0, grid, l):
     k = x.shape[0]
     y0 = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
     q = xinv @ np.asarray(bm, dtype=float).ravel()
-    schemes = [bdf_coefficients(j) for j in range(1, l + 1)]
+    schemes = BDF_SCHEMES[:l]
     ops = [form.own.shifted(grid.h * s.beta, -0.5) for s in schemes]
     forcings = [grid.h * s.beta * np.outer(q, q) for s in schemes]
     g = np.empty((grid.nnodes, k, k), dtype=q.dtype)
@@ -126,6 +126,12 @@ def lowrank_report(problem, method, column, factor_tol, settings, bound_norm):
                        trust={"bound_norm": bound_norm})
 
 
+def zero_solution(n, grid):
+    """(basis, kernel) of X(t) = 0, the solution for B = 0: one zero basis column."""
+    kernel = CoordinateTrajectory(np.eye(1), np.zeros((grid.nnodes, 1, 1)))
+    return BlockRow(np.zeros((n, 1)), 1), kernel
+
+
 def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
     """Extended global Arnoldi for differential Lyapunov equations with X0 = 0.
 
@@ -153,5 +159,6 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
 
         return proc, fit
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, start)
-    return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report
+    basis, kernel = krylov_solve(report, grid, m_max, tol, start,
+                                 lambda: zero_solution(problem.n, grid))
+    return LowRankSolution(grid, basis, kernel, factor_tol), report

@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .dlebdf import lowrank_report, reduce_projected, residual_bound_bdf
+from .dlebdf import lowrank_report, reduce_projected, residual_bound_bdf, zero_solution
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, NumericError
 from .garnoldi import GlobalArnoldi
@@ -185,5 +185,6 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
 
         return proc, fit
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, start)
-    return LowRankSolution.from_kernel(grid, problem.n, basis, kernel, factor_tol), report
+    basis, kernel = krylov_solve(report, grid, m_max, tol, start,
+                                 lambda: zero_solution(problem.n, grid))
+    return LowRankSolution(grid, basis, kernel, factor_tol), report

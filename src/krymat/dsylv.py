@@ -80,6 +80,8 @@ def galerkin_solve(problem, grid, m_max, tol):
 
         return proc, fit
 
-    basis, samples = krylov_solve(report, grid, m_max, tol, start)
-    shape = (problem.n, problem.p)
-    return SylvesterSolution(grid, basis, samples, shape, x0=problem.x0), report
+    def zero():                    # X0 solves the equation: one zero block
+        return BlockRow(np.zeros((problem.n, problem.p)), problem.p), np.zeros((grid.nnodes, 1))
+
+    basis, samples = krylov_solve(report, grid, m_max, tol, start, zero)
+    return SylvesterSolution(grid, basis, samples, x0=problem.x0), report

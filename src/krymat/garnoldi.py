@@ -54,7 +54,7 @@ class KrylovProcess:
         return self.m
 
     def basis(self, nblocks=None):
-        """BlockBasis of the first ``nblocks`` basis blocks (all by default), a view."""
+        """BlockRow of the first ``nblocks`` basis blocks (all by default), a view."""
         return self._store.view(nblocks)
 
     def hessenberg(self, m):

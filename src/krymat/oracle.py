@@ -3,7 +3,7 @@
 The generalized problem is vectorized with explicit Kronecker products and
 evaluated through the closed form x(t) = t psi_1(t M)(b + M x0) + x0; the
 Lyapunov problem uses the exact propagation-plus-Gramian formula.  Both refuse
-to run above the dense cap, smallmat.DENSE_CAP.
+to run above the dense cap, smallmat.DENSE_CAP, or on a grid too large to hold.
 """
 
 import numpy as np
@@ -34,7 +34,8 @@ def dense_dme_solve(problem, grid):
     b = problem.c.flatten(order="F")
     x0 = problem.initial_value().flatten(order="F")
     rhs = b + m @ x0
-    out = np.empty((grid.nnodes, n, p))
+    with grid.allocating(8 * n * p, "the dense reference"):
+        out = np.empty((grid.nnodes, n, p))
     for k, t in enumerate(grid.nodes):
         dt = t - grid.t0
         if dt == 0.0:
@@ -55,8 +56,9 @@ def dense_dle_exact(problem, grid):
     n = problem.n
     smallmat.check_dense_cap(n, "dense_dle_exact")
     a = problem.a.toarray() if sp.issparse(problem.a) else np.asarray(problem.a)
-    grams, props = smallmat.vanloan_gram_nodes(a, problem.b, grid.h, grid.steps)
-    out = np.empty((grid.nnodes, n, n))
+    with grid.allocating(8 * n * n, "the dense reference"):
+        grams, props = smallmat.vanloan_gram_nodes(a, problem.b, grid.h, grid.steps)
+        out = np.empty((grid.nnodes, n, n))
     x0 = None
     if problem.z0 is not None:
         x0 = problem.z0 @ problem.z0.T

@@ -4,6 +4,7 @@ import configparser
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -47,6 +48,18 @@ class TimeGrid:
     @property
     def nnodes(self):
         return self.steps + 1
+
+    @contextmanager
+    def allocating(self, node_bytes, what):
+        """Run a block that allocates ``what``, ``node_bytes`` bytes a node; a size
+        numpy cannot index, or a failed allocation, is a ConfigError naming it."""
+        try:
+            if int(node_bytes) * int(self.nnodes) > np.iinfo(np.intp).max:
+                raise MemoryError
+            yield
+        except MemoryError:
+            raise ConfigError(f"[grid] steps = {self.steps}: cannot allocate {what} "
+                              f"at {self.nnodes} nodes") from None
 
 
 @dataclass
@@ -105,14 +118,15 @@ class SolveReport:
         return lines
 
 
-def krylov_solve(report, grid, m_max, tol, start):
+def krylov_solve(report, grid, m_max, tol, start, zero):
     """The solve of the three solvers: grow the basis one step, project the
     equation onto it, fit the projected equation, report every node, and
     stop once the bound is below ``tol`` at every node, on breakdown, or at
     m_max.
 
     The settings are checked before any work.  ``start(report)`` returns
-    (process, fit), or None for a zero right-hand side; ``fit(T_m, coupling)``
+    (process, fit), or None for a zero right-hand side, whose solution
+    ``zero()`` gives as (basis, kernel) with no process; ``fit(T_m, coupling)``
     returns (bounds, more, kernel): the bound at every node, a function
     giving the report's later columns (one value per node each), and the
     kernel.  ``more`` runs on the solve's one worker thread while the basis
@@ -122,8 +136,7 @@ def krylov_solve(report, grid, m_max, tol, start):
     past it.  When that advance made no progress (an extended step that
     broke down does not count), the fit of the same size on all retained
     sub-blocks replaces them, and trust.refit names that size.  Sets the
-    report's status, basis size and wall time; returns the last (basis,
-    kernel), or (None, None) for a zero right-hand side.
+    report's status, basis size and wall time; returns the last (basis, kernel).
     """
     # the basis is allocated for m_max steps, so it must count them
     if not is_count(m_max) or m_max < 1:
@@ -133,9 +146,10 @@ def krylov_solve(report, grid, m_max, tol, start):
     report.settings.update(m_max=m_max, tol=tol, grid_steps=grid.steps)
     t_start = time.perf_counter()
     started = start(report)
-    basis = kernel = None
     if started is None:
         report.converged = True
+        with grid.allocating(8, "the projected solution"):
+            basis, kernel = zero()
     else:
         proc, fit = started
 
@@ -154,15 +168,9 @@ def krylov_solve(report, grid, m_max, tol, start):
                         report.trust["refit"] = m
                 m = advanced
                 basis, tm, coupling = proc.projection(m)
-                try:
-                    # more than numpy can size: a stack of k x k complex entries a node
-                    if 16 * int(grid.nnodes) * len(tm) ** 2 > np.iinfo(np.intp).max:
-                        raise MemoryError
+                # the fit holds a k x k complex matrix a node, k the order of T_m
+                with grid.allocating(16 * len(tm) ** 2, "the projected solution"):
                     bounds, more, kernel = fit(tm, coupling)
-                except MemoryError:
-                    # the fit holds one projected solution per grid node
-                    raise ConfigError(f"[grid] steps = {grid.steps}: cannot allocate the "
-                                      f"projected solution at {grid.nnodes} nodes") from None
                 pending = bounds, worker.submit(more)
                 report.converged = bool(bounds.max() < tol)
                 if report.converged or proc.breakdown or m >= m_max:
@@ -218,25 +226,20 @@ class CoordinateTrajectory:
 class SylvesterSolution:
     """Factored trajectory X_m(t_k) = X0 + V (samples[k] kron I_p).
 
-    ``basis`` and ``samples`` are None for the degenerate zero-residual case,
-    where the trajectory is the constant X0.
+    A zero residual leaves the constant X0: one zero block of width p with
+    zero samples.
     """
 
     grid: TimeGrid
-    basis: object                  # BlockBasis, m blocks of width p
-    samples: np.ndarray
-    shape: tuple
+    basis: BlockRow                # m blocks of width p
+    samples: np.ndarray            # (nodes, m)
     x0: np.ndarray = None
 
     # ``solution.kernel.samples`` reads the samples, as on a LowRankSolution
     kernel = property(lambda self: self)
 
     def snapshot(self, k):
-        if self.basis is None:
-            base = np.zeros(self.shape)
-        else:
-            y = self.samples[k]
-            base = kron_apply(self.basis, y[:, None]).data
+        base = kron_apply(self.basis, self.samples[k][:, None]).data
         return base if self.x0 is None else base + self.x0
 
     def save(self, out_dir):
@@ -276,20 +279,10 @@ class LowRankSolution:
     """
 
     grid: TimeGrid
-    basis: object                  # BlockBasis at sub-block width (p or seed width)
+    basis: BlockRow                # at sub-block width (p or seed width)
     kernel: CoordinateTrajectory   # None once loaded
     factor_tol: float = None
     _factors: list = field(default=None, repr=False)
-
-    @classmethod
-    def from_kernel(cls, grid, n, basis, kernel, factor_tol):
-        """Solution with the kernel samples Y_k on ``basis``, to be factored
-        at ``factor_tol``; X(t) = 0 on one zero basis column when ``basis``
-        is None."""
-        if basis is None:
-            basis = BlockRow(np.zeros((n, 1)), 1)
-            kernel = CoordinateTrajectory(np.eye(1), np.zeros((grid.nnodes, 1, 1)))
-        return cls(grid, basis, kernel, factor_tol)
 
     @property
     def factors(self):

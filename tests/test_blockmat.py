@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from krymat import blockmat
-from krymat.blockmat import (BlockBasis, BlockRow, BlockStore, cgs2, diamond, frob_inner,
-                             global_qr, kron_apply, sub_product)
+from krymat.blockmat import (BlockRow, BlockStore, cgs2, diamond, frob_inner, global_qr,
+                             kron_apply, sub_product)
 from krymat.errors import ConfigError, DimensionError, NumericError
 
 from conftest import explicit_kron_apply, random_block_row, refuse_basis_allocation
@@ -275,10 +275,20 @@ class TestNormProperties:
             assert np.linalg.norm(q.data @ g) <= np.linalg.norm(g) * (1 + 1e-12)
 
 
-class TestBlockBasis:
+class TestBlockRow:
     def test_orth_defect_of_qr(self, rng):
         q, _, _ = global_qr(random_block_row(rng, 12, 4, 2))
         assert q.orth_defect() <= 4 * 1e-12
+
+    def test_orth_defect_counts_a_deficient_block(self, rng):
+        # a BlockRow promises no orthonormality: global_qr zeroes the
+        # dependent block, and the defect reads its missing unit norm
+        z = random_block_row(rng, 12, 3, 2).data.copy()
+        z[:, 4:6] = z[:, :2] - 0.5 * z[:, 2:4]
+        q, _, deficient = global_qr(BlockRow(z, 2))
+        assert deficient == (2,)
+        assert not q.block(2).any()
+        assert q.orth_defect() >= 1.0
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(NumericError):
@@ -288,7 +298,6 @@ class TestBlockBasis:
         q, _, _ = global_qr(random_block_row(rng, 12, 4, 2))
         assert q.narrow(2).m == 2
         assert BlockRow(q.data, 4).m == 2
-        assert isinstance(q.narrow(2), BlockBasis)
 
 
 class TestBlockStore:

@@ -322,6 +322,22 @@ bundle = {tmp_path / 'bundle'}
             assert err[0].startswith(f"error: [grid] steps = {steps}: cannot allocate")
             assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("check", ["egadl", "expo", "galerkin"])
+    def test_oracle_check_reference_too_large_exits_2(self, tmp_path, capsys, check):
+        # the dense reference is made before the solve: numpy cannot allocate
+        # its stack of 10**15 nodes, nor size one of 2**58
+        for steps in (10**15, 2**58):
+            text = SMALL_EGADL.replace("method = egadl", f"method = oracle-check\ncheck = {check}")
+            text = text.replace("steps = 10", f"steps = {steps}")
+            if check == "galerkin":
+                text = text.replace("kind = laplacian2d\nn0 = 6", "kind = sylvester-q2\nn = 30")
+            cfg = write_cfg(tmp_path, text)
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: [grid] steps = {steps}: cannot allocate the dense "
+                           f"reference at {steps + 1} nodes"]
+            assert not (tmp_path / "o").exists()
+
     def test_method_problem_mismatch_exits_2(self, tmp_path):
         bad = SMALL_EGADL.replace("method = egadl", "method = galerkin")
         cfg = write_cfg(tmp_path, bad)
@@ -664,10 +680,10 @@ class TestSweep:
                                                      monkeypatch):
         run = cli.cmd_run
 
-        def flaky(args):
+        def flaky(args, out):
             if args.config.endswith("bad.cfg"):
                 raise RuntimeError("boom")
-            return run(args)
+            return run(args, out)
 
         monkeypatch.setattr(cli, "cmd_run", flaky)
         bad = write_cfg(tmp_path, SMALL_EGADL, "bad.cfg")
@@ -679,6 +695,64 @@ class TestSweep:
         assert f"{bad}: exit 1" in captured.out.splitlines()
         assert f"{good}: exit 0" in captured.out.splitlines()
         assert "RuntimeError: boom" in captured.err
+
+
+    def test_summaries_print_as_whole_blocks_in_config_order(self, tmp_path, capsys):
+        # four configs that finish together on four threads, with a real
+        # stdout: each summary is the block that `run` prints for its config
+        # alone, in config order, and the exit lines follow
+        text = (CONFIG_DIR / "egadl_laplacian.cfg").read_text()
+        cfgs = [write_cfg(tmp_path, text.replace("seed = 1", f"seed = {seed}"), f"s{seed}.cfg")
+                for seed in range(1, 5)]
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        res = subprocess.run([sys.executable, "-m", "krymat.cli", "sweep", "--configs",
+                              *map(str, cfgs), "--out", str(tmp_path / "sweep"),
+                              "--threads", "4"], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        alone = []
+        for cfg in cfgs:
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+            alone.append(capsys.readouterr().out)
+        alone += [f"{cfg}: exit 0\n" for cfg in cfgs]
+        wall_time = re.compile(r"^wall_time_s = [0-9.]+$", re.M)
+        assert wall_time.sub("wall_time_s", res.stdout) == wall_time.sub("wall_time_s",
+                                                                        "".join(alone))
+
+
+class TestIOFailureExits4:
+    """A file a command must read is gone, or a directory it must write is a file."""
+
+    def test_run_on_a_bundle_without_its_b(self, tmp_path, capsys):
+        save_problem(gen_dle_problem(n0=4, p=1, seed=3), tmp_path / "bundle")
+        (tmp_path / "bundle" / "B.mtx").unlink()
+        cfg = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "B.mtx" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_run_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_cfg(tmp_path, SMALL_EGADL)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "file" / "o")]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_generate_out_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["generate", "laplacian2d", "--out", str(tmp_path / "file" / "b"),
+                     "--param", "n0=4", "--param", "p=1"]) == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_sweep_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        cfg = write_cfg(tmp_path, SMALL_EGADL)
+        assert main(["sweep", "--configs", str(cfg), "--out", str(tmp_path / "file")]) == 4
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert captured.out == ""
 
 
 class TestSolverCallContract:

@@ -13,7 +13,8 @@ from krymat.dsylv import (galerkin_solve, integrate_projected, project_rhs,
                           residual_norm)
 from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dme_solve
-from krymat.probio import GenSylvesterProblem, gen_sylvester_q2, gsylv_apply
+from krymat.probio import (GenSylvesterProblem, gen_sylvester_q2, gsylv_apply,
+                           read_matrix_market)
 from krymat.solution import TimeGrid
 
 from conftest import stable_dense, stable_sym
@@ -168,6 +169,21 @@ class TestGalerkinSolve:
         assert rep.converged and rep.m_final == 0
         for k in range(grid.nnodes):
             np.testing.assert_array_equal(sol.snapshot(k), np.zeros((n, p)))
+
+    def test_initial_value_that_solves_the_equation_stops_at_m_0(self, tmp_path, rng):
+        # C = -A(X0) makes R0 = -A(X0) - C exactly zero: X(t) = X0 on one zero block
+        base = gen_sylvester_q2(n=12, p=2, seed=5)
+        x0 = rng.standard_normal((12, 2))
+        prob = GenSylvesterProblem(base.a_list, base.b_list, -gsylv_apply(base, x0), x0=x0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        sol, rep = galerkin_solve(prob, grid, 5, 1e-10)
+        assert rep.converged and rep.m_final == 0 and rep.rows == []
+        assert sol.basis.m == 1 and sol.basis.width == 2 and not sol.basis.data.any()
+        sol.save(tmp_path)
+        for k in range(grid.nnodes):
+            assert sol.snapshot(k).tobytes() == x0.tobytes()
+            saved = read_matrix_market(tmp_path / f"node_{k:04d}_X.mtx")
+            assert saved.tobytes() == x0.tobytes()
 
     def test_reaches_tolerance_on_stable_instance(self):
         prob = gen_sylvester_q2(100, 2, seed=17)

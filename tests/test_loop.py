@@ -292,6 +292,22 @@ def test_steps_past_what_numpy_can_index_are_refused():
     assert TimeGrid(0.0, 1.0, 2**60 - 2).nnodes == 2**60 - 1
 
 
+@pytest.mark.filterwarnings("ignore:.*looks rank deficient")
+@pytest.mark.parametrize("method", ["egadl", "expo", "galerkin"])
+def test_zero_right_hand_side_on_a_grid_too_large_to_hold_is_refused(method):
+    # X = X0 (or 0) still holds one zero sample a node: 8 PB at 10**15 nodes
+    grid = TimeGrid(0.0, 1.0, 10**15)
+    if method == "galerkin":
+        prob = GenSylvesterProblem((sp.identity(6, format="csr"),),
+                                   (sp.identity(2, format="csr"),), np.zeros((6, 2)))
+        solve = galerkin_solve
+    else:
+        prob = DLEProblem(gen_laplacian2d(3), np.zeros((9, 1)))
+        solve = egadl_solve if method == "egadl" else expo_dle_solve
+    with pytest.raises(ConfigError, match=r"\[grid\] steps = 10+: cannot allocate"):
+        solve(prob, grid, 5, 1e-8)
+
+
 def _no_work(*args, **kwargs):
     raise AssertionError("the solver started work on a bad argument")
 

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 from krymat import probio
 from krymat.cli import main
+from krymat.dsylv import galerkin_solve
 from krymat.errors import DimensionError, FactorizationError, ParseError
 from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver,
                            gen_dle_problem, gen_laplacian2d, gen_random_stable,
@@ -441,6 +442,28 @@ class TestProblems:
         for a1, a2 in zip(back.a_list, prob.a_list):
             assert (a1 != a2).nnz == 0
         np.testing.assert_array_equal(back.c, prob.c)
+
+    def test_bundle_with_initial_value_loads_and_runs(self, tmp_path):
+        # X0 loads back bit for bit, and a run on the bundle writes the
+        # report of the same solve in memory
+        base = gen_sylvester_q2(12, 2, seed=11)
+        x0 = np.random.default_rng(4).standard_normal((12, 2))
+        prob = GenSylvesterProblem(base.a_list, base.b_list, base.c, x0=x0, tf=2.0)
+        bundle = tmp_path / "bundle"
+        save_problem(prob, bundle)
+        back = load_problem(bundle)
+        for got, want in [*zip(back.a_list, prob.a_list), *zip(back.b_list, prob.b_list)]:
+            assert got.toarray().tobytes() == want.toarray().tobytes()
+        assert back.c.tobytes() == prob.c.tobytes() and back.x0.tobytes() == x0.tobytes()
+        assert (back.t0, back.tf) == (0.0, 2.0)
+        _, report = galerkin_solve(prob, TimeGrid(0.0, 2.0, 8), 40, 1e-8)
+        report.write_csv(tmp_path / "memory.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nmethod = galerkin\n\n[problem]\nbundle = {bundle}\n\n"
+                       "[grid]\nsteps = 8\n\n[solver]\nm_max = 40\ntol = 1e-8\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert ((tmp_path / "out" / "report.csv").read_bytes()
+                == (tmp_path / "memory.csv").read_bytes())
 
     @pytest.mark.parametrize("density", [-1.0, 0.0, 1.5, np.nan, np.inf])
     def test_density_outside_unit_interval_refused(self, density):
