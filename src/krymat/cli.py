@@ -123,7 +123,8 @@ def _generate(kind, params, seed_override, t0, tf):
     ConfigError.
     """
     if kind not in GENERATORS:
-        raise ConfigError(f"unknown problem kind {kind!r}")
+        raise ConfigError(f"[problem] kind = {kind}: not one of {', '.join(GENERATORS)}"
+                          if kind else "[problem] needs a kind or a bundle")
     gen, types = GENERATORS[kind]
     seed = params.pop("seed", 0)
     seed = _parse(int, seed, "seed") if seed_override is None else seed_override

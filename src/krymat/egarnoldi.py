@@ -94,8 +94,6 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         # a unit direction that the second pass cancels was noise after the first
         q2, r2, collapsed = global_qr(q1, BREAKDOWN_TOL, scale=1.0)
         deficient = set(deficient) | set(collapsed)
-        # only the A-direction column enters T; the A^{-1} one is projected directly
-        self._cols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
         # keep any independent new direction, so that on breakdown the
         # retained prefix spans the full invariant subspace
         for i in range(2):
@@ -104,6 +102,8 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         if deficient:
             self.breakdown = True
             return False
+        # only the A-direction column enters T; the A^{-1} one is projected directly
+        self._cols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
         # direct projection column for A v_{2j+1}; the inverse-direction
         # coefficients would recover it only through divisions by the (often
         # tiny) subdiagonal entries, which is numerically fragile

@@ -20,9 +20,9 @@ BREAKDOWN_FACTOR = 1e-14
 class KrylovProcess:
     """Seed check, basis store, growth and projected matrix of an Arnoldi
     process.  The store is allocated once for ``m_max`` steps of ``per_step``
-    blocks, and the process runs no further.  Each ``step()`` appends to
-    ``_cols`` the columns of the rectangular projected matrix it completes;
-    a step that breaks down may record fewer, and then does not count."""
+    blocks, and the process runs no further.  Each ``step()`` that counts
+    appends to ``_cols`` the ``per_step`` columns of the rectangular projected
+    matrix it completes; one that does not count appends none."""
 
     per_step = 1
 

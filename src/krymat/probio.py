@@ -222,39 +222,26 @@ def _parse_fast(fh, fmt, count, nrows, ncols):
 def _parse_lines(path, size_lineno, fmt, count, nrows, ncols):
     """The entries read line by line with Python's int and float, raising the
     ParseError of the first bad line."""
+    coordinate = fmt == "coordinate"
+    kinds = (int, int, float) if coordinate else (float,)
+    what = "coordinate entry" if coordinate else "array value"
     with open(path, "r") as fh:
         entries = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
                    if no > size_lineno and _is_data(ln)]
     if len(entries) != count:
-        what = "entries" if fmt == "coordinate" else "values"
-        raise ParseError(f"expected {count} {what}, found {len(entries)}", size_lineno)
-    if fmt == "array":
-        vals = []
-        for lineno, ln in entries:
-            toks = ln.split()
-            if len(toks) != 1:
-                raise ParseError(f"bad array value {ln!r}", lineno)
-            try:
-                vals.append(float(toks[0]))
-            except ValueError:
-                raise ParseError(f"bad array value {ln!r}", lineno) from None
-        return np.array(vals, dtype=np.float64)
-    rows, cols, vals = [], [], []
+        raise ParseError(f"expected {count} {'entries' if coordinate else 'values'}, "
+                         f"found {len(entries)}", size_lineno)
+    parsed = []
     for lineno, ln in entries:
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ParseError(f"bad coordinate entry {ln!r}", lineno)
-        try:
-            i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
+        try:            # a wrong token count is a bad entry too
+            entry = tuple(kind(tok) for kind, tok in zip(kinds, ln.split(), strict=True))
         except ValueError:
-            raise ParseError(f"bad coordinate entry {ln!r}", lineno) from None
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise ParseError(f"index ({i}, {j}) out of bounds", lineno)
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=np.float64))
+            raise ParseError(f"bad {what} {ln!r}", lineno) from None
+        if coordinate and not (1 <= entry[0] <= nrows and 1 <= entry[1] <= ncols):
+            raise ParseError(f"index ({entry[0]}, {entry[1]}) out of bounds", lineno)
+        parsed.append(entry)
+    table = np.array(parsed, _COORDINATE_ENTRY if coordinate else np.float64)
+    return (table["i"], table["j"], table["v"]) if coordinate else table.reshape(-1)
 
 
 def _coordinate_matrix(i, j, v, shape, symmetric):
@@ -287,9 +274,10 @@ def read_matrix_market(path):
     """Read a real Matrix Market file into a CSR matrix (coordinate) or ndarray (array).
 
     Symmetric storage is expanded to full.  Complex, pattern and hermitian
-    files are rejected; malformed content raises ParseError with the line
-    number.  numpy reads the entries; only a body it refuses is read again
-    line by line, which accepts it or names the bad line.
+    files are rejected; malformed content, or a size numpy cannot hold,
+    raises ParseError with the line number.  numpy reads the entries; only a
+    body it refuses is read again line by line, which accepts it or names
+    the bad line.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -319,8 +307,15 @@ def read_matrix_market(path):
             raise ParseError("array size line needs 'rows cols'", size_lineno)
         try:
             nrows, ncols, *nnz = (int(s) for s in sizes)
+            if min(nrows, ncols, *nnz) < 0:
+                raise ValueError("negative size")
         except ValueError:
             raise ParseError(f"bad size line {size_line!r}", size_lineno) from None
+        # numpy indexes at most intp.max bytes: CSR's nrows + 1 row pointers, an array's values
+        too_large = ParseError(f"cannot allocate a {nrows} x {ncols} matrix", size_lineno)
+        held = 8 * (nrows + 1) if fmt == "coordinate" else 8 * nrows * ncols
+        if max(held, nrows, ncols) > np.iinfo(np.intp).max:
+            raise too_large
         symmetric = symmetry == "symmetric"
         if symmetric and nrows != ncols:
             raise ParseError("symmetric storage needs a square matrix", size_lineno)
@@ -331,9 +326,12 @@ def read_matrix_market(path):
         parsed = _parse_fast(fh, fmt, count, nrows, ncols)
     if parsed is None:
         parsed = _parse_lines(path, size_lineno, fmt, count, nrows, ncols)
-    if fmt == "coordinate":
-        return _coordinate_matrix(*parsed, (nrows, ncols), symmetric)
-    return _array_matrix(parsed, nrows, ncols, symmetric)
+    try:
+        if fmt == "coordinate":
+            return _coordinate_matrix(*parsed, (nrows, ncols), symmetric)
+        return _array_matrix(parsed, nrows, ncols, symmetric)
+    except MemoryError:
+        raise too_large from None
 
 
 def write_matrix_market(path, mat):
@@ -507,7 +505,10 @@ def load_problem(bundle_dir):
             if required:
                 raise ParseError(f"manifest is missing matrix {name!r}")
             return None
-        mat = read_matrix_market(bundle_dir / files[key])
+        try:
+            mat = read_matrix_market(bundle_dir / files[key])
+        except ParseError as exc:
+            raise ParseError(f"{bundle_dir / files[key]}: {exc}") from None
         return mat.toarray() if dense and sp.issparse(mat) else mat
 
     if kind == "dle":

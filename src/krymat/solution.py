@@ -93,13 +93,10 @@ class SolveReport:
         return np.array([r[2] for r in self.rows if r[0] == self.m_final])
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fields = []
-                for c, v in zip(self.columns, row):
-                    fields.append(str(int(v)) if c in ("m", "rank") else f"{v:.17g}")
-                fh.write(",".join(fields) + "\n")
+        """One line a row: m and rank as integers, the rest as 17 significant digits."""
+        np.savetxt(path, np.reshape(self.rows, (-1, len(self.columns))), delimiter=",",
+                   fmt=["%d" if c in ("m", "rank") else "%.17g" for c in self.columns],
+                   header=",".join(self.columns), comments="")
 
     def summary_lines(self):
         lines = [

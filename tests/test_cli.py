@@ -11,15 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import krymat
-from krymat import cli, dlebdf, dleexp, dsylv, smallmat
+from krymat import cli, dlebdf, dleexp, dsylv, probio, smallmat
 from krymat.cli import main
 from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
                            NumericError, StepFailureError)
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, gen_dle_problem, gen_sylvester_q2, read_matrix_market,
-                           save_problem)
+                           save_problem, write_matrix_market)
 from krymat.solution import LowRankSolution, TimeGrid
 
 from conftest import deadline, refuse_basis_allocation
@@ -473,6 +474,108 @@ bundle = {tmp_path / 'bundle'}
                      "--seed", "3", "--param", "n0=5", "--param", "p=1"]) == 0
         cfg = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def _exits_2_alone(tmp_path, capsys, cfg, *words):
+    """``run`` and ``sweep`` on ``cfg`` exit 2; ``run`` prints one ``error:``
+    line holding ``words`` and makes no output directory."""
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert all(word in err[0] for word in words), err
+    assert "Traceback" not in err[0] and not (tmp_path / "o").exists()
+    assert main(["sweep", "--configs", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    assert f"{cfg}: exit 2" in capsys.readouterr().out.splitlines()
+
+
+GALERKIN_BUNDLE = "[run]\nmethod = galerkin\n\n[problem]\nbundle = {bundle}\n"
+
+
+class TestRefusedInputs:
+    """Configs and bundles that a run refuses before any solve: exit 2 with
+    one line naming what is wrong."""
+
+    @pytest.mark.parametrize("change,words", [
+        (("method = egadl\n", ""), ["[run] must set method"]),
+        (("method = egadl", "method = nonsense"), ["unknown method 'nonsense'"]),
+        (("kind = laplacian2d\n", ""), ["[problem] needs a kind or a bundle"]),
+        (("kind = laplacian2d", "kind = laplace"), ["[problem] kind = laplace"]),
+    ], ids=["no method", "unknown method", "no kind", "unknown kind"])
+    def test_config(self, tmp_path, capsys, change, words):
+        _exits_2_alone(tmp_path, capsys, write_cfg(tmp_path, SMALL_EGADL.replace(*change)),
+                       *words)
+
+    @staticmethod
+    def _bundle(tmp_path, problem, template):
+        bundle = tmp_path / "bundle"
+        save_problem(problem, bundle)
+        return bundle, write_cfg(tmp_path, template.format(bundle=bundle))
+
+    @pytest.mark.parametrize("damage,words", [
+        ("kind", ["unknown problem kind 'nonsense'"]),
+        ("no B", ["manifest is missing matrix 'B'"]),
+        ("B rows", ["B row count does not match A"]),
+        ("A not square", ["expected square"]),
+    ])
+    def test_dle_bundle(self, tmp_path, capsys, damage, words):
+        bundle, cfg = self._bundle(tmp_path, gen_dle_problem(n0=4, p=1, seed=3),
+                                   BUNDLE_EGADL)
+        manifest = bundle / "problem.cfg"
+        if damage == "kind":
+            manifest.write_text(manifest.read_text().replace("kind = dle", "kind = nonsense"))
+        elif damage == "no B":
+            manifest.write_text(manifest.read_text().replace("b = B.mtx\n", ""))
+        elif damage == "B rows":
+            write_matrix_market(bundle / "B.mtx", np.ones((17, 1)))
+        else:
+            write_matrix_market(bundle / "A.mtx", sp.identity(16, format="csr")[:, :15])
+        _exits_2_alone(tmp_path, capsys, cfg, *words)
+
+    @pytest.mark.parametrize("damage,words", [
+        ("q = 0", ["need equally many A_i and B_i terms, at least one"]),
+        ("C shape", ["C must be 6 x 2, got (6, 3)"]),
+        ("X0 shape", ["X0 must be 6 x 2, got (5, 2)"]),
+    ])
+    def test_gensylv_bundle(self, tmp_path, capsys, damage, words):
+        bundle, cfg = self._bundle(tmp_path, gen_sylvester_q2(n=6, p=2, seed=1),
+                                   GALERKIN_BUNDLE)
+        manifest = bundle / "problem.cfg"
+        if damage == "q = 0":
+            manifest.write_text(manifest.read_text().replace("q = 2", "q = 0"))
+        elif damage == "C shape":
+            write_matrix_market(bundle / "C.mtx", np.ones((6, 3)))
+        else:
+            write_matrix_market(bundle / "X0.mtx", np.ones((5, 2)))
+            manifest.write_text(manifest.read_text() + "x0 = X0.mtx\n")
+        _exits_2_alone(tmp_path, capsys, cfg, *words)
+
+    # sizes whose row pointers numpy cannot index: refused at the size line,
+    # before anything is allocated
+    @pytest.mark.parametrize("rows", [2**62, 2**63], ids=["2^62", "2^63"])
+    def test_member_too_large_to_index(self, tmp_path, capsys, monkeypatch, rows):
+        def allocating(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(probio, "_coordinate_matrix", allocating)
+        bundle, cfg = self._bundle(tmp_path, gen_dle_problem(n0=4, p=1, seed=3),
+                                   BUNDLE_EGADL)
+        (bundle / "A.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                      f"{rows} {rows} 1\n1 1 1.0\n")
+        _exits_2_alone(tmp_path, capsys, cfg, str(bundle / "A.mtx"),
+                       f"line 2: cannot allocate a {rows} x {rows} matrix")
+
+    def test_member_allocation_failure(self, tmp_path, capsys, monkeypatch):
+        # 10^12 rows pass the index check; the 8 TB of row pointers do not
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(probio, "_coordinate_matrix", out_of_memory)
+        bundle, cfg = self._bundle(tmp_path, gen_dle_problem(n0=4, p=1, seed=3),
+                                   BUNDLE_EGADL)
+        (bundle / "A.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                      "1000000000000 1000000000000 1\n1 1 1.0\n")
+        _exits_2_alone(tmp_path, capsys, cfg, str(bundle / "A.mtx"), "line 2: cannot "
+                       "allocate a 1000000000000 x 1000000000000 matrix")
 
 
 class TestGenerate:

@@ -171,6 +171,14 @@ class TestRelations:
         assert done < 5
         assert proc.sub_basis().orth_defect() <= 1e-12 * proc.sub_basis().m
 
+    def test_step_that_breaks_down_records_no_column(self):
+        d = sp.diags([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).tocsr()
+        b = np.zeros((6, 1))
+        b[:4, 0] = [1.0, 1.0, 1.0, 1.0]
+        proc = _setup(d, b, 5)
+        done = proc.advance_to(5)
+        assert proc.breakdown and len(proc._cols) == 2 * done
+
 
 class TestLayout:
     def test_bases_are_views_of_the_store(self, rng):

@@ -20,7 +20,7 @@ from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dl
                            gen_laplacian2d, gen_random_dle_problem, gen_sylvester_q2,
                            random_full_rank)
 from krymat.smallmat import EIG_COND_MAX, DiagonalForm, small_form
-from krymat.solution import TimeGrid
+from krymat.solution import SolveReport, TimeGrid
 
 
 def _egadl():
@@ -47,6 +47,20 @@ def test_report_holds_every_node(solve):
     # rows come per basis size, one per node in node order
     assert [row[:2] for row in rep.rows] == [
         (m, t) for m in range(1, rep.m_final + 1) for t in nodes]
+
+
+def test_report_csv_text(tmp_path):
+    rep = SolveReport("egadl", ("m", "t", "residual_bound", "rank"))
+    for row in [(1, 0.0, -0.0, 2), (2, 5e-324, 1e308, 0), (10, np.inf, np.nan, 3),
+                (4, 0.1, -1.7976931348623157e308, 5)]:
+        rep.add(*row)
+    rep.write_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_text() == (
+        "m,t,residual_bound,rank\n1,0,-0,2\n2,4.9406564584124654e-324,1e+308,0\n"
+        "10,inf,nan,3\n4,0.10000000000000001,-1.7976931348623157e+308,5\n")
+    # a solve of a zero right-hand side adds no row
+    SolveReport("galerkin", ("m", "t", "residual_bound")).write_csv(tmp_path / "zero.csv")
+    assert (tmp_path / "zero.csv").read_text() == "m,t,residual_bound\n"
 
 
 def _full_space_runs():

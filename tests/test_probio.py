@@ -192,6 +192,13 @@ READER_CORPUS = {
     "short size line": ARR + "2\n1\n2\n",
     "empty file": "",
     "complex": "%%MatrixMarket matrix array complex general\n1 1\n1 0\n",
+    "pattern": "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+    "hermitian": "%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n1 1 1.0\n",
+    "vector object": "%%MatrixMarket vector array real general\n2 1\n1\n2\n",
+    "dense format": "%%MatrixMarket matrix dense real general\n1 1\n1\n",
+    "four-token header": "%%MatrixMarket matrix coordinate real\n1 1 1\n1 1 1.0\n",
+    "two-token coordinate size line": COO + "2 2\n1 1 3.0\n",
+    "two values on one array line, right count": ARR + "2 1\n1.0 2.0\n3.0\n",
 }
 
 
@@ -259,6 +266,55 @@ class TestReaderMatchesReference:
     def test_bundle_members(self, rng, tmp_path):
         _same_result(tmp_path, _written(tmp_path, stable_sparse(300, rng)))
         _same_result(tmp_path, _written(tmp_path, rng.standard_normal((400, 3))))
+
+
+class TestSizeLine:
+    """Sizes the line-by-line reference has no answer for: it builds a
+    matrix scipy or numpy refuses, or runs out of memory."""
+
+    @pytest.mark.parametrize("text", [COO + "-3 3 0\n", COO + "3 3 -1\n", ARR + "2 -1\n"],
+                             ids=["rows", "nnz", "array cols"])
+    def test_negative_size_is_a_bad_size_line(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="^line 2: bad size line '"):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("text,shape", [
+        (COO + f"{2**62} {2**62} 1\n1 1 1.0\n", f"{2**62} x {2**62}"),
+        (COO + f"{2**63} {2**63} 1\n1 1 1.0\n", f"{2**63} x {2**63}"),
+        (COO + f"2 {2**63} 1\n1 1 1.0\n", f"2 x {2**63}"),
+        (ARR + f"{2**31} {2**31}\n1.0\n", f"{2**31} x {2**31}"),
+        (ARR + f"{2**63} 0\n", f"{2**63} x 0"),
+    ], ids=["2^62 rows", "2^63 rows", "2^63 cols", "2^62 values", "2^63 rows array"])
+    def test_size_numpy_cannot_index_is_refused_first(self, tmp_path, monkeypatch,
+                                                      text, shape):
+        def reading(*args):
+            raise AssertionError("read past the size line")
+
+        for name in ("_parse_fast", "_parse_lines", "_coordinate_matrix", "_array_matrix"):
+            monkeypatch.setattr(probio, name, reading)
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^line 2: cannot allocate a {shape} matrix$"):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("text,build,message", [
+        (COO + "1000000000000 1000000000000 1\n1 1 1.0\n", "_coordinate_matrix",
+         "line 2: cannot allocate a 1000000000000 x 1000000000000 matrix"),
+        (ARR + "% a comment\n2 1\n1.0\n2.0\n", "_array_matrix",
+         "line 3: cannot allocate a 2 x 1 matrix"),
+    ], ids=["coordinate", "array"])
+    def test_failed_allocation_is_the_size_lines_error(self, tmp_path, monkeypatch,
+                                                       text, build, message):
+        def out_of_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(probio, build, out_of_memory)
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_matrix_market(path)
 
 
 def _written(tmp_path, mat):
@@ -442,6 +498,14 @@ class TestProblems:
         for a1, a2 in zip(back.a_list, prob.a_list):
             assert (a1 != a2).nnz == 0
         np.testing.assert_array_equal(back.c, prob.c)
+
+    def test_member_parse_error_names_the_file(self, tmp_path):
+        save_problem(gen_sylvester_q2(6, 2, seed=1), tmp_path)
+        (tmp_path / "A2.mtx").write_text(COO + "2 2\n1 1 3.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_problem(tmp_path)
+        assert str(exc.value) == (f"{tmp_path / 'A2.mtx'}: line 2: "
+                                  "coordinate size line needs 'rows cols nnz'")
 
     def test_bundle_with_initial_value_loads_and_runs(self, tmp_path):
         # X0 loads back bit for bit, and a run on the bundle writes the
