@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import blas
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import DimensionError, NumericError
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -33,7 +33,7 @@ class BlockRow:
 
     Block j is columns j*width:(j+1)*width of ``data``.  The entries are
     checked for finiteness on construction unless ``checked`` says they were
-    checked already, as for views of a BlockStore or of another block row.
+    checked already, as for views of a Krylov basis or of another block row.
     """
 
     data: np.ndarray
@@ -82,51 +82,6 @@ class BlockRow:
         return float(np.linalg.norm(g - np.eye(self.m)))
 
 
-class BlockStore:
-    """Column-major stack of n x width blocks, the storage of a basis.
-
-    The blocks live in one Fortran-ordered buffer, so the first k of them are a
-    view and ``view(k).flat()`` needs no copy.  The buffer is allocated once,
-    with ``np.empty``, for the blocks of ``m_max`` steps of ``per_step`` blocks
-    each after the ``per_step`` first ones.  It never holds more than the
-    n*width independent blocks the space has, plus the ``per_step`` slots of
-    one more step whose breakdown test could miss a roundoff remainder.  Pages
-    that are never written cost no memory.  A block is checked for finiteness
-    once, when it is appended; written blocks never change, so views stay
-    valid.
-    """
-
-    def __init__(self, n, width, m_max, per_step=1):
-        self.width = width
-        self.m = 0
-        capacity = min(per_step * m_max, n * width) + per_step
-        try:
-            self._buf = np.empty((n, capacity * width), order="F")
-        except MemoryError:
-            raise ConfigError(
-                f"m_max = {m_max}: cannot allocate the Krylov basis, {capacity} blocks "
-                f"of {n} x {width} ({capacity * n * width * 8 / 1e6:.6g} MB)") from None
-
-    def append(self, block):
-        """Copy in the next block, given as an n x width array or its vec."""
-        n, s = self._buf.shape[0], self.width
-        block = np.reshape(block, (n, s), order="F")
-        if not np.isfinite(block).all():
-            raise NumericError("basis block contains non-finite entries")
-        used = self.m * s
-        if used + s > self._buf.shape[1]:
-            raise DimensionError(f"basis store is full at {self.m} blocks")
-        self._buf[:, used : used + s] = block
-        self.m += 1
-
-    def view(self, k=None):
-        """BlockRow of the first k blocks (all by default), sharing the buffer."""
-        k = self.m if k is None else k
-        if not 1 <= k <= self.m:
-            raise DimensionError(f"only {self.m} blocks available, asked for {k}")
-        return BlockRow(self._buf[:, : k * self.width], self.width, checked=True)
-
-
 def cgs2(q, w):
     """Orthogonalize the columns of ``w`` against the orthonormal columns of
     ``q`` in place, by classical Gram-Schmidt twice: c = q^T w, w -= q c.
@@ -147,7 +102,7 @@ def cgs2(q, w):
 def sub_product(w, q, c):
     """w -= q c in place, as one BLAS dgemm with beta = 1.
 
-    ``w`` must be column-major (as the flat views of a store or of a
+    ``w`` must be column-major (as the flat views of a basis or of a
     Fortran-ordered block row are); no n-row temporary is made then.
     """
     out = blas.dgemm(-1.0, q, c, 1.0, w, overwrite_c=True)
@@ -172,11 +127,9 @@ def kron_apply(vb, s_mat):
     """Evaluate V (S kron I_width) blockwise, without forming the Kronecker product.
 
     The j-th output block is sum_i S[i, j] * V_i; the result has S.shape[1]
-    blocks of the same width as ``vb``.
+    blocks of the same width as ``vb``, or one block for a vector S.
     """
     s_mat = np.asarray(s_mat, dtype=float)
-    if s_mat.ndim == 1:
-        s_mat = s_mat[:, None]
     if s_mat.shape[0] != vb.m:
         raise DimensionError(
             f"kron_apply: S has {s_mat.shape[0]} rows but V has {vb.m} blocks"

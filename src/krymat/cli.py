@@ -36,9 +36,9 @@ EXIT_IO = 4
 EXIT_SOLVER = 5
 
 
-def _fail(message, code):
-    """Print the one ``error:`` line of a failed command; returns its exit code."""
-    print(f"error: {message}", file=sys.stderr)
+def _fail(message, code, err=None):
+    """Print a failed command's one ``error:`` line (to stderr by default); returns its code."""
+    print(f"error: {message}", file=sys.stderr if err is None else err)
     return code
 
 
@@ -188,7 +188,7 @@ def _configure(method, cfg, problem, grid):
     return partial(solver, problem, grid, kwargs.pop("m_max"), kwargs.pop("tol"), **kwargs)
 
 
-def cmd_run(args, out=None):
+def cmd_run(args, out=None, err=None):
     try:
         cfg = _load_config(args.config)
         method = cfg.get("run", "method", fallback=None)
@@ -210,9 +210,9 @@ def cmd_run(args, out=None):
         # the dense reference first: above the dense cap it fails before the solve
         ref = None if check is None else SOLVERS[method].reference(problem, grid)
     except (KrymatError, ValueError) as exc:
-        return _fail(exc, EXIT_CONFIG)
+        return _fail(exc, EXIT_CONFIG, err)
     except OSError as exc:
-        return _fail(exc, EXIT_IO)
+        return _fail(exc, EXIT_IO, err)
 
     out_dir = Path(args.out if args.out else cfg.get("run", "out", fallback="krymat-out"))
     try:
@@ -220,7 +220,7 @@ def cmd_run(args, out=None):
     except KrymatError as exc:
         # the solver checks its settings before any work: a ConfigError is a
         # bad config, anything else a failure inside the solve
-        return _fail(exc, EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER)
+        return _fail(exc, EXIT_CONFIG if isinstance(exc, ConfigError) else EXIT_SOLVER, err)
 
     lines = report.summary_lines()
     if ref is not None:
@@ -236,7 +236,7 @@ def cmd_run(args, out=None):
         if write_factors:
             solution.save(out_dir / "factors")
     except OSError as exc:
-        return _fail(exc, EXIT_IO)
+        return _fail(exc, EXIT_IO, err)
 
     print("\n".join(lines), file=out)
     return EXIT_OK if report.converged else EXIT_NOCONV
@@ -280,23 +280,28 @@ def cmd_sweep(args):
         return _fail(f"configs would share an output directory: {'; '.join(clashes)}",
                      EXIT_CONFIG)
 
-    def one(cfg_path, out):
+    def one(cfg_path, out, err):
         ns = argparse.Namespace(config=str(cfg_path), seed=args.seed,
                                 out=str(out_root / cfg_path.stem))
         try:
-            return cmd_run(ns, out)
+            return cmd_run(ns, out, err)
         except Exception as exc:      # one failing config must not sink the others
-            return _fail(f"{cfg_path}: {type(exc).__name__}: {exc}", EXIT_ERROR)
+            return _fail(f"{type(exc).__name__}: {exc}", EXIT_ERROR, err)
 
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
-    # each config's summary is one block, printed in config order
+    # each config's summary is one block and its error line one line, both
+    # printed in config order once every config has finished
     blocks = [io.StringIO() for _ in configs]
+    errors = [io.StringIO() for _ in configs]
     with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        codes = list(pool.map(one, configs, blocks))
+        codes = list(pool.map(one, configs, blocks, errors))
     print("".join(block.getvalue() for block in blocks), end="")
+    for cfg_path, err in zip(configs, errors):
+        for line in err.getvalue().splitlines():
+            print(f"error: {cfg_path}: {line.removeprefix('error: ')}", file=sys.stderr)
     for cfg_path, code in zip(configs, codes):
         print(f"{cfg_path}: exit {code}")
     return max(codes) if codes else EXIT_OK

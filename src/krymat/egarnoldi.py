@@ -39,7 +39,6 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         seed, _ = self._start(seed, m_max, "extended global Arnoldi")
         self.a = a
         self.solver = solver
-        self.width = seed.shape[1]
         # the rank test is per block, as in step: B itself is then never
         # deficient, so B = V_1 r_11 always holds
         pair = BlockRow(np.hstack([seed, solver.solve(seed)]), self.width)
@@ -50,7 +49,7 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         self.breakdown = bool(deficient)
         for j in range(2):
             if j not in deficient:
-                self._store.append(q0.block(j))
+                self._append(q0.block(j))
 
     # the basis under its sub-block name, which bench/spans.py traces
     sub_basis = KrylovProcess.basis
@@ -69,7 +68,7 @@ class ExtendedGlobalArnoldi(KrylovProcess):
             return False
         j = self.m
         p = self.width
-        basis = self._store.view(2 * j + 2)
+        basis = self._view(2 * j + 2)
         q = basis.flat()
         v_a, v_inv = basis.block(2 * j), basis.block(2 * j + 1)
         u = np.empty((basis.n, 3 * p), order="F")
@@ -98,7 +97,7 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         # retained prefix spans the full invariant subspace
         for i in range(2):
             if i not in deficient:
-                self._store.append(q2.block(i))
+                self._append(q2.block(i))
         if deficient:
             self.breakdown = True
             return False

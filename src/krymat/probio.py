@@ -487,8 +487,9 @@ def save_problem(problem, out_dir):
 
 
 def load_problem(bundle_dir):
-    """Load a problem bundle written by save_problem."""
+    """Load a problem bundle written by save_problem; every error names the bundle."""
     bundle_dir = Path(bundle_dir)
+    manifest_path = bundle_dir / MANIFEST_NAME
 
     def keys(manifest):
         kind = manifest.get("problem", "kind", fallback=None)
@@ -497,13 +498,13 @@ def load_problem(bundle_dir):
                 manifest.getint("problem", "q") if kind == "gensylv" else 0,
                 dict(manifest["matrices"]) if manifest.has_section("matrices") else {})
 
-    kind, t0, tf, q, files = read_manifest(bundle_dir / MANIFEST_NAME, keys)
+    kind, t0, tf, q, files = read_manifest(manifest_path, keys)
 
     def member(name, required=True, dense=False):
         key = name.lower()
         if key not in files:
             if required:
-                raise ParseError(f"manifest is missing matrix {name!r}")
+                raise ParseError(f"{manifest_path}: manifest is missing matrix {name!r}")
             return None
         try:
             mat = read_matrix_market(bundle_dir / files[key])
@@ -511,12 +512,15 @@ def load_problem(bundle_dir):
             raise ParseError(f"{bundle_dir / files[key]}: {exc}") from None
         return mat.toarray() if dense and sp.issparse(mat) else mat
 
-    if kind == "dle":
-        return DLEProblem(sp.csr_matrix(member("A")), member("B", dense=True),
-                          z0=member("Z0", required=False), t0=t0, tf=tf)
-    if kind == "gensylv":
-        a_list = [sp.csr_matrix(member(f"A{i}")) for i in range(1, q + 1)]
-        b_list = [sp.csr_matrix(member(f"B{i}")) for i in range(1, q + 1)]
-        return GenSylvesterProblem(tuple(a_list), tuple(b_list), member("C", dense=True),
-                                   x0=member("X0", required=False, dense=True), t0=t0, tf=tf)
-    raise ParseError(f"unknown problem kind {kind!r}")
+    try:
+        if kind == "dle":
+            return DLEProblem(sp.csr_matrix(member("A")), member("B", dense=True),
+                              z0=member("Z0", required=False), t0=t0, tf=tf)
+        if kind == "gensylv":
+            a_list = [sp.csr_matrix(member(f"A{i}")) for i in range(1, q + 1)]
+            b_list = [sp.csr_matrix(member(f"B{i}")) for i in range(1, q + 1)]
+            return GenSylvesterProblem(tuple(a_list), tuple(b_list), member("C", dense=True),
+                                       x0=member("X0", required=False, dense=True), t0=t0, tf=tf)
+    except DimensionError as exc:          # the problem's own checks
+        raise DimensionError(f"{manifest_path}: {exc}") from None
+    raise ParseError(f"{manifest_path}: unknown problem kind {kind!r}")

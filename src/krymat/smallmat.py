@@ -57,7 +57,8 @@ def symmetrize(y):
 def expm(m):
     """Matrix exponential by scaling and squaring with a Pade approximant."""
     m = _square(m, "expm")
-    e = sla.expm(m)
+    with np.errstate(over="ignore", invalid="ignore"):    # the check below reports it
+        e = sla.expm(m)
     if not np.isfinite(e).all():
         raise NumericError("expm overflowed")
     return e
@@ -193,18 +194,21 @@ def lyap_solve(form, q_mat):
     return 0.5 * (x + x.T)
 
 
-def _vanloan_segment(h, q_outer, t):
-    """exp(t [[H, qq^T], [0, -H^T]]) read off as (Gram(t), e^{tH})."""
+def _vanloan_segment(h, q, t):
+    """exp(t [[H, qq^T], [0, -H^T]]) read off as (Gram(t), e^{tH}); an overflow
+    is left to the finiteness checks, here and in the callers."""
     k = h.shape[0]
     blk = np.zeros((2 * k, 2 * k))
     blk[:k, :k] = h
-    blk[:k, k:] = q_outer
     blk[k:, k:] = -h.T
-    p = sla.expm(t * blk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blk[:k, k:] = q @ q.T
+        p = sla.expm(t * blk)
+        w = p[:k, k:] @ p[:k, :k].T
+        w = 0.5 * (w + w.T)
     if not np.isfinite(p).all():
         raise NumericError("vanloan_gram: block exponential overflowed")
-    w = p[:k, k:] @ p[:k, :k].T
-    return 0.5 * (w + w.T), p[:k, :k]
+    return w, p[:k, :k]
 
 
 # Largest ||t H||_1 handed to one block exponential; larger segments risk
@@ -245,7 +249,7 @@ def _vanloan_start(h, q, t, who):
     if q.shape[0] != h.shape[0]:
         raise DimensionError(f"{who}: q does not match the order of H")
     nseg = _segment_count(h, t)
-    return nseg, *_vanloan_segment(h, q @ q.T, t / nseg)
+    return nseg, *_vanloan_segment(h, q, t / nseg)
 
 
 def vanloan_gram(h, q, t):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import solve_continuous_lyapunov
 
-from krymat import blockmat, smallmat
+from krymat import garnoldi, smallmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import bdf_coefficients
 
@@ -34,7 +34,7 @@ def deadline(seconds):
 
 
 class _NumpyWithoutEmpty:
-    """numpy as blockmat sees it, except that ``empty`` is out of memory."""
+    """numpy as garnoldi sees it, except that ``empty`` is out of memory."""
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -45,8 +45,8 @@ class _NumpyWithoutEmpty:
 
 
 def refuse_basis_allocation(monkeypatch):
-    """Make every basis store's allocation raise MemoryError, and nothing else."""
-    monkeypatch.setattr(blockmat, "np", _NumpyWithoutEmpty())
+    """Make every Krylov basis allocation raise MemoryError, and nothing else."""
+    monkeypatch.setattr(garnoldi, "np", _NumpyWithoutEmpty())
 
 
 def stable_dense(n, rng, spread=1.0):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from krymat import blockmat
-from krymat.blockmat import (BlockRow, BlockStore, cgs2, diamond, frob_inner, global_qr,
-                             kron_apply, sub_product)
-from krymat.errors import ConfigError, DimensionError, NumericError
+from krymat.blockmat import (BlockRow, cgs2, diamond, frob_inner, global_qr, kron_apply,
+                             sub_product)
+from krymat.errors import DimensionError, NumericError
 
-from conftest import explicit_kron_apply, random_block_row, refuse_basis_allocation
+from conftest import explicit_kron_apply, random_block_row
 
 
 class TestFrobInner:
@@ -89,6 +89,13 @@ class TestKronApply:
     def test_inner_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             kron_apply(random_block_row(rng, 5, 3, 2), np.eye(4))
+
+    def test_vector_s_is_one_column(self, rng):
+        vb = random_block_row(rng, 6, 3, 2)
+        s = rng.standard_normal(3)
+        out = kron_apply(vb, s)
+        assert out.m == 1 and out.width == 2
+        assert out.data.tobytes() == kron_apply(vb, s[:, None]).data.tobytes()
 
 
 def graded_block_row(rng, n, m, width, cond):
@@ -299,45 +306,17 @@ class TestBlockRow:
         assert q.narrow(2).m == 2
         assert BlockRow(q.data, 4).m == 2
 
+    @pytest.mark.parametrize("shape", [(6,), (0, 2), (3, 0), (2, 3, 2)])
+    def test_rejects_an_array_that_is_not_a_matrix(self, shape):
+        with pytest.raises(DimensionError, match="needs a 2-d array"):
+            BlockRow(np.ones(shape), 1)
 
-class TestBlockStore:
-    def test_views_share_one_reserved_buffer(self, rng):
-        # m_max = 4 steps of one block after the first: room for 5 blocks
-        blocks = [rng.standard_normal((6, 2)) for _ in range(5)]
-        store = BlockStore(6, 2, 4)
-        buf = store._buf
-        store.append(blocks[0])
-        first = store.view()
-        store.append(blocks[1].flatten(order="F"))        # a vec is accepted too
-        for b in blocks[2:]:
-            store.append(b)
-        last = store.view()
-        assert store._buf is buf
-        assert last.data.flags.f_contiguous
-        assert np.shares_memory(last.flat(), last.data)
-        assert np.shares_memory(first.data, last.data)
-        np.testing.assert_array_equal(last.data, np.hstack(blocks))
-        np.testing.assert_array_equal(first.data, blocks[0])
-        with pytest.raises(DimensionError):
-            store.append(blocks[0])
-        assert store.m == 5 and store._buf is buf
+    @pytest.mark.parametrize("width", [0, 2, 4])
+    def test_rejects_columns_that_do_not_split_into_the_width(self, width):
+        with pytest.raises(DimensionError, match=f"do not split into blocks of width {width}"):
+            BlockRow(np.ones((4, 3)), width)
 
-    @pytest.mark.parametrize("per_step", [1, 2])
-    def test_capacity_is_capped_by_the_block_space(self, per_step):
-        # 3 x 1 blocks span 3 dimensions; one more step can fill per_step slots
-        store = BlockStore(3, 1, 10**9, per_step=per_step)
-        assert store._buf.shape == (3, 3 + per_step)
-
-    def test_allocation_failure_names_m_max(self, monkeypatch):
-        refuse_basis_allocation(monkeypatch)
-        with pytest.raises(ConfigError, match=r"m_max = 60: .* 122 blocks of 90000 x 2 "
-                                              r"\(175\.68 MB\)"):
-            BlockStore(90000, 2, 60, per_step=2)
-
-    def test_rejects_non_finite_block(self):
-        store = BlockStore(3, 1, 5)
-        with pytest.raises(NumericError):
-            store.append(np.array([1.0, np.inf, 0.0]))
-        assert store.m == 0
-        with pytest.raises(DimensionError):
-            store.view()
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_narrow_out_of_range(self, rng, m):
+        with pytest.raises(DimensionError, match=f"cannot narrow 4 blocks to {m}"):
+            random_block_row(rng, 6, 4, 2).narrow(m)

@@ -19,8 +19,8 @@ from krymat.cli import main
 from krymat.errors import (CapExceededError, FactorizationError, IllPosedError,
                            NumericError, StepFailureError)
 from krymat.oracle import dense_dle_exact
-from krymat.probio import (DLEProblem, gen_dle_problem, gen_sylvester_q2, read_matrix_market,
-                           save_problem, write_matrix_market)
+from krymat.probio import (DLEProblem, GenSylvesterProblem, gen_dle_problem, gen_sylvester_q2,
+                           read_matrix_market, save_problem, write_matrix_market)
 from krymat.solution import LowRankSolution, TimeGrid
 
 from conftest import deadline, refuse_basis_allocation
@@ -278,6 +278,24 @@ bundle = {tmp_path / 'bundle'}
             assert "segments" in capsys.readouterr().err
             assert not (tmp_path / "h").exists()
 
+    def test_expm_overflow_exits_5_with_one_line(self, tmp_path):
+        # 50 I - A_1 makes the operator unstable: the exponential of the
+        # projected H_m over steps of 25 overflows inside scipy, whose
+        # warnings must not reach the user
+        base = gen_sylvester_q2(n=30, p=2, seed=1)
+        a_list = ((50 * sp.identity(30) - base.a_list[0]).tocsr(), base.a_list[1])
+        save_problem(GenSylvesterProblem(a_list, base.b_list, base.c, tf=100.0),
+                     tmp_path / "bundle")
+        cfg = write_cfg(tmp_path, GALERKIN_BUNDLE.format(bundle=tmp_path / "bundle")
+                        + "\n[grid]\nsteps = 4\n\n[solver]\nm_max = 5\n")
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        res = subprocess.run([sys.executable, "-m", "krymat.cli", "run", "--config", str(cfg),
+                              "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 5
+        assert res.stderr == "error: expm overflowed\n"
+        assert not (tmp_path / "o").exists()
+
     def test_failure_on_the_solve_worker_exits_5(self, tmp_path, capsys, monkeypatch):
         # EgAdl's rank column is the only eigvalsh of its solve, on the worker
         def failing(*args, **kwargs):
@@ -493,7 +511,7 @@ GALERKIN_BUNDLE = "[run]\nmethod = galerkin\n\n[problem]\nbundle = {bundle}\n"
 
 class TestRefusedInputs:
     """Configs and bundles that a run refuses before any solve: exit 2 with
-    one line naming what is wrong."""
+    one line naming what is wrong, and for a bundle the bundle's manifest."""
 
     @pytest.mark.parametrize("change,words", [
         (("method = egadl\n", ""), ["[run] must set method"]),
@@ -529,7 +547,7 @@ class TestRefusedInputs:
             write_matrix_market(bundle / "B.mtx", np.ones((17, 1)))
         else:
             write_matrix_market(bundle / "A.mtx", sp.identity(16, format="csr")[:, :15])
-        _exits_2_alone(tmp_path, capsys, cfg, *words)
+        _exits_2_alone(tmp_path, capsys, cfg, str(bundle / "problem.cfg"), *words)
 
     @pytest.mark.parametrize("damage,words", [
         ("q = 0", ["need equally many A_i and B_i terms, at least one"]),
@@ -547,7 +565,7 @@ class TestRefusedInputs:
         else:
             write_matrix_market(bundle / "X0.mtx", np.ones((5, 2)))
             manifest.write_text(manifest.read_text() + "x0 = X0.mtx\n")
-        _exits_2_alone(tmp_path, capsys, cfg, *words)
+        _exits_2_alone(tmp_path, capsys, cfg, str(bundle / "problem.cfg"), *words)
 
     # sizes whose row pointers numpy cannot index: refused at the size line,
     # before anything is allocated
@@ -684,7 +702,8 @@ class TestGenerate:
                 "sweep": ["sweep", "--configs", str(cfg), "--out", str(out)]}[command]
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: random-stable with n = 100000000, p = 2: "
+        named = f"{cfg}: " if command == "sweep" else ""
+        assert err == [f"error: {named}random-stable with n = 100000000, p = 2: "
                        "cannot allocate the problem"]
         assert not (out / "run").exists() if command == "sweep" else not out.exists()
 
@@ -783,10 +802,10 @@ class TestSweep:
                                                      monkeypatch):
         run = cli.cmd_run
 
-        def flaky(args, out):
+        def flaky(args, out, err):
             if args.config.endswith("bad.cfg"):
                 raise RuntimeError("boom")
-            return run(args, out)
+            return run(args, out, err)
 
         monkeypatch.setattr(cli, "cmd_run", flaky)
         bad = write_cfg(tmp_path, SMALL_EGADL, "bad.cfg")
@@ -797,8 +816,23 @@ class TestSweep:
         captured = capsys.readouterr()
         assert f"{bad}: exit 1" in captured.out.splitlines()
         assert f"{good}: exit 0" in captured.out.splitlines()
-        assert "RuntimeError: boom" in captured.err
+        assert captured.err.splitlines() == [f"error: {bad}: RuntimeError: boom"]
 
+    def test_error_lines_name_their_config_in_config_order(self, tmp_path, capsys):
+        # two configs refused on two threads at once: each error line is the
+        # one that `run` prints for its config alone, with the config named
+        cfgs = [write_cfg(tmp_path, SMALL_EGADL.replace("tol = 1e-8", "tol = -1"), "tol.cfg"),
+                write_cfg(tmp_path, SMALL_EGADL.replace("m_max = 20", "m_max = 0"), "m.cfg")]
+        assert main(["sweep", "--configs", *map(str, cfgs), "--out", str(tmp_path / "sweep"),
+                     "--threads", "2"]) == 2
+        swept = capsys.readouterr().err
+        alone = []
+        for cfg in cfgs:
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 2
+            line = capsys.readouterr().err
+            assert line.startswith("error: ") and line.count("\n") == 1
+            alone.append(f"error: {cfg}: {line.removeprefix('error: ')}")
+        assert swept == "".join(alone)
 
     def test_summaries_print_as_whole_blocks_in_config_order(self, tmp_path, capsys):
         # four configs that finish together on four threads, with a real

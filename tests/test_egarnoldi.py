@@ -185,10 +185,9 @@ class TestLayout:
         a = stable_sparse(30, rng)
         proc = _setup(a, random_full_rank(30, 2, seed=5), 3)
         proc.advance_to(3)
-        store = proc._store.view().data
         for v in (proc.sub_basis(), proc.sub_basis(4), proc.projection(2)[0],
                   BlockRow(proc.sub_basis().data, 4), BlockRow(proc.sub_basis(4).data, 4)):
-            assert np.shares_memory(v.data, store)
+            assert np.shares_memory(v.data, proc._buf)
 
     def test_advance_past_m_max_is_refused(self, rng):
         a = stable_sparse(30, rng)

@@ -4,15 +4,16 @@ processes assemble the same way."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.errors import DimensionError
+from krymat.errors import ConfigError, DimensionError, NumericError
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.garnoldi import GlobalArnoldi
 from krymat.probio import (LinearSolver, gen_random_stable, gen_sylvester_q2, gsylv_apply,
                            random_full_rank)
 
-from conftest import rect_hessenberg, stable_dense
+from conftest import rect_hessenberg, refuse_basis_allocation, stable_dense
 
 
 def _run(op, seed, m):
@@ -122,8 +123,35 @@ class TestGlobalArnoldi:
         a = stable_dense(10, rng)
         proc = GlobalArnoldi(lambda x: a @ x, rng.standard_normal((10, 2)), 4)
         proc.advance_to(4)
-        assert np.shares_memory(proc.basis().data, proc._store.view().data)
+        assert np.shares_memory(proc.basis().data, proc._buf)
         assert np.shares_memory(proc.basis(2).data, proc.basis(5).data)
+
+    def test_vector_seed_is_one_column(self, rng):
+        a = stable_dense(8, rng)
+        v = rng.standard_normal(8)
+        proc = _run(lambda x: a @ x, v, 3)
+        assert proc.width == 1 and proc.basis().m == 4
+        column = _run(lambda x: a @ x, v[:, None], 3)
+        assert proc.basis().data.tobytes() == column.basis().data.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_hessenberg_past_the_steps_is_refused(self, rng, m):
+        a = stable_dense(8, rng)
+        proc = _run(lambda x: a @ x, rng.standard_normal((8, 2)), 2)
+        with pytest.raises(DimensionError, match=f"only 2 steps completed, asked for {m}"):
+            proc.hessenberg(m)
+
+    def test_step_after_breakdown_does_nothing(self, rng):
+        # the identity leaves nothing past V_1: the first step breaks down
+        proc = GlobalArnoldi(lambda x: x, rng.standard_normal((8, 2)), 5)
+        assert proc.step() is False and proc.breakdown and proc.m == 1
+        assert proc.step() is False
+        assert proc.m == 1 and len(proc._cols) == 1 and proc.basis().m == 1
+
+    def test_operator_that_changes_the_shape_is_refused(self, rng):
+        proc = GlobalArnoldi(lambda x: x[:, :1], rng.standard_normal((8, 2)), 5)
+        with pytest.raises(DimensionError, match="operator changed the block shape"):
+            proc.step()
 
 
 def _polynomial_process(rng, m_max):
@@ -154,3 +182,65 @@ def test_every_projection_is_a_leading_slice_of_the_last(rng, make):
         assert not full[k + s :, :k].any()          # the cut rows hold nothing
         assert basis.m == k and basis.data.ctypes.data == last_basis.data.ctypes.data
         np.testing.assert_array_equal(basis.data, last_basis.data[:, : basis.data.shape[1]])
+
+
+def _three_dimensional_process(per_step, m_max):
+    """A process on 3 x 1 blocks, whose space has 3 dimensions: global
+    Arnoldi for ``per_step`` 1, extended for 2."""
+    a = sp.diags([-1.0, -2.0, -4.0]).tocsr()
+    seed = np.ones((3, 1))
+    if per_step == 1:
+        return GlobalArnoldi(lambda x: a @ x, seed, m_max)
+    return ExtendedGlobalArnoldi(a, LinearSolver(a), seed, m_max)
+
+
+class TestBasisBuffer:
+    """The one Fortran-ordered buffer that a process allocates for its basis."""
+
+    @pytest.mark.parametrize("make", [_polynomial_process, _extended_process],
+                             ids=["polynomial", "extended"])
+    def test_views_share_one_reserved_buffer(self, rng, make):
+        # m_max = 3 steps of per_step blocks after the first per_step: the
+        # buffer is full after three steps
+        proc = make(rng, 3)
+        buf = proc._buf
+        first = proc.basis()
+        written = first.data.copy()
+        assert proc.advance_to(3) == 3
+        last = proc.basis()
+        assert last.m == 4 * proc.per_step and last.data.shape == buf.shape
+        assert proc._buf is buf and np.shares_memory(last.data, buf)
+        assert last.data.flags.f_contiguous and np.shares_memory(last.flat(), last.data)
+        assert np.shares_memory(first.data, last.data)
+        np.testing.assert_array_equal(first.data, written)
+        with pytest.raises(DimensionError, match=f"the basis is full at {last.m} blocks"):
+            proc._append(last.block(0))
+        assert proc.basis().m == last.m and proc._buf is buf
+
+    @pytest.mark.parametrize("per_step", [1, 2])
+    def test_capacity_is_capped_by_the_block_space(self, per_step):
+        # 3 x 1 blocks span 3 dimensions; one more step can fill per_step slots
+        proc = _three_dimensional_process(per_step, 10**9)
+        assert proc.per_step == per_step and proc._buf.shape == (3, 3 + per_step)
+
+    def test_allocation_failure_names_m_max(self, monkeypatch):
+        a = sp.identity(90000, format="csr")
+        solver = LinearSolver(a)
+        refuse_basis_allocation(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^m_max = 60: .* 122 blocks of 90000 x 2 "
+                                              r"\(175\.68 MB\)$"):
+            ExtendedGlobalArnoldi(a, solver, np.ones((90000, 2)), 60)
+
+    def test_step_whose_block_is_refused_is_not_counted(self):
+        proc = GlobalArnoldi(lambda x: np.full_like(x, np.nan), np.ones((4, 1)), 3)
+        with pytest.raises(NumericError, match="basis block contains non-finite entries"):
+            proc.step()
+        assert proc.m == 0 and len(proc._cols) == 0 and proc.basis().m == 1
+
+    @pytest.mark.parametrize("per_step", [1, 2])
+    def test_rejects_non_finite_block(self, per_step):
+        proc = _three_dimensional_process(per_step, 5)
+        blocks = proc.basis().m
+        with pytest.raises(NumericError, match="basis block contains non-finite entries"):
+            proc._append(np.array([1.0, np.inf, 0.0]))
+        assert proc.basis().m == blocks

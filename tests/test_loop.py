@@ -63,6 +63,14 @@ def test_report_csv_text(tmp_path):
     assert (tmp_path / "zero.csv").read_text() == "m,t,residual_bound\n"
 
 
+def test_report_row_needs_every_column():
+    rep = SolveReport("egadl", ("m", "t", "residual_bound", "rank"))
+    for row in [(1, 0.0, 1e-3), (1, 0.0, 1e-3, 2, 0)]:
+        with pytest.raises(DimensionError, match="report row needs 4 fields"):
+            rep.add(*row)
+    assert rep.rows == []
+
+
 def _full_space_runs():
     # a tiny random DLE and Sylvester equation whose bases fill all n*p
     # dimensions before they break down
@@ -80,7 +88,7 @@ def _full_space_runs():
 
 @pytest.mark.parametrize("method", list(_full_space_runs()))
 def test_huge_m_max_reserves_only_the_block_space(method):
-    # the basis of m_max = 10**9 steps is never allocated: the store holds at
+    # the basis of m_max = 10**9 steps is never allocated: the buffer holds at
     # most the n*p blocks the space has, and the run is the same as at 50
     solve = _full_space_runs()[method]
     _, huge = solve(10**9)

@@ -100,6 +100,10 @@ class TestLinearSolver:
         with pytest.raises(FactorizationError):
             LinearSolver(singular)
 
+    def test_right_hand_side_rows_must_match(self):
+        with pytest.raises(DimensionError, match="right-hand side rows do not match A"):
+            LinearSolver(sp.identity(5, format="csr")).solve(np.ones((4, 2)))
+
 
 class TestMatrixMarket:
     def test_coordinate_diag(self, tmp_path):
@@ -454,6 +458,31 @@ class TestProblems:
                                 (sp.identity(2, format="csr"),), np.eye(4, 2), t0=t0, tf=tf)
         with pytest.raises(DimensionError, match="finite t0, tf and tf - t0"):
             TimeGrid(t0, tf, 10)
+
+    def test_dense_operator_refused(self):
+        with pytest.raises(DimensionError, match="DLEProblem: expected a sparse matrix"):
+            DLEProblem(-np.eye(4), np.ones((4, 1)))
+        with pytest.raises(DimensionError, match="A_i: expected a sparse matrix"):
+            GenSylvesterProblem((-np.eye(4),), (sp.identity(2, format="csr"),), np.eye(4, 2))
+
+    @pytest.mark.parametrize("orders", [(4, 5, 2, 2), (4, 4, 2, 3)], ids=["A_i", "B_i"])
+    def test_inconsistent_term_orders_refused(self, orders):
+        a1, a2, b1, b2 = (sp.identity(k, format="csr") for k in orders)
+        with pytest.raises(DimensionError, match="inconsistent operator orders across terms"):
+            GenSylvesterProblem((a1, a2), (b1, b2), np.eye(4, 2))
+
+    def test_vector_factors_are_one_column(self):
+        prob = DLEProblem(gen_laplacian2d(3), np.arange(1.0, 10.0), z0=np.ones(9))
+        assert prob.b.shape == (9, 1) and prob.z0.shape == (9, 1) and prob.p == 1
+
+    def test_z0_rows_must_match(self):
+        with pytest.raises(DimensionError, match="Z0 row count does not match A"):
+            DLEProblem(gen_laplacian2d(3), np.ones((9, 1)), z0=np.ones((8, 1)))
+
+    def test_save_refuses_an_unknown_problem_type(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot save problem of type TimeGrid"):
+            save_problem(TimeGrid(0.0, 1.0, 4), tmp_path / "bundle")
+        assert not (tmp_path / "bundle" / "problem.cfg").exists()
 
     def test_low_rank_warning(self):
         b = np.column_stack([np.arange(1.0, 10.0), np.arange(1.0, 10.0) ** 2])

@@ -58,6 +58,13 @@ class TestExpm:
         with pytest.raises(DimensionError):
             expm(np.zeros((2, 3)))
 
+    def test_overflow_is_a_numeric_error_alone(self):
+        # e^1000 overflows inside scipy, which warns; the only report is ours
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="expm overflowed"):
+                expm(np.array([[1000.0]]))
+
 
 class TestPhi1:
     def test_zero_limit(self):
@@ -368,6 +375,23 @@ class TestVanloanGram:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=f"{what} overflowed"):
                 vanloan_gram_nodes(np.array([[h]]), np.array([1.0]), step, nsteps)
+
+    # ||H||_1 = 1 keeps t = 1 to one segment: a q q^T of 1e300 overflows the
+    # block exponential's squarings, one of 1e320 overflows itself
+    @pytest.mark.parametrize("q", [1e150, 1e160])
+    def test_block_exponential_overflow_is_a_numeric_error_alone(self, q):
+        rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for gram in (lambda: vanloan_gram(rotation, np.full(2, q), 1.0),
+                         lambda: vanloan_gram_nodes(rotation, np.full(2, q), 1.0, 2)):
+                with pytest.raises(NumericError, match="block exponential overflowed"):
+                    gram()
+
+    @pytest.mark.parametrize("step, nsteps", [(0.0, 2), (-0.5, 2), (0.5, -1)])
+    def test_nodes_need_a_positive_step(self, step, nsteps):
+        with pytest.raises(ValueError, match="need step > 0 and nsteps >= 0"):
+            vanloan_gram_nodes(-np.eye(2), np.ones(2), step, nsteps)
 
 
 class TestLognorm2:
