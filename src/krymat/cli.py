@@ -17,6 +17,7 @@ import argparse
 import configparser
 import io
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -307,6 +308,11 @@ def cmd_sweep(args):
     return max(codes) if codes else EXIT_OK
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one ``warning:`` line in one write, like the ``error:`` lines."""
+    (sys.stderr if file is None else file).write(f"warning: {message}\n")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="krymat",
                                      description="differential matrix equation solvers")
@@ -334,7 +340,10 @@ def main(argv=None):
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the filters stay as they are: a warning that they make an error still raises
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return args.func(args)
 
 
 if __name__ == "__main__":

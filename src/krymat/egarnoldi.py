@@ -101,12 +101,16 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         if deficient:
             self.breakdown = True
             return False
+        k = 2 * j + 2
         # only the A-direction column enters T; the A^{-1} one is projected directly
-        self._cols.append(np.concatenate([c1[:, 0] + c2 @ r1[:, 0], r2 @ r1[:, 0]]))
+        self._t[:k, k - 2] = c1[:, 0] + c2 @ r1[:, 0]
+        self._t[k : k + 2, k - 2] = r2 @ r1[:, 0]
         # direct projection column for A v_{2j+1}; the inverse-direction
         # coefficients would recover it only through divisions by the (often
         # tiny) subdiagonal entries, which is numerically fragile
-        self._cols.append(np.concatenate([c1[:, 2], q2.flat().T @ cols[:, 2]]))
+        self._t[:k, k - 1] = c1[:, 2]
+        self._t[k : k + 2, k - 1] = q2.flat().T @ cols[:, 2]
+        self.m += 1
         return True
 
     def projection(self, m):

@@ -19,17 +19,18 @@ BREAKDOWN_FACTOR = 1e-14
 
 class KrylovProcess:
     """Seed check, basis buffer, growth and projected matrix of an Arnoldi
-    process.  Each ``step()`` that counts appends to ``_cols`` the
-    ``per_step`` columns of the rectangular projected matrix it completes;
-    one that does not count appends none.
+    process.  The n x ``width`` basis blocks live in one Fortran-ordered
+    buffer, so the first k are a view whose ``flat()`` is no copy.
+    ``np.empty`` allocates it once, for ``m_max`` steps of ``per_step`` blocks
+    after the first ``per_step``, capped at the n*width blocks the space has
+    plus one step whose breakdown test could miss a roundoff remainder;
+    unwritten pages cost no memory.  A block is checked for finiteness when
+    it is appended and never changes after, so views stay valid.
 
-    The n x ``width`` basis blocks live in one Fortran-ordered buffer, so the
-    first k are a view whose ``flat()`` is no copy.  ``np.empty`` allocates
-    it once, for ``m_max`` steps of ``per_step`` blocks after the first
-    ``per_step``, capped at the n*width blocks the space has plus one step
-    whose breakdown test could miss a roundoff remainder; unwritten pages
-    cost no memory.  A block is checked for finiteness when it is appended
-    and never changes after, so views stay valid."""
+    The rectangular projected matrix sits beside it in ``_t``, zero-filled
+    and Fortran-ordered: a ``step()`` that counts writes its ``per_step``
+    columns there after appending its blocks, and a written column never
+    changes; one that does not count writes none."""
 
     per_step = 1
 
@@ -43,12 +44,14 @@ class KrylovProcess:
             raise ValueError(f"{what} needs a nonzero seed")
         self.m_max = m_max
         self.breakdown = False
-        self._cols = []
+        self.m = 0                       # steps completed
         self._nblocks = 0
         n, self.width = seed.shape
         capacity = min(self.per_step * m_max, n * self.width) + self.per_step
         try:
             self._buf = np.empty((n, capacity * self.width), order="F")
+            # a row and column to spare: a global breakdown step appends no block
+            self._t = np.zeros((capacity + 1, capacity + 1 - self.per_step), order="F")
         except MemoryError:
             raise ConfigError(
                 f"m_max = {m_max}: cannot allocate the Krylov basis, {capacity} blocks "
@@ -65,11 +68,6 @@ class KrylovProcess:
             raise DimensionError(f"the basis is full at {k} blocks")
         self._buf[:, k * s : (k + 1) * s] = block
         self._nblocks += 1
-
-    @property
-    def m(self):
-        """Steps completed."""
-        return len(self._cols) // self.per_step
 
     def advance_to(self, m):
         """Extend to m completed steps; returns the number actually completed."""
@@ -93,15 +91,12 @@ class KrylovProcess:
     def hessenberg(self, m):
         """(T_m, coupling) after m steps: with s = ``per_step`` and k = s m, the
         top k x k and the bottom-right s x s blocks of the (k + s) x k
-        projected matrix.  Step j records columns of at most s (j + 2) entries."""
+        projected matrix, as copies."""
         if not 1 <= m <= self.m:
             raise DimensionError(f"only {self.m} steps completed, asked for {m}")
         s = self.per_step
         k = s * m
-        t = np.zeros((k + s, k))
-        for i, col in enumerate(self._cols[:k]):
-            t[: len(col), i] = col
-        return t[:k], t[k:, k - s :].copy()
+        return self._t[:k, :k].copy(), self._t[k : k + s, k - s : k].copy()
 
 
 class GlobalArnoldi(KrylovProcess):
@@ -131,14 +126,14 @@ class GlobalArnoldi(KrylovProcess):
             raise DimensionError("operator changed the block shape")
         w = w.flatten(order="F")         # a copy: op may return a view of V_j
         wnorm0 = float(np.linalg.norm(w))
-        col = np.zeros(j + 2)
-        col[: j + 1] = cgs2(v_j.flat(), w)
+        h = cgs2(v_j.flat(), w)
         hnext = float(np.linalg.norm(w))
         self.breakdown = hnext <= BREAKDOWN_FACTOR * wnorm0
-        col[j + 1] = 0.0 if self.breakdown else hnext
         if not self.breakdown:
             self._append(w / hnext)       # first: a refused block leaves the step uncounted
-        self._cols.append(col)
+            self._t[j + 1, j] = hnext
+        self._t[: j + 1, j] = h
+        self.m += 1
         return not self.breakdown
 
     def projection(self, m):

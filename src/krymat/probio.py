@@ -27,6 +27,13 @@ def _as_square_sparse(a, who):
     return a.tocsr()
 
 
+def _check_finite(mat, name):
+    """Refuse a NaN or infinite entry of a problem member (the stored entries
+    of a sparse one)."""
+    if not np.isfinite(mat.data if sp.issparse(mat) else mat).all():
+        raise DimensionError(f"{name} has non-finite entries")
+
+
 def _full_rank_warning(mat, name):
     """Advisory full-column-rank check through the global QR rank signal."""
     arr = np.asarray(mat, dtype=float)
@@ -69,14 +76,19 @@ class GenSylvesterProblem:
         p = b_list[0].shape[0]
         if any(a.shape[0] != n for a in a_list) or any(b.shape[0] != p for b in b_list):
             raise DimensionError("inconsistent operator orders across terms")
+        for i, (a, b) in enumerate(zip(a_list, b_list), start=1):
+            _check_finite(a, f"A{i}")
+            _check_finite(b, f"B{i}")
         c = np.asarray(self.c, dtype=float)
         if c.shape != (n, p):
             raise DimensionError(f"C must be {n} x {p}, got {c.shape}")
+        _check_finite(c, "C")
         object.__setattr__(self, "c", c)
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float)
             if x0.shape != (n, p):
                 raise DimensionError(f"X0 must be {n} x {p}, got {x0.shape}")
+            _check_finite(x0, "X0")
             object.__setattr__(self, "x0", x0)
         check_horizon(self.t0, self.tf)
         _full_rank_warning(c, "right-hand side C")
@@ -109,12 +121,14 @@ class DLEProblem:
 
     def __post_init__(self):
         a = _as_square_sparse(self.a, "DLEProblem")
+        _check_finite(a, "A")
         object.__setattr__(self, "a", a)
         b = np.asarray(self.b, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.shape[0] != a.shape[0]:
             raise DimensionError("B row count does not match A")
+        _check_finite(b, "B")
         object.__setattr__(self, "b", b)
         if self.z0 is not None:
             z0 = np.asarray(self.z0, dtype=float)
@@ -122,6 +136,7 @@ class DLEProblem:
                 z0 = z0[:, None]
             if z0.shape[0] != a.shape[0]:
                 raise DimensionError("Z0 row count does not match A")
+            _check_finite(z0, "Z0")
             object.__setattr__(self, "z0", z0)
         check_horizon(self.t0, self.tf)
         if b.shape[1] > max(1, a.shape[0] // 10):
@@ -195,15 +210,19 @@ def _is_data(line):
 
 
 def _parse_fast(fh, fmt, count, nrows, ncols):
-    """The entries read by numpy from ``fh`` to its end, or None where numpy
-    refuses a line (a comment among them) or the entries do not match the
-    size line.
+    """The entries read by numpy from ``fh`` to its end, or None where the
+    body has no line but blanks, numpy refuses a line (a comment among them)
+    or the entries do not match the size line.
 
     numpy's int and float parsers accept a subset of what Python's do, so
     what this returns is what ``_parse_lines`` would return.
     """
-    if count < 1:                 # numpy warns on a body without data
+    start = fh.tell()             # numpy warns on a body without data
+    while (line := fh.readline()) and not line.strip():
+        start = fh.tell()
+    if not line:
         return None
+    fh.seek(start)
     coordinate = fmt == "coordinate"
     try:
         parsed = np.loadtxt(fh, dtype=_COORDINATE_ENTRY if coordinate else np.float64,

@@ -33,20 +33,24 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-class _NumpyWithoutEmpty:
-    """numpy as garnoldi sees it, except that ``empty`` is out of memory."""
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+class _NumpyWithout:
+    """numpy as garnoldi sees it, except that one allocator is out of memory."""
+
+    def __init__(self, allocator):
+        self.allocator = allocator
 
     def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def empty(*args, **kwargs):
-        raise MemoryError
+        return _out_of_memory if name == self.allocator else getattr(np, name)
 
 
-def refuse_basis_allocation(monkeypatch):
-    """Make every Krylov basis allocation raise MemoryError, and nothing else."""
-    monkeypatch.setattr(garnoldi, "np", _NumpyWithoutEmpty())
+def refuse_basis_allocation(monkeypatch, allocator="empty"):
+    """Make every Krylov process allocation through ``allocator`` (``empty``
+    for the basis, ``zeros`` for the projected matrix) raise MemoryError."""
+    monkeypatch.setattr(garnoldi, "np", _NumpyWithout(allocator))
 
 
 def stable_dense(n, rng, spread=1.0):
@@ -179,6 +183,11 @@ def rect_hessenberg(tm, coupling):
     tail = np.zeros((coupling.shape[0], tm.shape[1]))
     tail[:, tm.shape[1] - coupling.shape[1]:] = coupling
     return np.vstack([tm, tail])
+
+
+def projected_matrices(proc):
+    """The bytes of (T_m, coupling) for every step m that ``proc`` counted."""
+    return [tuple(x.tobytes() for x in proc.hessenberg(m)) for m in range(1, proc.m + 1)]
 
 
 def perturbed_equation_check(problem, basis, hm, coupling, beta, grams):

@@ -125,3 +125,26 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch, solve, spans):
         assert SPANS.patch(module, path, functools.partial(on_caller, name))
     _, report = solve()
     assert report.converged and spans <= ran
+
+
+# each solve's basis size at the end and the process spans entered once per size
+PER_SIZE = {
+    "egadl": (7, ("egarnoldi.step", "egarnoldi.sub_basis", "egarnoldi.hessenberg")),
+    "expo-extended": (7, ("egarnoldi.step", "egarnoldi.sub_basis", "egarnoldi.hessenberg")),
+    "expo-global": (17, ("garnoldi.step", "garnoldi.basis")),
+    "galerkin": (14, ("garnoldi.step", "garnoldi.basis")),
+}
+
+
+@pytest.mark.parametrize("method", list(SOLVES))
+def test_process_spans_are_entered_once_per_basis_size(monkeypatch, method):
+    """The benchmark's per-layer counts of the Arnoldi processes: one step,
+    one basis read and (extended) one projected-matrix read per basis size."""
+    _keep_bindings(monkeypatch)
+    tracer = SPANS.Tracer()
+    assert tracer.install() == []
+    _, report = SOLVES[method][0]()
+    m_final, names = PER_SIZE[method]
+    totals = tracer.totals()
+    assert report.m_final == m_final
+    assert {name: totals[name]["calls"] for name in names} == dict.fromkeys(names, m_final)

@@ -121,6 +121,18 @@ class TestRun:
         assert "trust.small_form = eigen" in summary
         assert len([ln for ln in summary if ln.startswith("trust.eig_cond = ")]) == 1
 
+    def test_warning_prints_as_one_line(self, tmp_path):
+        # a zero B is refused by nothing: the run goes on after one line
+        save_problem(gen_dle_problem(n0=4, p=1, seed=3), tmp_path / "bundle")
+        write_matrix_market(tmp_path / "bundle" / "B.mtx", np.zeros((16, 1)))
+        cfg = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"))
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        res = subprocess.run([sys.executable, "-m", "krymat.cli", "run", "--config", str(cfg),
+                              "--out", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == "warning: factor B looks rank deficient (columns [0])\n"
+
     def test_unreachable_tolerance_exits_3_with_history(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_EGADL.replace("tol = 1e-8", "tol = 0"))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -534,12 +546,20 @@ class TestRefusedInputs:
         ("no B", ["manifest is missing matrix 'B'"]),
         ("B rows", ["B row count does not match A"]),
         ("A not square", ["expected square"]),
+        ("A NaN", ["A has non-finite entries"]),
+        ("B inf", ["B has non-finite entries"]),
     ])
     def test_dle_bundle(self, tmp_path, capsys, damage, words):
-        bundle, cfg = self._bundle(tmp_path, gen_dle_problem(n0=4, p=1, seed=3),
-                                   BUNDLE_EGADL)
+        problem = gen_dle_problem(n0=4, p=1, seed=3)
+        bundle, cfg = self._bundle(tmp_path, problem, BUNDLE_EGADL)
         manifest = bundle / "problem.cfg"
-        if damage == "kind":
+        if damage == "A NaN":
+            a = problem.a.copy()
+            a.data[0] = np.nan
+            write_matrix_market(bundle / "A.mtx", a)
+        elif damage == "B inf":
+            write_matrix_market(bundle / "B.mtx", np.where(problem.b > 0, np.inf, problem.b))
+        elif damage == "kind":
             manifest.write_text(manifest.read_text().replace("kind = dle", "kind = nonsense"))
         elif damage == "no B":
             manifest.write_text(manifest.read_text().replace("b = B.mtx\n", ""))
@@ -553,12 +573,17 @@ class TestRefusedInputs:
         ("q = 0", ["need equally many A_i and B_i terms, at least one"]),
         ("C shape", ["C must be 6 x 2, got (6, 3)"]),
         ("X0 shape", ["X0 must be 6 x 2, got (5, 2)"]),
+        ("A1 NaN", ["A1 has non-finite entries"]),
     ])
     def test_gensylv_bundle(self, tmp_path, capsys, damage, words):
-        bundle, cfg = self._bundle(tmp_path, gen_sylvester_q2(n=6, p=2, seed=1),
-                                   GALERKIN_BUNDLE)
+        problem = gen_sylvester_q2(n=6, p=2, seed=1)
+        bundle, cfg = self._bundle(tmp_path, problem, GALERKIN_BUNDLE)
         manifest = bundle / "problem.cfg"
-        if damage == "q = 0":
+        if damage == "A1 NaN":
+            a1 = problem.a_list[0].copy()
+            a1.data[-1] = np.nan
+            write_matrix_market(bundle / "A1.mtx", a1)
+        elif damage == "q = 0":
             manifest.write_text(manifest.read_text().replace("q = 2", "q = 0"))
         elif damage == "C shape":
             write_matrix_market(bundle / "C.mtx", np.ones((6, 3)))

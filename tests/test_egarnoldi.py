@@ -9,7 +9,7 @@ from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import DimensionError
 from krymat.probio import LinearSolver, gen_laplacian2d, random_full_rank
 
-from conftest import rect_hessenberg, stable_sparse
+from conftest import projected_matrices, rect_hessenberg, stable_sparse
 
 
 def _setup(a, b, m_max):
@@ -176,8 +176,13 @@ class TestRelations:
         b = np.zeros((6, 1))
         b[:4, 0] = [1.0, 1.0, 1.0, 1.0]
         proc = _setup(d, b, 5)
-        done = proc.advance_to(5)
-        assert proc.breakdown and len(proc._cols) == 2 * done
+        counted = []
+        while proc.step():
+            counted = projected_matrices(proc)
+        # the seed pair and one counted step span the 4-dimensional space; the
+        # second step breaks down
+        assert proc.breakdown and proc.m == 1 and len(counted) == 1
+        assert projected_matrices(proc) == counted
 
 
 class TestLayout:

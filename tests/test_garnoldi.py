@@ -13,7 +13,8 @@ from krymat.garnoldi import GlobalArnoldi
 from krymat.probio import (LinearSolver, gen_random_stable, gen_sylvester_q2, gsylv_apply,
                            random_full_rank)
 
-from conftest import rect_hessenberg, refuse_basis_allocation, stable_dense
+from conftest import (projected_matrices, rect_hessenberg, refuse_basis_allocation,
+                      stable_dense)
 
 
 def _run(op, seed, m):
@@ -145,8 +146,10 @@ class TestGlobalArnoldi:
         # the identity leaves nothing past V_1: the first step breaks down
         proc = GlobalArnoldi(lambda x: x, rng.standard_normal((8, 2)), 5)
         assert proc.step() is False and proc.breakdown and proc.m == 1
+        counted = projected_matrices(proc)
         assert proc.step() is False
-        assert proc.m == 1 and len(proc._cols) == 1 and proc.basis().m == 1
+        assert proc.m == 1 and proc.basis().m == 1
+        assert projected_matrices(proc) == counted
 
     def test_operator_that_changes_the_shape_is_refused(self, rng):
         proc = GlobalArnoldi(lambda x: x[:, :1], rng.standard_normal((8, 2)), 5)
@@ -226,16 +229,40 @@ class TestBasisBuffer:
     def test_allocation_failure_names_m_max(self, monkeypatch):
         a = sp.identity(90000, format="csr")
         solver = LinearSolver(a)
-        refuse_basis_allocation(monkeypatch)
-        with pytest.raises(ConfigError, match=r"^m_max = 60: .* 122 blocks of 90000 x 2 "
-                                              r"\(175\.68 MB\)$"):
-            ExtendedGlobalArnoldi(a, solver, np.ones((90000, 2)), 60)
+        for allocator in ("empty", "zeros"):       # the basis, then the projected matrix
+            refuse_basis_allocation(monkeypatch, allocator)
+            with pytest.raises(ConfigError, match=r"^m_max = 60: .* 122 blocks of 90000 x 2 "
+                                                  r"\(175\.68 MB\)$"):
+                ExtendedGlobalArnoldi(a, solver, np.ones((90000, 2)), 60)
 
-    def test_step_whose_block_is_refused_is_not_counted(self):
-        proc = GlobalArnoldi(lambda x: np.full_like(x, np.nan), np.ones((4, 1)), 3)
+    def test_step_whose_block_is_refused_is_not_counted(self, rng):
+        # the third product is NaN: two steps count, the third is refused
+        a = stable_dense(6, rng)
+        products = iter([a, a, np.full((6, 6), np.nan)])
+        proc = GlobalArnoldi(lambda x: next(products) @ x, rng.standard_normal((6, 1)), 5)
+        assert proc.advance_to(2) == 2
+        counted = projected_matrices(proc)
         with pytest.raises(NumericError, match="basis block contains non-finite entries"):
             proc.step()
-        assert proc.m == 0 and len(proc._cols) == 0 and proc.basis().m == 1
+        assert proc.m == 2 and proc.basis().m == 3
+        assert projected_matrices(proc) == counted
+        with pytest.raises(DimensionError, match="only 2 steps completed, asked for 3"):
+            proc.hessenberg(3)
+
+    def test_breakdown_past_the_last_block_still_counts(self, rng):
+        # two steps fill the buffer of m_max = 2; a third, called directly,
+        # breaks down and counts without a block, as a step after a missed
+        # roundoff remainder would once n*width blocks fill the space
+        a = stable_dense(8, rng)
+        products = iter([a, a, np.eye(8)])
+        proc = GlobalArnoldi(lambda x: next(products) @ x, rng.standard_normal((8, 1)), 2)
+        assert proc.advance_to(2) == 2 and proc.basis().m == 3
+        counted = projected_matrices(proc)
+        assert proc.step() is False and proc.breakdown and proc.m == 3
+        assert projected_matrices(proc)[:2] == counted
+        tm, coupling = proc.hessenberg(3)
+        np.testing.assert_allclose(tm[:, 2], [0.0, 0.0, 1.0], atol=1e-15)
+        assert coupling.tolist() == [[0.0]]
 
     @pytest.mark.parametrize("per_step", [1, 2])
     def test_rejects_non_finite_block(self, per_step):

@@ -1,9 +1,14 @@
 """Problems, sparse solves, Matrix Market round trips, generators."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from krymat import probio
 from krymat.cli import main
@@ -184,6 +189,8 @@ READER_CORPUS = {
     "too few entries": COO + "2 2 3\n1 1 3.0\n2 2 4.0\n",
     "too many entries": COO + "2 2 1\n1 1 3.0\n2 2 4.0\n",
     "too few values": ARR + "2 2\n1\n2\n3\n",
+    "body cut after the size line": ARR + "% a comment\n36 1\n",
+    "blank body": COO + "2 2 1\n\n  \t\n",
     "index zero": COO + "2 2 2\n1 1 3.0\n0 2 4.0\n",
     "row out of bounds": COO + "2 2 2\n1 1 3.0\n3 1 4.0\n",
     "column out of bounds": COO + "2 3 2\n1 4 3.0\n1 1 4.0\n",
@@ -220,7 +227,14 @@ def _same_result(tmp_path, text):
     got, want = results
     if isinstance(want, tuple):
         assert got == want
-    elif sp.issparse(want):
+    else:
+        _assert_same_matrix(got, want)
+    return want
+
+
+def _assert_same_matrix(got, want):
+    """Same type, shape, dtype and bits (NaN included)."""
+    if sp.issparse(want):
         assert sp.issparse(got) and got.shape == want.shape
         for attr in ("data", "indices", "indptr"):
             a, b = getattr(got, attr), getattr(want, attr)
@@ -229,7 +243,6 @@ def _same_result(tmp_path, text):
         assert isinstance(got, np.ndarray) and got.shape == want.shape
         assert got.dtype == want.dtype and got.tobytes(order="A") == want.tobytes(order="A")
         assert got.flags.f_contiguous == want.flags.f_contiguous
-    return want
 
 
 class TestReaderMatchesReference:
@@ -270,6 +283,67 @@ class TestReaderMatchesReference:
     def test_bundle_members(self, rng, tmp_path):
         _same_result(tmp_path, _written(tmp_path, stable_sparse(300, rng)))
         _same_result(tmp_path, _written(tmp_path, rng.standard_normal((400, 3))))
+
+
+# tokens that Python's int or float and numpy's parsers read differently, or not at all
+ODD_TOKENS = ["1_0", "0x1p3", "+inf", "nan", "1e400", "-0", "\u0661", "", "0", "1", "2", "3"]
+HEADER_WORDS = ["%%MatrixMarket", "matrix", "vector", "coordinate", "array", "dense", "real",
+                "integer", "complex", "pattern", "general", "symmetric", "hermitian", "Real"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A READER_CORPUS file after one to three mutations: a token added,
+    dropped or replaced, a new size line (sizes of at most 5, so nothing
+    large is allocated), a header word replaced, a comment or blank line
+    added, dropped or moved, or the file cut short."""
+    lines = READER_CORPUS[draw(st.sampled_from(sorted(READER_CORPUS)))].splitlines(True)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["token", "size", "header", "line", "cut"]))
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "cut":
+            text = "".join(lines)
+            lines = text[: draw(st.integers(0, len(text)))].splitlines(True)
+        elif kind == "line":
+            moved = lines.pop(i) if lines and draw(st.booleans()) else None
+            if moved is None or draw(st.booleans()):
+                new = moved or draw(st.sampled_from(["% c\n", "\n", "  \t\n", "%\n"]))
+                lines.insert(draw(st.integers(0, len(lines))), new)
+        elif not lines:
+            continue
+        elif kind == "size":
+            sizes = draw(st.lists(st.integers(-1, 5), min_size=1, max_size=4))
+            lines[i] = " ".join(map(str, sizes)) + "\n"
+        else:
+            toks = lines[0 if kind == "header" else i].split()
+            words = HEADER_WORDS if kind == "header" else ODD_TOKENS
+            at = draw(st.integers(0, len(toks)))
+            action = draw(st.sampled_from(["add", "drop", "replace"]))
+            if action != "add" and at < len(toks):
+                del toks[at]
+            if action != "drop":
+                toks.insert(at, draw(st.sampled_from(words)))
+            lines[0 if kind == "header" else i] = " ".join(toks) + "\n"
+    return "".join(lines)
+
+
+class TestReaderProperty:
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_files())
+    def test_reads_as_reference_or_names_a_line(self, tmp_path, text):
+        # one way only: the package refuses some files the reference reads
+        # (a symmetric file that is not square, a negative size)
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = read_matrix_market(path)
+            except ParseError as exc:
+                assert re.match(r"line \d+: ", str(exc)), str(exc)
+                return
+        _assert_same_matrix(got, reference_read(path))
 
 
 class TestSizeLine:
@@ -478,6 +552,32 @@ class TestProblems:
     def test_z0_rows_must_match(self):
         with pytest.raises(DimensionError, match="Z0 row count does not match A"):
             DLEProblem(gen_laplacian2d(3), np.ones((9, 1)), z0=np.ones((8, 1)))
+
+    @pytest.mark.parametrize("member", ["A", "B", "Z0"])
+    def test_non_finite_dle_member_refused(self, member):
+        parts = {"a": gen_laplacian2d(3), "b": np.ones((9, 2)), "z0": np.ones((9, 1))}
+        bad = parts[member.lower()]
+        if sp.issparse(bad):
+            bad.data[4] = np.nan
+        else:
+            bad[3, -1] = -np.inf
+        with pytest.raises(DimensionError, match=f"^{member} has non-finite entries$"):
+            DLEProblem(**parts)
+
+    @pytest.mark.parametrize("member", ["A2", "B1", "C", "X0"])
+    def test_non_finite_gensylv_member_refused(self, member):
+        prob = gen_sylvester_q2(n=6, p=2, seed=1)
+        parts = {"A1": prob.a_list[0], "A2": prob.a_list[1].copy(),
+                 "B1": prob.b_list[0].copy(), "B2": prob.b_list[1],
+                 "C": prob.c.copy(), "X0": np.zeros((6, 2))}
+        bad = parts[member]
+        if sp.issparse(bad):
+            bad.data[0] = np.inf
+        else:
+            bad[5, 1] = np.nan
+        with pytest.raises(DimensionError, match=f"^{member} has non-finite entries$"):
+            GenSylvesterProblem((parts["A1"], parts["A2"]), (parts["B1"], parts["B2"]),
+                                parts["C"], x0=parts["X0"])
 
     def test_save_refuses_an_unknown_problem_type(self, tmp_path):
         with pytest.raises(TypeError, match="cannot save problem of type TimeGrid"):
