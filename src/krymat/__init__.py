@@ -10,7 +10,7 @@ from .oracle import dense_dle_exact, dense_dme_solve
 from .probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_laplacian2d,
                      gsylv_apply, load_problem, read_matrix_market, save_problem,
                      write_matrix_market)
-from .smallmat import (expm, lognorm2, lyap_solve, phi1, trunc_sym_factor,
+from .smallmat import (expm, joint_sym_factor, lognorm2, lyap_solve, phi1, trunc_sym_factor,
                        vanloan_gram)
 from .solution import (CoordinateTrajectory, LowRankSolution, SolveReport, SylvesterSolution,
                        TimeGrid)

@@ -534,7 +534,7 @@ def load_problem(bundle_dir):
     try:
         if kind == "dle":
             return DLEProblem(sp.csr_matrix(member("A")), member("B", dense=True),
-                              z0=member("Z0", required=False), t0=t0, tf=tf)
+                              z0=member("Z0", required=False, dense=True), t0=t0, tf=tf)
         if kind == "gensylv":
             a_list = [sp.csr_matrix(member(f"A{i}")) for i in range(1, q + 1)]
             b_list = [sp.csr_matrix(member(f"B{i}")) for i in range(1, q + 1)]

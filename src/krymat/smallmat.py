@@ -335,3 +335,37 @@ def trunc_sym_factor(y, tol):
     z = u * np.sqrt(np.abs(lam))
     signs = np.where(lam >= 0, 1.0, -1.0)
     return LowRankFactor(z, signs)
+
+
+def joint_sym_factor(ys, tol):
+    """Truncated factorizations of a stack of symmetric matrices on one basis.
+
+    Returns (Q, factors): Q is k x s with orthonormal columns, s <= k, and
+    ``factors`` holds one LowRankFactor (Z_k, signs_k) a matrix, with
+    ||Y_k - Q Z_k diag(signs_k) Z_k^T Q^T||_2 <= tol ||Y_k||_2.  Half of tol
+    goes to the shared range and half to the factors: Q holds the leading
+    left singular vectors of M = [Y_1/||Y_1||_2, Y_2/||Y_2||_2, ...] (a zero
+    Y_k stays zero), those whose singular value exceeds tol/4, and at least
+    one, so that ||(I - QQ^T) Y_k||_2 <= (tol/4) ||Y_k||_2 and Y_k moves by
+    at most (tol/2) ||Y_k||_2 when projected on both sides; the factors are
+    ``trunc_sym_factor`` of Q^T Y_k Q at tol/2.  The SVD is taken of M, not
+    of sum Y_k^2: squared singular values near tol^2 would drown in
+    roundoff.  As the Y_k are symmetric, M^T is the stack [Y_1; Y_2; ...]
+    scaled row block by row block, and its right singular vectors are Q.
+    """
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 3 or ys.shape[1] != ys.shape[2]:
+        raise DimensionError(f"joint_sym_factor: expected a stack of square matrices, "
+                             f"got shape {ys.shape}")
+    k = ys.shape[1]
+    check_dense_cap(k, "joint_sym_factor")
+    if not np.isfinite(ys).all():
+        raise NumericError("joint_sym_factor: matrix contains non-finite entries")
+    asym = np.abs(ys - ys.transpose(0, 2, 1)).max(axis=(1, 2))
+    if (asym > SYM_CHECK_TOL * np.linalg.norm(ys, axis=(1, 2))).any():
+        raise NumericError("joint_sym_factor: matrix is not symmetric to within tolerance")
+    norms = np.linalg.norm(ys, 2, axis=(1, 2))
+    scaled = ys / np.where(norms > 0, norms, 1.0)[:, None, None]
+    _, sig, vt = np.linalg.svd(scaled.reshape(-1, k), full_matrices=False)
+    q = vt[: max(1, int(np.count_nonzero(sig > tol / 4)))].T
+    return q, [trunc_sym_factor(y, tol / 2) for y in q.T @ ys @ q]

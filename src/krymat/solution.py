@@ -269,38 +269,51 @@ def _clear_solution_files(out_dir):
 class LowRankSolution:
     """Symmetric low-rank trajectory X_m(t_k) = V (Y_k kron I_p) V^T.
 
-    ``factors`` holds the truncated small factors of each Y_k; mapped through
-    the basis they give the thin factors of the full solution.  A solution
-    made from its kernel factors the Y_k at ``factor_tol`` when its factors
-    are first read; a loaded one keeps the factors it was given.
+    Its factored form puts every node on one factor basis W = V (Q kron I_p),
+    Q the joint range of the Y_k: X_m(t_k) ~ W (Z_k diag(signs_k) Z_k^T
+    kron I_p) W^T with ||Y_k - Q Z_k diag(signs_k) Z_k^T Q^T||_2 <=
+    factor_tol ||Y_k||_2 (``smallmat.joint_sym_factor``).  A solution made
+    from its kernel computes W and the factors together when either is
+    first read; ``basis`` and ``kernel`` stay V and the Y_k.  A loaded one
+    has W as its basis, the factors it was given and no kernel.
     """
 
     grid: TimeGrid
     basis: BlockRow                # at sub-block width (p or seed width)
     kernel: CoordinateTrajectory   # None once loaded
     factor_tol: float = None
-    _factors: list = field(default=None, repr=False)
+    _factored: tuple = field(default=None, repr=False)    # (W, factors)
+
+    def _factorization(self):
+        if self._factored is None:
+            q, factors = smallmat.joint_sym_factor(self.kernel.samples, self.factor_tol)
+            self._factored = kron_apply(self.basis, q), factors
+        return self._factored
+
+    @property
+    def factor_basis(self):
+        """W = V (Q kron I_p), the s <= m blocks the factors are coordinates in."""
+        return self._factorization()[0]
 
     @property
     def factors(self):
-        """One smallmat.LowRankFactor per node."""
-        if self._factors is None:
-            self._factors = [smallmat.trunc_sym_factor(y, self.factor_tol)
-                             for y in self.kernel.samples]
-        return self._factors
+        """One smallmat.LowRankFactor per node, in W's coordinates."""
+        return self._factorization()[1]
 
     def save(self, out_dir):
-        """Write the solution in factored form: the basis once (basis.mtx,
-        n x m*width), each node's small factor Z_k (node_kkkk_z.mtx, m x r) and
-        its signs (node_kkkk_signs.mtx), and a manifest (solution.cfg) with the
-        block width and the grid.  ``load`` reads the directory back."""
+        """Write the solution in factored form: the factor basis W once
+        (basis.mtx, n x s*width), each node's small factor Z_k
+        (node_kkkk_z.mtx, s x r) and its signs (node_kkkk_signs.mtx), and a
+        manifest (solution.cfg) with the block width and the grid.  ``load``
+        reads the directory back."""
         out_dir = _clear_solution_files(out_dir)
-        probio.write_matrix_market(out_dir / "basis.mtx", self.basis.data)
-        for k, f in enumerate(self.factors):
+        w, factors = self._factorization()
+        probio.write_matrix_market(out_dir / "basis.mtx", w.data)
+        for k, f in enumerate(factors):
             probio.write_matrix_market(out_dir / f"node_{k:04d}_z.mtx", f.z)
             probio.write_matrix_market(out_dir / f"node_{k:04d}_signs.mtx", f.signs)
         manifest = configparser.ConfigParser()
-        manifest["solution"] = {"width": str(self.basis.width),
+        manifest["solution"] = {"width": str(w.width),
                                 "t0": f"{self.grid.t0:.17g}", "tf": f"{self.grid.tf:.17g}",
                                 "steps": str(self.grid.steps)}
         with open(out_dir / SOLUTION_MANIFEST, "w") as fh:
@@ -308,8 +321,9 @@ class LowRankSolution:
 
     @classmethod
     def load(cls, fac_dir):
-        """The solution ``save`` wrote to ``fac_dir``, with its factors and no
-        kernel: ``factor(k)`` gives the saved solution's factor bit for bit."""
+        """The solution ``save`` wrote to ``fac_dir``, with W as its basis, its
+        factors and no kernel: ``factor(k)`` gives the saved solution's factor
+        bit for bit."""
         fac_dir = Path(fac_dir)
 
         def keys(manifest):
@@ -323,16 +337,15 @@ class LowRankSolution:
             probio.read_matrix_market(fac_dir / f"node_{k:04d}_z.mtx"),
             probio.read_matrix_market(fac_dir / f"node_{k:04d}_signs.mtx").ravel())
             for k in range(grid.nnodes)]
-        return cls(grid, basis, None, _factors=factors)
+        return cls(grid, basis, None, _factored=(basis, factors))
 
     def factor(self, k):
         """Thin factor (Z, signs) with X_m(t_k) ~ Z diag(signs) Z^T + signature."""
-        f = self.factors[k]
+        w, factors = self._factorization()
+        f = factors[k]
         if f.rank == 0:
-            return np.zeros((self.basis.n, 0)), f.signs
-        z_big = kron_apply(self.basis, f.z).data
-        signs = np.repeat(f.signs, self.basis.width)
-        return z_big, signs
+            return np.zeros((w.n, 0)), f.signs
+        return kron_apply(w, f.z).data, np.repeat(f.signs, w.width)
 
     def snapshot(self, k):
         """Dense X_m(t_k); guarded by the dense cap."""

@@ -213,6 +213,20 @@ bundle = {tmp_path / 'bundle'}
             assert len(err) == 1 and err[0].startswith("error:") and "X0" in err[0]
             assert not (tmp_path / "o").exists()
 
+    def test_coordinate_z0_is_read_as_dense(self, tmp_path, capsys):
+        # a coordinate-layout Z0.mtx is read like B: a nonzero one is refused
+        # by name, a zero one runs
+        base = gen_dle_problem(n0=4, p=1, seed=3)
+        save_problem(DLEProblem(base.a, base.b, z0=np.zeros((16, 1))), tmp_path / "bundle")
+        cfg = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"))
+        z0 = tmp_path / "bundle" / "Z0.mtx"
+        write_matrix_market(z0, sp.csr_matrix(np.eye(16, 1)))
+        assert b"coordinate" in z0.read_bytes()
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: egadl assumes X0 = 0\n"
+        write_matrix_market(z0, sp.csr_matrix((16, 1)))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+
     def test_misspelt_problem_key_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, SMALL_EGADL.replace("n0 = 6", "n_0 = 6"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -335,23 +335,34 @@ class TestEgadlSolve:
         assert ranks == expected
 
     def test_factors_are_made_when_first_read(self, monkeypatch):
+        # nothing is factored by the solve; the first read factors every
+        # node once, on one joint range, within factor_tol
         calls = []
-        factor = smallmat.trunc_sym_factor
+        joint, factor = smallmat.joint_sym_factor, smallmat.trunc_sym_factor
 
-        def counted(y, tol):
-            calls.append(tol)
+        def counted_joint(ys, tol):
+            calls.append(("joint", tol))
+            return joint(ys, tol)
+
+        def counted_factor(y, tol):
+            calls.append(("node", tol))
             return factor(y, tol)
 
-        monkeypatch.setattr(smallmat, "trunc_sym_factor", counted)
+        monkeypatch.setattr(smallmat, "joint_sym_factor", counted_joint)
+        monkeypatch.setattr(smallmat, "trunc_sym_factor", counted_factor)
         grid = TimeGrid(0.0, 1.0, 10)
         sol, _ = egadl_solve(gen_dle_problem(n0=6, p=2, seed=1), grid, 20, 1e-8,
                              factor_tol=1e-9)
         assert calls == []
-        factors = sol.factors
-        assert calls == [1e-9] * grid.nnodes
-        assert sol.factors is factors and len(calls) == grid.nnodes
+        factors, w = sol.factors, sol.factor_basis
+        sol.factor(3)
+        assert calls == [("joint", 1e-9)] + [("node", 0.5e-9)] * grid.nnodes
+        assert sol.factors is factors and sol.factor_basis is w
+        assert w.m < sol.basis.m
+        q = diamond(sol.basis, w)               # W = V (Q kron I)
         for f, y in zip(factors, sol.kernel.samples):
-            np.testing.assert_array_equal(f.z, factor(y, 1e-9).z)
+            err = np.linalg.norm(y - q @ (f.z * f.signs) @ f.z.T @ q.T, 2)
+            assert err <= 1e-9 * np.linalg.norm(y, 2)
 
     def test_report_schema(self):
         prob = gen_dle_problem(n0=4, p=1, seed=1)

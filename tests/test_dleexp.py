@@ -299,9 +299,11 @@ class TestExpoSolve:
             assert rep.converged
             np.testing.assert_array_equal(sol.snapshot(2), np.zeros((9, 9)))
             assert sol.factor(2)[0].shape == (9, 0)
-            # rank-0 factors survive the factored files
+            # rank-0 factors survive the factored files, on one zero block
             sol.save(tmp_path / solve.__name__)
             loaded = LowRankSolution.load(tmp_path / solve.__name__)
+            for w in (sol.factor_basis, loaded.basis, loaded.factor_basis):
+                assert w.m == 1 and not w.data.any()
             z, signs = loaded.factor(2)
             assert z.shape == (9, 0) and signs.shape == (0,)
             with pytest.raises(ValueError, match="no kernel"):

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 from conftest import dense_dle_bdf
 from krymat import dlebdf, dleexp, dsylv
-from krymat.blockmat import kron_apply
+from krymat.blockmat import diamond, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import expo_dle_solve, gram_trajectory
 from krymat.dsylv import galerkin_solve
@@ -69,6 +69,42 @@ def test_report_row_needs_every_column():
         with pytest.raises(DimensionError, match="report row needs 4 fields"):
             rep.add(*row)
     assert rep.rows == []
+
+
+def _schur_problem():
+    # T_m ends past the eigen gate (kappa_2(X) = 16.3): the Schur branch
+    return gen_random_dle_problem(n=150, p=2, density=0.05, seed=1)
+
+
+@pytest.mark.parametrize("solve, make, kwargs", [
+    (egadl_solve, lambda: gen_dle_problem(n0=6, p=2, seed=1), {}),
+    (egadl_solve, _schur_problem, {}),
+    (expo_dle_solve, lambda: gen_dle_problem(n0=6, p=2, seed=1), {"variant": "global"}),
+    (expo_dle_solve, lambda: gen_dle_problem(n0=6, p=2, seed=1), {"variant": "extended"}),
+], ids=["egadl-eigen", "egadl-schur", "expo-global", "expo-extended"])
+@pytest.mark.parametrize("factor_tol", [1e-10, 1e-4])
+def test_factors_live_on_a_joint_range_within_factor_tol(solve, make, kwargs, factor_tol):
+    sol, _ = solve(make(), TimeGrid(0.0, 1.0, 20), 40, 1e-8, factor_tol=factor_tol, **kwargs)
+    v, w = sol.basis, sol.factor_basis
+    assert w.width == v.width and w.m <= v.m and w.orth_defect() <= 1e-12
+    # W = V (Q kron I): the coordinates of W in the F-orthonormal V are Q
+    q = diamond(v, w)
+    np.testing.assert_allclose(kron_apply(v, q).data, w.data, rtol=0, atol=1e-14)
+    for y, f in zip(sol.kernel.samples, sol.factors):
+        err = np.linalg.norm(y - q @ (f.z * f.signs) @ f.z.T @ q.T, 2)
+        assert err <= factor_tol * np.linalg.norm(y, 2)
+
+
+@pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve])
+def test_zero_factor_tol_keeps_every_direction(solve):
+    sol, _ = solve(gen_dle_problem(n0=6, p=2, seed=1), TimeGrid(0.0, 1.0, 20), 40, 1e-8,
+                   factor_tol=0.0)
+    assert sol.factor_basis.m == sol.basis.m
+    q = diamond(sol.basis, sol.factor_basis)
+    for y, f in zip(sol.kernel.samples[1:], sol.factors[1:]):
+        assert f.rank == sol.basis.m
+        err = np.linalg.norm(y - q @ (f.z * f.signs) @ f.z.T @ q.T, 2)
+        assert err <= 1e-13 * np.linalg.norm(y, 2)
 
 
 def _full_space_runs():

@@ -9,8 +9,8 @@ from scipy.linalg import block_diag, solve_continuous_lyapunov
 from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
 from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, DiagonalForm,
-                             TriangularForm, expm, lognorm2, lyap_solve, phi1, real_schur,
-                             small_form, symmetrize, trunc_sym_factor, vanloan_gram,
+                             TriangularForm, expm, joint_sym_factor, lognorm2, lyap_solve, phi1,
+                             real_schur, small_form, symmetrize, trunc_sym_factor, vanloan_gram,
                              vanloan_gram_nodes)
 
 from conftest import deadline, lyap_through, near_defective, stable_dense, stable_sym
@@ -429,6 +429,69 @@ class TestTruncSymFactor:
         f = trunc_sym_factor(y, 0.0)
         assert sorted(f.signs) == [-1.0, 1.0]
         np.testing.assert_allclose((f.z * f.signs) @ f.z.T, y, atol=1e-14)
+
+
+def joint_errors(ys, q, factors):
+    """||Y_k - Q Z_k diag(signs_k) Z_k^T Q^T||_2 / ||Y_k||_2 for every Y_k."""
+    return np.array([np.linalg.norm(y - q @ (f.z * f.signs) @ f.z.T @ q.T, 2)
+                     / np.linalg.norm(y, 2) for y, f in zip(ys, factors)])
+
+
+class TestJointSymFactor:
+    def test_a_direction_one_node_needs_is_kept(self):
+        # twenty nodes pin the range to e1; the last one couples e2 to it at
+        # about 0.96 tol, which a range cut at tol would drop (error 1.09 tol)
+        tol = 1e-3
+        eps = 0.97 * tol / np.hypot(1.0, 0.75)
+        ys = np.array([np.diag([1.0, 0.0])] * 20 + [[[1.0, eps], [eps, 0.75 * eps]]])
+        q, factors = joint_sym_factor(ys, tol)
+        assert q.shape == (2, 2)
+        assert joint_errors(ys, q, factors).max() <= tol
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-10])
+    def test_guarantee_on_decaying_spectra(self, rng, tol):
+        # six nodes, each with its own eigenbasis and spectrum 10^-j of both signs
+        k = 12
+        ys = []
+        for i in range(6):
+            u, _ = np.linalg.qr(np.eye(k) + 0.1 * i * rng.standard_normal((k, k)))
+            lam = 10.0 ** -np.arange(k) * rng.choice([-1.0, 1.0], k) * (1 + i)
+            ys.append((u * lam) @ u.T)
+        ys = np.array([0.5 * (y + y.T) for y in ys])
+        q, factors = joint_sym_factor(ys, tol)
+        assert 1 <= q.shape[1] <= k
+        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
+        assert (joint_errors(ys, q, factors) <= tol).all()
+        assert all(f.z.shape[0] == q.shape[1] for f in factors)
+
+    def test_zero_tolerance_keeps_every_direction(self, rng):
+        ys = np.array([stable_sym(5, rng) for _ in range(3)])
+        q, factors = joint_sym_factor(ys, 0.0)
+        assert q.shape == (5, 5) and all(f.rank == 5 for f in factors)
+        assert joint_errors(ys, q, factors).max() <= 1e-14
+
+    def test_zero_nodes_keep_one_direction_and_no_factor(self, rng):
+        q, factors = joint_sym_factor(np.zeros((3, 4, 4)), 1e-10)
+        assert q.shape == (4, 1) and np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+        assert [f.rank for f in factors] == [0, 0, 0]
+        z = rng.standard_normal((4, 2))
+        ys = np.array([np.zeros((4, 4)), z @ z.T])
+        q, factors = joint_sym_factor(ys, 1e-10)
+        assert q.shape == (4, 2) and [f.rank for f in factors] == [0, 2]
+        assert joint_errors(ys[1:], q, factors[1:]).max() <= 1e-10
+
+    def test_input_gate(self, monkeypatch):
+        with pytest.raises(DimensionError):
+            joint_sym_factor(np.eye(3), 1e-10)
+        with pytest.raises(DimensionError):
+            joint_sym_factor(np.zeros((2, 3, 4)), 1e-10)
+        with pytest.raises(NumericError, match="non-finite"):
+            joint_sym_factor(np.full((1, 2, 2), np.nan), 1e-10)
+        with pytest.raises(NumericError, match="not symmetric"):
+            joint_sym_factor(np.array([[[0.0, 1.0], [0.0, 0.0]]]), 1e-10)
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 4)
+        with pytest.raises(CapExceededError):
+            joint_sym_factor(np.zeros((1, 5, 5)), 1e-10)
 
 
 class TestDenseCap:
