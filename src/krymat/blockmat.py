@@ -140,7 +140,7 @@ def kron_apply(vb, s_mat):
     return BlockRow(out.reshape(vb.n, -1, order="F"), vb.width)
 
 
-def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
+def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None, overwrite=False):
     """Global QR factorization Z = Q (R kron I_width) by block CGS2.
 
     Returns ``(q, r, deficient)`` where ``q`` is a BlockRow, ``r`` the m x m
@@ -149,16 +149,21 @@ def global_qr(zb, tol=DEFAULT_RANK_TOL, scale=None):
     (``||Z||_F`` unless a caller supplies ``scale``, a scalar or one value per
     block, as the Arnoldi processes do for already-orthogonalized remainders).
     Deficient blocks are zero in ``q``, so later blocks get no component
-    along them; the caller decides how to treat the rank drop.
+    along them; the caller decides how to treat the rank drop.  Z is left
+    alone unless ``overwrite``: then a column-major Z becomes Q in place,
+    and ``q`` shares its storage.
     """
     n, m, s = zb.n, zb.m, zb.width
     if scale is None:
         scales = np.full(m, float(np.linalg.norm(zb.data)))
     else:
         scales = np.broadcast_to(np.asarray(scale, dtype=float), (m,))
-    # one working copy: each column is orthogonalized and normalized (or
-    # zeroed) in place against the finished columns before it
-    q = np.array(zb.flat(), order="F")
+    # one working array, Z's flat view or a copy of it: each column is
+    # orthogonalized and normalized (or zeroed) in place against the
+    # finished columns before it
+    q = zb.flat()
+    if not overwrite and np.may_share_memory(q, zb.data):
+        q = q.copy(order="F")
     r = np.zeros((m, m))
     deficient = []
     for j in range(m):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dlebdf, dleexp, dsylv, oracle, probio
 from .errors import ConfigError, DimensionError, KrymatError
-from .solution import TimeGrid
+from .solution import TimeGrid, remove_solution_files
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -236,6 +236,9 @@ def cmd_run(args, out=None, err=None):
             fh.write("\n".join(lines) + "\n")
         if write_factors:
             solution.save(out_dir / "factors")
+        else:
+            # an earlier run's solution must not pass for this one's
+            remove_solution_files(out_dir / "factors")
     except OSError as exc:
         return _fail(exc, EXIT_IO, err)
 

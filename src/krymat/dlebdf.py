@@ -4,10 +4,10 @@ and the exponential method share, and EgAdl's BDF time stepping.
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
 equation with shifted coefficient h beta T - I/2.  From one reduction of T
 per basis size the march runs in that reduction's own coordinates: with
-T = X diag(lambda) X^{-1} (eigenvector matrix well conditioned) the kernel
-is Y = X G X^T and each step one elementwise division of G's right-hand
-side; with the real Schur form T = U S U^T it is Y = U G U^T and each step
-one quasi-triangular solve with S.  The right-hand side of a step mixes the
+T = X diag(lambda) X^{-1} (X orthogonal for a symmetric A, else well
+conditioned) the kernel is Y = X G X^T and each step one elementwise
+division of G's right-hand side; with the real Schur form T = U S U^T it is
+Y = U G U^T and each step one quasi-triangular solve with S.  The right-hand side of a step mixes the
 previous kernels with weights that may be negative, so it is assembled as a
 dense symmetric matrix.  The residual bound reads only the kernels' last
 rows; the kernels themselves, their ranks and the low-rank factors with a
@@ -22,7 +22,7 @@ from . import smallmat
 from .blockmat import BlockRow
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, IllPosedError, StepFailureError
-from .probio import LinearSolver
+from .probio import LinearSolver, exactly_symmetric
 from .solution import CoordinateTrajectory, LowRankSolution, SolveReport, is_count, krylov_solve
 
 @dataclass(frozen=True)
@@ -99,10 +99,14 @@ def residual_bound_bdf(coupling, y):
     return float(np.sqrt(2.0) * np.linalg.norm(coupling @ y[-nr:, :]))
 
 
-def reduce_projected(report, tm):
+def reduce_projected(report, tm, symmetric):
     """``smallmat.small_form`` of the projected T_m, with its branch and
     kappa_2(X) written to the report's trust lines, where the last basis
-    size's stay."""
+    size's stay.  For an exactly ``symmetric`` A, T_m is symmetric in exact
+    arithmetic and its symmetric part is reduced: an orthogonal X, and a
+    real kernel at every node."""
+    if symmetric:
+        tm = 0.5 * (tm + tm.T)
     form, cond = smallmat.small_form(tm)
     report.trust["small_form"] = ("eigen" if isinstance(form.own, smallmat.DiagonalForm)
                                   else "schur")
@@ -149,11 +153,13 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
             return None
         proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b,
                                      m_max)
+        symmetric = exactly_symmetric(problem.a)
 
         def fit(tm, coupling):
             # B = V_1 beta, and V is F-orthonormal
             bm = np.r_[proc.beta, np.zeros(tm.shape[0] - 1)]
-            kernel = bdf_integrate(reduce_projected(report, tm), bm, None, grid, l)
+            form = reduce_projected(report, tm, symmetric)
+            kernel = bdf_integrate(form, bm, None, grid, l)
             bounds = residual_bound_bdf(coupling, kernel.last_rows(coupling.shape[1]))
             return bounds, lambda: (kernel.ranks(factor_tol),), kernel
 

@@ -32,7 +32,7 @@ from .dlebdf import lowrank_report, reduce_projected, residual_bound_bdf, zero_s
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, NumericError
 from .garnoldi import GlobalArnoldi
-from .probio import LinearSolver
+from .probio import LinearSolver, exactly_symmetric
 from .solution import CoordinateTrajectory, LowRankSolution, krylov_solve
 
 # the subspaces expo_dle_solve can project onto
@@ -97,7 +97,7 @@ def _certified_negative_definite(a):
     """True when A is exactly symmetric and every Gershgorin disc of A lies
     in (-inf, 0]: then A is negative semidefinite, and negative definite once
     it has an LU."""
-    if (a != a.T).nnz:
+    if not exactly_symmetric(a):
         return False
     diag = a.diagonal()
     radius = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)
@@ -169,6 +169,7 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
         # the extended process's LU also serves the log-norm's shift-invert
         solver = LinearSolver(problem.a) if variant == "extended" else None
         mu2 = lognorm2_operator(problem.a, solver, report.trust)
+        symmetric = exactly_symmetric(problem.a)
         report.settings["mu2"] = mu2
         if variant == "global":
             proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b, m_max)
@@ -178,7 +179,8 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
             bound_of = residual_bound_bdf
 
         def fit(hm, coupling):
-            kernel = gram_trajectory(hm, proc.beta, grid, reduce_projected(report, hm))
+            form = reduce_projected(report, hm, symmetric)
+            kernel = gram_trajectory(hm, proc.beta, grid, form)
             bounds = np.array([bound_of(coupling, g) for g in kernel.samples])
             apriori = apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes, grid.t0)
             return bounds, lambda: (apriori,), kernel

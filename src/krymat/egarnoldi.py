@@ -87,11 +87,13 @@ class ExtendedGlobalArnoldi(KrylovProcess):
         # remainder tiny relative to its own direction signals an invariant
         # subspace; keeping it would admit a noise direction that spoils both
         # the basis and the Krylov structure
-        q1, r1, deficient = global_qr(ub.narrow(2), BREAKDOWN_TOL, scale=half_norm0)
+        # both QR passes work in place on the two halves of u
+        q1, r1, deficient = global_qr(ub.narrow(2), BREAKDOWN_TOL, scale=half_norm0,
+                                      overwrite=True)
         c2 = diamond(basis, q1)
         sub_product(q1.flat(), q, c2)
         # a unit direction that the second pass cancels was noise after the first
-        q2, r2, collapsed = global_qr(q1, BREAKDOWN_TOL, scale=1.0)
+        q2, r2, collapsed = global_qr(q1, BREAKDOWN_TOL, scale=1.0, overwrite=True)
         deficient = set(deficient) | set(collapsed)
         # keep any independent new direction, so that on breakdown the
         # retained prefix spans the full invariant subspace

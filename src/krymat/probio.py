@@ -45,6 +45,11 @@ def _full_rank_warning(mat, name):
                       stacklevel=4)
 
 
+def exactly_symmetric(a):
+    """True when the sparse A equals A^T entry for entry, by one sparse comparison."""
+    return not (a != a.T).nnz
+
+
 def check_horizon(t0, tf):
     """Refuse a horizon that no time grid can cover: the problems and
     ``TimeGrid`` share it, so no bundle is written that no run can read."""

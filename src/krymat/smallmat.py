@@ -1,8 +1,9 @@
 """Dense small-scale kernels.
 
 Matrix exponential and the first exponential-integrator function, one
-reduction T = X F X^{-1} of a small T (``Reduction``) to eigen form (when
-its eigenvector matrix is well conditioned) or else to real Schur form,
+reduction T = X F X^{-1} of a small T (``Reduction``) to eigen form (an
+orthogonal one for an exactly symmetric T, else when its eigenvector matrix
+is well conditioned) or else to real Schur form,
 algebraic Lyapunov solves with T in the reduction's own coordinates F
 (diagonal or quasi-triangular), which shifted operators c T + d I reuse,
 Gramian integrals by the Van Loan block-exponential construction, the
@@ -160,8 +161,13 @@ EIG_COND_MAX = 10.0
 def small_form(t):
     """One reduction of T and kappa_2(X): the eigen form
     Reduction(X, X^{-1}, DiagonalForm) when the eigenvector matrix X is
-    conditioned within EIG_COND_MAX, else the real Schur form ``real_schur``."""
+    conditioned within EIG_COND_MAX, else the real Schur form ``real_schur``.
+    An exactly symmetric T takes the symmetric eigensolver: X is orthogonal,
+    X^{-1} = X^T and kappa_2(X) is taken as 1."""
     t = _square(t, "small_form")
+    if np.array_equal(t, t.T):
+        lam, x = np.linalg.eigh(t)
+        return Reduction(x, x.T, DiagonalForm(lam)), 1.0
     lam, x = np.linalg.eig(t)
     cond = float(np.linalg.cond(x))
     if cond <= EIG_COND_MAX:

@@ -165,6 +165,9 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
                         report.trust["refit"] = m
                 m = advanced
                 basis, tm, coupling = proc.projection(m)
+                # one trajectory at a time: the previous size's, and ``more``
+                # that holds it, go before the fit allocates the next
+                kernel = more = None
                 # the fit holds a k x k complex matrix a node, k the order of T_m
                 with grid.allocating(16 * len(tm) ** 2, "the projected solution"):
                     bounds, more, kernel = fit(tm, coupling)
@@ -179,6 +182,11 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
         report.dims["basis_cols"] = basis.m * basis.width
     report.wall_time = time.perf_counter() - t_start
     return basis, kernel
+
+
+# Nodes whose kernels ``CoordinateTrajectory.ranks`` forms at once.  Against
+# k-node chunks (k up to 68) it left the egadl-lap90k solve unchanged.
+RANK_CHUNK = 16
 
 
 @dataclass
@@ -207,14 +215,13 @@ class CoordinateTrajectory:
 
     def ranks(self, tol):
         """Rank of every Y_k, counting the eigenvalues above tol times the
-        largest in magnitude.  The kernels are formed k nodes at a time, k
-        their order: a chunk holds k^3 entries, k/N of the stack G of N
-        nodes.  Smaller chunks measured slower: each is a few library calls
-        whose dispatch competes with the basis loop's thread."""
-        nnodes, k = self.g.shape[:2]
+        largest in magnitude.  The kernels are formed RANK_CHUNK nodes at a
+        time, so that the transient is RANK_CHUNK k^2 entries whatever the
+        order k of the kernels; the ranks do not depend on it."""
+        nnodes = self.g.shape[0]
         out = []
-        for lo in range(0, nnodes, k):
-            lam = np.abs(np.linalg.eigvalsh(self.kernels(slice(lo, lo + k))))
+        for lo in range(0, nnodes, RANK_CHUNK):
+            lam = np.abs(np.linalg.eigvalsh(self.kernels(slice(lo, lo + RANK_CHUNK))))
             out.append(np.count_nonzero(lam > tol * lam.max(axis=1, keepdims=True), axis=1))
         return np.concatenate(out)
 
@@ -254,14 +261,19 @@ _SOLUTION_FILES = ("node_*_z.mtx", "node_*_signs.mtx", "node_*_X.mtx", "basis.mt
                    SOLUTION_MANIFEST)
 
 
+def remove_solution_files(out_dir):
+    """Remove what an earlier save left in ``out_dir``, if it exists; other files stay."""
+    for pattern in _SOLUTION_FILES:
+        for path in Path(out_dir).glob(pattern):
+            path.unlink()
+
+
 def _clear_solution_files(out_dir):
     """Make ``out_dir`` and remove what an earlier save left there, so that a
     shorter run leaves no node of a longer one; other files stay."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for pattern in _SOLUTION_FILES:
-        for path in out_dir.glob(pattern):
-            path.unlink()
+    remove_solution_files(out_dir)
     return out_dir
 
 

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import solve_continuous_lyapunov
+from scipy.linalg import block_diag, solve_continuous_lyapunov
 
 from krymat import garnoldi, smallmat
 from krymat.blockmat import BlockRow, kron_apply
@@ -65,6 +65,14 @@ def near_defective(n, coupling=1e3):
     matrix is far past ``smallmat.EIG_COND_MAX``, so ``small_form`` keeps
     the real Schur form."""
     return np.diag(-1.0 - 1e-3 * np.arange(n)) + coupling * np.eye(n, k=1)
+
+
+def normal_complex_pairs(k, rng):
+    """Q blockdiag([[-a, b], [-b, -a]], ...) Q^T: normal, complex spectrum, kappa(X) = 1."""
+    blocks = [np.array([[-a, b], [-b, -a]])
+              for a, b in zip(rng.uniform(0.5, 5.0, k // 2), rng.uniform(1.0, 10.0, k // 2))]
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return q @ block_diag(*blocks) @ q.T
 
 
 def stable_sym(n, rng, lo=0.5, hi=20.0):

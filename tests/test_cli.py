@@ -475,6 +475,22 @@ bundle = {tmp_path / 'bundle'}
         loaded = LowRankSolution.load(out / "factors")
         assert loaded.grid.steps == 4 and len(loaded.factors) == 5
 
+    def test_run_without_factors_removes_an_earlier_runs(self, tmp_path):
+        # an n = 36 solution must not stay beside an n = 64 report; a file
+        # of another name stays
+        text = SMALL_EGADL.replace("method = egadl", "method = expo")
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, text + "\n[output]\nfactors = true\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "factors" / "basis.mtx").exists()
+        (out / "factors" / "notes.txt").write_text("kept")
+        cfg = write_cfg(tmp_path, text.replace("n0 = 6", "n0 = 8")
+                        + "\n[output]\nfactors = false\n")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "dims.n = 64" in (out / "summary.txt").read_text().splitlines()
+        assert {p.name: p.read_bytes() for p in (out / "factors").iterdir()} == {
+            "notes.txt": b"kept"}
+
     def test_galerkin_factor_output_is_the_snapshots(self, tmp_path, monkeypatch):
         solved = _record_solution(monkeypatch, dsylv, "galerkin_solve")
         text = SMALL_EGADL.replace("method = egadl", "method = galerkin").replace(

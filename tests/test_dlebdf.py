@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from krymat import smallmat
+from krymat import smallmat, solution
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
 from krymat.egarnoldi import ExtendedGlobalArnoldi
@@ -16,8 +16,8 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
 from krymat.smallmat import DiagonalForm, TriangularForm, small_form
 from krymat.solution import CoordinateTrajectory, TimeGrid
 
-from conftest import (bdf_derivatives, bdf_step, dense_dle_bdf, near_defective, stable_dense,
-                      stable_sparse)
+from conftest import (bdf_derivatives, bdf_step, dense_dle_bdf, near_defective,
+                      normal_complex_pairs, stable_dense, stable_sparse, stable_sym)
 
 
 def _projection(a, b, m):
@@ -199,6 +199,49 @@ class TestCoordinateMarch:
             lam = np.abs(np.linalg.eigvalsh(y))
             expected.append(np.count_nonzero(lam > 1e-10 * lam.max()))
         assert traj.ranks(1e-10).tolist() == expected
+
+
+    @pytest.mark.parametrize("tm_of, kind", [
+        (lambda rng: stable_sym(20, rng), "real"),
+        (lambda rng: normal_complex_pairs(20, rng), "complex"),
+        (lambda rng: near_defective(20, coupling=10.0), "schur"),
+    ], ids=["real-eigen", "complex-eigen", "schur"])
+    def test_ranks_do_not_depend_on_the_chunk(self, monkeypatch, rng, tm_of, kind):
+        form = small_form(tm_of(rng))[0]
+        assert {"real": not np.iscomplexobj(form.x) and isinstance(form.own, DiagonalForm),
+                "complex": np.iscomplexobj(form.x),
+                "schur": isinstance(form.own, TriangularForm)}[kind]
+        traj = bdf_integrate(form, rng.standard_normal(20), None, TimeGrid(0.0, 1.0, 40), 2)
+        ranks = []
+        for chunk in (1, 16, 20):           # one node, the default, k nodes
+            monkeypatch.setattr(solution, "RANK_CHUNK", chunk)
+            ranks.append(traj.ranks(1e-10).tolist())
+        assert ranks[0] == ranks[1] == ranks[2]
+        assert len(set(ranks[0])) > 2            # the ranks grow along the march
+
+
+class TestSymmetricReduction:
+    @pytest.mark.parametrize("n0, seed, m", [(10, 1, 8), (30, 2, 12), (200, 3, 28)],
+                             ids=["n0=10", "n0=30", "n0=200-complex-eig"])
+    def test_eigh_matches_the_eig_reduction(self, n0, seed, m):
+        # the Laplacian's T_m is symmetric to roundoff: the eigh reduction of
+        # its symmetric part gives the bounds and ranks of the eig reduction
+        # of T_m itself, which is complex for the last fixture
+        prob = gen_dle_problem(n0=n0, p=2, seed=seed)
+        proc, (_, tm, coupling) = _projection(prob.a, prob.b, m)
+        assert not np.array_equal(tm, tm.T)
+        eig = small_form(tm)[0]
+        eigh, cond = small_form(0.5 * (tm + tm.T))
+        assert isinstance(eig.own, DiagonalForm) and np.iscomplexobj(eig.x) == (n0 == 200)
+        assert eigh.x.dtype == float and np.array_equal(eigh.xinv, eigh.x.T) and cond == 1.0
+        bm = np.r_[proc.beta, np.zeros(len(tm) - 1)]
+        bounds, ranks = [], []
+        for form in (eig, eigh):
+            traj = bdf_integrate(form, bm, None, TimeGrid(0.0, 1.0, 20), 2)
+            bounds.append(residual_bound_bdf(coupling, traj.last_rows(2)))
+            ranks.append(traj.ranks(1e-10).tolist())
+        np.testing.assert_allclose(bounds[1], bounds[0], rtol=1e-8, atol=0)
+        assert ranks[1] == ranks[0]
 
 
 class TestResidualBound:

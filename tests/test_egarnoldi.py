@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from krymat.blockmat import BlockRow, diamond, kron_apply
+from krymat import egarnoldi
+from krymat.blockmat import BlockRow, diamond, global_qr, kron_apply
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import DimensionError
 from krymat.probio import LinearSolver, gen_laplacian2d, random_full_rank
@@ -193,6 +194,20 @@ class TestLayout:
         for v in (proc.sub_basis(), proc.sub_basis(4), proc.projection(2)[0],
                   BlockRow(proc.sub_basis().data, 4), BlockRow(proc.sub_basis(4).data, 4)):
             assert np.shares_memory(v.data, proc._buf)
+
+    @pytest.mark.parametrize("nonsymmetric", [False, True], ids=["laplacian", "random"])
+    def test_qr_in_place_leaves_the_process_bit_identical(self, monkeypatch, rng,
+                                                          nonsymmetric):
+        # the step's two QR passes overwrite its scratch; copying it first,
+        # as global_qr does by default, gives the same T_m and basis bit for bit
+        a = stable_sparse(40, rng) if nonsymmetric else gen_laplacian2d(7)
+        b = random_full_rank(a.shape[0], 2, seed=6)
+        in_place = _run(a, b, 6)
+        monkeypatch.setattr(egarnoldi, "global_qr",
+                            lambda zb, tol, scale, **_: global_qr(zb, tol, scale))
+        copied = _run(a, b, 6)
+        assert projected_matrices(in_place) == projected_matrices(copied)
+        assert in_place.sub_basis().data.tobytes() == copied.sub_basis().data.tobytes()
 
     def test_advance_past_m_max_is_refused(self, rng):
         a = stable_sparse(30, rng)

@@ -2,6 +2,7 @@
 checks and rank-deficient data, seen through each solver."""
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -139,8 +140,9 @@ def test_huge_m_max_reserves_only_the_block_space(method):
 ])
 @pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])
 def test_trust_names_the_final_reduction(solve, kind, seed, branch):
-    # the Laplacian's T_m is symmetric to roundoff; the nonsymmetric random
-    # fixtures end at m = 9 with kappa_2(X) = 16.3 (past the gate) and 6.9
+    # the Laplacian's T_m is symmetric to roundoff, and the fits reduce its
+    # symmetric part with an orthogonal X; the nonsymmetric random fixtures
+    # end at m = 9 with kappa_2(X) = 16.3 (past the gate) and 6.9
     if kind == "laplacian":
         problem = gen_dle_problem(n0=6, p=2, seed=seed)
     else:
@@ -148,7 +150,10 @@ def test_trust_names_the_final_reduction(solve, kind, seed, branch):
     _, rep = solve(problem, TimeGrid(0.0, 1.0, 20), 40, 1e-8)
     assert rep.converged
     _, tm, _ = _extended_projection(problem, rep.m_final)
+    if kind == "laplacian":
+        tm = 0.5 * (tm + tm.T)
     form, cond = small_form(tm)
+    assert (cond == 1.0) == (kind == "laplacian")
     # expo also names its log-norm path; n <= 400 takes the dense one.  Both
     # bound the residual's Frobenius norm
     extra = {"mu2_method": "dense"} if solve is expo_dle_solve else {}
@@ -158,6 +163,27 @@ def test_trust_names_the_final_reduction(solve, kind, seed, branch):
     lines = rep.summary_lines()
     assert f"trust.small_form = {branch}" in lines
     assert f"trust.eig_cond = {cond}" in lines
+
+
+@pytest.mark.parametrize("module, name", [(dlebdf, "bdf_integrate"),
+                                          (dleexp, "gram_trajectory")], ids=["egadl", "expo"])
+def test_one_trajectory_is_alive_when_the_next_fit_starts(monkeypatch, module, name):
+    # the previous basis size's trajectory, and the rank function that holds
+    # it, are gone before the next fit allocates its own
+    make, refs, alive = getattr(module, name), [], []
+
+    def recording(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        traj = make(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(module, name, recording)
+    solve = egadl_solve if module is dlebdf else expo_dle_solve
+    sol, rep = solve(gen_dle_problem(n0=8, p=2, seed=1), TimeGrid(0.0, 1.0, 20), 30, 1e-8)
+    assert rep.converged and rep.m_final >= 3
+    assert alive == [0] * rep.m_final
+    assert refs[-1]() is sol.kernel
 
 
 @pytest.mark.parametrize("method, p, norm", [

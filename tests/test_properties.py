@@ -9,10 +9,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_dle_bdf
 from krymat.blockmat import kron_apply
+from krymat.dlebdf import egadl_solve
 from krymat.dsylv import galerkin_solve
 from krymat.garnoldi import GlobalArnoldi
-from krymat.probio import GenSylvesterProblem, gen_random_stable, gsylv_apply
+from krymat.probio import (GenSylvesterProblem, gen_dle_problem, gen_random_dle_problem,
+                           gen_random_stable, gsylv_apply)
 from krymat.solution import TimeGrid
 
 @st.composite
@@ -75,3 +78,54 @@ class TestGalerkinProperties:
         again, rep_again = galerkin_solve(problem, grid, m_max, tol)
         assert rep_again.rows == rep.rows
         assert np.array_equal(again.samples, sol.samples)
+
+
+@st.composite
+def dle_runs(draw):
+    """(problem, grid, m_max, tol, l): a 2-D Laplacian A (exactly symmetric)
+    or a sparse random stable one (nonsymmetric), and B of p <= n/10 columns,
+    so that no low-rank warning is raised.  The smallest problems break down."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        n0 = draw(st.integers(2, 6))
+        problem = gen_dle_problem(n0=n0, p=draw(st.integers(1, max(1, n0 * n0 // 10))),
+                                  seed=seed)
+    else:
+        n = draw(st.integers(2, 40))
+        problem = gen_random_dle_problem(n=n, p=draw(st.integers(1, max(1, n // 10))),
+                                         density=draw(st.sampled_from([0.1, 0.3, 1.0])),
+                                         seed=seed)
+    steps = draw(st.integers(5, 10))
+    grid = TimeGrid(0.0, draw(st.sampled_from([0.1, 1.0])), steps)
+    return (problem, grid, draw(st.integers(1, 30)), draw(st.sampled_from([1e-8, 1e-10])),
+            draw(st.integers(1, 3)))
+
+
+class TestEgadlProperties:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(dle_runs())
+    def test_rows_rerun_real_kernels_and_dense_bdf(self, run):
+        problem, grid, m_max, tol, l = run
+        sol, rep = egadl_solve(problem, grid, m_max, tol, l=l)
+
+        # one row set per basis size, each node once and in order, also
+        # after a breakdown; a seed whose A^{-1} image depends on it breaks
+        # down before the first step, and its one row set is at m = 0
+        sizes = list(range(1, rep.m_final + 1)) or [0]
+        assert [r[0] for r in rep.rows] == [m for m in sizes for _ in grid.nodes]
+        assert [r[1] for r in rep.rows] == list(grid.nodes) * len(sizes)
+
+        again, rep_again = egadl_solve(problem, grid, m_max, tol, l=l)
+        assert rep_again.rows == rep.rows
+        assert np.array_equal(again.kernel.g, sol.kernel.g)
+
+        # an exactly symmetric A is reduced by eigh: X and every G_k are real
+        if (problem.a != problem.a.T).nnz == 0:
+            assert sol.kernel.x.dtype == float and sol.kernel.g.dtype == float
+            assert rep.trust["eig_cond"] == 1.0
+
+        # a converged run is the same-grid dense BDF solution within AC-4's bound
+        if rep.converged:
+            ref = dense_dle_bdf(problem, grid, l)
+            for k in range(grid.nnodes):
+                assert np.linalg.norm(sol.snapshot(k) - ref[k]) < 1e-6

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, solve_continuous_lyapunov
+from scipy.linalg import solve_continuous_lyapunov
 
 from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
@@ -13,15 +13,8 @@ from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, 
                              real_schur, small_form, symmetrize, trunc_sym_factor, vanloan_gram,
                              vanloan_gram_nodes)
 
-from conftest import deadline, lyap_through, near_defective, stable_dense, stable_sym
-
-
-def normal_complex_pairs(k, rng):
-    """Q blockdiag([[-a, b], [-b, -a]], ...) Q^T: normal, complex spectrum, kappa(X) = 1."""
-    blocks = [np.array([[-a, b], [-b, -a]])
-              for a, b in zip(rng.uniform(0.5, 5.0, k // 2), rng.uniform(1.0, 10.0, k // 2))]
-    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
-    return q @ block_diag(*blocks) @ q.T
+from conftest import (deadline, lyap_through, near_defective, normal_complex_pairs, stable_dense,
+                      stable_sym)
 
 
 # T on the eigen side of small_form's gate: real spectrum, complex pairs, nonnormal
