@@ -17,6 +17,7 @@ import argparse
 import configparser
 import io
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -227,7 +228,7 @@ def cmd_run(args, out=None, err=None):
     if ref is not None:
         deviation = max(np.linalg.norm(solution.snapshot(k) - ref[k])
                         for k in range(grid.nnodes))
-        lines.append(f"oracle_max_deviation = {deviation:.17g}")
+        lines.append(f"oracle_max_deviation = {probio.float_text(deviation)}")
 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,33 +288,48 @@ def cmd_sweep(args):
     def one(cfg_path, out, err):
         ns = argparse.Namespace(config=str(cfg_path), seed=args.seed,
                                 out=str(out_root / cfg_path.stem))
+        _warnings_to.err = err
         try:
             return cmd_run(ns, out, err)
         except Exception as exc:      # one failing config must not sink the others
             return _fail(f"{type(exc).__name__}: {exc}", EXIT_ERROR, err)
+        finally:
+            _warnings_to.err = None
 
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _fail(exc, EXIT_IO)
-    # each config's summary is one block and its error line one line, both
-    # printed in config order once every config has finished
+    # each config's summary is one block, and its warning and error lines
+    # follow one another as they came, all printed in config order once every
+    # config has finished
     blocks = [io.StringIO() for _ in configs]
     errors = [io.StringIO() for _ in configs]
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        codes = list(pool.map(one, configs, blocks, errors))
+    # every config's warnings are its own: none is dropped as a repeat of
+    # another's, while a filter before this one (an error) still wins
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", append=True)
+        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+            codes = list(pool.map(one, configs, blocks, errors))
     print("".join(block.getvalue() for block in blocks), end="")
     for cfg_path, err in zip(configs, errors):
         for line in err.getvalue().splitlines():
-            print(f"error: {cfg_path}: {line.removeprefix('error: ')}", file=sys.stderr)
+            kind = "warning" if line.startswith("warning: ") else "error"
+            print(f"{kind}: {cfg_path}: {line.removeprefix(f'{kind}: ')}", file=sys.stderr)
     for cfg_path, code in zip(configs, codes):
         print(f"{cfg_path}: exit {code}")
     return max(codes) if codes else EXIT_OK
 
 
+# where a sweep's worker thread writes its config's warnings; stderr when unset
+_warnings_to = threading.local()
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     """A warning as one ``warning:`` line in one write, like the ``error:`` lines."""
-    (sys.stderr if file is None else file).write(f"warning: {message}\n")
+    if file is None:
+        file = getattr(_warnings_to, "err", None) or sys.stderr
+    file.write(f"warning: {message}\n")
 
 
 def main(argv=None):

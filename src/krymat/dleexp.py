@@ -93,18 +93,19 @@ def apriori_error_bound(h, gbar_max, mu2, t, t0):
         return lead * (np.exp(2.0 * dt * mu2) - 1.0) / (2.0 * mu2)
 
 
-def _certified_negative_definite(a):
-    """True when A is exactly symmetric and every Gershgorin disc of A lies
-    in (-inf, 0]: then A is negative semidefinite, and negative definite once
-    it has an LU."""
-    if not exactly_symmetric(a):
+def _certified_negative_definite(a, symmetric):
+    """True when A is exactly symmetric (``symmetric``, from
+    ``probio.exactly_symmetric``) and every Gershgorin disc of A lies in
+    (-inf, 0]: then A is negative semidefinite, and negative definite once it
+    has an LU."""
+    if not symmetric:
         return False
     diag = a.diagonal()
     radius = np.asarray(abs(a).sum(axis=1)).ravel() - np.abs(diag)
     return bool((diag + radius).max() <= 0)
 
 
-def lognorm2_operator(a, solver=None, trust=None):
+def lognorm2_operator(a, solver=None, trust=None, symmetric=None):
     """mu_2(A) = lambda_max((A + A^T)/2) of a sparse or dense operator.
 
     Up to order 400, or for a dense A, the dense eigensolve.  Above it, with
@@ -120,7 +121,8 @@ def lognorm2_operator(a, solver=None, trust=None):
     Otherwise (no solver, a nonsymmetric A, a failed Gershgorin test) the
     Lanczos for the largest eigenvalue of the symmetric part.  When ``trust``
     is a dict, the path taken goes to trust["mu2_method"]: "dense",
-    "shift-invert" or "lanczos".
+    "shift-invert" or "lanczos".  A caller that has compared A with A^T
+    passes the answer as ``symmetric``; None makes the comparison here.
     """
     if not sp.issparse(a) or a.shape[0] <= 400:
         method = "dense"
@@ -129,7 +131,9 @@ def lognorm2_operator(a, solver=None, trust=None):
         n = a.shape[0]
         # a fixed start vector makes ARPACK, and so mu2, reproducible
         v0 = np.random.default_rng(0).standard_normal(n)
-        if solver is not None and _certified_negative_definite(a):
+        if symmetric is None:
+            symmetric = exactly_symmetric(a)
+        if solver is not None and _certified_negative_definite(a, symmetric):
             method = "shift-invert"
             inv = spla.LinearOperator((n, n), matvec=solver.solve, dtype=float)
             theta = spla.eigsh(inv, k=1, which="LM", v0=v0, return_eigenvectors=False)
@@ -168,8 +172,8 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
             return None
         # the extended process's LU also serves the log-norm's shift-invert
         solver = LinearSolver(problem.a) if variant == "extended" else None
-        mu2 = lognorm2_operator(problem.a, solver, report.trust)
         symmetric = exactly_symmetric(problem.a)
+        mu2 = lognorm2_operator(problem.a, solver, report.trust, symmetric)
         report.settings["mu2"] = mu2
         if variant == "global":
             proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b, m_max)

@@ -50,6 +50,13 @@ def exactly_symmetric(a):
     return not (a != a.T).nnz
 
 
+def float_text(x):
+    """``x`` as the shortest decimal that reads back to the same float64, its
+    ``repr``: the one rule for every number krymat writes as text.  Through
+    ``float``, as NumPy 2 writes a scalar's repr as ``np.float64(...)``."""
+    return repr(float(x))
+
+
 def check_horizon(t0, tf):
     """Refuse a horizon that no time grid can cover: the problems and
     ``TimeGrid`` share it, so no bundle is written that no run can read."""
@@ -483,7 +490,7 @@ def save_problem(problem, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = configparser.ConfigParser()
-    manifest["problem"] = {"t0": f"{problem.t0:.17g}", "tf": f"{problem.tf:.17g}"}
+    manifest["problem"] = {"t0": float_text(problem.t0), "tf": float_text(problem.tf)}
     members = {}
     if isinstance(problem, DLEProblem):
         manifest["problem"]["kind"] = "dle"

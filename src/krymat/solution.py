@@ -93,10 +93,14 @@ class SolveReport:
         return np.array([r[2] for r in self.rows if r[0] == self.m_final])
 
     def write_csv(self, path):
-        """One line a row: m and rank as integers, the rest as 17 significant digits."""
-        np.savetxt(path, np.reshape(self.rows, (-1, len(self.columns))), delimiter=",",
-                   fmt=["%d" if c in ("m", "rank") else "%.17g" for c in self.columns],
-                   header=",".join(self.columns), comments="")
+        """One line a row, in one pass: m and rank as integers, every other
+        value as its shortest round-trip decimal (``probio.float_text``)."""
+        texts = ["%d".__mod__ if c in ("m", "rank") else probio.float_text
+                 for c in self.columns]
+        with open(path, "w") as fh:
+            fh.write(",".join(self.columns) + "\n")
+            fh.writelines(",".join([text(v) for text, v in zip(texts, row)]) + "\n"
+                          for row in self.rows)
 
     def summary_lines(self):
         lines = [
@@ -132,7 +136,8 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
     raises.  A basis size's rows are added once the process has advanced
     past it.  When that advance made no progress (an extended step that
     broke down does not count), the fit of the same size on all retained
-    sub-blocks replaces them, and trust.refit names that size.  Sets the
+    sub-blocks replaces them, and trust.refit names that size; one that
+    broke down before its first counted step is fitted as size 1.  Sets the
     report's status, basis size and wall time; returns the last (basis, kernel).
     """
     # the basis is allocated for m_max steps, so it must count them
@@ -163,7 +168,9 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
                         add_rows(m, *pending)
                     else:
                         report.trust["refit"] = m
-                m = advanced
+                # a process that breaks down at its seed or in its first step
+                # fits m = 1 on what it retained: m = 0 is B = 0 alone
+                m = max(advanced, 1)
                 basis, tm, coupling = proc.projection(m)
                 # one trajectory at a time: the previous size's, and ``more``
                 # that holds it, go before the fit allocates the next
@@ -326,7 +333,8 @@ class LowRankSolution:
             probio.write_matrix_market(out_dir / f"node_{k:04d}_signs.mtx", f.signs)
         manifest = configparser.ConfigParser()
         manifest["solution"] = {"width": str(w.width),
-                                "t0": f"{self.grid.t0:.17g}", "tf": f"{self.grid.tf:.17g}",
+                                "t0": probio.float_text(self.grid.t0),
+                                "tf": probio.float_text(self.grid.tf),
                                 "steps": str(self.grid.steps)}
         with open(out_dir / SOLUTION_MANIFEST, "w") as fh:
             manifest.write(fh)

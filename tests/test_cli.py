@@ -889,6 +889,34 @@ class TestSweep:
             alone.append(f"error: {cfg}: {line.removeprefix('error: ')}")
         assert swept == "".join(alone)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_config_prints_its_warnings_named(self, tmp_path, threads):
+        # both configs warn from the same line: each prints its own warning,
+        # named, in config order beside its error lines, as the third's error
+        text = SMALL_EGADL.replace("n0 = 6", "n0 = 3").replace("steps = 10", "steps = 5")
+        text = text.replace("m_max = 20", "m_max = 5")
+        cfgs = [write_cfg(tmp_path, text.replace("p = 2", f"p = {p}"), f"p{p}.cfg")
+                for p in (2, 3)]
+        cfgs.append(write_cfg(tmp_path, text.replace("tol = 1e-8", "tol = -1"), "bad.cfg"))
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        res = subprocess.run([sys.executable, "-m", "krymat.cli", "sweep", "--configs",
+                              *map(str, cfgs), "--out", str(tmp_path / "sweep"),
+                              "--threads", str(threads)], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 2
+        warning = "B is not low rank relative to n (p > n/10)"
+        assert res.stderr.splitlines() == [
+            f"warning: {cfgs[0]}: {warning}", f"warning: {cfgs[1]}: {warning}",
+            f"warning: {cfgs[2]}: {warning}", f"error: {cfgs[2]}: tol = -1.0: need 0 <= tol < inf"]
+        # a filter that makes the warning an error still wins
+        res = subprocess.run([sys.executable, "-W", "error::UserWarning", "-m", "krymat.cli",
+                              "sweep", "--configs", *map(str, cfgs[:2]),
+                              "--out", str(tmp_path / "strict"), "--threads", str(threads)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 1
+        assert res.stderr.splitlines() == [f"error: {cfg}: UserWarning: {warning}"
+                                           for cfg in cfgs[:2]]
+
     def test_summaries_print_as_whole_blocks_in_config_order(self, tmp_path, capsys):
         # four configs that finish together on four threads, with a real
         # stdout: each summary is the block that `run` prints for its config

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.linalg import expm as sexpm
 
-from krymat import smallmat
+from krymat import dleexp, probio, smallmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_trajectory,
@@ -323,6 +323,23 @@ class TestExpoSolve:
         _, rep = expo_dle_solve(prob, TimeGrid(0.0, 1.0, 10), 5, 1e-8, variant=variant)
         lines = [ln for ln in rep.summary_lines() if ln.startswith("trust.mu2_method")]
         assert lines == [f"trust.mu2_method = {method}"]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_symmetry_test_a_solve(self, variant, monkeypatch):
+        # n = 441: the extended variant's log-norm takes the shift-invert,
+        # which needs A symmetric, and the fit reads the same answer
+        compared = []
+
+        def counting(a):
+            compared.append(a)
+            return probio.exactly_symmetric(a)
+
+        monkeypatch.setattr(dleexp, "exactly_symmetric", counting)
+        _, rep = expo_dle_solve(gen_dle_problem(n0=21, p=2, seed=1), TimeGrid(0.0, 1.0, 10),
+                                5, 1e-8, variant=variant)
+        assert len(compared) == 1
+        assert rep.trust["mu2_method"] == {"extended": "shift-invert",
+                                           "global": "lanczos"}[variant]
 
     def test_load_needs_the_manifest(self, tmp_path):
         # missing, then without a section header, then without a key

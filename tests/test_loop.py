@@ -56,12 +56,33 @@ def test_report_csv_text(tmp_path):
                 (4, 0.1, -1.7976931348623157e308, 5)]:
         rep.add(*row)
     rep.write_csv(tmp_path / "report.csv")
+    # every value but m and rank as its shortest round-trip decimal
     assert (tmp_path / "report.csv").read_text() == (
-        "m,t,residual_bound,rank\n1,0,-0,2\n2,4.9406564584124654e-324,1e+308,0\n"
-        "10,inf,nan,3\n4,0.10000000000000001,-1.7976931348623157e+308,5\n")
+        "m,t,residual_bound,rank\n1,0.0,-0.0,2\n2,5e-324,1e+308,0\n"
+        "10,inf,nan,3\n4,0.1,-1.7976931348623157e+308,5\n")
     # a solve of a zero right-hand side adds no row
     SolveReport("galerkin", ("m", "t", "residual_bound")).write_csv(tmp_path / "zero.csv")
     assert (tmp_path / "zero.csv").read_text() == "m,t,residual_bound\n"
+
+
+@pytest.mark.parametrize("solve", [
+    _egadl,
+    lambda: expo_dle_solve(gen_random_dle_problem(n=40, p=2, density=0.2, seed=2),
+                           TimeGrid(0.0, 1.0, 20), 30, 1e-8),
+    _galerkin,
+], ids=["egadl-laplacian", "expo-random-stable", "galerkin"])
+def test_report_tokens_are_shortest_round_trip_decimals(solve, tmp_path):
+    _, rep = solve()
+    rep.write_csv(tmp_path / "report.csv")
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert lines[0] == ",".join(rep.columns) and len(lines) == len(rep.rows) + 1
+    for line, row in zip(lines[1:], rep.rows, strict=True):
+        for col, token, value in zip(rep.columns, line.split(","), row, strict=True):
+            if col in ("m", "rank"):
+                assert token == str(int(value))
+            else:
+                assert token == repr(float(value))
+                assert np.float64(token).tobytes() == np.float64(value).tobytes()
 
 
 def test_report_row_needs_every_column():
@@ -216,7 +237,7 @@ def _diagonal_with_invariant_rhs():
     return a, b
 
 
-@pytest.mark.parametrize("variant,m_final", [("global", 3), ("extended", 0)])
+@pytest.mark.parametrize("variant,m_final", [("global", 3), ("extended", 1)])
 def test_expo_breakdown_is_exact(variant, m_final):
     a, b = _diagonal_with_invariant_rhs()
     prob = DLEProblem(a, b)
@@ -251,6 +272,19 @@ def test_extended_breakdown_reports_one_row_set_per_size(solve):
     assert [row[:2] for row in rep.rows] == [(1, t) for t in grid.nodes]
     assert rep.final_bounds().max() < 1e-8
     assert rep.trust["refit"] == 1
+
+
+@pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])
+def test_breakdown_before_the_first_step_is_size_one(solve):
+    # n = 4, p = 1: the seed gives two sub-blocks and the first step a third,
+    # but that step breaks down without counting; the fit on all three is
+    # basis size 1, and m = 0 stays the label of B = 0
+    grid = TimeGrid(0.0, 1.0, 4)
+    _, rep = solve(gen_dle_problem(n0=2, p=1, seed=1), grid, 30, 1e-8)
+    assert rep.breakdown and rep.converged
+    assert rep.m_final == 1 and rep.dims["basis_blocks"] == 3
+    assert [row[:2] for row in rep.rows] == [(1, t) for t in grid.nodes]
+    assert rep.final_bounds().max() < 1e-8
 
 
 def _raise_numeric_error(*args, **kwargs):

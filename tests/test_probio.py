@@ -1,5 +1,6 @@
 """Problems, sparse solves, Matrix Market round trips, generators."""
 
+import configparser
 import re
 import warnings
 
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 
 from krymat import probio
 from krymat.cli import main
+from krymat.dleexp import expo_dle_solve
 from krymat.dsylv import galerkin_solve
 from krymat.errors import DimensionError, FactorizationError, ParseError
 from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver,
                            gen_dle_problem, gen_laplacian2d, gen_random_stable,
                            gen_sylvester_q2, gsylv_apply, load_problem, random_full_rank,
                            read_matrix_market, save_problem, write_matrix_market)
-from krymat.solution import TimeGrid
+from krymat.solution import LowRankSolution, TimeGrid
 
 from conftest import stable_sparse
 from mm_reference import reference_read, reference_write
@@ -486,6 +488,40 @@ class TestBundleBytes:
             assert (got != want).nnz == 0
         np.testing.assert_array_equal(back.c, prob.c)
         assert (back.t0, back.tf) == (prob.t0, prob.tf)
+
+
+class TestManifestTimes:
+    """t0 and tf go to problem.cfg and solution.cfg as their shortest
+    round-trip decimals; a manifest with 17 significant digits still loads."""
+
+    @staticmethod
+    def _assert_times_reload(tmp_path):
+        grid = LowRankSolution.load(tmp_path / "factors").grid
+        back = load_problem(tmp_path / "bundle")
+        for t0, tf in ((back.t0, back.tf), (grid.t0, grid.tf)):
+            assert np.float64(t0).tobytes() == np.float64(0.1).tobytes()
+            assert np.float64(tf).tobytes() == np.float64(1 / 3).tobytes()
+
+    def test_times_reload_bit_for_bit(self, tmp_path):
+        prob = gen_dle_problem(n0=4, p=1, seed=3, t0=0.1, tf=1 / 3)
+        save_problem(prob, tmp_path / "bundle")
+        sol, _ = expo_dle_solve(prob, TimeGrid(prob.t0, prob.tf, 4), 5, 1e-8)
+        sol.save(tmp_path / "factors")
+        manifests = {tmp_path / "bundle" / "problem.cfg": "problem",
+                     tmp_path / "factors" / "solution.cfg": "solution"}
+        for path in manifests:
+            lines = path.read_text().splitlines()
+            assert "t0 = 0.1" in lines and "tf = 0.3333333333333333" in lines
+        self._assert_times_reload(tmp_path)
+        # the same times as the 17 significant digits of older manifests
+        for path, section in manifests.items():
+            manifest = configparser.ConfigParser()
+            manifest.read(path)
+            manifest[section].update(t0=f"{0.1:.17g}", tf=f"{1 / 3:.17g}")
+            with open(path, "w") as fh:
+                manifest.write(fh)
+            assert "t0 = 0.10000000000000001" in path.read_text().splitlines()
+        self._assert_times_reload(tmp_path)
 
 
 class TestLaplacian:

@@ -110,8 +110,8 @@ class TestEgadlProperties:
 
         # one row set per basis size, each node once and in order, also
         # after a breakdown; a seed whose A^{-1} image depends on it breaks
-        # down before the first step, and its one row set is at m = 0
-        sizes = list(range(1, rep.m_final + 1)) or [0]
+        # down before the first step, and its one row set is at m = 1
+        sizes = list(range(1, rep.m_final + 1))
         assert [r[0] for r in rep.rows] == [m for m in sizes for _ in grid.nodes]
         assert [r[1] for r in rep.rows] == list(grid.nodes) * len(sizes)
 
