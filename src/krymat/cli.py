@@ -359,10 +359,13 @@ def main(argv=None):
     p_sweep.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)
-    # the filters stay as they are: a warning that they make an error still raises
+    # the filters stay: a warning that they make an error is an unexpected error
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
-        return args.func(args)
+        try:
+            return args.func(args)
+        except Exception as exc:      # no failure ends in a traceback
+            return _fail(f"{type(exc).__name__}: {exc}", EXIT_ERROR)
 
 
 if __name__ == "__main__":

@@ -133,6 +133,20 @@ class TestRun:
         assert res.returncode == 0, res.stderr
         assert res.stderr == "warning: factor B looks rank deficient (columns [0])\n"
 
+    @pytest.mark.parametrize("command", ["run", "generate"])
+    def test_warning_made_an_error_exits_1_with_one_line(self, tmp_path, command):
+        # a filter that makes the warning an error ends the command like any
+        # unexpected error: one line, no traceback
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("n0 = 6", "n0 = 3"))
+        args = {"run": ["--config", str(cfg), "--out", str(tmp_path / "out")],
+                "generate": ["laplacian2d", "--out", str(tmp_path / "bundle"),
+                             "--param", "n0=3", "--param", "p=2"]}[command]
+        env = dict(os.environ, PYTHONPATH=str(CONFIG_DIR.parent / "src"))
+        res = subprocess.run([sys.executable, "-W", "error::UserWarning", "-m", "krymat.cli",
+                              command, *args], capture_output=True, text=True, env=env)
+        assert res.returncode == 1
+        assert res.stderr == "error: UserWarning: B is not low rank relative to n (p > n/10)\n"
+
     def test_unreachable_tolerance_exits_3_with_history(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_EGADL.replace("tol = 1e-8", "tol = 0"))
         code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
