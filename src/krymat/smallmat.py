@@ -346,18 +346,26 @@ def trunc_sym_factor(y, tol):
 def joint_sym_factor(ys, tol):
     """Truncated factorizations of a stack of symmetric matrices on one basis.
 
-    Returns (Q, factors): Q is k x s with orthonormal columns, s <= k, and
-    ``factors`` holds one LowRankFactor (Z_k, signs_k) a matrix, with
+    Returns (Q, factors): Q is k x s with orthonormal columns, 1 <= s <= k,
+    and ``factors`` holds one LowRankFactor (Z_k, signs_k) a matrix, with
     ||Y_k - Q Z_k diag(signs_k) Z_k^T Q^T||_2 <= tol ||Y_k||_2.  Half of tol
-    goes to the shared range and half to the factors: Q holds the leading
-    left singular vectors of M = [Y_1/||Y_1||_2, Y_2/||Y_2||_2, ...] (a zero
-    Y_k stays zero), those whose singular value exceeds tol/4, and at least
-    one, so that ||(I - QQ^T) Y_k||_2 <= (tol/4) ||Y_k||_2 and Y_k moves by
-    at most (tol/2) ||Y_k||_2 when projected on both sides; the factors are
-    ``trunc_sym_factor`` of Q^T Y_k Q at tol/2.  The SVD is taken of M, not
-    of sum Y_k^2: squared singular values near tol^2 would drown in
-    roundoff.  As the Y_k are symmetric, M^T is the stack [Y_1; Y_2; ...]
-    scaled row block by row block, and its right singular vectors are Q.
+    goes to the shared range and half to the factors.  The columns of Q are
+    the leading left singular vectors U of M = [Y_1/||Y_1||_2, Y_2/||Y_2||_2,
+    ...] (a zero Y_k stays zero).  The first s0 of them, those whose singular
+    value exceeds tol/4 and at least one, give ||(I - QQ^T) Y_k||_2 <=
+    (tol/4) ||Y_k||_2, so every Y_k moves by at most (tol/2) ||Y_k||_2 when
+    projected on both sides.  A direction that all N nodes share weighs up
+    to sqrt(N) times more in M than in any one node, so s steps down from s0
+    while each node's exact two-sided error ||Y_k - P Y_k P||_2, P = QQ^T,
+    stays within (tol/2) ||Y_k||_2, and stops at the first s that fails.
+    That error is the norm of R_k = U^T Y_k U with its leading s x s block
+    set to zero.  Its Frobenius norm bounds it, and ``eigvalsh`` settles
+    only the nodes that the Frobenius norm leaves over budget.  The factors
+    are ``trunc_sym_factor`` at tol/2 of the leading s x s block of R_k,
+    which is Q^T Y_k Q.  The SVD is taken of M, not of sum Y_k^2: squared
+    singular values near tol^2 would drown in roundoff.  As the Y_k are
+    symmetric, M^T is the stack [Y_1; Y_2; ...] scaled row block by row
+    block, and its right singular vectors are U.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 3 or ys.shape[1] != ys.shape[2]:
@@ -373,5 +381,19 @@ def joint_sym_factor(ys, tol):
     norms = np.linalg.norm(ys, 2, axis=(1, 2))
     scaled = ys / np.where(norms > 0, norms, 1.0)[:, None, None]
     _, sig, vt = np.linalg.svd(scaled.reshape(-1, k), full_matrices=False)
-    q = vt[: max(1, int(np.count_nonzero(sig > tol / 4)))].T
-    return q, [trunc_sym_factor(y, tol / 2) for y in q.T @ ys @ q]
+    rot = vt @ ys @ vt.T
+    budget = tol / 2 * norms
+    # tails[:, s]: squared Frobenius norm of R_k off its leading s x s block,
+    # summed shell by shell (entries with max(i, j) = l) so nothing cancels
+    sq = rot * rot
+    shells = np.tril(sq).sum(axis=2) + np.triu(sq, 1).sum(axis=1)
+    tails = np.cumsum(shells[:, ::-1], axis=1)[:, ::-1]
+    s = max(1, int(np.count_nonzero(sig > tol / 4)))
+    while s > 1:
+        over = np.flatnonzero(np.sqrt(tails[:, s - 1]) > budget)
+        rest = rot[over]
+        rest[:, : s - 1, : s - 1] = 0.0
+        if (np.abs(np.linalg.eigvalsh(rest)).max(axis=1) > budget[over]).any():
+            break
+        s -= 1
+    return vt[:s].T, [trunc_sym_factor(r, tol / 2) for r in rot[:, :s, :s]]

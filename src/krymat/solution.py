@@ -291,7 +291,11 @@ class LowRankSolution:
     Its factored form puts every node on one factor basis W = V (Q kron I_p),
     Q the joint range of the Y_k: X_m(t_k) ~ W (Z_k diag(signs_k) Z_k^T
     kron I_p) W^T with ||Y_k - Q Z_k diag(signs_k) Z_k^T Q^T||_2 <=
-    factor_tol ||Y_k||_2 (``smallmat.joint_sym_factor``).  A solution made
+    factor_tol ||Y_k||_2 (``smallmat.joint_sym_factor``).  Q starts with
+    one column per singular value of the stacked, scaled kernels above
+    factor_tol/4 and drops trailing columns while every node's own
+    two-sided projection error stays within factor_tol/2, so W is never
+    wider than that cut.  A solution made
     from its kernel computes W and the factors together when either is
     first read; ``basis`` and ``kernel`` stay V and the Y_k.  A loaded one
     has W as its basis, the factors it was given and no kernel.

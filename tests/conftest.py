@@ -230,3 +230,12 @@ def perturbed_equation_check(problem, basis, hm, coupling, beta, grams):
         defect = xdot - a_dense @ xm - xm @ a_dense.T - (bbt - lm - lm.T)
         worst = max(worst, float(np.linalg.norm(defect)))
     return worst
+
+
+def range_cut(ys, tol):
+    """max(1, #{sigma > tol/4}): the blocks a range cut on the stacked,
+    scaled kernels [Y_1/||Y_1||_2; ...] keeps, the most Q may have."""
+    norms = np.linalg.norm(ys, 2, axis=(1, 2))
+    scaled = ys / np.where(norms > 0, norms, 1.0)[:, None, None]
+    sig = np.linalg.svd(scaled.reshape(-1, ys.shape[1]), compute_uv=False)
+    return max(1, int(np.count_nonzero(sig > tol / 4)))

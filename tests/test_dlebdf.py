@@ -221,18 +221,31 @@ class TestCoordinateMarch:
 
 
 class TestSymmetricReduction:
-    @pytest.mark.parametrize("n0, seed, m", [(10, 1, 8), (30, 2, 12), (200, 3, 28)],
+    @pytest.mark.parametrize("n0, seed, m, coupled",
+                             [(10, 1, 8, False), (30, 2, 12, False), (200, 3, 28, True)],
                              ids=["n0=10", "n0=30", "n0=200-complex-eig"])
-    def test_eigh_matches_the_eig_reduction(self, n0, seed, m):
+    def test_eigh_matches_the_eig_reduction(self, n0, seed, m, coupled):
         # the Laplacian's T_m is symmetric to roundoff: the eigh reduction of
         # its symmetric part gives the bounds and ranks of the eig reduction
-        # of T_m itself, which is complex for the last fixture
+        # of T_m itself.  Whether eig finds complex pairs in the last T_m is
+        # roundoff luck (it moved with the BLAS thread count), so that
+        # fixture couples its closest eigenvalue pair by construction: the
+        # symmetric part plus a skew coupling c of the pair, 16 eps ||T_m||_2
+        # (the size of T_m's own skew part) and over half the pair's gap: the
+        # pair turns complex, and the symmetric part moves only by roundoff
         prob = gen_dle_problem(n0=n0, p=2, seed=seed)
         proc, (_, tm, coupling) = _projection(prob.a, prob.b, m)
+        if coupled:
+            lam, u = np.linalg.eigh(0.5 * (tm + tm.T))
+            i = int(np.argmin(np.diff(lam)))
+            c = 16 * np.finfo(float).eps * np.abs(lam).max()
+            assert c > (lam[i + 1] - lam[i]) / 2
+            tm = 0.5 * (tm + tm.T) + c * (np.outer(u[:, i], u[:, i + 1])
+                                          - np.outer(u[:, i + 1], u[:, i]))
         assert not np.array_equal(tm, tm.T)
         eig = small_form(tm)[0]
         eigh, cond = small_form(0.5 * (tm + tm.T))
-        assert isinstance(eig.own, DiagonalForm) and np.iscomplexobj(eig.x) == (n0 == 200)
+        assert isinstance(eig.own, DiagonalForm) and np.iscomplexobj(eig.x) == coupled
         assert eigh.x.dtype == float and np.array_equal(eigh.xinv, eigh.x.T) and cond == 1.0
         bm = np.r_[proc.beta, np.zeros(len(tm) - 1)]
         bounds, ranks = [], []

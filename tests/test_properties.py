@@ -4,19 +4,28 @@ The examples are derandomized and never stored, so a run draws the same
 problems every time.
 """
 
+import tempfile
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_dle_bdf
-from krymat.blockmat import kron_apply
+from conftest import dense_dle_bdf, range_cut
+from krymat.blockmat import diamond, kron_apply
 from krymat.dlebdf import egadl_solve
+from krymat.dleexp import VARIANTS, expo_dle_solve
 from krymat.dsylv import galerkin_solve
 from krymat.garnoldi import GlobalArnoldi
 from krymat.probio import (GenSylvesterProblem, gen_dle_problem, gen_random_dle_problem,
                            gen_random_stable, gsylv_apply)
-from krymat.solution import TimeGrid
+from krymat.solution import LowRankSolution, TimeGrid
+
+# roundoff allowed on top of a node's factor error bound factor_tol ||Y_k||_2,
+# as a multiple of ||Y_k||_2: a few eps for forming the error
+FACTOR_ROUNDOFF = 8 * np.finfo(float).eps
+
 
 @st.composite
 def sylvester_runs(draw):
@@ -101,6 +110,51 @@ def dle_runs(draw):
             draw(st.integers(1, 3)))
 
 
+def assert_rows_per_basis_size(rep, grid):
+    """One row set per basis size, each node once and in order, also after
+    a breakdown; a seed whose A^{-1} image depends on it breaks down before
+    the first step, and its one row set is at m = 1."""
+    sizes = list(range(1, rep.m_final + 1))
+    assert [r[0] for r in rep.rows] == [m for m in sizes for _ in grid.nodes]
+    assert [r[1] for r in rep.rows] == list(grid.nodes) * len(sizes)
+
+
+def assert_factored_form(sol):
+    """The factored form's guarantees: every node's factor within
+    factor_tol ||Y_k||_2 of its kernel (plus FACTOR_ROUNDOFF ||Y_k||_2), no
+    more blocks in W = V (Q kron I) than the range cut at factor_tol/4, and
+    ``factor(k)`` of the saved and reloaded solution bit for bit."""
+    ys, tol = sol.kernel.samples, sol.factor_tol
+    w = sol.factor_basis
+    q = diamond(sol.basis, w)
+    for f, y in zip(sol.factors, ys):
+        err = np.linalg.norm(y - q @ (f.z * f.signs) @ f.z.T @ q.T, 2)
+        assert err <= (tol + FACTOR_ROUNDOFF) * np.linalg.norm(y, 2)
+    assert w.m <= range_cut(ys, tol)
+    with tempfile.TemporaryDirectory() as out:
+        sol.save(out)
+        loaded = LowRankSolution.load(out)
+        for k in range(sol.grid.nnodes):
+            (z, signs), (z_read, signs_read) = sol.factor(k), loaded.factor(k)
+            assert np.array_equal(z_read, z) and np.array_equal(signs_read, signs)
+
+
+class TestExpoProperties:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(derandomize=True, database=None, max_examples=50, deadline=None)
+    @given(run=dle_runs())
+    def test_rows_rerun_and_factors(self, variant, run):
+        problem, grid, m_max, tol, _ = run
+        sol, rep = expo_dle_solve(problem, grid, m_max, tol, variant=variant)
+        assert_rows_per_basis_size(rep, grid)
+
+        again, rep_again = expo_dle_solve(problem, grid, m_max, tol, variant=variant)
+        assert rep_again.rows == rep.rows
+        assert np.array_equal(again.kernel.g, sol.kernel.g)
+
+        assert_factored_form(sol)
+
+
 class TestEgadlProperties:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(dle_runs())
@@ -108,12 +162,7 @@ class TestEgadlProperties:
         problem, grid, m_max, tol, l = run
         sol, rep = egadl_solve(problem, grid, m_max, tol, l=l)
 
-        # one row set per basis size, each node once and in order, also
-        # after a breakdown; a seed whose A^{-1} image depends on it breaks
-        # down before the first step, and its one row set is at m = 1
-        sizes = list(range(1, rep.m_final + 1))
-        assert [r[0] for r in rep.rows] == [m for m in sizes for _ in grid.nodes]
-        assert [r[1] for r in rep.rows] == list(grid.nodes) * len(sizes)
+        assert_rows_per_basis_size(rep, grid)
 
         again, rep_again = egadl_solve(problem, grid, m_max, tol, l=l)
         assert rep_again.rows == rep.rows
@@ -129,3 +178,5 @@ class TestEgadlProperties:
             ref = dense_dle_bdf(problem, grid, l)
             for k in range(grid.nnodes):
                 assert np.linalg.norm(sol.snapshot(k) - ref[k]) < 1e-6
+
+        assert_factored_form(sol)

@@ -13,8 +13,8 @@ from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, 
                              real_schur, small_form, symmetrize, trunc_sym_factor, vanloan_gram,
                              vanloan_gram_nodes)
 
-from conftest import (deadline, lyap_through, near_defective, normal_complex_pairs, stable_dense,
-                      stable_sym)
+from conftest import (deadline, lyap_through, near_defective, normal_complex_pairs, range_cut,
+                      stable_dense, stable_sym)
 
 
 # T on the eigen side of small_form's gate: real spectrum, complex pairs, nonnormal
@@ -431,6 +431,18 @@ def joint_errors(ys, q, factors):
 
 
 class TestJointSymFactor:
+    def test_a_direction_every_node_shares_below_budget_is_dropped(self):
+        # sixteen identical nodes diag(1, eps): the stacked sigma_2 is 4 eps =
+        # 0.4 tol, over the range cut at tol/4, but each node's two-sided
+        # error without e2 is eps <= tol/2
+        tol = 1e-6
+        eps = 0.1 * tol
+        ys = np.array([np.diag([1.0, eps])] * 16)
+        assert range_cut(ys, tol) == 2
+        q, factors = joint_sym_factor(ys, tol)
+        assert q.shape == (2, 1)
+        assert joint_errors(ys, q, factors).max() <= tol
+
     def test_a_direction_one_node_needs_is_kept(self):
         # twenty nodes pin the range to e1; the last one couples e2 to it at
         # about 0.96 tol, which a range cut at tol would drop (error 1.09 tol)
@@ -452,7 +464,7 @@ class TestJointSymFactor:
             ys.append((u * lam) @ u.T)
         ys = np.array([0.5 * (y + y.T) for y in ys])
         q, factors = joint_sym_factor(ys, tol)
-        assert 1 <= q.shape[1] <= k
+        assert 1 <= q.shape[1] <= range_cut(ys, tol)
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
         assert (joint_errors(ys, q, factors) <= tol).all()
         assert all(f.z.shape[0] == q.shape[1] for f in factors)
@@ -460,17 +472,21 @@ class TestJointSymFactor:
     def test_zero_tolerance_keeps_every_direction(self, rng):
         ys = np.array([stable_sym(5, rng) for _ in range(3)])
         q, factors = joint_sym_factor(ys, 0.0)
-        assert q.shape == (5, 5) and all(f.rank == 5 for f in factors)
+        assert q.shape == (5, 5) == (5, range_cut(ys, 0.0))
+        assert all(f.rank == 5 for f in factors)
         assert joint_errors(ys, q, factors).max() <= 1e-14
 
     def test_zero_nodes_keep_one_direction_and_no_factor(self, rng):
-        q, factors = joint_sym_factor(np.zeros((3, 4, 4)), 1e-10)
-        assert q.shape == (4, 1) and np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
+        zeros = np.zeros((3, 4, 4))
+        q, factors = joint_sym_factor(zeros, 1e-10)
+        assert q.shape == (4, 1) == (4, range_cut(zeros, 1e-10))
+        assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
         assert [f.rank for f in factors] == [0, 0, 0]
         z = rng.standard_normal((4, 2))
         ys = np.array([np.zeros((4, 4)), z @ z.T])
         q, factors = joint_sym_factor(ys, 1e-10)
-        assert q.shape == (4, 2) and [f.rank for f in factors] == [0, 2]
+        assert q.shape == (4, 2) == (4, range_cut(ys, 1e-10))
+        assert [f.rank for f in factors] == [0, 2]
         assert joint_errors(ys[1:], q, factors[1:]).max() <= 1e-10
 
     def test_input_gate(self, monkeypatch):
