@@ -274,6 +274,8 @@ def cmd_generate(args):
 
 
 def cmd_sweep(args):
+    if args.threads < 1:
+        return _fail(f"--threads = {args.threads}: need an integer >= 1", EXIT_CONFIG)
     configs = [Path(c) for c in args.configs]
     out_root = Path(args.out)
     # each config writes out_root/<its file name>, which must be its own
@@ -309,7 +311,7 @@ def cmd_sweep(args):
     # another's, while a filter before this one (an error) still wins
     with warnings.catch_warnings():
         warnings.simplefilter("always", append=True)
-        with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             codes = list(pool.map(one, configs, blocks, errors))
     print("".join(block.getvalue() for block in blocks), end="")
     for cfg_path, err in zip(configs, errors):

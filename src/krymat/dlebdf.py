@@ -148,7 +148,7 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
     bdf_coefficients(l)            # checks l before any work
     report = lowrank_report(problem, "egadl", "rank", factor_tol, {"l": l}, "frobenius")
 
-    def start(report):
+    def start():
         if not problem.b.any():
             return None
         proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b,

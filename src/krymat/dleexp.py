@@ -47,17 +47,15 @@ def gram_trajectory(hm, beta, grid, form):
     eigen form H = X diag(lambda) X^{-1} the whole stack is closed form in
     X's coordinates, G_k = [t_k phi_1(t_k (lambda_i + lambda_j)) q_i q_j] with
     q = X^{-1} beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
-    it is the stack of Van Loan block exponentials of H itself, with X = I,
-    whose (block) Hessenberg zeros keep the small last rows that the bounds
-    read accurate.  Both are quadrature free and satisfy
+    it is the Gramian stack ``smallmat.vanloan_gram_nodes`` returns for H
+    itself, with X = I, whose (block) Hessenberg zeros keep the small last
+    rows that the bounds read accurate.  Both are quadrature free and satisfy
     dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
     """
     if isinstance(form.own, smallmat.TriangularForm):
-        k = form.x.shape[0]
-        q = np.zeros(k)
-        q[0] = beta
-        grams = smallmat.vanloan_gram_nodes(hm, q, grid.h, grid.steps)[0]
-        return CoordinateTrajectory(np.eye(k), grams)
+        eye = np.eye(len(hm))
+        grams = smallmat.vanloan_gram_nodes(hm, beta * eye[0], grid.h, grid.steps)
+        return CoordinateTrajectory(eye, grams)
     q = beta * form.xinv[:, 0]
     lam = form.own.lam
     pair = lam[:, None] + lam[None, :]
@@ -167,7 +165,7 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
     report = lowrank_report(problem, f"expo-{variant}", "apriori_bound", factor_tol,
                             {"variant": variant}, bound_norm)
 
-    def start(report):
+    def start():
         if not problem.b.any():
             return None
         # the extended process's LU also serves the log-norm's shift-invert

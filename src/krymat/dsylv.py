@@ -65,7 +65,7 @@ def galerkin_solve(problem, grid, m_max, tol):
     report = SolveReport(method="galerkin", columns=("m", "t", "residual_bound"),
                          dims={"n": problem.n, "p": problem.p, "q": problem.q})
 
-    def start(report):
+    def start():
         # constant initial guess: residual R0 = -A(X0) - C is time independent
         r0 = -gsylv_apply(problem, problem.initial_value()) - problem.c
         if not r0.any():

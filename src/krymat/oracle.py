@@ -7,9 +7,10 @@ to run above the dense cap, smallmat.DENSE_CAP, or on a grid too large to hold.
 """
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import smallmat
+from .errors import NumericError
 
 
 def kron_operator(problem):
@@ -49,23 +50,22 @@ def dense_dme_solve(problem, grid):
 def dense_dle_exact(problem, grid):
     """Exact DLE trajectory e^{dA} X0 e^{dA^T} + int_0^d e^{sA} BB^T e^{sA^T} ds.
 
-    The integral term comes from the segmented Van Loan evaluation; the
-    homogeneous term reuses the same per-step propagator.  Returns an array
-    of shape (nnodes, n, n).
+    Returns the Van Loan Gramian stack of A, shape (nnodes, n, n), the one
+    stack held, with F_k F_k^T added in place for X0 = Z0 Z0^T; F_k = e^{dA} Z0
+    comes from scipy's ``expm_multiply``, independent of krymat's kernels.
     """
-    n = problem.n
-    smallmat.check_dense_cap(n, "dense_dle_exact")
-    a = problem.a.toarray() if sp.issparse(problem.a) else np.asarray(problem.a)
-    with grid.allocating(8 * n * n, "the dense reference"):
-        grams, props = smallmat.vanloan_gram_nodes(a, problem.b, grid.h, grid.steps)
-        out = np.empty((grid.nnodes, n, n))
-    x0 = None
-    if problem.z0 is not None:
-        x0 = problem.z0 @ problem.z0.T
-    for k in range(grid.nnodes):
-        xk = grams[k]
-        if x0 is not None:
-            e = props[k]
-            xk = xk + e @ x0 @ e.T
-        out[k] = 0.5 * (xk + xk.T)
+    smallmat.check_dense_cap(problem.n, "dense_dle_exact")
+    with grid.allocating(8 * problem.n ** 2, "the dense reference"):
+        out = smallmat.vanloan_gram_nodes(problem.a.toarray(), problem.b, grid.h, grid.steps)
+    if problem.z0 is None:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = spla.expm_multiply(problem.a, problem.z0, start=0.0, stop=grid.tf - grid.t0,
+                               num=grid.nnodes, endpoint=True)
+        for x, fk in zip(out, f):
+            x += fk @ fk.T
+            if not np.isfinite(x).all():
+                raise NumericError("dense_dle_exact: the X0 term overflowed")
+            x += x.T
+            x *= 0.5
     return out

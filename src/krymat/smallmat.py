@@ -279,31 +279,28 @@ def vanloan_gram(h, q, t):
 
 
 def vanloan_gram_nodes(h, q, step, nsteps):
-    """Gramians at t_k = k*step for k = 0..nsteps and the propagators e^{t_k H},
-    two stacks allocated first, so that a grid too large to hold fails at once.
+    """Gramians at t_k = k*step for k = 0..nsteps: one stack, exactly symmetric
+    at each node, allocated first so that a grid too large to hold fails at once.
 
-    Uses the splitting W(t + s) = W(s) + e^{sH} W(t) e^{sH^T} so the block
-    exponential is evaluated once, not per node.  Raises NumericError when a
-    step needs more than VANLOAN_MAX_SEGMENTS segments or a Gramian overflows.
+    Uses W(t + s) = W(s) + e^{sH} W(t) e^{sH^T}, s = step, so the block
+    exponential is evaluated once and only the one-step propagator e^{sH} is
+    kept.  Raises NumericError when a step needs more than
+    VANLOAN_MAX_SEGMENTS segments or a Gramian overflows.
     """
     if step <= 0 or nsteps < 0:
         raise ValueError("vanloan_gram_nodes: need step > 0 and nsteps >= 0")
     nseg, wd, ed = _vanloan_start(h, q, step, "vanloan_gram_nodes")
-    k = wd.shape[0]
-    grams = np.zeros((nsteps + 1, k, k))
-    props = np.empty((nsteps + 1, k, k))
+    grams = np.zeros((nsteps + 1, *wd.shape))
     wh, eh = wd, ed
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(nseg - 1):
             wh = wd + ed @ wh @ ed.T
             eh = ed @ eh
         wh = _finite(0.5 * (wh + wh.T), "the Gramian of one step")
-        props[0] = np.eye(k)
         for i in range(nsteps):
             w = wh + eh @ grams[i] @ eh.T
             grams[i + 1] = _finite(0.5 * (w + w.T), "the Gramian")
-            props[i + 1] = eh @ props[i]
-    return grams, props
+    return grams
 
 
 def lognorm2(a):

@@ -125,7 +125,7 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
     stop once the bound is below ``tol`` at every node, on breakdown, or at
     m_max.
 
-    The settings are checked before any work.  ``start(report)`` returns
+    The settings are checked before any work.  ``start()`` returns
     (process, fit), or None for a zero right-hand side, whose solution
     ``zero()`` gives as (basis, kernel) with no process; ``fit(T_m, coupling)``
     returns (bounds, more, kernel): the bound at every node, a function
@@ -147,7 +147,7 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
         raise ConfigError(f"tol = {tol}: need 0 <= tol < inf")
     report.settings.update(m_max=m_max, tol=tol, grid_steps=grid.steps)
     t_start = time.perf_counter()
-    started = start(report)
+    started = start()
     if started is None:
         report.converged = True
         with grid.allocating(8, "the projected solution"):

@@ -838,6 +838,18 @@ class TestSweep:
         assert captured.out == ""
         assert not (tmp_path / "sweep").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        # refused before any config runs and before --out is made
+        cfg = write_cfg(tmp_path, SMALL_EGADL)
+        assert main(["sweep", "--configs", str(cfg), "--out", str(tmp_path / "sweep"),
+                     "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: --threads = {threads}: "
+                                             "need an integer >= 1"]
+        assert captured.out == ""
+        assert not (tmp_path / "sweep").exists()
+
     def test_seed_fails_only_the_bundle_configs(self, tmp_path, capsys):
         save_problem(gen_dle_problem(n0=4, p=1, seed=3), tmp_path / "bundle")
         bundle = write_cfg(tmp_path, BUNDLE_EGADL.format(bundle=tmp_path / "bundle"),

@@ -1,5 +1,7 @@
 """Dense references cross-validated against an adaptive integrator and each other."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,7 +11,7 @@ from krymat import smallmat
 from krymat.dlebdf import bdf_integrate
 from krymat.errors import CapExceededError, NumericError
 from krymat.oracle import dense_dle_exact, dense_dme_solve, kron_operator
-from krymat.probio import DLEProblem, GenSylvesterProblem, gen_sylvester_q2
+from krymat.probio import DLEProblem, GenSylvesterProblem, gen_dle_problem, gen_sylvester_q2
 from krymat.smallmat import small_form
 from krymat.solution import TimeGrid
 
@@ -113,6 +115,27 @@ class TestDenseDle:
         prob = DLEProblem(sp.csr_matrix(np.array([[a]])), np.array([[1.0]]))
         with deadline(60), pytest.raises(NumericError):
             dense_dle_exact(prob, TimeGrid(0.0, tf, 1))
+
+    def test_overflowing_x0_term_is_a_numeric_error(self):
+        # e^{tA} Z0 is finite, its square is not
+        prob = DLEProblem(sp.csr_matrix(np.array([[1.0]])), np.array([[1.0]]),
+                          z0=np.array([[1e160]]))
+        with pytest.raises(NumericError, match="X0 term overflowed"):
+            dense_dle_exact(prob, TimeGrid(0.0, 1.0, 2))
+
+    def test_holds_one_stack(self):
+        # the trajectory is the Gramian stack itself: no propagator stack and
+        # no copy beside it, so the peak stays below 1.5 stacks of n x n nodes
+        prob = gen_dle_problem(n0=12, p=2, seed=1)
+        grid = TimeGrid(0.0, 1.0, 100)
+        stack = 8 * grid.nnodes * prob.n ** 2
+        tracemalloc.start()
+        try:
+            dense_dle_exact(prob, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stack
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(smallmat, "DENSE_CAP", 8)

@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_dle_bdf, range_cut
-from krymat.blockmat import diamond, kron_apply
+from conftest import bdf_derivatives, dense_dle_bdf, range_cut
+from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import VARIANTS, expo_dle_solve
 from krymat.dsylv import galerkin_solve
@@ -139,6 +139,24 @@ def assert_factored_form(sol):
             assert np.array_equal(z_read, z) and np.array_equal(signs_read, signs)
 
 
+def assert_bound_dominates_residual(problem, rep, xs, xdots):
+    """At the last len(xs) nodes of the final basis size, the reported bound
+    dominates the formed residual X' - A X - X A^T - B B^T of X = xs[i],
+    X' = xdots[i] in the norm that trust.bound_norm names, within 1e-12 of the scale
+    2 ||A X||_F + ||B B^T||_F + ||X'||_F.  An ``unproven`` bound is not checked."""
+    norm = {"frobenius": "fro", "spectral": 2, "unproven": None}[rep.trust["bound_norm"]]
+    if norm is None:
+        return
+    a = problem.a.toarray()
+    bbt = problem.b @ problem.b.T
+    bounds = rep.final_bounds()[-len(xs):]
+    for bound, x, xdot in zip(bounds, xs, xdots, strict=True):
+        ax = a @ x
+        formed = np.linalg.norm(xdot - ax - x @ a.T - bbt, norm)
+        scale = 2 * np.linalg.norm(ax) + np.linalg.norm(bbt) + np.linalg.norm(xdot)
+        assert formed <= bound + 1e-12 * scale
+
+
 class TestExpoProperties:
     @pytest.mark.parametrize("variant", VARIANTS)
     @settings(derandomize=True, database=None, max_examples=50, deadline=None)
@@ -151,6 +169,17 @@ class TestExpoProperties:
         again, rep_again = expo_dle_solve(problem, grid, m_max, tol, variant=variant)
         assert rep_again.rows == rep.rows
         assert np.array_equal(again.kernel.g, sol.kernel.g)
+
+        # X' from the projected ODE Y' = T Y + Y T^T + b b^T, with T = V <> (A V)
+        # and b = V <> B, at every node
+        v = sol.basis
+        t = diamond(v, BlockRow(problem.a @ v.data, v.width))
+        b = diamond(v, BlockRow(problem.b, v.width))
+        ys = sol.kernel.samples
+        ydots = t @ ys + ys @ t.T + b @ b.T
+        assert_bound_dominates_residual(problem, rep,
+                                        [sol.snapshot(k) for k in range(grid.nnodes)],
+                                        [kron_apply(v, yd).data @ v.data.T for yd in ydots])
 
         assert_factored_form(sol)
 
@@ -178,5 +207,9 @@ class TestEgadlProperties:
             ref = dense_dle_bdf(problem, grid, l)
             for k in range(grid.nnodes):
                 assert np.linalg.norm(sol.snapshot(k) - ref[k]) < 1e-6
+
+        # the residual of each BDF step equation, with the scheme that step used
+        xs = [sol.snapshot(k) for k in range(grid.nnodes)]
+        assert_bound_dominates_residual(problem, rep, xs[1:], bdf_derivatives(xs, grid.h, l))
 
         assert_factored_form(sol)
