@@ -1,5 +1,5 @@
-"""Low-rank differential Lyapunov solvers: the report and checks that EgAdl
-and the exponential method share, and EgAdl's BDF time stepping.
+"""Low-rank differential Lyapunov solvers: ``lowrank_solve``, the solve that
+EgAdl and the exponential method share, and EgAdl's BDF time stepping.
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
 equation with shifted coefficient h beta T - I/2.  From one reduction of T
@@ -7,11 +7,12 @@ per basis size the march runs in that reduction's own coordinates: with
 T = X diag(lambda) X^{-1} (X orthogonal for a symmetric A, else well
 conditioned) the kernel is Y = X G X^T and each step one elementwise
 division of G's right-hand side; with the real Schur form T = U S U^T it is
-Y = U G U^T and each step one quasi-triangular solve with S.  The right-hand side of a step mixes the
-previous kernels with weights that may be negative, so it is assembled as a
-dense symmetric matrix.  The residual bound reads only the kernels' last
-rows; the kernels themselves, their ranks and the low-rank factors with a
-+/-1 signature are formed only when read.
+Y = U G U^T and each step one quasi-triangular solve with S.  The
+right-hand side of a step mixes the previous kernels with weights that may
+be negative, so it is assembled as a dense symmetric matrix.  Both methods'
+residual bounds read only the kernels' last rows, every node at once; the
+kernels themselves, their ranks and the low-rank factors with a +/-1
+signature are formed only when read.
 """
 
 from dataclasses import dataclass
@@ -87,53 +88,66 @@ def bdf_integrate(form, bm, y0, grid, l):
     return CoordinateTrajectory(x, g)
 
 
-def residual_bound_bdf(coupling, y):
+def residual_bound_bdf(coupling, rows):
     """Residual bound sqrt(2) ||T_{m+1,m} E_m^T Y||_F from the coupling block
-    T_{m+1,m} and the kernel's rows it multiplies (the last two).  For a
-    stack of kernels, or of their last rows, one bound per kernel."""
+    T_{m+1,m} and the kernel's rows it multiplies (the last two): of one
+    kernel, or of a stack of them, one bound per kernel."""
     coupling = np.atleast_2d(np.asarray(coupling, dtype=float))
-    y = np.asarray(y, dtype=float)
-    nr = coupling.shape[1]
-    if y.ndim == 3:
-        return np.sqrt(2.0) * np.linalg.norm(coupling @ y[:, -nr:, :], axis=(1, 2))
-    return float(np.sqrt(2.0) * np.linalg.norm(coupling @ y[-nr:, :]))
+    rows = np.asarray(rows, dtype=float)[..., -coupling.shape[1]:, :]
+    return np.sqrt(2.0) * np.linalg.norm(coupling @ rows, axis=(-2, -1))
 
 
-def reduce_projected(report, tm, symmetric):
-    """``smallmat.small_form`` of the projected T_m, with its branch and
-    kappa_2(X) written to the report's trust lines, where the last basis
-    size's stay.  For an exactly ``symmetric`` A, T_m is symmetric in exact
-    arithmetic and its symmetric part is reduced: an orthogonal X, and a
-    real kernel at every node."""
-    if symmetric:
-        tm = 0.5 * (tm + tm.T)
-    form, cond = smallmat.small_form(tm)
-    report.trust["small_form"] = ("eigen" if isinstance(form.own, smallmat.DiagonalForm)
-                                  else "schur")
-    report.trust["eig_cond"] = cond
-    return form
+def lowrank_solve(problem, grid, m_max, tol, factor_tol, setup, method, column, settings,
+                  bound_norm):
+    """The low-rank DLE solve X_m(t) = V (Y(t) kron I_p) V^T with X0 = 0 of
+    EgAdl and the exponential method; checks X0 = 0 and 0 <= factor_tol < 1
+    before any work.  The report is ``method``'s, its last column named
+    ``column``, with ``settings`` and trust.bound_norm = ``bound_norm``.
 
-
-def lowrank_report(problem, method, column, factor_tol, settings, bound_norm):
-    """The report of a low-rank DLE solve, after the checks both methods
-    share: X0 = 0 and 0 <= factor_tol < 1.  ``column`` names the report's
-    last column, ``settings`` holds the method's own settings and
-    ``bound_norm`` names the norm of the residual that its bound limits
-    (trust.bound_norm)."""
+    For B != 0, ``setup(report)`` returns (proc, symmetric, bound,
+    integrate, more): the Krylov process; whether A is exactly symmetric,
+    when the symmetric part of T_m is reduced (an orthogonal X, a real
+    kernel at every node); ``bound(coupling, rows)``, every node's residual
+    bound from the last rows of its kernel; ``integrate(T_m, form)``, the
+    CoordinateTrajectory on T_m's ``smallmat.small_form``; and
+    ``more(kernel, bounds)``, the last column.  The form's branch and
+    kappa_2(X) go to the trust lines, where the last size's stay.  B = 0
+    gives X(t) = 0 on one zero basis column.  Returns (LowRankSolution,
+    SolveReport).
+    """
     if problem.has_initial_value:
         raise ConfigError(f"{method} assumes X0 = 0")
     if not 0 <= factor_tol < 1:
         raise ConfigError(f"factor_tol = {factor_tol}: need 0 <= factor_tol < 1")
-    return SolveReport(method=method, columns=("m", "t", "residual_bound", column),
-                       dims={"n": problem.n, "p": problem.p},
-                       settings={"factor_tol": factor_tol, **settings},
-                       trust={"bound_norm": bound_norm})
+    report = SolveReport(method=method, columns=("m", "t", "residual_bound", column),
+                         dims={"n": problem.n, "p": problem.p},
+                         settings={"factor_tol": factor_tol, **settings},
+                         trust={"bound_norm": bound_norm})
 
+    def start():
+        if not problem.b.any():
+            return None
+        proc, symmetric, bound, integrate, more = setup(report)
 
-def zero_solution(n, grid):
-    """(basis, kernel) of X(t) = 0, the solution for B = 0: one zero basis column."""
-    kernel = CoordinateTrajectory(np.eye(1), np.zeros((grid.nnodes, 1, 1)))
-    return BlockRow(np.zeros((n, 1)), 1), kernel
+        def fit(tm, coupling):
+            if symmetric:
+                tm = 0.5 * (tm + tm.T)
+            form, cond = smallmat.small_form(tm)
+            report.trust["small_form"] = ("eigen" if isinstance(form.own, smallmat.DiagonalForm)
+                                          else "schur")
+            report.trust["eig_cond"] = cond
+            kernel = integrate(tm, form)
+            bounds = bound(coupling, kernel.last_rows(coupling.shape[1]))
+            return bounds, lambda: (more(kernel, bounds),), kernel
+
+        return proc, fit
+
+    def zero():
+        kernel = CoordinateTrajectory(np.eye(1), np.zeros((grid.nnodes, 1, 1)))
+        return BlockRow(np.zeros((problem.n, 1)), 1), kernel
+
+    basis, kernel = krylov_solve(report, grid, m_max, tol, start, zero)
+    return LowRankSolution(grid, basis, kernel, factor_tol), report
 
 
 def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
@@ -146,25 +160,17 @@ def egadl_solve(problem, grid, m_max, tol, l=2, factor_tol=1e-10):
     Returns (LowRankSolution, SolveReport).
     """
     bdf_coefficients(l)            # checks l before any work
-    report = lowrank_report(problem, "egadl", "rank", factor_tol, {"l": l}, "frobenius")
 
-    def start():
-        if not problem.b.any():
-            return None
+    def setup(report):
         proc = ExtendedGlobalArnoldi(problem.a, LinearSolver(problem.a), problem.b,
                                      m_max)
-        symmetric = exactly_symmetric(problem.a)
 
-        def fit(tm, coupling):
+        def integrate(tm, form):
             # B = V_1 beta, and V is F-orthonormal
-            bm = np.r_[proc.beta, np.zeros(tm.shape[0] - 1)]
-            form = reduce_projected(report, tm, symmetric)
-            kernel = bdf_integrate(form, bm, None, grid, l)
-            bounds = residual_bound_bdf(coupling, kernel.last_rows(coupling.shape[1]))
-            return bounds, lambda: (kernel.ranks(factor_tol),), kernel
+            return bdf_integrate(form, np.r_[proc.beta, np.zeros(len(tm) - 1)], None, grid, l)
 
-        return proc, fit
+        return (proc, exactly_symmetric(problem.a), residual_bound_bdf, integrate,
+                lambda kernel, bounds: kernel.ranks(factor_tol))
 
-    basis, kernel = krylov_solve(report, grid, m_max, tol, start,
-                                 lambda: zero_solution(problem.n, grid))
-    return LowRankSolution(grid, basis, kernel, factor_tol), report
+    return lowrank_solve(problem, grid, m_max, tol, factor_tol, setup, method="egadl",
+                         column="rank", settings={"l": l}, bound_norm="frobenius")

@@ -8,7 +8,8 @@ evaluated exactly, so the only error is the subspace truncation: in closed
 form from an eigendecomposition of H_m when its eigenvector matrix is well
 conditioned, and with the Van Loan block exponential otherwise.  Computable
 residual and a-priori error bounds come from the subdiagonal coupling of the
-Hessenberg reduction.
+Hessenberg reduction and the last rows of every node's G_m, read at once.
+The solve is ``dlebdf.lowrank_solve`` with these Gramians as its integrator.
 
 The polynomial space's bound |h_{m+1,m}| ||last row of G_m(t)||_2 is the
 residual's spectral norm for p = 1, where the Frobenius norm is sqrt(2) times
@@ -28,12 +29,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .dlebdf import lowrank_report, reduce_projected, residual_bound_bdf, zero_solution
+from .dlebdf import lowrank_solve, residual_bound_bdf
 from .egarnoldi import ExtendedGlobalArnoldi
 from .errors import ConfigError, NumericError
 from .garnoldi import GlobalArnoldi
 from .probio import LinearSolver, exactly_symmetric
-from .solution import CoordinateTrajectory, LowRankSolution, krylov_solve
+from .solution import CoordinateTrajectory
 
 # the subspaces expo_dle_solve can project onto
 VARIANTS = ("global", "extended")
@@ -70,11 +71,12 @@ def gram_trajectory(hm, beta, grid, form):
     return CoordinateTrajectory(form.x, g)
 
 
-def residual_bound_exp(coupling, g):
+def residual_bound_exp(coupling, rows):
     """|h_{m+1,m}| times the Euclidean norm of the last row of G, from the
-    polynomial process's coupling block [[h_{m+1,m}]]."""
-    g = np.asarray(g, dtype=float)
-    return abs(float(coupling[0, 0])) * float(np.linalg.norm(g[-1, :]))
+    polynomial process's coupling block [[h_{m+1,m}]]: of one G, or of a
+    stack of them (or of their last rows), one bound per G."""
+    rows = np.asarray(rows, dtype=float)[..., -1, :]
+    return abs(float(coupling[0, 0])) * np.linalg.norm(rows, axis=-1)
 
 
 def apriori_error_bound(h, gbar_max, mu2, t, t0):
@@ -162,12 +164,8 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
     # the global bound is the residual's spectral norm only for p = 1
     bound_norm = ("frobenius" if variant == "extended"
                   else "spectral" if problem.p == 1 else "unproven")
-    report = lowrank_report(problem, f"expo-{variant}", "apriori_bound", factor_tol,
-                            {"variant": variant}, bound_norm)
 
-    def start():
-        if not problem.b.any():
-            return None
+    def setup(report):
         # the extended process's LU also serves the log-norm's shift-invert
         solver = LinearSolver(problem.a) if variant == "extended" else None
         symmetric = exactly_symmetric(problem.a)
@@ -175,20 +173,15 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
         report.settings["mu2"] = mu2
         if variant == "global":
             proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b, m_max)
-            bound_of = residual_bound_exp
+            bound = residual_bound_exp
         else:
             proc = ExtendedGlobalArnoldi(problem.a, solver, problem.b, m_max)
-            bound_of = residual_bound_bdf
+            bound = residual_bound_bdf
+        return (proc, symmetric, bound,
+                lambda hm, form: gram_trajectory(hm, proc.beta, grid, form),
+                lambda kernel, bounds: apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes,
+                                                           grid.t0))
 
-        def fit(hm, coupling):
-            form = reduce_projected(report, hm, symmetric)
-            kernel = gram_trajectory(hm, proc.beta, grid, form)
-            bounds = np.array([bound_of(coupling, g) for g in kernel.samples])
-            apriori = apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes, grid.t0)
-            return bounds, lambda: (apriori,), kernel
-
-        return proc, fit
-
-    basis, kernel = krylov_solve(report, grid, m_max, tol, start,
-                                 lambda: zero_solution(problem.n, grid))
-    return LowRankSolution(grid, basis, kernel, factor_tol), report
+    return lowrank_solve(problem, grid, m_max, tol, factor_tol, setup,
+                         method=f"expo-{variant}", column="apriori_bound",
+                         settings={"variant": variant}, bound_norm=bound_norm)

@@ -127,10 +127,13 @@ def test_traced_functions_run_on_the_calling_thread(monkeypatch, solve, spans):
     assert report.converged and spans <= ran
 
 
-# each solve's basis size at the end and the process spans entered once per size
+# each solve's basis size at the end and the spans entered once per size: the
+# process's, and the bound that reads every node's last rows at once
 PER_SIZE = {
-    "egadl": (7, ("egarnoldi.step", "egarnoldi.sub_basis", "egarnoldi.hessenberg")),
-    "expo-extended": (7, ("egarnoldi.step", "egarnoldi.sub_basis", "egarnoldi.hessenberg")),
+    "egadl": (7, ("egarnoldi.step", "egarnoldi.sub_basis", "egarnoldi.hessenberg",
+                  "dlebdf.bound")),
+    "expo-extended": (7, ("egarnoldi.step", "egarnoldi.sub_basis", "egarnoldi.hessenberg",
+                          "dlebdf.bound")),
     "expo-global": (17, ("garnoldi.step", "garnoldi.basis")),
     "galerkin": (14, ("garnoldi.step", "garnoldi.basis")),
 }
@@ -139,7 +142,8 @@ PER_SIZE = {
 @pytest.mark.parametrize("method", list(SOLVES))
 def test_process_spans_are_entered_once_per_basis_size(monkeypatch, method):
     """The benchmark's per-layer counts of the Arnoldi processes: one step,
-    one basis read and (extended) one projected-matrix read per basis size."""
+    one basis read and (extended) one projected-matrix read per basis size,
+    and for the extended Lyapunov solves one bound read."""
     _keep_bindings(monkeypatch)
     tracer = SPANS.Tracer()
     assert tracer.install() == []

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from krymat import smallmat, solution
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
+from krymat.dleexp import gram_trajectory, residual_bound_exp
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
@@ -171,20 +172,37 @@ class TestCoordinateMarch:
         assert np.abs(full.imag).max() <= 1e-14 * scale
         assert traj.samples.dtype == float
 
-    @pytest.mark.parametrize("tm_of", [lambda rng: stable_dense(8, rng),
-                                       lambda rng: near_defective(8, coupling=10.0)],
-                             ids=["eigen", "schur"])
-    def test_last_rows_and_batched_bound_match_the_kernels(self, rng, tm_of):
+    @pytest.mark.parametrize("tm_of, integrator", [
+        (lambda rng: stable_dense(8, rng), "bdf"),
+        (lambda rng: near_defective(8, coupling=10.0), "bdf"),
+        (lambda rng: stable_sym(8, rng), "gram"),
+        (lambda rng: normal_complex_pairs(8, rng), "gram"),
+        (lambda rng: near_defective(8, coupling=10.0), "gram"),
+    ], ids=["eigen", "schur", "gram-eigen-real", "gram-eigen-complex", "gram-schur"])
+    def test_last_rows_and_batched_bound_match_the_kernels(self, rng, tm_of, integrator):
         tm = tm_of(rng)
-        traj = bdf_integrate(small_form(tm)[0], rng.standard_normal(8), None,
-                             TimeGrid(0.0, 1.0, 10), 2)
+        form, grid = small_form(tm)[0], TimeGrid(0.0, 1.0, 10)
+        if integrator == "bdf":
+            traj = bdf_integrate(form, rng.standard_normal(8), None, grid, 2)
+        else:
+            traj = gram_trajectory(tm, 1.5, grid, form)
         coupling = rng.standard_normal((2, 2))
         ys = traj.samples
         np.testing.assert_allclose(traj.last_rows(2), ys[:, -2:, :],
                                    atol=1e-14 * np.abs(ys).max())
-        batched = residual_bound_bdf(coupling, traj.last_rows(2))
-        each = [residual_bound_bdf(coupling, y) for y in ys]
-        np.testing.assert_allclose(batched, each, rtol=1e-12, atol=1e-14 * max(each))
+        if integrator == "bdf":
+            batched = residual_bound_bdf(coupling, traj.last_rows(2))
+            each = [residual_bound_bdf(coupling, y) for y in ys]
+            np.testing.assert_allclose(batched, each, rtol=1e-12, atol=1e-14 * max(each))
+            return
+        # the batched bounds read X[-nr:] G_k X^T, the per-kernel ones the
+        # formed, symmetrized Y_k: they agree to roundoff on Y's scale
+        y_max = max(np.linalg.norm(y, 2) for y in ys)
+        for bound, cpl in ((residual_bound_bdf, coupling), (residual_bound_exp, coupling[:1, :1])):
+            batched = bound(cpl, traj.last_rows(cpl.shape[1]))
+            each = [bound(cpl, y) for y in ys]
+            np.testing.assert_allclose(batched, each, rtol=0, atol=8 * np.finfo(float).eps
+                                       * np.linalg.norm(cpl, 2) * y_max)
 
     @pytest.mark.parametrize("k, steps", [(1, 4), (3, 10), (12, 30)])
     def test_ranks_in_chunks_equal_per_node_ranks(self, rng, k, steps):

@@ -21,7 +21,7 @@ from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dl
                            gen_laplacian2d, gen_random_dle_problem, gen_sylvester_q2,
                            random_full_rank)
 from krymat.smallmat import EIG_COND_MAX, DiagonalForm, small_form
-from krymat.solution import SolveReport, TimeGrid
+from krymat.solution import LowRankSolution, SolveReport, TimeGrid
 
 
 def _egadl():
@@ -372,6 +372,32 @@ def test_rank_deficient_b_matches_dense_reference(method, weights):
     assert rep.converged and not rep.breakdown
     for k in range(grid.nnodes):
         assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= bounds[k]
+
+
+def _no_lu(*args, **kwargs):
+    raise AssertionError("a solve of B = 0 factored A")
+
+
+@pytest.mark.parametrize("method", ["egadl", "expo-extended", "expo-global"])
+def test_zero_b_is_solved_without_a_process(monkeypatch, tmp_path, method):
+    # X(t) = 0 on one zero basis column: no LU, no log-norm, no row
+    for module in (dlebdf, dleexp):
+        monkeypatch.setattr(module, "LinearSolver", _no_lu)
+    with pytest.warns(UserWarning, match="rank deficient"):
+        prob = DLEProblem(gen_laplacian2d(5), np.zeros((25, 2)))
+    grid = TimeGrid(0.0, 1.0, 4)
+    if method == "egadl":
+        sol, rep = egadl_solve(prob, grid, 5, 1e-8)
+    else:
+        sol, rep = expo_dle_solve(prob, grid, 5, 1e-8, variant=method.split("-")[1])
+    assert rep.converged and rep.m_final == 0 and rep.rows == []
+    assert "mu2" not in rep.settings and "mu2_method" not in rep.trust
+    for k in range(grid.nnodes):
+        assert not sol.snapshot(k).any() and sol.snapshot(k).shape == (25, 25)
+    sol.save(tmp_path)
+    loaded = LowRankSolution.load(tmp_path)
+    assert [f.rank for f in loaded.factors] == [0] * grid.nnodes
+    assert loaded.factor(2)[0].shape == (25, 0)
 
 
 def test_rank_deficient_c_matches_oracle():
