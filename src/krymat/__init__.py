@@ -11,7 +11,7 @@ from .probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_laplacia
                      gsylv_apply, load_problem, read_matrix_market, save_problem,
                      write_matrix_market)
 from .smallmat import (expm, joint_sym_factor, lognorm2, lyap_solve, phi1, trunc_sym_factor,
-                       vanloan_gram)
+                       vanloan_gram_nodes)
 from .solution import (CoordinateTrajectory, LowRankSolution, SolveReport, SylvesterSolution,
                        TimeGrid)
 

@@ -6,9 +6,10 @@ e^{sA} B onto a (extended) global Krylov subspace turns that integral into a
 small Gramian G_m(t) that satisfies a low-dimensional Lyapunov ODE and is
 evaluated exactly, so the only error is the subspace truncation: in closed
 form from an eigendecomposition of H_m when its eigenvector matrix is well
-conditioned, and with the Van Loan block exponential otherwise.  Computable
-residual and a-priori error bounds come from the subdiagonal coupling of the
-Hessenberg reduction and the last rows of every node's G_m, read at once.
+conditioned, and otherwise with the Van Loan block exponential of one short
+segment, doubled up to a step.  Computable residual and a-priori error
+bounds come from the subdiagonal coupling of the Hessenberg reduction and
+the last rows of every node's G_m, read at once.
 The solve is ``dlebdf.lowrank_solve`` with these Gramians as its integrator.
 
 The polynomial space's bound |h_{m+1,m}| ||last row of G_m(t)||_2 is the

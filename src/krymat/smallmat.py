@@ -6,10 +6,10 @@ orthogonal one for an exactly symmetric T, else when its eigenvector matrix
 is well conditioned) or else to real Schur form,
 algebraic Lyapunov solves with T in the reduction's own coordinates F
 (diagonal or quasi-triangular), which shifted operators c T + d I reuse,
-Gramian integrals by the Van Loan block-exponential construction, the
-2-logarithmic norm and truncated symmetric factorizations.  Everything here
-is dense, and every kernel refuses a matrix of order above DENSE_CAP at its
-input gate.
+Gramian integrals by the Van Loan block exponential of one short segment
+doubled up to a step, the 2-logarithmic norm and truncated symmetric
+factorizations.  Everything here is dense, and every kernel refuses a
+matrix of order above DENSE_CAP at its input gate.
 """
 
 from dataclasses import dataclass
@@ -213,7 +213,7 @@ def _vanloan_segment(h, q, t):
         w = p[:k, k:] @ p[:k, :k].T
         w = 0.5 * (w + w.T)
     if not np.isfinite(p).all():
-        raise NumericError("vanloan_gram: block exponential overflowed")
+        raise NumericError("vanloan_gram_nodes: block exponential overflowed")
     return w, p[:k, :k]
 
 
@@ -221,82 +221,53 @@ def _vanloan_segment(h, q, t):
 # overflow of the e^{+tH^T} block and cancellation in the read-off product.
 VANLOAN_THETA = 4.0
 
-# Most segments one step may take.  Each segment costs one k x k congruence
-# W <- W_d + E W E^T, about 4 k^3 flops, so 10^5 segments are about 4e5 k^3
-# flops: seconds at k = 40 and about a minute at k = 100.  The test suite's
-# largest step needs 2,118; far more means a horizon that the segmented
-# accumulation cannot reach in useful time (tf = 1e308 asked for 2.5e305).
-VANLOAN_MAX_SEGMENTS = 100_000
-
-
-def _segment_count(h, t):
-    scale = float(np.linalg.norm(h, 1))
-    with np.errstate(over="ignore"):
-        nseg = np.ceil(abs(t) * scale / VANLOAN_THETA)
-    if not nseg <= VANLOAN_MAX_SEGMENTS:
-        raise NumericError(f"vanloan_gram: a step of {t:.3g} with ||H||_1 = {scale:.3g} "
-                           f"needs {nseg:.3g} segments, more than {VANLOAN_MAX_SEGMENTS}")
-    return max(1, int(nseg))
+# Most doublings one step may take.  Doublings are cheap, so the cap only
+# refuses a span that is a mistaken horizon, not a step: 17 admit every
+# step that 10^5 sequential segments did, 64 admit ||H||_1 step up to 7e19,
+# and tf = 1e308 with ||H||_1 = 1 asks for 1022.
+VANLOAN_MAX_DOUBLINGS = 64
 
 
 def _finite(w, what):
     if not np.isfinite(w).all():
-        raise NumericError(f"vanloan_gram: {what} overflowed")
+        raise NumericError(f"vanloan_gram_nodes: {what} overflowed")
     return w
 
 
-def _vanloan_start(h, q, t, who):
-    """(segments of a span t, and the first one's Gram and e^{dH}) for both
-    Van Loan evaluations; q is a vector or a k x r matrix of H's row count."""
-    h = _square(h, who)
-    q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        q = q[:, None]
-    if q.shape[0] != h.shape[0]:
-        raise DimensionError(f"{who}: q does not match the order of H")
-    nseg = _segment_count(h, t)
-    return nseg, *_vanloan_segment(h, q, t / nseg)
-
-
-def vanloan_gram(h, q, t):
-    """Gramian integral int_0^t e^{sH} qq^T e^{sH^T} ds, symmetric PSD.
-
-    ``q`` may be a vector (rank-one integrand) or an k x r matrix.  The
-    integral is accumulated over segments short enough that each block
-    exponential stays well scaled, so stiff H and large t are safe.
-    """
-    if t < 0:
-        raise ValueError("vanloan_gram: t must be nonnegative")
-    nseg, wd, ed = _vanloan_start(h, q, t, "vanloan_gram")
-    if t == 0:
-        return np.zeros_like(wd)
-    w = wd
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nseg - 1):
-            w = wd + ed @ w @ ed.T
-            w = 0.5 * (w + w.T)
-    return _finite(w, "the Gramian")
-
-
 def vanloan_gram_nodes(h, q, step, nsteps):
-    """Gramians at t_k = k*step for k = 0..nsteps: one stack, exactly symmetric
-    at each node, allocated first so that a grid too large to hold fails at once.
+    """Gramians int_0^{t_k} e^{sH} qq^T e^{sH^T} ds at t_k = k*step for
+    k = 0..nsteps: one stack, exactly symmetric at each node, allocated first
+    so that a grid too large to hold fails at once.  ``q`` is a vector or a
+    k x r matrix of H's row count.
 
-    Uses W(t + s) = W(s) + e^{sH} W(t) e^{sH^T}, s = step, so the block
-    exponential is evaluated once and only the one-step propagator e^{sH} is
-    kept.  Raises NumericError when a step needs more than
-    VANLOAN_MAX_SEGMENTS segments or a Gramian overflows.
+    One block exponential gives the Gramian W(d) and e^{dH} of a segment
+    d = step / 2^j short enough to stay well scaled, so stiff H and long
+    steps are safe.  j doublings W(2d) = W(d) + e^{dH} W(d) e^{dH^T},
+    e^{2dH} = (e^{dH})^2 bring them to one step (Van Loan 1978), and the
+    nodes follow from W(t + s) = W(s) + e^{sH} W(t) e^{sH^T}, s = step.
+    Raises NumericError when a step needs more than VANLOAN_MAX_DOUBLINGS
+    doublings or a Gramian overflows.
     """
-    if step <= 0 or nsteps < 0:
+    if not (np.isfinite(step) and step > 0) or nsteps < 0:
         raise ValueError("vanloan_gram_nodes: need step > 0 and nsteps >= 0")
-    nseg, wd, ed = _vanloan_start(h, q, step, "vanloan_gram_nodes")
-    grams = np.zeros((nsteps + 1, *wd.shape))
-    wh, eh = wd, ed
+    h = _square(h, "vanloan_gram_nodes")
+    q = np.asarray(q, dtype=float).reshape(len(q), -1)
+    if q.shape[0] != h.shape[0]:
+        raise DimensionError("vanloan_gram_nodes: q does not match the order of H")
+    scale = float(np.linalg.norm(h, 1))
+    span = float(step) * scale / VANLOAN_THETA   # inf past the float range
+    j = np.ceil(np.log2(span)) if span > 1 else 0
+    if not j <= VANLOAN_MAX_DOUBLINGS:
+        raise NumericError(f"vanloan_gram_nodes: a step of {step:.3g} with ||H||_1 = {scale:.3g} "
+                           f"needs {j:.0f} doublings, more than {VANLOAN_MAX_DOUBLINGS}")
+    wh, eh = _vanloan_segment(h, q, step / 2.0 ** j)
+    grams = np.zeros((nsteps + 1, *wh.shape))
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(nseg - 1):
-            wh = wd + ed @ wh @ ed.T
-            eh = ed @ eh
-        wh = _finite(0.5 * (wh + wh.T), "the Gramian of one step")
+        for _ in range(int(j)):
+            wh = wh + eh @ wh @ eh.T
+            wh = 0.5 * (wh + wh.T)
+            eh = eh @ eh
+        wh = _finite(wh, "the Gramian of one step")
         for i in range(nsteps):
             w = wh + eh @ grams[i] @ eh.T
             grams[i + 1] = _finite(0.5 * (w + w.T), "the Gramian")

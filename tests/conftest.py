@@ -11,6 +11,7 @@ from scipy.linalg import block_diag, solve_continuous_lyapunov
 from krymat import garnoldi, smallmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import bdf_coefficients
+from krymat.errors import DimensionError
 
 
 @pytest.fixture
@@ -239,3 +240,22 @@ def range_cut(ys, tol):
     scaled = ys / np.where(norms > 0, norms, 1.0)[:, None, None]
     sig = np.linalg.svd(scaled.reshape(-1, ys.shape[1]), compute_uv=False)
     return max(1, int(np.count_nonzero(sig > tol / 4)))
+
+
+def vanloan_gram(h, q, t):
+    """int_0^t e^{sH} qq^T e^{sH^T} ds by sequential accumulation over
+    ceil(t ||H||_1 / VANLOAN_THETA) segments: the independent reference for
+    the doubling in smallmat.vanloan_gram_nodes.  ``q`` is a vector or a
+    k x r matrix."""
+    if t < 0:
+        raise ValueError("vanloan_gram: t must be nonnegative")
+    q = np.asarray(q, dtype=float).reshape(len(q), -1)
+    if q.shape[0] != len(h):
+        raise DimensionError("vanloan_gram: q does not match the order of H")
+    nseg = max(1, int(np.ceil(t * np.linalg.norm(h, 1) / smallmat.VANLOAN_THETA)))
+    wd, ed = smallmat._vanloan_segment(np.asarray(h, dtype=float), q, t / nseg)
+    w = wd
+    for _ in range(nseg - 1):
+        w = wd + ed @ w @ ed.T
+        w = 0.5 * (w + w.T)
+    return w

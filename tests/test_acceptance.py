@@ -25,11 +25,11 @@ from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact, dense_dme_solve
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_sylvester_q2, gsylv_apply, random_full_rank)
-from krymat.smallmat import small_form, vanloan_gram
+from krymat.smallmat import small_form
 from krymat.solution import TimeGrid
 
 from conftest import (bdf_derivatives, bdf_step, dense_dle_bdf, explicit_kron_apply,
-                      random_block_row, rect_hessenberg, stable_sparse, stable_sym)
+                      random_block_row, rect_hessenberg, stable_sparse, stable_sym, vanloan_gram)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # the CLI subprocesses import the same krymat as the tests: this checkout's src

@@ -73,7 +73,8 @@ l = 2
 
 
 # expo on a random-stable A whose projected T_5 takes the Van Loan path: a
-# step of 5e306 needs 2.5e305 segments, which once hung the run
+# step of 5e306 asks for 1022 doublings, past the cap (its 2.5e305
+# segments once hung the run)
 HUGE_HORIZON_EXPO = """\
 [run]
 method = expo
@@ -315,7 +316,7 @@ bundle = {tmp_path / 'bundle'}
             with deadline(60):
                 code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "h")])
             assert code == 5
-            assert "segments" in capsys.readouterr().err
+            assert "a step of 5e+306" in capsys.readouterr().err
             assert not (tmp_path / "h").exists()
 
     def test_expm_overflow_exits_5_with_one_line(self, tmp_path):

@@ -17,11 +17,11 @@ from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem, gen_laplacian2d,
                            gen_random_dle_problem, gen_random_stable)
-from krymat.smallmat import small_form, vanloan_gram
+from krymat.smallmat import small_form
 from krymat.solution import CoordinateTrajectory, LowRankSolution, TimeGrid
 
 from conftest import (near_defective, perturbed_equation_check, rect_hessenberg, stable_dense,
-                      stable_sym)
+                      stable_sym, vanloan_gram)
 
 
 def _arnoldi_on(a, b, m):
@@ -384,6 +384,24 @@ class TestExpoSolve:
         ref = dense_dle_exact(prob, grid)
         for k in range(grid.nnodes):
             assert np.linalg.norm(sol.snapshot(k) - ref[k]) <= apriori[k]
+
+    def test_stiff_schur_branch_within_apriori_bound(self):
+        # convection-diffusion, L - w (I kron D + D kron I) with w = 1000: T_m
+        # takes the Schur form, and a step spans up to 526 segments of
+        # ||t T_m||_1 <= 4, that is 10 doublings
+        n0, w = 12, 1000.0
+        d = sp.diags([-np.ones(n0 - 1), np.ones(n0 - 1)], [-1, 1]) * (n0 + 1) / 2
+        eye = sp.identity(n0)
+        a = (gen_laplacian2d(n0) - w * (sp.kron(eye, d) + sp.kron(d, eye))).tocsr()
+        b = np.random.default_rng(1).standard_normal((n0 * n0, 2))
+        prob = DLEProblem(a, b)
+        grid = TimeGrid(0.0, 1.0, 20)
+        sol, rep = expo_dle_solve(prob, grid, 120, 1e-8, variant="extended")
+        assert rep.trust["small_form"] == "schur"
+        assert rep.converged and not rep.breakdown
+        ref = dense_dle_exact(prob, grid)
+        err = max(np.linalg.norm(sol.snapshot(k) - ref[k]) for k in range(grid.nnodes))
+        assert err <= max(row[3] for row in rep.rows if row[0] == rep.m_final)
 
     def test_residual_bound_nonincreasing_in_m(self):
         # empirical monotonicity on the stable fixture at fixed t

@@ -1,5 +1,6 @@
 """Dense kernels against spectral, Kronecker and quadrature oracles."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,13 +9,13 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
-from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_SEGMENTS, VANLOAN_THETA, DiagonalForm,
+from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_DOUBLINGS, VANLOAN_THETA, DiagonalForm,
                              TriangularForm, expm, joint_sym_factor, lognorm2, lyap_solve, phi1,
-                             real_schur, small_form, symmetrize, trunc_sym_factor, vanloan_gram,
+                             real_schur, small_form, symmetrize, trunc_sym_factor,
                              vanloan_gram_nodes)
 
 from conftest import (deadline, lyap_through, near_defective, normal_complex_pairs, range_cut,
-                      stable_dense, stable_sym)
+                      stable_dense, stable_sym, vanloan_gram)
 
 
 # T on the eigen side of small_form's gate: real spectrum, complex pairs, nonnormal
@@ -351,11 +352,27 @@ class TestVanloanGram:
         np.testing.assert_allclose(got, ref, atol=1e-10 * (1 + np.linalg.norm(ref)))
 
 
-    @pytest.mark.parametrize("step", [1e308, VANLOAN_THETA * (VANLOAN_MAX_SEGMENTS + 1)])
+    @pytest.mark.parametrize("step", [1e308, 1.5 * VANLOAN_THETA * 2.0 ** VANLOAN_MAX_DOUBLINGS])
     def test_too_many_segments_is_a_numeric_error(self, step):
-        # ||H||_1 = 1: the second step needs one segment past the limit
-        with deadline(60), pytest.raises(NumericError, match="segments"):
+        # ||H||_1 = 1: the second step needs one doubling past the limit
+        message = re.escape(f"a step of {step:.3g} ") + ".* doublings"
+        with deadline(60), pytest.raises(NumericError, match=message):
             vanloan_gram_nodes(np.array([[-1.0]]), np.array([1.0]), step, 2)
+
+    @pytest.mark.parametrize("step", [VANLOAN_THETA * 1e5,
+                                      VANLOAN_THETA * 2.0 ** VANLOAN_MAX_DOUBLINGS])
+    def test_the_longest_steps_are_admitted(self, step):
+        # the most 10^5 sequential segments reached, and the cap itself; the
+        # read-off floor of one segment of ||tH||_1 = 4 is about 1e-12
+        grams = vanloan_gram_nodes(np.array([[-1.0]]), np.array([1.0]), step, 2)
+        np.testing.assert_allclose(grams[1:, 0, 0], 0.5, rtol=1e-11)
+
+    def test_a_stiff_step_matches_the_closed_form(self):
+        # ||H||_1 = 4.8e5 at step 1: 17 doublings, where 1.2e5 sequential
+        # segments were once refused
+        grams = vanloan_gram_nodes(np.array([[-4.8e5]]), np.array([1.0]), 1.0, 2)
+        exact = -np.expm1(-9.6e5) / 9.6e5
+        np.testing.assert_allclose(grams[1:, 0, 0], exact, rtol=1e-12)
 
     @pytest.mark.parametrize("h, step, nsteps, what", [
         (400.0, 2.0, 1, "of one step"),    # the accumulation of one step overflows
@@ -379,7 +396,8 @@ class TestVanloanGram:
                 with pytest.raises(NumericError, match="block exponential overflowed"):
                     gram()
 
-    @pytest.mark.parametrize("step, nsteps", [(0.0, 2), (-0.5, 2), (0.5, -1)])
+    @pytest.mark.parametrize("step, nsteps", [(0.0, 2), (-0.5, 2), (0.5, -1), (np.nan, 2),
+                                              (np.inf, 2)])
     def test_nodes_need_a_positive_step(self, step, nsteps):
         with pytest.raises(ValueError, match="need step > 0 and nsteps >= 0"):
             vanloan_gram_nodes(-np.eye(2), np.ones(2), step, nsteps)
