@@ -2,12 +2,12 @@
 EgAdl and the exponential method share, and EgAdl's BDF time stepping.
 
 Each implicit BDF step of the projected equation is an algebraic Lyapunov
-equation with shifted coefficient h beta T - I/2.  From one reduction of T
-per basis size the march runs in that reduction's own coordinates: with
-T = X diag(lambda) X^{-1} (X orthogonal for a symmetric A, else well
-conditioned) the kernel is Y = X G X^T and each step one elementwise
-division of G's right-hand side; with the real Schur form T = U S U^T it is
-Y = U G U^T and each step one quasi-triangular solve with S.  The
+equation with shifted coefficient h beta T - I/2.  From one orthogonal
+reduction of T per basis size the march runs in that reduction's own
+coordinates: for a symmetric A, T = X diag(lambda) X^T and each step is one
+elementwise division of G's right-hand side; for every other A, the real
+Schur form T = U S U^T and each step is one quasi-triangular solve with S.
+Either way the kernel is Y = X G X^T, X = U for the Schur form.  The
 right-hand side of a step mixes the previous kernels with weights that may
 be negative, so it is assembled as a dense symmetric matrix.  Both methods'
 residual bounds read only the kernels' last rows, every node at once; the
@@ -61,23 +61,23 @@ def bdf_integrate(form, bm, y0, grid, l):
 
     Startup uses the 1-step then 2-step schemes until l previous kernels are
     available.  ``form`` is the ``smallmat.small_form`` Reduction
-    T = X F X^{-1}, and the march runs in its coordinates:
-    G_0 = X^{-1} Y_0 X^{-T}, the forcing h beta qq^T with q = X^{-1} b
-    formed once per scheme, and one ``smallmat.lyap_solve`` per step,
+    T = X F X^T, X orthogonal, and the march runs in its coordinates:
+    G_0 = X^T Y_0 X, the forcing h beta qq^T with q = X^T b formed once per
+    scheme, and one ``smallmat.lyap_solve`` per step,
     (h beta F - I/2) G + G (h beta F - I/2)^T + Q = 0 with
     Q = h beta qq^T + sum_i alpha_i G_{n-i}, the step operator a shift of F.
     Returns a CoordinateTrajectory.
     """
     bdf_coefficients(l)            # validate l early
-    x, xinv = form.x, form.xinv
+    x = form.x
     k = x.shape[0]
     y0 = smallmat.symmetrize(np.zeros((k, k)) if y0 is None else np.asarray(y0, dtype=float))
-    q = xinv @ np.asarray(bm, dtype=float).ravel()
+    q = x.T @ np.asarray(bm, dtype=float).ravel()
     schemes = BDF_SCHEMES[:l]
     ops = [form.own.shifted(grid.h * s.beta, -0.5) for s in schemes]
     forcings = [grid.h * s.beta * np.outer(q, q) for s in schemes]
-    g = np.empty((grid.nnodes, k, k), dtype=q.dtype)
-    g0 = xinv @ y0 @ xinv.T
+    g = np.empty((grid.nnodes, k, k))
+    g0 = x.T @ y0 @ x
     g[0] = 0.5 * (g0 + g0.T)
     for n in range(grid.steps):
         j = min(l, n + 1) - 1
@@ -106,13 +106,13 @@ def lowrank_solve(problem, grid, m_max, tol, factor_tol, setup, method, column, 
 
     For B != 0, ``setup(report)`` returns (proc, symmetric, bound,
     integrate, more): the Krylov process; whether A is exactly symmetric,
-    when the symmetric part of T_m is reduced (an orthogonal X, a real
-    kernel at every node); ``bound(coupling, rows)``, every node's residual
-    bound from the last rows of its kernel; ``integrate(T_m, form)``, the
-    CoordinateTrajectory on T_m's ``smallmat.small_form``; and
-    ``more(kernel, bounds)``, the last column.  The form's branch and
-    kappa_2(X) go to the trust lines, where the last size's stay.  B = 0
-    gives X(t) = 0 on one zero basis column.  Returns (LowRankSolution,
+    when the symmetric part of T_m is reduced and takes the eigen form
+    (every other T_m takes the real Schur form); ``bound(coupling, rows)``,
+    every node's residual bound from the last rows of its kernel;
+    ``integrate(T_m, form)``, the CoordinateTrajectory on T_m's
+    ``smallmat.small_form``; and ``more(kernel, bounds)``, the last column.
+    The form's branch goes to trust.small_form, where the last size's stays.
+    B = 0 gives X(t) = 0 on one zero basis column.  Returns (LowRankSolution,
     SolveReport).
     """
     if problem.has_initial_value:
@@ -132,10 +132,9 @@ def lowrank_solve(problem, grid, m_max, tol, factor_tol, setup, method, column, 
         def fit(tm, coupling):
             if symmetric:
                 tm = 0.5 * (tm + tm.T)
-            form, cond = smallmat.small_form(tm)
+            form = smallmat.small_form(tm)
             report.trust["small_form"] = ("eigen" if isinstance(form.own, smallmat.DiagonalForm)
                                           else "schur")
-            report.trust["eig_cond"] = cond
             kernel = integrate(tm, form)
             bounds = bound(coupling, kernel.last_rows(coupling.shape[1]))
             return bounds, lambda: (more(kernel, bounds),), kernel

@@ -5,11 +5,11 @@ With X0 = 0 the exact solution is a Gramian integral of e^{sA} B.  Projecting
 e^{sA} B onto a (extended) global Krylov subspace turns that integral into a
 small Gramian G_m(t) that satisfies a low-dimensional Lyapunov ODE and is
 evaluated exactly, so the only error is the subspace truncation: in closed
-form from an eigendecomposition of H_m when its eigenvector matrix is well
-conditioned, and otherwise with the Van Loan block exponential of one short
-segment, doubled up to a step.  Computable residual and a-priori error
-bounds come from the subdiagonal coupling of the Hessenberg reduction and
-the last rows of every node's G_m, read at once.
+form from the symmetric eigendecomposition of H_m when A is symmetric, and
+otherwise with the Van Loan block exponential of one short segment, doubled
+up to a step.  Computable residual and a-priori error bounds come from the
+subdiagonal coupling of the Hessenberg reduction and the last rows of every
+node's G_m, read at once.
 The solve is ``dlebdf.lowrank_solve`` with these Gramians as its integrator.
 
 The polynomial space's bound |h_{m+1,m}| ||last row of G_m(t)||_2 is the
@@ -46,19 +46,21 @@ def gram_trajectory(hm, beta, grid, form):
     every node, a CoordinateTrajectory.
 
     ``form`` is the ``smallmat.small_form`` Reduction of ``hm``.  From the
-    eigen form H = X diag(lambda) X^{-1} the whole stack is closed form in
-    X's coordinates, G_k = [t_k phi_1(t_k (lambda_i + lambda_j)) q_i q_j] with
-    q = X^{-1} beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
+    symmetric eigen form H = X diag(lambda) X^T the whole stack is closed
+    form in X's coordinates, G_k = [t_k phi_1(t_k (lambda_i + lambda_j)) q_i q_j]
+    with q = X^T beta e_1 and phi_1(z) = (e^z - 1)/z; from the real Schur form
     it is the Gramian stack ``smallmat.vanloan_gram_nodes`` returns for H
     itself, with X = I, whose (block) Hessenberg zeros keep the small last
     rows that the bounds read accurate.  Both are quadrature free and satisfy
-    dG/dt = H G + G H^T + beta^2 e_1 e_1^T.
+    dG/dt = H G + G H^T + beta^2 e_1 e_1^T.  Raises NumericError when a
+    Gramian overflows or a step needs more Van Loan doublings than
+    ``smallmat.VANLOAN_MAX_DOUBLINGS``.
     """
     if isinstance(form.own, smallmat.TriangularForm):
         eye = np.eye(len(hm))
         grams = smallmat.vanloan_gram_nodes(hm, beta * eye[0], grid.h, grid.steps)
         return CoordinateTrajectory(eye, grams)
-    q = beta * form.xinv[:, 0]
+    q = beta * form.x[0]
     lam = form.own.lam
     pair = lam[:, None] + lam[None, :]
     zero = pair == 0

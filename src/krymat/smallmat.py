@@ -1,15 +1,14 @@
 """Dense small-scale kernels.
 
 Matrix exponential and the first exponential-integrator function, one
-reduction T = X F X^{-1} of a small T (``Reduction``) to eigen form (an
-orthogonal one for an exactly symmetric T, else when its eigenvector matrix
-is well conditioned) or else to real Schur form,
+orthogonal reduction T = X F X^T of a small T (``Reduction``), to eigen form
+for an exactly symmetric T and to real Schur form for every other T,
 algebraic Lyapunov solves with T in the reduction's own coordinates F
 (diagonal or quasi-triangular), which shifted operators c T + d I reuse,
 Gramian integrals by the Van Loan block exponential of one short segment
 doubled up to a step, the 2-logarithmic norm and truncated symmetric
-factorizations.  Everything here is dense, and every kernel refuses a
-matrix of order above DENSE_CAP at its input gate.
+factorizations.  Everything here is dense and real, and every kernel refuses
+a matrix of order above DENSE_CAP at its input gate.
 """
 
 from dataclasses import dataclass
@@ -32,12 +31,9 @@ def check_dense_cap(k, what="dense kernel"):
         raise CapExceededError(f"{what} of order {k} exceeds the dense cap {DENSE_CAP}")
 
 
-def _square(m, who, complex_ok=False):
-    """The input gate of every kernel: a finite square matrix within the cap,
-    real unless ``complex_ok``."""
-    m = np.asarray(m)
-    if not (complex_ok and np.iscomplexobj(m)):
-        m = m.astype(float, copy=False)
+def _square(m, who):
+    """The input gate of every kernel: a finite real square matrix within the cap."""
+    m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{who}: expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -127,67 +123,47 @@ class TriangularForm(_OwnCoordinates):
 
 @dataclass(frozen=True)
 class Reduction:
-    """One reduction T = X F X^{-1} of a small T, with F = ``own`` the
-    DiagonalForm of the eigen form (X, X^{-1} and lam real for a real
-    spectrum, complex otherwise) or the TriangularForm of the real Schur form
-    (X = U orthogonal, X^{-1} = U^T).  A kernel Y is Y = X G X^T for the G
-    in F's coordinates."""
+    """One orthogonal reduction T = X F X^T of a small T, with F = ``own``
+    the DiagonalForm of the symmetric eigen form or the TriangularForm of the
+    real Schur form (X = U).  X is real and orthogonal, so a kernel Y is
+    Y = X G X^T for the G = X^T Y X in F's coordinates."""
 
     x: np.ndarray
-    xinv: np.ndarray
     own: _OwnCoordinates
 
 
 def real_schur(t):
-    """The real Schur reduction T = U S U^T, a Reduction(U, U^T, TriangularForm)."""
+    """The real Schur reduction T = U S U^T, a Reduction(U, TriangularForm)."""
     t = _square(t, "real_schur")
     s, u = sla.schur(t, output="real")
-    return Reduction(u, u.T, TriangularForm(s, np.linalg.eigvals(s)))
-
-
-# Largest kappa_2(X) for which small_form keeps T = X diag(lam) X^{-1}.  A
-# solve through X has forward error about k eps kappa(X)^2 ||Q|| / min|d_ij|,
-# d_ij the divisors lambda_i + lambda_j of the diagonal solve.  Every BDF
-# step operator h beta T - I/2 of a stable T has |d_ij| >= 1, so the gate
-# costs at most a factor 1e2 over eps; past it the real Schur form is
-# backward stable whatever X is.  The error is absolute: entries far below
-# ||Y||, such as the last rows a residual bound reads at early nodes, lose
-# their relative accuracy.  Against the Schur path on nonsymmetric random
-# fixtures (n = 120-150), such bounds moved by up to 23 ||T_{m+1,m}||
-# max||Y|| eps for kappa(X) < 10, and by up to 82 for kappa(X) in [10, 30).
-EIG_COND_MAX = 10.0
+    return Reduction(u, TriangularForm(s, np.linalg.eigvals(s)))
 
 
 def small_form(t):
-    """One reduction of T and kappa_2(X): the eigen form
-    Reduction(X, X^{-1}, DiagonalForm) when the eigenvector matrix X is
-    conditioned within EIG_COND_MAX, else the real Schur form ``real_schur``.
-    An exactly symmetric T takes the symmetric eigensolver: X is orthogonal,
-    X^{-1} = X^T and kappa_2(X) is taken as 1."""
+    """One orthogonal reduction of T: for an exactly symmetric T the
+    symmetric eigensolver, Reduction(X, DiagonalForm(lam)) with
+    T = X diag(lam) X^T; for every other T the real Schur form
+    ``real_schur``, which is backward stable whatever T's eigenvectors
+    (Bartels & Stewart 1972)."""
     t = _square(t, "small_form")
     if np.array_equal(t, t.T):
         lam, x = np.linalg.eigh(t)
-        return Reduction(x, x.T, DiagonalForm(lam)), 1.0
-    lam, x = np.linalg.eig(t)
-    cond = float(np.linalg.cond(x))
-    if cond <= EIG_COND_MAX:
-        return Reduction(x, np.linalg.inv(x), DiagonalForm(lam)), cond
-    return real_schur(t), cond
+        return Reduction(x, DiagonalForm(lam))
+    return real_schur(t)
 
 
 def lyap_solve(form, q_mat):
     """Solve T G + G T^T + Q = 0 for T in a reduction's own coordinates.
 
     ``form`` is a Reduction's ``own``, or its ``shifted`` c T + d I, reused
-    as it is; Q is symmetric, complex symmetric for a complex spectrum.  For
-    a DiagonalForm the solve is one elementwise division
-    G = Q / -(lambda_i + lambda_j), and for a TriangularForm one
-    quasi-triangular Sylvester solve (LAPACK trsyl, Bartels-Stewart) with no
-    complex arithmetic, G symmetrized.  The kernel in T's first coordinates
-    is X G X^T, with X the Reduction's.  Raises IllPosedError when some
+    as it is; Q is real symmetric.  For a DiagonalForm the solve is one
+    elementwise division G = Q / -(lambda_i + lambda_j), and for a
+    TriangularForm one quasi-triangular Sylvester solve (LAPACK trsyl,
+    Bartels-Stewart), G symmetrized.  The kernel in T's first coordinates is
+    X G X^T, with X the Reduction's.  Raises IllPosedError when some
     eigenvalue pair satisfies lambda_i + lambda_j ~ 0.
     """
-    q_mat = _square(q_mat, "lyap_solve", complex_ok=True)
+    q_mat = _square(q_mat, "lyap_solve")
     if q_mat.shape[0] != form.lam.shape[0]:
         raise DimensionError("lyap_solve: T and Q orders differ")
     divisors = form.divisors

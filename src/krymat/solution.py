@@ -175,8 +175,8 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
                 # one trajectory at a time: the previous size's, and ``more``
                 # that holds it, go before the fit allocates the next
                 kernel = more = None
-                # the fit holds a k x k complex matrix a node, k the order of T_m
-                with grid.allocating(16 * len(tm) ** 2, "the projected solution"):
+                # the fit holds a k x k matrix a node, k the order of T_m
+                with grid.allocating(8 * len(tm) ** 2, "the projected solution"):
                     bounds, more, kernel = fit(tm, coupling)
                 pending = bounds, worker.submit(more)
                 report.converged = bool(bounds.max() < tol)
@@ -198,23 +198,23 @@ RANK_CHUNK = 16
 
 @dataclass
 class CoordinateTrajectory:
-    """Symmetric kernels Y_k = Re(X G_k X^T) of a projected Lyapunov
-    equation, one per grid node, held as the basis change X of a reduction
-    of T (its eigenvectors, its Schur vectors, or I) and the stack ``g`` of
-    the G_k in X's coordinates.  Both low-rank fits return one: EgAdl's BDF
-    march and the exponential method's exact Gramians."""
+    """Symmetric kernels Y_k = X G_k X^T of a projected Lyapunov equation,
+    one per grid node, held as the real basis change X of a reduction of T
+    (its orthonormal eigenvectors, its Schur vectors, or I) and the stack
+    ``g`` of the G_k in X's coordinates.  Both low-rank fits return one:
+    EgAdl's BDF march and the exponential method's exact Gramians."""
 
     x: np.ndarray
     g: np.ndarray
 
     def kernels(self, nodes=slice(None)):
         """The symmetric Y_k of the given nodes, a stack."""
-        y = (self.x @ self.g[nodes] @ self.x.T).real
+        y = self.x @ self.g[nodes] @ self.x.T
         return 0.5 * (y + y.transpose(0, 2, 1))
 
     def last_rows(self, nr):
         """The last ``nr`` rows of every Y_k, a stack: all a residual bound reads."""
-        return (self.x[-nr:] @ self.g @ self.x.T).real
+        return self.x[-nr:] @ self.g @ self.x.T
 
     @cached_property
     def samples(self):

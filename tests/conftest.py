@@ -62,9 +62,9 @@ def stable_dense(n, rng, spread=1.0):
 
 
 def near_defective(n, coupling=1e3):
-    """Upper bidiagonal T with eigenvalues -1, -1.001, ...: its eigenvector
-    matrix is far past ``smallmat.EIG_COND_MAX``, so ``small_form`` keeps
-    the real Schur form."""
+    """Upper bidiagonal T with eigenvalues -1, -1.001, ...: nonsymmetric, so
+    ``small_form`` takes the real Schur form, and so far from normal that its
+    eigenvector matrix is all but singular."""
     return np.diag(-1.0 - 1e-3 * np.arange(n)) + coupling * np.eye(n, k=1)
 
 
@@ -106,10 +106,11 @@ def explicit_kron_apply(vb, s_mat):
 
 
 def lyap_through(red, q):
-    """Y with T Y + Y T^T + Q = 0 from the Reduction T = X F X^{-1}: Q carried
-    into F's coordinates, ``smallmat.lyap_solve`` with F, Y carried back."""
-    g = smallmat.lyap_solve(red.own, red.xinv @ q @ red.xinv.T)
-    y = (red.x @ g @ red.x.T).real
+    """Y with T Y + Y T^T + Q = 0 from the orthogonal Reduction T = X F X^T:
+    Q carried into F's coordinates, ``smallmat.lyap_solve`` with F, Y carried
+    back."""
+    g = smallmat.lyap_solve(red.own, red.x.T @ q @ red.x)
+    y = red.x @ g @ red.x.T
     return 0.5 * (y + y.T)
 
 

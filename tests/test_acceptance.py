@@ -259,7 +259,7 @@ def test_ac5_bdf_orders():
     for l in (1, 2):
         errs = []
         for steps in steps_list:
-            traj = bdf_integrate(small_form(tm)[0], bm, None, TimeGrid(0.0, 1.0, steps), l)
+            traj = bdf_integrate(small_form(tm), bm, None, TimeGrid(0.0, 1.0, steps), l)
             errs.append(abs(traj.samples[-1][0, 0] - exact(1.0)))
         observed[l] = np.log2(errs[-2] / errs[-1])
     # l = 3 with exact starting values
@@ -306,7 +306,7 @@ def test_ac6_residual_bound_validity():
         vm, tm, t_sub = eproc.projection(eproc.advance_to(3))
         bm = np.zeros(vm.m)
         bm[0] = eproc.beta
-        traj = bdf_integrate(small_form(tm)[0], bm, None, grid, l)
+        traj = bdf_integrate(small_form(tm), bm, None, grid, l)
         derivs = bdf_derivatives(traj.samples, grid.h, l)
         for k in range(1, grid.nnodes):
             y = traj.samples[k]
@@ -321,7 +321,7 @@ def test_ac6_residual_bound_validity():
         gv, ghm, gcoupling = gproc.projection(gproc.advance_to(5))
         gm = gv.m
         beta = np.linalg.norm(b)
-        grams = gram_trajectory(ghm, beta, grid, small_form(ghm)[0]).samples
+        grams = gram_trajectory(ghm, beta, grid, small_form(ghm)).samples
         e11 = np.zeros((gm, gm))
         e11[0, 0] = beta ** 2
         for k in range(grid.nnodes):
@@ -353,7 +353,7 @@ def test_ac7_apriori_bound():
         proc = GlobalArnoldi(lambda x: a_dense @ x, b, 7)
         vm, hm, coupling = proc.projection(proc.advance_to(7))
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
         prob = DLEProblem(sp.csr_matrix(a_dense), b)
         ref = dense_dle_exact(prob, grid)
@@ -379,7 +379,7 @@ def test_ac8_gram_ode_consistency():
         hm = hm - (np.abs(np.linalg.eigvals(hm).real).max() + 0.3) * np.eye(k)
         beta = float(rng.uniform(0.5, 2.0))
         grid = TimeGrid(0.0, 1.0, 5)
-        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)).samples
         q = np.zeros(k)
         q[0] = beta
         dt = 1e-5

@@ -14,7 +14,7 @@ from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact
 from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem,
                            gen_laplacian2d, gen_random_dle_problem, random_full_rank)
-from krymat.smallmat import DiagonalForm, TriangularForm, small_form
+from krymat.smallmat import DiagonalForm, TriangularForm, real_schur, small_form
 from krymat.solution import CoordinateTrajectory, TimeGrid
 
 from conftest import (bdf_derivatives, bdf_step, dense_dle_bdf, near_defective,
@@ -52,12 +52,12 @@ class TestCoefficients:
 class TestBdfStep:
     # single steps of bdf_integrate's march, in the reduction's coordinates
     def test_scalar_first_step(self):
-        traj = bdf_integrate(small_form(np.array([[-1.0]]))[0], np.array([1.0]), None,
+        traj = bdf_integrate(small_form(np.array([[-1.0]])), np.array([1.0]), None,
                              TimeGrid(0.0, 0.1, 1), 1)
         assert traj.samples[1][0, 0] == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_steady_state_fixed_point(self):
-        traj = bdf_integrate(small_form(np.array([[-1.0]]))[0], np.array([1.0]), None,
+        traj = bdf_integrate(small_form(np.array([[-1.0]])), np.array([1.0]), None,
                              TimeGrid(0.0, 40.0, 400), 1)
         assert traj.samples[-1][0, 0] == pytest.approx(0.5, rel=1e-10)
 
@@ -66,7 +66,7 @@ class TestBdfStep:
         tm = np.diag([-1.0, -2.0, -3.0, -0.5]) + 0.1 * rng.standard_normal((4, 4))
         bm = rng.standard_normal(4)
         h = 0.05
-        ys = bdf_integrate(small_form(tm)[0], bm, np.eye(4) * 0.3, TimeGrid(0.0, 2 * h, 2),
+        ys = bdf_integrate(small_form(tm), bm, np.eye(4) * 0.3, TimeGrid(0.0, 2 * h, 2),
                            2).samples
         scheme = bdf_coefficients(2)
         t_cal = h * scheme.beta * tm - 0.5 * np.eye(4)
@@ -80,7 +80,7 @@ class TestBdfStep:
         # (T = 1) and on the Schur form (a near-defective T with eigenvalue 1)
         for tm, branch in ((np.array([[1.0]]), DiagonalForm),
                            (near_defective(2) + 2.0 * np.eye(2), TriangularForm)):
-            form = small_form(tm)[0]
+            form = small_form(tm)
             assert isinstance(form.own, branch)
             with pytest.raises(StepFailureError):
                 bdf_integrate(form, np.zeros(tm.shape[0]), None, TimeGrid(0.0, 0.5, 1), 1)
@@ -94,7 +94,7 @@ class TestBdfIntegrate:
         errs = []
         for steps in (40, 80):
             grid = TimeGrid(0.0, 1.0, steps)
-            traj = bdf_integrate(small_form(tm)[0], bm, None, grid, l)
+            traj = bdf_integrate(small_form(tm), bm, None, grid, l)
             errs.append(abs(traj.samples[-1][0, 0] - scalar_exact(1.0)))
         assert errs[0] / errs[1] == pytest.approx(expected_ratio, abs=tol)
 
@@ -102,14 +102,14 @@ class TestBdfIntegrate:
         # B = 0, Y0 = I: exact kernel e^{tT} e^{tT^T} = e^{-2t} for T = -1
         tm = np.array([[-1.0]])
         grid = TimeGrid(0.0, 1.0, 160)
-        traj = bdf_integrate(small_form(tm)[0], np.array([0.0]), np.eye(1), grid, 2)
+        traj = bdf_integrate(small_form(tm), np.array([0.0]), np.eye(1), grid, 2)
         err = abs(traj.samples[-1][0, 0] - np.exp(-2.0))
         assert err <= 5.0 * (grid.h ** 2)
 
     def test_samples_symmetric(self, rng):
         tm = np.diag([-1.0, -4.0]) + 0.2 * rng.standard_normal((2, 2))
         grid = TimeGrid(0.0, 1.0, 12)
-        traj = bdf_integrate(small_form(tm)[0], rng.standard_normal(2), None, grid, 3)
+        traj = bdf_integrate(small_form(tm), rng.standard_normal(2), None, grid, 3)
         for y in traj.samples:
             np.testing.assert_array_equal(y, y.T)
 
@@ -118,8 +118,8 @@ class TestSchurReuse:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_one_reduction_per_march(self, monkeypatch, rng, l):
         # a T on each side of small_form's gate, reduced and marched: one
-        # eigendecomposition for the well-conditioned one; the trial
-        # eigendecomposition and one Schur form for the near-defective one
+        # symmetric eigendecomposition for the symmetric T, one Schur form for
+        # each nonsymmetric one, and no other reduction
         calls = []
 
         def counted(name, fn):
@@ -128,12 +128,12 @@ class TestSchurReuse:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eig", counted("eig", np.linalg.eig))
-        monkeypatch.setattr(sla, "schur", counted("schur", sla.schur))
-        for tm, reductions in ((stable_dense(6, rng), ["eig"]),
-                               (near_defective(6, coupling=10.0), ["eig", "schur"])):
+        for module, name in ((np.linalg, "eig"), (np.linalg, "eigh"), (sla, "schur")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for tm, reductions in ((stable_sym(6, rng), ["eigh"]), (stable_dense(6, rng), ["schur"]),
+                               (near_defective(6, coupling=10.0), ["schur"])):
             calls.clear()
-            form = small_form(tm)[0]
+            form = small_form(tm)
             bdf_integrate(form, rng.standard_normal(6), None, TimeGrid(0.0, 1.0, 12), l)
             assert calls == reductions
 
@@ -147,7 +147,7 @@ class TestSchurReuse:
         z = rng.standard_normal((k, 3))
         y0 = z @ z.T
         grid = TimeGrid(0.0, 1.0, 15)
-        traj = bdf_integrate(small_form(tm)[0], bm, y0, grid, l)
+        traj = bdf_integrate(small_form(tm), bm, y0, grid, l)
         ref = [y0]
         for _ in range(grid.steps):
             scheme = bdf_coefficients(min(l, len(ref)))
@@ -159,29 +159,25 @@ class TestSchurReuse:
 
 class TestCoordinateMarch:
     def test_complex_pairs_give_real_kernels(self, rng):
-        # a nonsymmetric T on the eigen side with complex eigenvalue pairs:
-        # X and G are complex, Y = X G X^T is real to roundoff
+        # a nonsymmetric T with complex eigenvalue pairs: the Schur form keeps
+        # them in 2 x 2 blocks, so X, every G and every Y are real
         tm = stable_dense(6, rng)
-        form = small_form(tm)[0]
-        assert isinstance(form.own, DiagonalForm) and np.iscomplexobj(form.own.lam)
+        form = small_form(tm)
+        assert isinstance(form.own, TriangularForm) and np.iscomplexobj(form.own.lam)
         z = rng.standard_normal((6, 2))
         traj = bdf_integrate(form, rng.standard_normal(6), z @ z.T, TimeGrid(0.0, 1.0, 12), 2)
-        assert np.iscomplexobj(traj.g)
-        full = traj.x @ traj.g @ traj.x.T
-        scale = np.abs(full.real).max()
-        assert np.abs(full.imag).max() <= 1e-14 * scale
-        assert traj.samples.dtype == float
+        assert traj.x.dtype == traj.g.dtype == traj.samples.dtype == float
 
     @pytest.mark.parametrize("tm_of, integrator", [
+        (lambda rng: stable_sym(8, rng), "bdf"),
         (lambda rng: stable_dense(8, rng), "bdf"),
-        (lambda rng: near_defective(8, coupling=10.0), "bdf"),
         (lambda rng: stable_sym(8, rng), "gram"),
         (lambda rng: normal_complex_pairs(8, rng), "gram"),
         (lambda rng: near_defective(8, coupling=10.0), "gram"),
-    ], ids=["eigen", "schur", "gram-eigen-real", "gram-eigen-complex", "gram-schur"])
+    ], ids=["eigen", "schur", "gram-eigen-real", "gram-schur-complex", "gram-schur"])
     def test_last_rows_and_batched_bound_match_the_kernels(self, rng, tm_of, integrator):
         tm = tm_of(rng)
-        form, grid = small_form(tm)[0], TimeGrid(0.0, 1.0, 10)
+        form, grid = small_form(tm), TimeGrid(0.0, 1.0, 10)
         if integrator == "bdf":
             traj = bdf_integrate(form, rng.standard_normal(8), None, grid, 2)
         else:
@@ -219,16 +215,13 @@ class TestCoordinateMarch:
         assert traj.ranks(1e-10).tolist() == expected
 
 
-    @pytest.mark.parametrize("tm_of, kind", [
-        (lambda rng: stable_sym(20, rng), "real"),
-        (lambda rng: normal_complex_pairs(20, rng), "complex"),
-        (lambda rng: near_defective(20, coupling=10.0), "schur"),
-    ], ids=["real-eigen", "complex-eigen", "schur"])
-    def test_ranks_do_not_depend_on_the_chunk(self, monkeypatch, rng, tm_of, kind):
-        form = small_form(tm_of(rng))[0]
-        assert {"real": not np.iscomplexobj(form.x) and isinstance(form.own, DiagonalForm),
-                "complex": np.iscomplexobj(form.x),
-                "schur": isinstance(form.own, TriangularForm)}[kind]
+    @pytest.mark.parametrize("tm_of, branch", [
+        (lambda rng: stable_sym(20, rng), DiagonalForm),
+        (lambda rng: near_defective(20, coupling=10.0), TriangularForm),
+    ], ids=["real-eigen", "schur"])
+    def test_ranks_do_not_depend_on_the_chunk(self, monkeypatch, rng, tm_of, branch):
+        form = small_form(tm_of(rng))
+        assert isinstance(form.own, branch)
         traj = bdf_integrate(form, rng.standard_normal(20), None, TimeGrid(0.0, 1.0, 40), 2)
         ranks = []
         for chunk in (1, 16, 20):           # one node, the default, k nodes
@@ -241,16 +234,15 @@ class TestCoordinateMarch:
 class TestSymmetricReduction:
     @pytest.mark.parametrize("n0, seed, m, coupled",
                              [(10, 1, 8, False), (30, 2, 12, False), (200, 3, 28, True)],
-                             ids=["n0=10", "n0=30", "n0=200-complex-eig"])
-    def test_eigh_matches_the_eig_reduction(self, n0, seed, m, coupled):
+                             ids=["n0=10", "n0=30", "n0=200-complex-pair"])
+    def test_eigh_matches_the_schur_reduction(self, n0, seed, m, coupled):
         # the Laplacian's T_m is symmetric to roundoff: the eigh reduction of
-        # its symmetric part gives the bounds and ranks of the eig reduction
-        # of T_m itself.  Whether eig finds complex pairs in the last T_m is
-        # roundoff luck (it moved with the BLAS thread count), so that
-        # fixture couples its closest eigenvalue pair by construction: the
-        # symmetric part plus a skew coupling c of the pair, 16 eps ||T_m||_2
-        # (the size of T_m's own skew part) and over half the pair's gap: the
-        # pair turns complex, and the symmetric part moves only by roundoff
+        # its symmetric part gives the bounds and ranks of the real Schur
+        # reduction of T_m itself.  The last fixture couples T_m's closest
+        # eigenvalue pair by construction: the symmetric part plus a skew
+        # coupling c of the pair, 16 eps ||T_m||_2 (the size of T_m's own skew
+        # part) and over half the pair's gap: the pair turns complex, a 2 x 2
+        # block of the Schur form, and the symmetric part moves only by roundoff
         prob = gen_dle_problem(n0=n0, p=2, seed=seed)
         proc, (_, tm, coupling) = _projection(prob.a, prob.b, m)
         if coupled:
@@ -261,13 +253,13 @@ class TestSymmetricReduction:
             tm = 0.5 * (tm + tm.T) + c * (np.outer(u[:, i], u[:, i + 1])
                                           - np.outer(u[:, i + 1], u[:, i]))
         assert not np.array_equal(tm, tm.T)
-        eig = small_form(tm)[0]
-        eigh, cond = small_form(0.5 * (tm + tm.T))
-        assert isinstance(eig.own, DiagonalForm) and np.iscomplexobj(eig.x) == coupled
-        assert eigh.x.dtype == float and np.array_equal(eigh.xinv, eigh.x.T) and cond == 1.0
+        schur = real_schur(tm)
+        eigh = small_form(0.5 * (tm + tm.T))
+        assert np.iscomplexobj(schur.own.lam) == coupled
+        assert isinstance(eigh.own, DiagonalForm) and eigh.x.dtype == float
         bm = np.r_[proc.beta, np.zeros(len(tm) - 1)]
         bounds, ranks = [], []
-        for form in (eig, eigh):
+        for form in (schur, eigh):
             traj = bdf_integrate(form, bm, None, TimeGrid(0.0, 1.0, 20), 2)
             bounds.append(residual_bound_bdf(coupling, traj.last_rows(2)))
             ranks.append(traj.ranks(1e-10).tolist())
@@ -289,7 +281,7 @@ class TestResidualBound:
         grid = TimeGrid(0.0, 1.0, 10)
         bm = np.zeros(2 * m)
         bm[0] = proc.beta
-        traj = bdf_integrate(small_form(tm)[0], bm, None, grid, l)
+        traj = bdf_integrate(small_form(tm), bm, None, grid, l)
         derivs = bdf_derivatives(traj.samples, grid.h, l)
         a_dense = a.toarray()
         bbt = b @ b.T
@@ -323,7 +315,7 @@ class TestEgadlSolve:
         proc, (sub, tm, _) = _projection(prob.a, prob.b, m)
         bm = np.zeros(2 * m)
         bm[0] = proc.beta
-        traj = bdf_integrate(small_form(tm)[0], bm, None, grid, 2)
+        traj = bdf_integrate(small_form(tm), bm, None, grid, 2)
         ref = dense_dle_exact(prob, grid)
         scale = np.linalg.norm(ref[-1])
         stride = 300
@@ -336,8 +328,7 @@ class TestEgadlSolve:
     def test_matches_same_grid_bdf_off_the_laplacian(self, n, p, density, seed):
         # nonsymmetric A: the LU, the extended process and B's projection
         # r_11 e_1 are checked against the full-dimension BDF2 solution on the
-        # same grid, at AC-4's bound; the first two end on the Schur form of
-        # T_m, the third on the eigen form (test_trust_names_the_final_reduction)
+        # same grid, at AC-4's bound; all three march on the Schur form of T_m
         prob = gen_random_dle_problem(n=n, p=p, density=density, seed=seed)
         grid = TimeGrid(0.0, 1.0, 20)
         sol, rep = egadl_solve(prob, grid, 40, 1e-8, l=2)

@@ -9,9 +9,10 @@ from scipy.linalg import expm as sexpm
 
 from krymat import dleexp, probio, smallmat
 from krymat.blockmat import BlockRow, kron_apply
-from krymat.dlebdf import egadl_solve
+from krymat.dlebdf import egadl_solve, residual_bound_bdf
 from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_trajectory,
                            lognorm2_operator, residual_bound_exp)
+from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import NumericError, ParseError
 from krymat.garnoldi import GlobalArnoldi
 from krymat.oracle import dense_dle_exact
@@ -67,27 +68,30 @@ class TestGramTrajectory:
     def test_starts_at_zero(self, rng):
         grid = TimeGrid(0.0, 1.0, 5)
         hm = stable_dense(3, rng)
-        grams = gram_trajectory(hm, 2.0, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, 2.0, grid, small_form(hm)).samples
         np.testing.assert_array_equal(grams[0], np.zeros((3, 3)))
 
     def test_scalar_formula(self):
         grid = TimeGrid(0.0, 2.0, 8)
         hm = np.array([[-1.0]])
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
         for k, t in enumerate(grid.nodes):
             assert grams[k][0, 0] == pytest.approx(
                 (1 - np.exp(-2 * t)) / 2, abs=1e-13)
 
-    @pytest.mark.parametrize("case", ["stiff", "rotation", "complex-pairs", "near-defective"])
+    @pytest.mark.parametrize("case", ["stiff", "reflection", "rotation", "complex-pairs",
+                                      "near-defective"])
     def test_matches_vanloan(self, rng, case):
-        # stiff: symmetric, h ||H||_1 ~ 4.9e3; rotation: lambda_1 + lambda_2 = 0,
-        # where phi_1 takes its limit; complex-pairs: stable and nonnormal, so
-        # the eigen branch runs with a complex X; near-defective: the
-        # Schur-form branch
+        # on the eigen form, stiff: h ||H||_1 ~ 4.9e3; reflection:
+        # lambda_1 + lambda_2 = 0, where phi_1 takes its limit.  On the Schur
+        # form, rotation: one 2 x 2 block; complex-pairs: stable and nonnormal;
+        # near-defective: far from normal
         if case == "stiff":
             q_mat, _ = np.linalg.qr(rng.standard_normal((20, 20)))
             hm = q_mat @ np.diag(-rng.uniform(1.0, 2000.0, 20)) @ q_mat.T
-            grid = TimeGrid(0.0, 2.5, 2)
+            hm, grid = 0.5 * (hm + hm.T), TimeGrid(0.0, 2.5, 2)
+        elif case == "reflection":
+            hm, grid = np.array([[0.0, 1.0], [1.0, 0.0]]), TimeGrid(0.0, 2.0, 8)
         elif case == "rotation":
             hm, grid = np.array([[0.0, 1.0], [-1.0, 0.0]]), TimeGrid(0.0, 2 * np.pi, 8)
         elif case == "complex-pairs":
@@ -99,14 +103,12 @@ class TestGramTrajectory:
         else:
             hm, grid = near_defective(2), TimeGrid(0.0, 3.0, 6)
         beta = 1.3
-        form = small_form(hm)[0]
-        if case == "complex-pairs":
-            assert isinstance(form.own, smallmat.DiagonalForm) and np.iscomplexobj(form.x)
+        form = small_form(hm)
+        assert isinstance(form.own, smallmat.DiagonalForm) == (case in ("stiff", "reflection"))
         traj = gram_trajectory(hm, beta, grid, form)
         assert isinstance(traj, CoordinateTrajectory)
         grams = traj.samples
-        full = traj.x @ traj.g @ traj.x.T             # what samples takes the real part of
-        assert grams.dtype == float and np.abs(full.imag).max() <= 1e-14 * np.abs(grams).max()
+        assert traj.x.dtype == traj.g.dtype == grams.dtype == float
         e1 = np.zeros(hm.shape[0])
         e1[0] = beta
         for k in range(1, grid.nnodes):
@@ -116,24 +118,41 @@ class TestGramTrajectory:
         assert np.linalg.norm(traj.last_rows(1) - last) <= 1e-14 * np.linalg.norm(last)
         if isinstance(form.own, smallmat.DiagonalForm):
             # the broadcast does the arithmetic of the closed form node by node
-            q = beta * form.xinv[:, 0]
+            q = beta * form.x[0]
             pair = form.own.lam[:, None] + form.own.lam[None, :]
+            assert (pair == 0).any() == (case == "reflection")
             for k, t in enumerate(grid.h * np.arange(grid.nnodes)):
                 weight = np.where(pair == 0, t,
                                   np.expm1(t * pair) / np.where(pair == 0, 1.0, pair))
-                y = (form.x @ (weight * np.outer(q, q)) @ form.x.T).real
+                y = form.x @ (weight * np.outer(q, q)) @ form.x.T
                 np.testing.assert_array_equal(grams[k], 0.5 * (y + y.T))
+
+    def test_nonsymmetric_bounds_match_the_sequential_gramian(self):
+        # the m = 9 extended T_m of a nonsymmetric random-stable A, kappa_2 of
+        # its eigenvector matrix 6.9: the residual bounds read off the Schur
+        # form's Gramians match those of the sequential Van Loan reference at
+        # every node, where an eigenvector route is 1.35e-4 off
+        prob = gen_random_dle_problem(n=150, p=2, density=0.05, seed=5)
+        proc = ExtendedGlobalArnoldi(prob.a, LinearSolver(prob.a), prob.b, 9)
+        _, tm, coupling = proc.projection(proc.advance_to(9))
+        grid = TimeGrid(0.0, 1.0, 20)
+        traj = gram_trajectory(tm, proc.beta, grid, small_form(tm))
+        bounds = residual_bound_bdf(coupling, traj.last_rows(2))
+        e1 = np.zeros(len(tm))
+        e1[0] = proc.beta
+        ref = [residual_bound_bdf(coupling, vanloan_gram(tm, e1, t)) for t in grid.nodes[1:]]
+        np.testing.assert_allclose(bounds[1:], ref, rtol=1e-8, atol=0)
 
     def test_overflow_is_a_numeric_error(self):
         hm = np.array([[400.0]])
         with pytest.raises(NumericError, match="overflowed"):
-            gram_trajectory(hm, 1.0, TimeGrid(0.0, 2.0, 1), small_form(hm)[0])
+            gram_trajectory(hm, 1.0, TimeGrid(0.0, 2.0, 1), small_form(hm))
 
     def test_ode_identity_by_finite_differences(self, rng):
         hm = stable_dense(4, rng)
         beta = 1.7
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, beta, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, beta, grid, small_form(hm)).samples
         e1 = np.zeros(4)
         e1[0] = beta
         dt = 1e-5
@@ -162,7 +181,7 @@ class TestResidualBoundExp:
             m = proc.m
             vm, hm, coupling = proc.projection(m)
             grid = TimeGrid(0.0, 1.0, 10)
-            grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
+            grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
             e11 = np.zeros((m, m))
             e11[0, 0] = 1.0
             bbt = b @ b.T
@@ -194,7 +213,7 @@ class TestAprioriBound:
         proc = _arnoldi_on(a_dense, b, 8)
         vm, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 10)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
         mu2 = lognorm2_operator(a_dense)
         assert mu2 < 0
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
@@ -412,7 +431,7 @@ class TestExpoSolve:
         for m in range(2, 12, 2):
             proc = _arnoldi_on(prob.a.toarray(), prob.b, m)
             _, hm, coupling = proc.projection(proc.m)
-            grams = gram_trajectory(hm, beta, grid, small_form(hm)[0]).samples
+            grams = gram_trajectory(hm, beta, grid, small_form(hm)).samples
             proc_bounds.append(residual_bound_exp(coupling, grams[-1]))
         assert all(b2 <= b1 * (1 + 1e-12)
                    for b1, b2 in zip(proc_bounds, proc_bounds[1:]))
@@ -450,7 +469,7 @@ class TestPerturbedEquation:
         proc = _arnoldi_on(a, b, m)
         _, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 8)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
         return prob, proc, hm, coupling, grams, grid
 
     def test_defect_small(self, rng):
@@ -473,7 +492,7 @@ class TestPerturbedEquation:
         m = proc.m
         basis, hm, _ = proc.projection(m)
         grid = TimeGrid(0.0, 1.0, 6)
-        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)[0]).samples
+        grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
         coupling = np.zeros((1, m))          # h_{m+1,m} = 0
         # tail block needed by the check: append a zero block
         padded = BlockRow(np.hstack([basis.data, np.zeros((8, 1))]), 1)

@@ -155,7 +155,7 @@ class TestDenseDleBdf:
         prob = DLEProblem(sp.csr_matrix(a), b)
         grid = TimeGrid(0.0, 1.0, 10)
         ref = dense_dle_bdf(prob, grid, l)
-        traj = bdf_integrate(small_form(a)[0], b, None, grid, l)
+        traj = bdf_integrate(small_form(a), b, None, grid, l)
         for k in range(1, grid.nnodes):
             assert (np.linalg.norm(traj.samples[k] - ref[k])
                     <= 1e-12 * np.linalg.norm(ref[k]))

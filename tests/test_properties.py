@@ -139,6 +139,20 @@ def assert_factored_form(sol):
             assert np.array_equal(z_read, z) and np.array_equal(signs_read, signs)
 
 
+def assert_one_orthogonal_reduction(problem, sol, rep):
+    """The final T_m took the eigen form exactly when A is exactly symmetric
+    (or T_m, of order 1, is symmetric whatever A), and the real Schur form
+    otherwise: the kernel's basis change X and every G_k are real, X is
+    orthogonal, and no eigenvector conditioning is reported."""
+    x, g = sol.kernel.x, sol.kernel.g
+    assert x.dtype == g.dtype == np.float64
+    k = len(x)
+    assert np.linalg.norm(x.T @ x - np.eye(k)) <= 1e-13 * k
+    symmetric = (problem.a != problem.a.T).nnz == 0 or k == 1
+    assert (rep.trust["small_form"] == "eigen") == symmetric
+    assert "eig_cond" not in rep.trust
+
+
 def assert_bound_dominates_residual(problem, rep, xs, xdots):
     """At the last len(xs) nodes of the final basis size, the reported bound
     dominates the formed residual X' - A X - X A^T - B B^T of X = xs[i],
@@ -169,6 +183,7 @@ class TestExpoProperties:
         again, rep_again = expo_dle_solve(problem, grid, m_max, tol, variant=variant)
         assert rep_again.rows == rep.rows
         assert np.array_equal(again.kernel.g, sol.kernel.g)
+        assert_one_orthogonal_reduction(problem, sol, rep)
 
         # X' from the projected ODE Y' = T Y + Y T^T + b b^T, with T = V <> (A V)
         # and b = V <> B, at every node
@@ -197,10 +212,7 @@ class TestEgadlProperties:
         assert rep_again.rows == rep.rows
         assert np.array_equal(again.kernel.g, sol.kernel.g)
 
-        # an exactly symmetric A is reduced by eigh: X and every G_k are real
-        if (problem.a != problem.a.T).nnz == 0:
-            assert sol.kernel.x.dtype == float and sol.kernel.g.dtype == float
-            assert rep.trust["eig_cond"] == 1.0
+        assert_one_orthogonal_reduction(problem, sol, rep)
 
         # a converged run is the same-grid dense BDF solution within AC-4's bound
         if rep.converged:

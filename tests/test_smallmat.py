@@ -9,16 +9,16 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from krymat import smallmat
 from krymat.errors import CapExceededError, DimensionError, IllPosedError, NumericError
-from krymat.smallmat import (EIG_COND_MAX, VANLOAN_MAX_DOUBLINGS, VANLOAN_THETA, DiagonalForm,
-                             TriangularForm, expm, joint_sym_factor, lognorm2, lyap_solve, phi1,
-                             real_schur, small_form, symmetrize, trunc_sym_factor,
-                             vanloan_gram_nodes)
+from krymat.smallmat import (VANLOAN_MAX_DOUBLINGS, VANLOAN_THETA, DiagonalForm, TriangularForm,
+                             expm, joint_sym_factor, lognorm2, lyap_solve, phi1, real_schur,
+                             small_form, symmetrize, trunc_sym_factor, vanloan_gram_nodes)
 
 from conftest import (deadline, lyap_through, near_defective, normal_complex_pairs, range_cut,
                       stable_dense, stable_sym, vanloan_gram)
 
 
-# T on the eigen side of small_form's gate: real spectrum, complex pairs, nonnormal
+# small T with a well-conditioned eigenvector matrix: a symmetric one, and two
+# nonsymmetric ones, with complex pairs or nonnormal
 WELL_CONDITIONED = {
     "symmetric": lambda rng: stable_sym(8, rng),
     "complex-pairs": lambda rng: normal_complex_pairs(8, rng),
@@ -117,17 +117,36 @@ class TestLyapSolve:
 class TestSmallForm:
     @pytest.mark.parametrize("make", list(WELL_CONDITIONED.values()), ids=list(WELL_CONDITIONED))
     def test_eigen_side_of_the_gate(self, rng, make):
+        # the eigen side holds the exactly symmetric T alone, T = X diag(lam) X^T
+        # with X orthogonal; a nonsymmetric T enters it only by its symmetric part
         t = make(rng)
-        form, cond = small_form(t)
-        assert isinstance(form.own, DiagonalForm) and cond <= EIG_COND_MAX
-        np.testing.assert_allclose(form.x @ np.diag(form.own.lam) @ form.xinv, t,
-                                   atol=1e-13 * cond * np.linalg.norm(t))
+        assert isinstance(small_form(t).own, DiagonalForm) == np.array_equal(t, t.T)
+        sym = 0.5 * (t + t.T)
+        form = small_form(sym)
+        assert isinstance(form.own, DiagonalForm) and form.x.dtype == form.own.lam.dtype == float
+        k = len(t)
+        assert np.linalg.norm(form.x.T @ form.x - np.eye(k)) <= 1e-13 * k
+        np.testing.assert_allclose(form.x @ np.diag(form.own.lam) @ form.x.T, sym,
+                                   atol=1e-13 * np.linalg.norm(sym))
+
+    @pytest.mark.parametrize("make", [WELL_CONDITIONED["complex-pairs"],
+                                      WELL_CONDITIONED["nonnormal"],
+                                      lambda rng: stable_sym(8, rng) + 1e-15 * np.eye(8, k=1)],
+                             ids=["complex-pairs", "nonnormal", "roundoff-skew"])
+    def test_every_other_t_takes_the_schur_form(self, rng, make):
+        # however well conditioned its eigenvectors, a T that is not exactly
+        # symmetric takes the real Schur form
+        t = make(rng)
+        form, ref = small_form(t), real_schur(t)
+        assert isinstance(form.own, TriangularForm)
+        np.testing.assert_array_equal(form.x, ref.x)
+        np.testing.assert_array_equal(form.own.s, ref.own.s)
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_near_defective_keeps_the_schur_form(self, k):
         t = near_defective(k)
-        form, cond = small_form(t)
-        assert isinstance(form.own, TriangularForm) and cond > EIG_COND_MAX
+        form = small_form(t)
+        assert isinstance(form.own, TriangularForm)
         np.testing.assert_array_equal(form.own.s, real_schur(t).own.s)
 
     @pytest.mark.parametrize("make", list(WELL_CONDITIONED.values()), ids=list(WELL_CONDITIONED))
@@ -137,8 +156,8 @@ class TestSmallForm:
         q = rng.standard_normal((t.shape[0], 2))
         q = q @ q.T
         op = c * t + d * np.eye(t.shape[0])
-        form, _ = small_form(op)
-        assert isinstance(form.own, DiagonalForm)
+        form = small_form(op)
+        assert isinstance(form.own, DiagonalForm) == np.array_equal(op, op.T)
         y = lyap_through(form, q)
         assert y.dtype == float
         np.testing.assert_array_equal(y, y.T)
@@ -149,15 +168,15 @@ class TestSmallForm:
         t = stable_sym(4, rng)
         lam_max = np.linalg.eigvalsh(t).max()
         with pytest.raises(IllPosedError):
-            lyap_solve(small_form(t - lam_max * np.eye(4))[0].own, np.eye(4))
+            lyap_solve(small_form(t - lam_max * np.eye(4)).own, np.eye(4))
 
 
 class TestRealSchur:
     def test_reconstruction_and_eigenvalues(self, rng):
         t = rng.standard_normal((30, 30))
         form = real_schur(t)
-        np.testing.assert_array_equal(form.xinv, form.x.T)
-        np.testing.assert_allclose(form.x @ form.own.s @ form.xinv, t,
+        assert np.linalg.norm(form.x.T @ form.x - np.eye(30)) <= 1e-13 * 30
+        np.testing.assert_allclose(form.x @ form.own.s @ form.x.T, t,
                                    atol=1e-13 * np.linalg.norm(t))
         np.testing.assert_allclose(np.sort_complex(form.own.lam),
                                    np.sort_complex(np.linalg.eigvals(t)), atol=1e-12)
@@ -193,7 +212,8 @@ class TestRealSchur:
             lyap_solve(real_schur(stable_dense(3, rng)).own, np.eye(4))
 
 
-# T on both sides of small_form's gate: each eigen-side kind and a Schur-side one
+# T on both sides of small_form's gate: the symmetric one on the eigen side,
+# the others on the Schur side
 BOTH_SIDES = {**WELL_CONDITIONED, "near-defective": lambda rng: near_defective(6, coupling=10.0)}
 
 # a T with eigenvalues 1 and 3 in its own coordinates: diagonal, and upper triangular
@@ -211,16 +231,16 @@ class TestOwnCoordinates:
         t = make(rng)
         q = rng.standard_normal((t.shape[0], 2))
         q = q @ q.T
-        form, cond = small_form(t)
-        x, xinv, own = form.x, form.xinv, form.own
-        assert isinstance(own, DiagonalForm if cond <= EIG_COND_MAX else TriangularForm)
-        qh = xinv @ q @ xinv.T
+        form = small_form(t)
+        x, own = form.x, form.own
+        assert isinstance(own, DiagonalForm if np.array_equal(t, t.T) else TriangularForm)
+        qh = x.T @ q @ x
         g = lyap_solve(own.shifted(c, d), 0.5 * (qh + qh.T))
         np.testing.assert_array_equal(g, g.T)
         y = x @ g @ x.T
         y_ref = solve_continuous_lyapunov(c * t + d * np.eye(t.shape[0]), -q)
-        assert np.abs(y.imag).max() <= 1e-14 * np.linalg.norm(y_ref)
-        assert np.linalg.norm(y.real - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
+        assert y.dtype == float
+        assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
 
     @pytest.mark.parametrize("own", list(OWN_FORMS.values()), ids=list(OWN_FORMS))
     def test_errors_are_those_of_the_congruence_path(self, own):
@@ -233,15 +253,6 @@ class TestOwnCoordinates:
             lyap_solve(stable, np.eye(3))
         with pytest.raises(DimensionError):
             lyap_solve(stable, np.ones(2))
-
-    def test_complex_diagonal_form(self):
-        # an eigen form with complex pairs gives a complex G; its gate stays
-        lam = np.array([-1.0 + 2.0j, -1.0 - 2.0j])
-        q = np.array([[1.0, 0.5j], [0.5j, 2.0]])
-        g = lyap_solve(DiagonalForm(lam), q)
-        np.testing.assert_array_equal(g, q / -(lam[:, None] + lam[None, :]))
-        with pytest.raises(NumericError):
-            lyap_solve(DiagonalForm(lam), np.array([[np.inf * 1j, 0.0], [0.0, 1.0]]))
 
     @pytest.mark.parametrize("own", list(OWN_FORMS.values()), ids=list(OWN_FORMS))
     def test_singularity_test_runs_once_per_form(self, monkeypatch, own):
