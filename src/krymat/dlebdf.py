@@ -10,9 +10,10 @@ Schur form T = U S U^T and each step is one quasi-triangular solve with S.
 Either way the kernel is Y = X G X^T, X = U for the Schur form.  The
 right-hand side of a step mixes the previous kernels with weights that may
 be negative, so it is assembled as a dense symmetric matrix.  Both methods'
-residual bounds read only the kernels' last rows, every node at once; the
-kernels themselves, their ranks and the low-rank factors with a +/-1
-signature are formed only when read.
+residual bounds read only the kernels' last rows, every node at once, and
+EgAdl's ranks are the eigenvalue counts of the G_k, which X orthogonal
+leaves unchanged; the kernels themselves and the low-rank factors with a
++/-1 signature are formed only when read.
 """
 
 from dataclasses import dataclass

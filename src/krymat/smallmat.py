@@ -194,13 +194,15 @@ def _vanloan_segment(h, q, t):
 
 
 # Largest ||t H||_1 handed to one block exponential; larger segments risk
-# overflow of the e^{+tH^T} block and cancellation in the read-off product.
-VANLOAN_THETA = 4.0
+# overflow of the e^{+tH^T} block and cancellation in the read-off product:
+# for H = -1, q = 1 one segment of 4 reads the Gramian 1.0e-12 relative off,
+# two doublings of a segment of 1 read it exactly.
+VANLOAN_THETA = 1.0
 
 # Most doublings one step may take.  Doublings are cheap, so the cap only
-# refuses a span that is a mistaken horizon, not a step: 17 admit every
-# step that 10^5 sequential segments did, 64 admit ||H||_1 step up to 7e19,
-# and tf = 1e308 with ||H||_1 = 1 asks for 1022.
+# refuses a span that is a mistaken horizon, not a step: 19 admit every
+# step that 10^5 sequential segments of 4 did, 64 admit ||H||_1 step up to
+# 2^64 (1.8e19), and tf = 1e308 with ||H||_1 = 1 asks for 1024.
 VANLOAN_MAX_DOUBLINGS = 64
 
 

@@ -191,26 +191,18 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
     return basis, kernel
 
 
-# Nodes whose kernels ``CoordinateTrajectory.ranks`` forms at once.  Against
-# k-node chunks (k up to 68) it left the egadl-lap90k solve unchanged.
-RANK_CHUNK = 16
-
-
 @dataclass
 class CoordinateTrajectory:
     """Symmetric kernels Y_k = X G_k X^T of a projected Lyapunov equation,
-    one per grid node, held as the real basis change X of a reduction of T
-    (its orthonormal eigenvectors, its Schur vectors, or I) and the stack
-    ``g`` of the G_k in X's coordinates.  Both low-rank fits return one:
-    EgAdl's BDF march and the exponential method's exact Gramians."""
+    one per grid node, held as the real orthogonal basis change X of a
+    reduction of T (its orthonormal eigenvectors, its Schur vectors, or I)
+    and the stack ``g`` of the exactly symmetric G_k in X's coordinates.
+    Both low-rank fits return one: EgAdl's BDF march and the exponential
+    method's exact Gramians.  A solve reads only ``last_rows`` and
+    ``ranks``; the Y_k themselves are formed when ``samples`` is read."""
 
     x: np.ndarray
     g: np.ndarray
-
-    def kernels(self, nodes=slice(None)):
-        """The symmetric Y_k of the given nodes, a stack."""
-        y = self.x @ self.g[nodes] @ self.x.T
-        return 0.5 * (y + y.transpose(0, 2, 1))
 
     def last_rows(self, nr):
         """The last ``nr`` rows of every Y_k, a stack: all a residual bound reads."""
@@ -218,19 +210,16 @@ class CoordinateTrajectory:
 
     @cached_property
     def samples(self):
-        return self.kernels()
+        """The symmetric Y_k of every node, a stack."""
+        y = self.x @ self.g @ self.x.T
+        return 0.5 * (y + y.transpose(0, 2, 1))
 
     def ranks(self, tol):
         """Rank of every Y_k, counting the eigenvalues above tol times the
-        largest in magnitude.  The kernels are formed RANK_CHUNK nodes at a
-        time, so that the transient is RANK_CHUNK k^2 entries whatever the
-        order k of the kernels; the ranks do not depend on it."""
-        nnodes = self.g.shape[0]
-        out = []
-        for lo in range(0, nnodes, RANK_CHUNK):
-            lam = np.abs(np.linalg.eigvalsh(self.kernels(slice(lo, lo + RANK_CHUNK))))
-            out.append(np.count_nonzero(lam > tol * lam.max(axis=1, keepdims=True), axis=1))
-        return np.concatenate(out)
+        largest in magnitude.  X is orthogonal, so Y_k has the eigenvalues
+        of G_k: they are read from the stack ``g``, and no Y_k is formed."""
+        lam = np.abs(np.linalg.eigvalsh(self.g))
+        return np.count_nonzero(lam > tol * lam.max(axis=1, keepdims=True), axis=1)
 
 
 @dataclass

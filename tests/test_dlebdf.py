@@ -1,11 +1,13 @@
 """BDF schemes, projected Lyapunov stepping, residual bound, EgAdl end to end."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from krymat import smallmat, solution
+from krymat import smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
 from krymat.dleexp import gram_trajectory, residual_bound_exp
@@ -215,20 +217,28 @@ class TestCoordinateMarch:
         assert traj.ranks(1e-10).tolist() == expected
 
 
-    @pytest.mark.parametrize("tm_of, branch", [
-        (lambda rng: stable_sym(20, rng), DiagonalForm),
-        (lambda rng: near_defective(20, coupling=10.0), TriangularForm),
-    ], ids=["real-eigen", "schur"])
-    def test_ranks_do_not_depend_on_the_chunk(self, monkeypatch, rng, tm_of, branch):
-        form = small_form(tm_of(rng))
-        assert isinstance(form.own, branch)
-        traj = bdf_integrate(form, rng.standard_normal(20), None, TimeGrid(0.0, 1.0, 40), 2)
-        ranks = []
-        for chunk in (1, 16, 20):           # one node, the default, k nodes
-            monkeypatch.setattr(solution, "RANK_CHUNK", chunk)
-            ranks.append(traj.ranks(1e-10).tolist())
-        assert ranks[0] == ranks[1] == ranks[2]
-        assert len(set(ranks[0])) > 2            # the ranks grow along the march
+    @pytest.mark.parametrize("tm_of, integrator", [
+        (lambda rng: stable_sym(20, rng), "bdf"),
+        (lambda rng: near_defective(20, coupling=10.0), "bdf"),
+        (lambda rng: stable_dense(20, rng), "gram"),
+    ], ids=["eigen", "schur", "identity"])
+    def test_ranks_from_g_equal_the_formed_kernel_ranks(self, rng, tm_of, integrator):
+        # the eigenvalues of G_k counted against those of the formed,
+        # symmetrized Y_k = X G_k X^T: X orthogonal from eigh, from the real
+        # Schur form, and X = I for the Van Loan Gramians
+        tm, grid = tm_of(rng), TimeGrid(0.0, 1.0, 40)
+        form = small_form(tm)
+        if integrator == "bdf":
+            traj = bdf_integrate(form, rng.standard_normal(20), None, grid, 2)
+        else:
+            traj = gram_trajectory(tm, 1.5, grid, form)
+            assert np.array_equal(traj.x, np.eye(20))
+        expected = []
+        for y in traj.samples:
+            lam = np.abs(np.linalg.eigvalsh(y))
+            expected.append(int(np.count_nonzero(lam > 1e-10 * lam.max())))
+        assert traj.ranks(1e-10).tolist() == expected
+        assert len(set(expected)) > 2            # the ranks grow along the march
 
 
 class TestSymmetricReduction:
@@ -398,6 +408,36 @@ class TestEgadlSolve:
             lam = np.abs(np.linalg.eigvalsh(y))
             expected.append(int(np.count_nonzero(lam > 1e-10 * lam.max())))
         assert ranks == expected
+
+    def test_the_solve_forms_no_kernel_stack(self, monkeypatch):
+        # every product with the reduction's X is recorded; the solve takes
+        # only the last rows X[-2:] G_k X^T, and reading the samples forms
+        # the k x k kernels of every node at once
+        products = []
+
+        class Recorded(np.ndarray):
+            def __matmul__(self, other):
+                out = np.asarray(self) @ np.asarray(other)
+                products.append(out.shape)
+                return out
+
+            def __rmatmul__(self, other):
+                out = np.asarray(other) @ np.asarray(self)
+                products.append(out.shape)
+                return out
+
+        def recorded_form(tm, small_form=smallmat.small_form):
+            form = small_form(tm)
+            return dataclasses.replace(form, x=form.x.view(Recorded))
+
+        monkeypatch.setattr(smallmat, "small_form", recorded_form)
+        grid = TimeGrid(0.0, 1.0, 20)
+        sol, rep = egadl_solve(gen_dle_problem(n0=6, p=2, seed=1), grid, 20, 1e-8)
+        k = len(sol.kernel.x)
+        assert rep.m_final > 2 and products
+        assert (grid.nnodes, 2, k) in products
+        assert not [shape for shape in products if len(shape) == 3 and shape[1:] == (k, k)]
+        assert sol.kernel.samples.shape == products[-1] == (grid.nnodes, k, k)
 
     def test_factors_are_made_when_first_read(self, monkeypatch):
         # nothing is factored by the solve; the first read factors every

@@ -153,6 +153,21 @@ def assert_one_orthogonal_reduction(problem, sol, rep):
     assert "eig_cond" not in rep.trust
 
 
+def assert_ranks_count_the_formed_kernels(sol, rep):
+    """The final size's rank column, read from the G_k, counts the formed
+    kernels' eigenvalues above factor_tol max|lambda| at every node where
+    none lies within 64 k eps max|lambda| of that threshold, k the order of
+    the kernels."""
+    ranks = [r[3] for r in rep.rows if r[0] == rep.m_final]
+    ys = sol.kernel.samples
+    near = 64 * len(sol.kernel.x) * np.finfo(float).eps
+    for rank, y in zip(ranks, ys, strict=True):
+        lam = np.abs(np.linalg.eigvalsh(y))
+        threshold = sol.factor_tol * lam.max()
+        if not (np.abs(lam - threshold) < near * lam.max()).any():
+            assert rank == np.count_nonzero(lam > threshold)
+
+
 def assert_bound_dominates_residual(problem, rep, xs, xdots):
     """At the last len(xs) nodes of the final basis size, the reported bound
     dominates the formed residual X' - A X - X A^T - B B^T of X = xs[i],
@@ -213,6 +228,7 @@ class TestEgadlProperties:
         assert np.array_equal(again.kernel.g, sol.kernel.g)
 
         assert_one_orthogonal_reduction(problem, sol, rep)
+        assert_ranks_count_the_formed_kernels(sol, rep)
 
         # a converged run is the same-grid dense BDF solution within AC-4's bound
         if rep.converged:

@@ -370,16 +370,20 @@ class TestVanloanGram:
         with deadline(60), pytest.raises(NumericError, match=message):
             vanloan_gram_nodes(np.array([[-1.0]]), np.array([1.0]), step, 2)
 
-    @pytest.mark.parametrize("step", [VANLOAN_THETA * 1e5,
-                                      VANLOAN_THETA * 2.0 ** VANLOAN_MAX_DOUBLINGS])
+    @pytest.mark.parametrize("step", [4e5, VANLOAN_THETA * 2.0 ** VANLOAN_MAX_DOUBLINGS])
     def test_the_longest_steps_are_admitted(self, step):
-        # the most 10^5 sequential segments reached, and the cap itself; the
-        # read-off floor of one segment of ||tH||_1 = 4 is about 1e-12
+        # the most 10^5 sequential segments of ||tH||_1 = 4 reached, and the cap
         grams = vanloan_gram_nodes(np.array([[-1.0]]), np.array([1.0]), step, 2)
         np.testing.assert_allclose(grams[1:, 0, 0], 0.5, rtol=1e-11)
 
+    def test_a_doubled_step_is_read_off_to_roundoff(self):
+        # ||tH||_1 = 4: one segment of 4 read this Gramian 1.0e-12 relative
+        # off, two doublings of a segment of 1 read it to roundoff
+        gram = vanloan_gram_nodes(np.array([[-1.0]]), np.array([1.0]), 4.0, 1)[1, 0, 0]
+        np.testing.assert_allclose(gram, -np.expm1(-8.0) / 2.0, rtol=1e-14)
+
     def test_a_stiff_step_matches_the_closed_form(self):
-        # ||H||_1 = 4.8e5 at step 1: 17 doublings, where 1.2e5 sequential
+        # ||H||_1 = 4.8e5 at step 1: 19 doublings, where 1.2e5 sequential
         # segments were once refused
         grams = vanloan_gram_nodes(np.array([[-4.8e5]]), np.array([1.0]), 1.0, 2)
         exact = -np.expm1(-9.6e5) / 9.6e5
