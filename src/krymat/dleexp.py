@@ -108,7 +108,7 @@ def _certified_negative_definite(a, symmetric):
     return bool((diag + radius).max() <= 0)
 
 
-def lognorm2_operator(a, solver=None, trust=None, symmetric=None):
+def lognorm2_operator(a, solver, symmetric):
     """mu_2(A) = lambda_max((A + A^T)/2) of a sparse or dense operator.
 
     Up to order 400, or for a dense A, the dense eigensolve.  Above it, with
@@ -122,10 +122,10 @@ def lognorm2_operator(a, solver=None, trust=None, symmetric=None):
     sees, and Lanczos convergence bounds only improve with the gap; on the
     clustered top of a Laplacian spectrum it takes far fewer iterations.
     Otherwise (no solver, a nonsymmetric A, a failed Gershgorin test) the
-    Lanczos for the largest eigenvalue of the symmetric part.  When ``trust``
-    is a dict, the path taken goes to trust["mu2_method"]: "dense",
-    "shift-invert" or "lanczos".  A caller that has compared A with A^T
-    passes the answer as ``symmetric``; None makes the comparison here.
+    Lanczos for the largest eigenvalue of the symmetric part.  ``solver``
+    may be None; ``symmetric`` says whether A equals A^T
+    (``probio.exactly_symmetric``).  Returns (mu2, path), the path taken
+    "dense", "shift-invert" or "lanczos".
     """
     if not sp.issparse(a) or a.shape[0] <= 400:
         method = "dense"
@@ -134,8 +134,6 @@ def lognorm2_operator(a, solver=None, trust=None, symmetric=None):
         n = a.shape[0]
         # a fixed start vector makes ARPACK, and so mu2, reproducible
         v0 = np.random.default_rng(0).standard_normal(n)
-        if symmetric is None:
-            symmetric = exactly_symmetric(a)
         if solver is not None and _certified_negative_definite(a, symmetric):
             method = "shift-invert"
             inv = spla.LinearOperator((n, n), matvec=solver.solve, dtype=float)
@@ -146,9 +144,7 @@ def lognorm2_operator(a, solver=None, trust=None, symmetric=None):
             sym = 0.5 * (a + a.T).tocsc()
             val = spla.eigsh(sym, k=1, which="LA", v0=v0, return_eigenvectors=False)
             mu2 = float(val[0])
-    if trust is not None:
-        trust["mu2_method"] = method
-    return mu2
+    return mu2, method
 
 
 def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-10):
@@ -172,7 +168,7 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
         # the extended process's LU also serves the log-norm's shift-invert
         solver = LinearSolver(problem.a) if variant == "extended" else None
         symmetric = exactly_symmetric(problem.a)
-        mu2 = lognorm2_operator(problem.a, solver, report.trust, symmetric)
+        mu2, report.trust["mu2_method"] = lognorm2_operator(problem.a, solver, symmetric)
         report.settings["mu2"] = mu2
         if variant == "global":
             proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b, m_max)

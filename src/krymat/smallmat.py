@@ -51,14 +51,20 @@ def symmetrize(y):
     return 0.5 * (y + y.T)
 
 
-def expm(m):
-    """Matrix exponential by scaling and squaring with a Pade approximant."""
-    m = _square(m, "expm")
+def _expm(m, who):
+    """scipy's expm of a matrix that a kernel built from its gated input,
+    not checked against the cap again: the cap bounds the order the kernel
+    was given.  An overflow is a NumericError naming ``who``."""
     with np.errstate(over="ignore", invalid="ignore"):    # the check below reports it
         e = sla.expm(m)
     if not np.isfinite(e).all():
-        raise NumericError("expm overflowed")
+        raise NumericError(f"{who} overflowed")
     return e
+
+
+def expm(m):
+    """Matrix exponential by scaling and squaring with a Pade approximant."""
+    return _expm(_square(m, "expm"), "expm")
 
 
 def phi1(m):
@@ -72,7 +78,7 @@ def phi1(m):
     aug = np.zeros((2 * k, 2 * k))
     aug[:k, :k] = m
     aug[:k, k:] = np.eye(k)
-    return expm(aug)[:k, k:]
+    return _expm(aug, "expm")[:k, k:]
 
 
 def _checked_divisors(lam):
@@ -177,20 +183,17 @@ def lyap_solve(form, q_mat):
 
 
 def _vanloan_segment(h, q, t):
-    """exp(t [[H, qq^T], [0, -H^T]]) read off as (Gram(t), e^{tH}); an overflow
-    is left to the finiteness checks, here and in the callers."""
+    """exp(t [[H, qq^T], [0, -H^T]]) read off as (Gram(t), e^{tH}).  It runs
+    under its caller's errstate: an overflow shows as a non-finite block
+    exponential, which ``_expm`` reports, or Gramian, which the caller does."""
     k = h.shape[0]
     blk = np.zeros((2 * k, 2 * k))
     blk[:k, :k] = h
     blk[k:, k:] = -h.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        blk[:k, k:] = q @ q.T
-        p = sla.expm(t * blk)
-        w = p[:k, k:] @ p[:k, :k].T
-        w = 0.5 * (w + w.T)
-    if not np.isfinite(p).all():
-        raise NumericError("vanloan_gram_nodes: block exponential overflowed")
-    return w, p[:k, :k]
+    blk[:k, k:] = q @ q.T
+    p = _expm(t * blk, "vanloan_gram_nodes: block exponential")
+    w = p[:k, k:] @ p[:k, :k].T
+    return 0.5 * (w + w.T), p[:k, :k]
 
 
 # Largest ||t H||_1 handed to one block exponential; larger segments risk
@@ -238,9 +241,9 @@ def vanloan_gram_nodes(h, q, step, nsteps):
     if not j <= VANLOAN_MAX_DOUBLINGS:
         raise NumericError(f"vanloan_gram_nodes: a step of {step:.3g} with ||H||_1 = {scale:.3g} "
                            f"needs {j:.0f} doublings, more than {VANLOAN_MAX_DOUBLINGS}")
-    wh, eh = _vanloan_segment(h, q, step / 2.0 ** j)
-    grams = np.zeros((nsteps + 1, *wh.shape))
+    grams = np.zeros((nsteps + 1, len(h), len(h)))
     with np.errstate(over="ignore", invalid="ignore"):
+        wh, eh = _vanloan_segment(h, q, step / 2.0 ** j)
         for _ in range(int(j)):
             wh = wh + eh @ wh @ eh.T
             wh = 0.5 * (wh + wh.T)

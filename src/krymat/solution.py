@@ -133,12 +133,13 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
     kernel.  ``more`` runs on the solve's one worker thread while the basis
     grows by the next step, so it must call nothing the caller's thread
     could be timing; the worker is joined before the solve returns or
-    raises.  A basis size's rows are added once the process has advanced
-    past it.  When that advance made no progress (an extended step that
-    broke down does not count), the fit of the same size on all retained
-    sub-blocks replaces them, and trust.refit names that size; one that
-    broke down before its first counted step is fitted as size 1.  Sets the
-    report's status, basis size and wall time; returns the last (basis, kernel).
+    raises.  Sizes m = 1, 2, ... are fitted in turn, each once the process
+    was asked to advance to m steps, and a size's rows are added once,
+    after the next advance.  A step that breaks down without counting (the
+    extended process's) leaves the process one step short, and its
+    projection of size m is then the one onto all retained sub-blocks, as
+    for a seed or first step that broke down at m = 1.  Sets the report's
+    status, basis size and wall time; returns the last (basis, kernel).
     """
     # the basis is allocated for m_max steps, so it must count them
     if not is_count(m_max) or m_max < 1:
@@ -162,15 +163,10 @@ def krylov_solve(report, grid, m_max, tol, start, zero):
         with ThreadPoolExecutor(max_workers=1) as worker:
             m, pending = 0, None
             while True:
-                advanced = proc.advance_to(m + 1)
+                proc.advance_to(m + 1)
                 if pending is not None:
-                    if advanced > m:
-                        add_rows(m, *pending)
-                    else:
-                        report.trust["refit"] = m
-                # a process that breaks down at its seed or in its first step
-                # fits m = 1 on what it retained: m = 0 is B = 0 alone
-                m = max(advanced, 1)
+                    add_rows(m, *pending)
+                m += 1
                 basis, tm, coupling = proc.projection(m)
                 # one trajectory at a time: the previous size's, and ``more``
                 # that holds it, go before the fit allocates the next

@@ -12,6 +12,7 @@ from krymat import garnoldi, smallmat
 from krymat.blockmat import BlockRow, kron_apply
 from krymat.dlebdf import bdf_coefficients
 from krymat.errors import DimensionError
+from krymat.probio import gen_laplacian2d
 
 
 @pytest.fixture
@@ -94,6 +95,15 @@ def stable_sparse(n, rng, density=0.1):
     a.sum_duplicates()
     row_sums = np.asarray(np.abs(a).sum(axis=1)).ravel()
     return (a - sp.diags(row_sums + 0.5)).tocsr()
+
+
+def convection_diffusion(n0, w):
+    """A = L - w (I kron D + D kron I): L = gen_laplacian2d(n0) and the central
+    difference D = tridiag(-1, 0, 1)/(2h), h = 1/(n0 + 1).  D is
+    skew-symmetric, so (A + A^T)/2 = L for every wind w."""
+    d = sp.diags([-np.ones(n0 - 1), np.ones(n0 - 1)], [-1, 1]) * (n0 + 1) / 2
+    eye = sp.identity(n0)
+    return (gen_laplacian2d(n0) - w * (sp.kron(eye, d) + sp.kron(d, eye))).tocsr()
 
 
 def random_block_row(rng, n, m, width, scale=1.0):
@@ -254,7 +264,9 @@ def vanloan_gram(h, q, t):
     if q.shape[0] != len(h):
         raise DimensionError("vanloan_gram: q does not match the order of H")
     nseg = max(1, int(np.ceil(t * np.linalg.norm(h, 1) / smallmat.VANLOAN_THETA)))
-    wd, ed = smallmat._vanloan_segment(np.asarray(h, dtype=float), q, t / nseg)
+    # the segment leaves an overflow to its caller's errstate, as in vanloan_gram_nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        wd, ed = smallmat._vanloan_segment(np.asarray(h, dtype=float), q, t / nseg)
     w = wd
     for _ in range(nseg - 1):
         w = wd + ed @ w @ ed.T

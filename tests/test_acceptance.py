@@ -348,7 +348,7 @@ def test_ac7_apriori_bound():
         n = int(rng.integers(20, 51))
         a_dense = stable_sym(n, rng, lo=0.4, hi=10.0)
         b = random_full_rank(n, 1, seed=trial + 50)
-        mu2 = lognorm2_operator(a_dense)
+        mu2, _ = lognorm2_operator(a_dense, None, True)
         assert mu2 < 0
         proc = GlobalArnoldi(lambda x: a_dense @ x, b, 7)
         vm, hm, coupling = proc.projection(proc.advance_to(7))

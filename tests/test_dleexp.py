@@ -21,8 +21,8 @@ from krymat.probio import (DLEProblem, LinearSolver, gen_dle_problem, gen_laplac
 from krymat.smallmat import small_form
 from krymat.solution import CoordinateTrajectory, LowRankSolution, TimeGrid
 
-from conftest import (near_defective, perturbed_equation_check, rect_hessenberg, stable_dense,
-                      stable_sym, vanloan_gram)
+from conftest import (convection_diffusion, near_defective, perturbed_equation_check,
+                      rect_hessenberg, stable_dense, stable_sym, vanloan_gram)
 
 
 def _arnoldi_on(a, b, m):
@@ -214,7 +214,7 @@ class TestAprioriBound:
         vm, hm, coupling = proc.projection(proc.m)
         grid = TimeGrid(0.0, 1.0, 10)
         grams = gram_trajectory(hm, 1.0, grid, small_form(hm)).samples
-        mu2 = lognorm2_operator(a_dense)
+        mu2, _ = lognorm2_operator(a_dense, None, True)
         assert mu2 < 0
         gbar = max(np.linalg.norm(g[-1, :]) for g in grams)
         prob = DLEProblem(sp.csr_matrix(a_dense), b)
@@ -248,9 +248,8 @@ class TestLognorm2Operator:
     certified negative definite, the Lanczos on the symmetric part else."""
 
     def _run(self, a, solver):
-        trust = {}
-        mu2 = lognorm2_operator(a, solver, trust)
-        return mu2, trust["mu2_method"]
+        # a dense A takes the dense path, which reads no symmetry
+        return lognorm2_operator(a, solver, sp.issparse(a) and probio.exactly_symmetric(a))
 
     def test_laplacian_closed_form(self):
         a = gen_laplacian2d(21)
@@ -408,12 +407,9 @@ class TestExpoSolve:
         # convection-diffusion, L - w (I kron D + D kron I) with w = 1000: T_m
         # takes the Schur form, and a step spans up to 526 segments of
         # ||t T_m||_1 <= 4, that is 10 doublings
-        n0, w = 12, 1000.0
-        d = sp.diags([-np.ones(n0 - 1), np.ones(n0 - 1)], [-1, 1]) * (n0 + 1) / 2
-        eye = sp.identity(n0)
-        a = (gen_laplacian2d(n0) - w * (sp.kron(eye, d) + sp.kron(d, eye))).tocsr()
+        n0 = 12
         b = np.random.default_rng(1).standard_normal((n0 * n0, 2))
-        prob = DLEProblem(a, b)
+        prob = DLEProblem(convection_diffusion(n0, 1000.0), b)
         grid = TimeGrid(0.0, 1.0, 20)
         sol, rep = expo_dle_solve(prob, grid, 120, 1e-8, variant="extended")
         assert rep.trust["small_form"] == "schur"

@@ -21,7 +21,7 @@ from krymat.probio import (DLEProblem, GenSylvesterProblem, LinearSolver, gen_dl
                            gen_laplacian2d, gen_random_dle_problem, gen_sylvester_q2,
                            random_full_rank)
 from krymat.smallmat import DiagonalForm, small_form
-from krymat.solution import LowRankSolution, SolveReport, TimeGrid
+from krymat.solution import LowRankSolution, SolveReport, TimeGrid, krylov_solve
 
 
 def _egadl():
@@ -259,16 +259,33 @@ def test_galerkin_breakdown_is_exact():
     assert err <= 1e-13
 
 
+@pytest.mark.parametrize("n0,m_final,blocks", [(3, 2, 5), (4, 4, 9)])
 @pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])
-def test_extended_breakdown_reports_one_row_set_per_size(solve):
-    # the extended step after m = 1 breaks down without counting, and the fit
-    # of m = 1 on all retained sub-blocks replaces the first one's rows
+def test_extended_breakdown_fits_the_next_size_once(monkeypatch, solve, n0, m_final, blocks):
+    # the extended step after m_final - 1 breaks down without counting; size
+    # m_final is then fitted once, on all retained sub-blocks: the fit of the
+    # broken-down process's projection after its m_final - 1 counted steps
+    captured = {}
+
+    def spied_solve(report, grid, m_max, tol, start, zero):
+        def spied_start():
+            captured["proc"], captured["fit"] = started = start()
+            return started
+        return krylov_solve(report, grid, m_max, tol, spied_start, zero)
+
+    monkeypatch.setattr(dlebdf, "krylov_solve", spied_solve)
     grid = TimeGrid(0.0, 1.0, 4)
-    _, rep = solve(gen_dle_problem(n0=3, p=1, seed=1), grid, 30, 1e-8)
-    assert rep.breakdown and rep.converged and rep.m_final == 1
-    assert [row[:2] for row in rep.rows] == [(1, t) for t in grid.nodes]
-    assert rep.final_bounds().max() < 1e-8
-    assert rep.trust["refit"] == 1
+    _, rep = solve(gen_dle_problem(n0=n0, p=1, seed=1), grid, 30, 1e-8)
+    assert rep.breakdown and rep.converged
+    assert rep.m_final == m_final and rep.dims["basis_blocks"] == blocks
+    assert [row[:2] for row in rep.rows] == [
+        (m, t) for m in range(1, m_final + 1) for t in grid.nodes]
+    assert "refit" not in rep.trust
+    proc = captured["proc"]
+    assert proc.m == m_final - 1
+    bounds, more, _ = captured["fit"](*proc.projection(proc.m)[1:])
+    assert [row[1:] for row in rep.rows if row[0] == m_final] == list(
+        zip(grid.nodes, bounds, *more()))
 
 
 @pytest.mark.parametrize("solve", [egadl_solve, expo_dle_solve], ids=["egadl", "expo"])

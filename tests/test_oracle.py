@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
-from krymat import smallmat
+from krymat import oracle, smallmat
 from krymat.dlebdf import bdf_integrate
 from krymat.errors import CapExceededError, NumericError
 from krymat.oracle import dense_dle_exact, dense_dme_solve, kron_operator
@@ -67,6 +67,25 @@ class TestDenseDme:
         prob = gen_sylvester_q2(5, 2, seed=1)
         with pytest.raises(CapExceededError):
             dense_dme_solve(prob, TimeGrid(0.0, 1.0, 3))
+
+    def test_cap_bounds_the_vectorized_order(self, monkeypatch):
+        # phi1 exponentiates a block of twice the order n p: the cap bounds
+        # n p, the order of the matrix phi1 is given, not that block's
+        monkeypatch.setattr(smallmat, "DENSE_CAP", 8)
+        prob = gen_sylvester_q2(3, 2, seed=42)
+        grid = TimeGrid(0.0, 1.0, 6)
+        traj = dense_dme_solve(prob, grid)
+        m = kron_operator(prob)
+        b = prob.c.flatten(order="F")
+        sol = solve_ivp(lambda t, x: m @ x + b, (0.0, 1.0), np.zeros(6),
+                        t_eval=grid.nodes, rtol=1e-12, atol=1e-14)
+        for k in range(grid.nnodes):
+            ref = sol.y[:, k].reshape(3, 2, order="F")
+            assert np.linalg.norm(traj[k] - ref) <= 1e-9
+        # n p = 9 is refused before the operator is built
+        monkeypatch.setattr(oracle, "kron_operator", None)
+        with pytest.raises(CapExceededError, match="order 9 exceeds"):
+            dense_dme_solve(gen_sylvester_q2(3, 3, seed=42), grid)
 
 
 class TestDenseDle:

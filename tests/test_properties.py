@@ -12,14 +12,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bdf_derivatives, dense_dle_bdf, range_cut
+from conftest import bdf_derivatives, convection_diffusion, dense_dle_bdf, range_cut
 from krymat.blockmat import BlockRow, diamond, kron_apply
 from krymat.dlebdf import egadl_solve
 from krymat.dleexp import VARIANTS, expo_dle_solve
 from krymat.dsylv import galerkin_solve
 from krymat.garnoldi import GlobalArnoldi
-from krymat.probio import (GenSylvesterProblem, gen_dle_problem, gen_random_dle_problem,
-                           gen_random_stable, gsylv_apply)
+from krymat.probio import (DLEProblem, GenSylvesterProblem, gen_dle_problem,
+                           gen_random_dle_problem, gen_random_stable, gsylv_apply)
 from krymat.solution import LowRankSolution, TimeGrid
 
 # roundoff allowed on top of a node's factor error bound factor_tol ||Y_k||_2,
@@ -104,6 +104,23 @@ def dle_runs(draw):
         problem = gen_random_dle_problem(n=n, p=draw(st.integers(1, max(1, n // 10))),
                                          density=draw(st.sampled_from([0.1, 0.3, 1.0])),
                                          seed=seed)
+    steps = draw(st.integers(5, 10))
+    grid = TimeGrid(0.0, draw(st.sampled_from([0.1, 1.0])), steps)
+    return (problem, grid, draw(st.integers(1, 30)), draw(st.sampled_from([1e-8, 1e-10])),
+            draw(st.integers(1, 3)))
+
+
+@st.composite
+def convection_diffusion_runs(draw):
+    """(problem, grid, m_max, tol, l) as ``dle_runs`` draws them, on the
+    convection-diffusion A = L - w (I kron D + D kron I) of the 2-D Laplacian
+    L, nonsymmetric for every wind w but 0, with a standard normal B of
+    p <= n/10 columns."""
+    n0 = draw(st.integers(2, 6))
+    w = draw(st.sampled_from([0.0, 1.0, 10.0, 100.0, 300.0]))
+    p = draw(st.integers(1, max(1, n0 * n0 // 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problem = DLEProblem(convection_diffusion(n0, w), rng.standard_normal((n0 * n0, p)))
     steps = draw(st.integers(5, 10))
     grid = TimeGrid(0.0, draw(st.sampled_from([0.1, 1.0])), steps)
     return (problem, grid, draw(st.integers(1, 30)), draw(st.sampled_from([1e-8, 1e-10])),
@@ -213,6 +230,13 @@ class TestExpoProperties:
 
         assert_factored_form(sol)
 
+    # the same checks on a second strategy, which leaves the draws above as they are
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(run=convection_diffusion_runs())
+    def test_convection_diffusion(self, variant, run):
+        self.test_rows_rerun_and_factors.hypothesis.inner_test(self, variant, run)
+
 
 class TestEgadlProperties:
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -241,3 +265,9 @@ class TestEgadlProperties:
         assert_bound_dominates_residual(problem, rep, xs[1:], bdf_derivatives(xs, grid.h, l))
 
         assert_factored_form(sol)
+
+    # the same checks on a second strategy, which leaves the draws above as they are
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(convection_diffusion_runs())
+    def test_convection_diffusion(self, run):
+        self.test_rows_rerun_real_kernels_and_dense_bdf.hypothesis.inner_test(self, run)
