@@ -1,8 +1,9 @@
 """Krylov projection solvers for differential Sylvester and Lyapunov equations."""
 
 from .blockmat import BlockRow, diamond, frob_inner, global_qr, kron_apply
-from .dlebdf import BDFScheme, bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
-from .dleexp import apriori_error_bound, expo_dle_solve, gram_trajectory, residual_bound_exp
+from .dlebdf import (BDFScheme, bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf,
+                     residual_bound_exp)
+from .dleexp import apriori_error_bound, expo_dle_solve, gram_trajectory
 from .dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
 from .egarnoldi import ExtendedGlobalArnoldi
 from .garnoldi import GlobalArnoldi

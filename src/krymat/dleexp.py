@@ -10,13 +10,8 @@ otherwise with the Van Loan block exponential of one short segment, doubled
 up to a step.  Computable residual and a-priori error bounds come from the
 subdiagonal coupling of the Hessenberg reduction and the last rows of every
 node's G_m, read at once.
-The solve is ``dlebdf.lowrank_solve`` with these Gramians as its integrator.
-
-The polynomial space's bound |h_{m+1,m}| ||last row of G_m(t)||_2 is the
-residual's spectral norm for p = 1, where the Frobenius norm is sqrt(2) times
-it; at p = 2, 3 (30 random stable A, n = 30) the spectral norm measured
-0.41-0.89 and the Frobenius norm 0.72-1.21 times it.  The extended space
-uses EgAdl's Frobenius bound.
+The solve is ``dlebdf.lowrank_solve``, which grows the process and picks its
+bound, with these Gramians as its integrator.
 
 The a-priori bound needs the logarithmic norm mu_2(A), the largest eigenvalue
 of (A + A^T)/2.  When A is exactly symmetric and Gershgorin places its
@@ -30,11 +25,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import smallmat
-from .dlebdf import lowrank_solve, residual_bound_bdf
-from .egarnoldi import ExtendedGlobalArnoldi
+from .dlebdf import lowrank_solve
 from .errors import ConfigError, NumericError
-from .garnoldi import GlobalArnoldi
-from .probio import LinearSolver, exactly_symmetric
 from .solution import CoordinateTrajectory
 
 # the subspaces expo_dle_solve can project onto
@@ -74,20 +66,15 @@ def gram_trajectory(hm, beta, grid, form):
     return CoordinateTrajectory(form.x, g)
 
 
-def residual_bound_exp(coupling, rows):
-    """|h_{m+1,m}| times the Euclidean norm of the last row of G, from the
-    polynomial process's coupling block [[h_{m+1,m}]]: of one G, or of a
-    stack of them (or of their last rows), one bound per G."""
-    rows = np.asarray(rows, dtype=float)[..., -1, :]
-    return abs(float(coupling[0, 0])) * np.linalg.norm(rows, axis=-1)
-
-
 def apriori_error_bound(h, gbar_max, mu2, t, t0):
     """Error bound |h_{m+1,m}| ||Gbar||_inf (e^{2(t-t0) mu2} - 1) / (2 mu2).
 
     ``t`` is one time or an array of them.  For |mu2| below 1e-14 the limit
     value (t - t0) |h| ||Gbar|| is used.  Past the largest float the exponent
-    is +-inf, and the bound its limit.
+    is +-inf, and the bound its limit.  The derivation needs ``gbar_max`` >=
+    the bound's supremum over [t0, t]; ``expo_dle_solve`` passes its maximum
+    at the grid nodes, so its apriori_bound column, like converged = True and
+    residual_bound, is a statement at the nodes: an estimate, not a proof.
     """
     lead, dt = abs(float(h)) * float(gbar_max), t - t0
     if abs(mu2) < 1e-14:
@@ -160,27 +147,15 @@ def expo_dle_solve(problem, grid, m_max, tol, variant="extended", factor_tol=1e-
     """
     if variant not in VARIANTS:
         raise ConfigError(f"variant = {variant}: need one of {', '.join(VARIANTS)}")
-    # the global bound is the residual's spectral norm only for p = 1
-    bound_norm = ("frobenius" if variant == "extended"
-                  else "spectral" if problem.p == 1 else "unproven")
 
-    def setup(report):
+    def setup(report, solver, symmetric):
         # the extended process's LU also serves the log-norm's shift-invert
-        solver = LinearSolver(problem.a) if variant == "extended" else None
-        symmetric = exactly_symmetric(problem.a)
         mu2, report.trust["mu2_method"] = lognorm2_operator(problem.a, solver, symmetric)
         report.settings["mu2"] = mu2
-        if variant == "global":
-            proc = GlobalArnoldi(lambda x: problem.a @ x, problem.b, m_max)
-            bound = residual_bound_exp
-        else:
-            proc = ExtendedGlobalArnoldi(problem.a, solver, problem.b, m_max)
-            bound = residual_bound_bdf
-        return (proc, symmetric, bound,
-                lambda hm, form: gram_trajectory(hm, proc.beta, grid, form),
+        return (lambda hm, form, beta: gram_trajectory(hm, beta, grid, form),
                 lambda kernel, bounds: apriori_error_bound(1.0, bounds.max(), mu2, grid.nodes,
                                                            grid.t0))
 
     return lowrank_solve(problem, grid, m_max, tol, factor_tol, setup,
                          method=f"expo-{variant}", column="apriori_bound",
-                         settings={"variant": variant}, bound_norm=bound_norm)
+                         settings={"variant": variant}, extended=variant == "extended")

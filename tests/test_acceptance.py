@@ -16,9 +16,9 @@ import pytest
 import scipy.sparse as sp
 
 from krymat.blockmat import BlockRow, diamond, global_qr, kron_apply
-from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
-from krymat.dleexp import (apriori_error_bound, expo_dle_solve, gram_trajectory,
-                           lognorm2_operator, residual_bound_exp)
+from krymat.dlebdf import (bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf,
+                          residual_bound_exp)
+from krymat.dleexp import apriori_error_bound, expo_dle_solve, gram_trajectory, lognorm2_operator
 from krymat.dsylv import galerkin_solve, integrate_projected, project_rhs, residual_norm
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.garnoldi import GlobalArnoldi

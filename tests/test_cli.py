@@ -337,6 +337,16 @@ bundle = {tmp_path / 'bundle'}
         assert res.stderr == "error: expm overflowed\n"
         assert not (tmp_path / "o").exists()
 
+    def test_bdf_step_overflow_exits_5_with_one_line(self, tmp_path, capsys):
+        # h beta T of a step of 2.5e307 overflows: one error line, no
+        # RuntimeWarning, which the suite's filter would make exit 1
+        cfg = write_cfg(tmp_path, SMALL_EGADL.replace("tf = 1.0", "tf = 1e308")
+                        .replace("steps = 10", "steps = 4"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: implicit BDF step of 2.5e+307 overflows; reduce the step size"]
+        assert not (tmp_path / "o").exists()
+
     def test_failure_on_the_solve_worker_exits_5(self, tmp_path, capsys, monkeypatch):
         # EgAdl's rank column is the only eigvalsh of its solve, on the worker
         def failing(*args, **kwargs):

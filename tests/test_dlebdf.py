@@ -9,8 +9,9 @@ import scipy.sparse as sp
 
 from krymat import smallmat
 from krymat.blockmat import BlockRow, diamond, kron_apply
-from krymat.dlebdf import bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf
-from krymat.dleexp import gram_trajectory, residual_bound_exp
+from krymat.dlebdf import (bdf_coefficients, bdf_integrate, egadl_solve, residual_bound_bdf,
+                          residual_bound_exp)
+from krymat.dleexp import gram_trajectory
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import StepFailureError
 from krymat.oracle import dense_dle_exact

@@ -7,11 +7,11 @@ import scipy.sparse as sp
 from scipy.linalg import block_diag
 from scipy.linalg import expm as sexpm
 
-from krymat import dleexp, probio, smallmat
+from krymat import dlebdf, probio, smallmat
 from krymat.blockmat import BlockRow, kron_apply
-from krymat.dlebdf import egadl_solve, residual_bound_bdf
+from krymat.dlebdf import egadl_solve, residual_bound_bdf, residual_bound_exp
 from krymat.dleexp import (VARIANTS, apriori_error_bound, expo_dle_solve, gram_trajectory,
-                           lognorm2_operator, residual_bound_exp)
+                           lognorm2_operator)
 from krymat.egarnoldi import ExtendedGlobalArnoldi
 from krymat.errors import NumericError, ParseError
 from krymat.garnoldi import GlobalArnoldi
@@ -171,7 +171,7 @@ class TestResidualBoundExp:
 
     def test_dense_residual_2norm_le_bound(self, rng):
         # equality for p = 1; for p > 1 the 2-norm is well below the bound
-        # and the Frobenius norm near it (see the dleexp module docstring)
+        # and the Frobenius norm near it (see dlebdf.residual_bound_exp)
         n = 30
         for p in (1, 2, 3):
             a = stable_dense(n, rng)
@@ -342,7 +342,7 @@ class TestExpoSolve:
         lines = [ln for ln in rep.summary_lines() if ln.startswith("trust.mu2_method")]
         assert lines == [f"trust.mu2_method = {method}"]
 
-    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("variant", ("egadl",) + VARIANTS)
     def test_one_symmetry_test_a_solve(self, variant, monkeypatch):
         # n = 441: the extended variant's log-norm takes the shift-invert,
         # which needs A symmetric, and the fit reads the same answer
@@ -352,12 +352,15 @@ class TestExpoSolve:
             compared.append(a)
             return probio.exactly_symmetric(a)
 
-        monkeypatch.setattr(dleexp, "exactly_symmetric", counting)
-        _, rep = expo_dle_solve(gen_dle_problem(n0=21, p=2, seed=1), TimeGrid(0.0, 1.0, 10),
-                                5, 1e-8, variant=variant)
+        monkeypatch.setattr(dlebdf, "exactly_symmetric", counting)
+        prob, grid = gen_dle_problem(n0=21, p=2, seed=1), TimeGrid(0.0, 1.0, 10)
+        if variant == "egadl":
+            _, rep = egadl_solve(prob, grid, 5, 1e-8)
+        else:
+            _, rep = expo_dle_solve(prob, grid, 5, 1e-8, variant=variant)
         assert len(compared) == 1
-        assert rep.trust["mu2_method"] == {"extended": "shift-invert",
-                                           "global": "lanczos"}[variant]
+        assert rep.trust.get("mu2_method") == {"egadl": None, "extended": "shift-invert",
+                                               "global": "lanczos"}[variant]
 
     def test_load_needs_the_manifest(self, tmp_path):
         # missing, then without a section header, then without a key

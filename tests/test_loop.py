@@ -395,8 +395,7 @@ def _no_lu(*args, **kwargs):
 @pytest.mark.parametrize("method", ["egadl", "expo-extended", "expo-global"])
 def test_zero_b_is_solved_without_a_process(monkeypatch, tmp_path, method):
     # X(t) = 0 on one zero basis column: no LU, no log-norm, no row
-    for module in (dlebdf, dleexp):
-        monkeypatch.setattr(module, "LinearSolver", _no_lu)
+    monkeypatch.setattr(dlebdf, "LinearSolver", _no_lu)
     with pytest.warns(UserWarning, match="rank deficient"):
         prob = DLEProblem(gen_laplacian2d(5), np.zeros((25, 2)))
     grid = TimeGrid(0.0, 1.0, 4)
@@ -501,8 +500,8 @@ def _case_ids(cases):
 @pytest.mark.parametrize("method,bad,key", BAD_ARGUMENTS, ids=_case_ids(BAD_ARGUMENTS))
 def test_bad_argument_is_refused_before_any_work(monkeypatch, method, bad, key):
     # an LU factorization, a norm estimate or an operator application is work
-    for module, name in ((dlebdf, "LinearSolver"), (dleexp, "LinearSolver"),
-                         (dleexp, "lognorm2_operator"), (dsylv, "gsylv_apply")):
+    for module, name in ((dlebdf, "LinearSolver"), (dleexp, "lognorm2_operator"),
+                         (dsylv, "gsylv_apply")):
         monkeypatch.setattr(module, name, _no_work)
     kwargs = dict(bad)
     m_max = kwargs.pop("m_max", 20)
